@@ -16,7 +16,6 @@ from .bound import (
     delta_t_from_times,
     length_scale_bound,
     matern_energy_fraction,
-    matern_energy_fraction_hypergeometric,
     se_energy_fraction,
 )
 from .fitting import (
@@ -68,17 +67,6 @@ from .kernels import (
     spectral_density,
 )
 from .series import NoiseModel, TimeSeries
-from .special import (
-    QuadratureLimitError,
-    QuadratureResult,
-    bessel_k,
-    erf,
-    erfc,
-    erfinv,
-    hyp2f1,
-    integrate_adaptive,
-    log_gamma,
-)
 
 __version__ = "0.1.0"
 
@@ -95,14 +83,11 @@ __all__ = [
     "KernelSpec",
     "NoiseModel",
     "Posterior",
-    "QuadratureLimitError",
-    "QuadratureResult",
     "ReplicateRecord",
     "SamplingInfo",
     "Scenario",
     "SyntheticConfig",
     "TimeSeries",
-    "bessel_k",
     "bound_config_from_times",
     "covariance",
     "covariance_gradient",
@@ -111,27 +96,20 @@ __all__ = [
     "diagnose",
     "emit_fit_plotdata",
     "emit_report",
-    "erf",
-    "erfc",
-    "erfinv",
     "export_csv",
     "factor_covariance",
     "fit",
     "generate_sinc_series",
-    "hyp2f1",
     "ingest_csv",
-    "integrate_adaptive",
     "length_scale_bound",
     "likelihood_surface",
     "load_config",
-    "log_gamma",
     "log_marginal_likelihood",
     "log_marginal_likelihood_and_gradient",
     "log_marginal_likelihood_gradient",
     "make_expression_scenarios",
     "make_scenarios",
     "matern_energy_fraction",
-    "matern_energy_fraction_hypergeometric",
     "mse",
     "posterior_at",
     "predictive_log_likelihood",

@@ -12,47 +12,56 @@ erf(pi l / (sqrt(2) dt)) and the bound inverts analytically to
 
     a_l(alpha) = sqrt(2) erfinv(alpha) / pi * dt    (about 0.8199 dt at 0.99).
 
-For the Matern family the band energy is integrated numerically from the
-spectral density (the primary path) and the bound is found by bisection on
-the strictly increasing energy fraction.  A hypergeometric closed form is
-also provided, but only as a cross-check of the length-scale dependence: as
-written it carries a spurious constant prefactor (measured factor 4.0,
-pinned in the test suite), so the quadrature path is authoritative.
+For the Matern family the unit-variance spectral density (Rasmussen &
+Williams 2006, eq. 4.15) is proportional to
+
+    (1 + t^2 / (2 nu))^-(nu + 1/2),  t = 2 pi l s,
+
+a Student-t density in t with 2 nu degrees of freedom.  The band
+|s| <= f_n is |t| <= x with x = pi l / dt, so the band energy is the
+two-sided Student-t probability
+
+    P(|t| <= x) = I(x^2 / (x^2 + 2 nu); 1/2, nu),
+
+and the bound inverts the upper tail I(w; nu, 1/2) = 1 - alpha in closed
+form, with w = 2 nu / (2 nu + x^2):
+
+    a_l(alpha) = dt / pi * sqrt(2 nu (1 - w) / w),  w = I^-1(1 - alpha; nu, 1/2).
+
+Here I is the regularized incomplete beta function.  (The paper's
+hypergeometric expression for the band energy is four times too large; the
+test suite pins that erratum.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import betainc, betaincinv, erfinv
 
 from . import kernels
-from .special import erf, erfinv, hyp2f1, integrate_adaptive, log_gamma
 
 __all__ = [
     "SamplingInfo",
     "BoundConfig",
-    "BisectionError",
+    "BoundError",
     "delta_t_from_times",
     "bound_config_from_times",
     "se_energy_fraction",
     "matern_energy_fraction",
-    "matern_energy_fraction_hypergeometric",
     "length_scale_bound",
 ]
 
 DEFAULT_ALPHA = 0.99
 
 _UNIFORM_RTOL = 1e-9
-_BRACKET_FACTOR = 1e6
-_BISECTION_TOL = 1e-10
-_BISECTION_MAX_ITER = 200
+_TAIL_RTOL = 1e-9
 
 
-class BisectionError(RuntimeError):
-    """Bound inversion failed to bracket or converge."""
+class BoundError(RuntimeError):
+    """The length-scale bound is not representable in double precision."""
 
 
 @dataclass(frozen=True)
@@ -151,17 +160,16 @@ def se_energy_fraction(length_scale: float, delta_t: float) -> float:
         raise ValueError("length_scale must be > 0")
     if not delta_t > 0.0:
         raise ValueError("delta_t must be > 0")
-    return _clamp_unit(erf(math.pi * length_scale / (math.sqrt(2.0) * delta_t)))
+    x = math.pi * length_scale / (math.sqrt(2.0) * delta_t)
+    return _clamp_unit(math.erf(x))
 
 
 def matern_energy_fraction(nu: float, length_scale: float, delta_t: float) -> float:
-    """Fraction of Matern spectral energy below Nyquist, by quadrature.
+    """Fraction of Matern spectral energy below Nyquist.
 
-    Integrates the unit-variance spectral density over [-f_n, f_n]; the
-    total energy over the real line is exactly one, so no further
-    normalization is needed.  This is the authoritative path; see
-    :func:`matern_energy_fraction_hypergeometric` for the closed-form
-    cross-check.
+    The two-sided Student-t probability I(x^2 / (x^2 + 2 nu); 1/2, nu) with
+    x = pi l / dt; strictly increasing in the length-scale and clamped to
+    the open unit interval.
     """
     if not nu > 0.0:
         raise ValueError("nu must be > 0")
@@ -169,80 +177,22 @@ def matern_energy_fraction(nu: float, length_scale: float, delta_t: float) -> fl
         raise ValueError("length_scale must be > 0")
     if not delta_t > 0.0:
         raise ValueError("delta_t must be > 0")
-    spec = kernels.KernelSpec.matern(nu, 1.0, length_scale)
-    f_n = 1.0 / (2.0 * delta_t)
-    # The density rolls off at s0 = sqrt(2 nu)/(2 pi l); seed the panel
-    # subdivision across that scale so the integrator cannot miss a peak
-    # much narrower than the Nyquist band.
-    s0 = math.sqrt(2.0 * nu) / (2.0 * math.pi * length_scale)
-    breaks = []
-    cut = s0 * 1e-2
-    while cut < f_n and len(breaks) < 40:
-        breaks.append(cut)
-        cut *= 10.0
-    res = integrate_adaptive(
-        lambda s: kernels.spectral_density(spec, s),
-        0.0,
-        f_n,
-        abs_tol=1e-13,
-        rel_tol=1e-11,
-        points=breaks,
-    )
-    return _clamp_unit(2.0 * res.value)
+    x2 = (math.pi * length_scale / delta_t) ** 2
+    return _clamp_unit(float(betainc(0.5, nu, x2 / (x2 + 2.0 * nu))))
 
 
-def matern_energy_fraction_hypergeometric(
-    nu: float, length_scale: float, delta_t: float
-) -> float:
-    """Closed-form Matern band energy via the Gauss hypergeometric function.
-
-    Evaluates
-
-        4 l sqrt(2 pi) Gamma(nu + 1/2) / (dt sqrt(nu) Gamma(nu))
-            * 2F1(1/2, nu + 1/2; 3/2; -l^2 pi^2 / (2 nu dt^2)).
-
-    As written this expression is off from the normalized quadrature
-    fraction by a constant factor (4.0, measured and pinned in the tests),
-    so only ratios across length-scales are meaningful.  It is retained to
-    cross-validate the length-scale dependence of the quadrature path.
-    """
-    if not nu > 0.0 or not length_scale > 0.0 or not delta_t > 0.0:
-        raise ValueError("nu, length_scale and delta_t must be > 0")
-    x = -(length_scale * math.pi / delta_t) ** 2 / (2.0 * nu)
-    prefactor = (
-        4.0
-        * length_scale
-        * math.sqrt(2.0 * math.pi)
-        * math.exp(log_gamma(nu + 0.5) - log_gamma(nu))
-        / (delta_t * math.sqrt(nu))
-    )
-    return prefactor * hyp2f1(0.5, nu + 0.5, 1.5, x)
-
-
-@lru_cache(maxsize=4096)
-def _matern_bound_cached(nu: float, alpha: float, delta_t: float) -> float:
-    # Bisection on log(l): the energy fraction is strictly increasing in l,
-    # so bisection is unconditionally safe once the bracket holds.
-    lo = math.log(delta_t / _BRACKET_FACTOR)
-    hi = math.log(delta_t * _BRACKET_FACTOR)
-    f_lo = matern_energy_fraction(nu, math.exp(lo), delta_t) - alpha
-    f_hi = matern_energy_fraction(nu, math.exp(hi), delta_t) - alpha
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise BisectionError(
-            f"alpha={alpha!r} not bracketed by length-scales in "
-            f"[{delta_t / _BRACKET_FACTOR:g}, {delta_t * _BRACKET_FACTOR:g}]"
+def _matern_bound(nu: float, alpha: float, delta_t: float) -> float:
+    tail = 1.0 - alpha
+    w = float(betaincinv(nu, 0.5, tail))
+    # betaincinv saturates silently (at the smallest normal double) when the
+    # tail point underflows, as for very rough kernels; a forward evaluation
+    # catches that.
+    if not abs(float(betainc(nu, 0.5, w)) - tail) <= _TAIL_RTOL * tail:
+        raise BoundError(
+            f"Matern(nu={nu!r}) bound at alpha={alpha!r} is beyond double "
+            "precision"
         )
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if matern_energy_fraction(nu, math.exp(mid), delta_t) - alpha > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _BISECTION_TOL:
-            return math.exp(0.5 * (lo + hi))
-    raise BisectionError(
-        f"bisection did not converge within {_BISECTION_MAX_ITER} iterations"
-    )
+    return delta_t / math.pi * math.sqrt(2.0 * nu * (1.0 - w) / w)
 
 
 def length_scale_bound(
@@ -254,21 +204,18 @@ def length_scale_bound(
     """Smallest length-scale that keeps a fraction ``alpha`` of the spectral
     energy below the Nyquist frequency of a grid sampled at ``delta_t``.
 
-    The squared exponential inverts analytically; the Matern bound is found
-    by bisection (tolerance 1e-10 relative in the length-scale, 200
-    iteration cap) on the quadrature energy fraction.  The bound scales
-    linearly in ``delta_t``.
+    Both families invert in closed form (see the module docstring), and the
+    bound scales linearly in ``delta_t``.  Raises BoundError when the Matern
+    bound cannot be represented in double precision.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not delta_t > 0.0:
         raise ValueError("delta_t must be > 0")
     if family == kernels.SQUARED_EXPONENTIAL:
-        return math.sqrt(2.0) * erfinv(alpha) / math.pi * delta_t
+        return math.sqrt(2.0) * float(erfinv(alpha)) / math.pi * delta_t
     if family == kernels.MATERN:
         if nu is None or not nu > 0.0:
             raise ValueError("Matern bound needs nu > 0")
-        # The fraction depends on l and dt only through l/dt, so solve at
-        # dt = 1 and rescale; this also makes the cache effective.
-        return _matern_bound_cached(float(nu), float(alpha), 1.0) * delta_t
+        return _matern_bound(float(nu), alpha, delta_t)
     raise ValueError(f"unknown kernel family {family!r}")

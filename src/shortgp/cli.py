@@ -20,7 +20,6 @@ import numpy as np
 from . import bound
 from . import fitting as fitmod, harness
 from .kernels import FactorizationError
-from .special import QuadratureLimitError
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -318,8 +317,7 @@ def main(argv=None) -> int:
     except (
         fitmod.AllStartsFailedError,
         FactorizationError,
-        QuadratureLimitError,
-        bound.BisectionError,
+        bound.BoundError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

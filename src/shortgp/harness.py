@@ -264,8 +264,6 @@ def _fit_series_under_scenarios(
     noise_flag_threshold: float,
     test_times: np.ndarray | None,
     test_values: np.ndarray | None,
-    loglik_threshold: float,
-    mse_threshold: float,
 ) -> list[ReplicateRecord]:
     own: list[fitmod.FitResult | None] = []
     for scenario in scenarios:
@@ -379,8 +377,6 @@ def _synthetic_task(args) -> list[ReplicateRecord]:
         config.noise_flag_threshold,
         test_times,
         test_values,
-        config.loglik_threshold,
-        config.mse_threshold,
     )
 
 
@@ -474,7 +470,15 @@ def _batch_task(args) -> list[ReplicateRecord]:
         seed,
         alpha,
         noise_flag_threshold,
+        labels,
     ) = args
+    if len(series) < 2:
+        # No sampling interval, hence no length-scale bound and no fit: the
+        # series fails under every scenario.
+        return [
+            ReplicateRecord(series.id, len(series), index, label, k, failed=True)
+            for k, label in enumerate(labels)
+        ]
     scenarios = _scenarios_for_series(series, scenario_set, family, alpha, nu)
     return _fit_series_under_scenarios(
         series,
@@ -489,8 +493,6 @@ def _batch_task(args) -> list[ReplicateRecord]:
         noise_flag_threshold,
         None,
         None,
-        -20.0,
-        0.1,
     )
 
 
@@ -530,13 +532,23 @@ def run_batch(
     scenario list applied verbatim.  Preset sets rebuild the length-scale
     bound per series from its own sampling interval.  A row's fit is the
     best feasible optimum among that series' scenario fits (see
-    :class:`ReplicateRecord`).  Per-series failures
-    are recorded, never fatal; results are independent of input order and
-    of the degree of parallelism.
+    :class:`ReplicateRecord`).  Per-series failures, including a series too
+    short to have a sampling interval, are recorded as failed rows, never
+    fatal; results are independent of input order and of the degree of
+    parallelism.
     """
     series_set = list(series_set)
     if not series_set:
         raise ValueError("series_set must not be empty")
+    # Labels and structural flags come from the first series long enough to
+    # build its scenarios; configuration errors surface there.
+    first = next((s for s in series_set if len(s) >= 2), None)
+    template = (
+        _scenarios_for_series(first, scenario_set, family, alpha, nu)
+        if first is not None
+        else []
+    )
+    labels = [sc.label for sc in template] or list(SCENARIO_LABELS)
     tasks = [
         (
             s,
@@ -548,20 +560,14 @@ def run_batch(
             seed,
             alpha,
             noise_flag_threshold,
+            labels,
         )
         for i, s in enumerate(series_set)
     ]
     rows: list[ReplicateRecord] = []
     for group in _map_tasks(_batch_task, tasks, parallelism):
         rows.extend(group)
-    labels = [
-        s.label
-        for s in _scenarios_for_series(series_set[0], scenario_set, family, alpha, nu)
-    ]
-    structural = _structural_flags(
-        _scenarios_for_series(series_set[0], scenario_set, family, alpha, nu),
-        noise_flag_threshold,
-    )
+    structural = _structural_flags(template, noise_flag_threshold)
     return BatchReport(
         scenario_labels=labels,
         n_values=sorted({len(s) for s in series_set}),

@@ -11,8 +11,8 @@ and the Matern class
 with signal variance ``sf2``, length-scale ``l`` and smoothness ``nu``.
 Half-integer nu in {1/2, 3/2, 5/2} use the elementary closed forms and are
 the orders supported for likelihood fitting; arbitrary nu > 0 is available
-for covariance evaluation and for the spectral bound machinery, at the cost
-of a quadrature-backed Bessel evaluation per distance.
+for covariance evaluation, vectorised over distances through scipy's
+exponentially scaled Bessel function combined in log space.
 
 Spectral densities are returned for unit signal variance (sf2 scales the
 covariance and the density by the same factor, so it cancels in every
@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cholesky
 from scipy.linalg import LinAlgError
+from scipy.special import kve
 
 from .series import NoiseModel
-from .special import log_bessel_k, log_gamma
 
 __all__ = [
     "SQUARED_EXPONENTIAL",
@@ -101,6 +101,31 @@ class KernelGradient:
     d_length_scale: float
 
 
+def _matern_general(
+    spec: KernelSpec, r: np.ndarray, d_length_scale: bool
+) -> np.ndarray:
+    """General-order Matern covariance, or its derivative in l, over ``r``.
+
+    With u = sqrt(2 nu) r / l, k = sf2 * 2^(1-nu)/Gamma(nu) * u^nu * K_nu(u)
+    and, from d/du [u^nu K_nu(u)] = -u^nu K_(nu-1)(u),
+    dk/dl = sf2 * 2^(1-nu)/Gamma(nu) * u^(nu+1) * K_(nu-1)(u) / l.  Both are
+    combined in log space, log K(u) = log kve(u) - u, so that extreme
+    intermediate magnitudes (large nu, small r) stay representable.
+    """
+    nu = spec.nu
+    l = spec.length_scale
+    out = np.full(r.shape, 0.0 if d_length_scale else spec.signal_variance)
+    pos = r > 0.0
+    u = (math.sqrt(2.0 * nu) / l) * r[pos]
+    order, power = (nu - 1.0, nu + 1.0) if d_length_scale else (nu, nu)
+    log_norm = (
+        math.log(spec.signal_variance) + (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
+    )
+    val = np.exp(log_norm + power * np.log(u) + np.log(kve(order, u)) - u)
+    out[pos] = val / l if d_length_scale else val
+    return out
+
+
 def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     sf2 = spec.signal_variance
     l = spec.length_scale
@@ -115,20 +140,7 @@ def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     if nu == 2.5:
         u = (math.sqrt(5.0) / l) * r
         return sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
-    # General order: log-space combination so that extreme intermediate
-    # magnitudes (large nu, small r) stay representable.
-    out = np.empty_like(r)
-    log_norm = math.log(sf2) + (1.0 - nu) * math.log(2.0) - log_gamma(nu)
-    scale = math.sqrt(2.0 * nu) / l
-    flat_r = r.ravel()
-    flat_o = out.ravel()
-    for i, ri in enumerate(flat_r):
-        if ri == 0.0:
-            flat_o[i] = sf2
-            continue
-        u = scale * ri
-        flat_o[i] = math.exp(log_norm + nu * math.log(u) + log_bessel_k(nu, u))
-    return out
+    return _matern_general(spec, r, d_length_scale=False)
 
 
 def _dcov_dl_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -145,22 +157,7 @@ def _dcov_dl_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     if nu == 2.5:
         u = (math.sqrt(5.0) / l) * r
         return sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * np.exp(-u)
-    # d k / d l = sf2 * 2^(1-nu)/Gamma(nu) * u^(nu+1) * K_(nu-1)(u) / l,
-    # using K_nu'(u) = -(K_(nu-1) + K_(nu+1))/2 and the standard recurrence.
-    out = np.empty_like(r)
-    log_norm = math.log(sf2) + (1.0 - nu) * math.log(2.0) - log_gamma(nu)
-    scale = math.sqrt(2.0 * nu) / l
-    flat_r = r.ravel()
-    flat_o = out.ravel()
-    for i, ri in enumerate(flat_r):
-        if ri == 0.0:
-            flat_o[i] = 0.0
-            continue
-        u = scale * ri
-        flat_o[i] = math.exp(
-            log_norm + (nu + 1.0) * math.log(u) + log_bessel_k(nu - 1.0, u)
-        ) / l
-    return out
+    return _matern_general(spec, r, d_length_scale=True)
 
 
 def covariance(spec: KernelSpec, r):
@@ -258,8 +255,8 @@ def spectral_density(spec: KernelSpec, s):
         log_norm = (
             math.log(2.0)
             + 0.5 * math.log(math.pi)
-            + log_gamma(nu + 0.5)
-            - log_gamma(nu)
+            + math.lgamma(nu + 0.5)
+            - math.lgamma(nu)
             + nu * math.log(2.0 * nu)
             - 2.0 * nu * math.log(l)
         )

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from shortgp import (
     KernelSpec,
@@ -21,7 +22,6 @@ from shortgp import (
     log_marginal_likelihood_and_gradient,
     make_scenarios,
     matern_energy_fraction,
-    matern_energy_fraction_hypergeometric,
     posterior_at,
     run_batch,
     run_synthetic_experiment,
@@ -30,7 +30,6 @@ from shortgp import (
     spectral_density,
 )
 from shortgp.fitting import fit
-from shortgp.special import integrate_adaptive
 
 N_GRID = [5, 7, 9, 11, 13, 15]
 DESK_REPLICATES = 200
@@ -70,23 +69,33 @@ def test_criterion_2_spectral_energy_consistency():
         spec = KernelSpec.se(1.0, float(l))
         s0 = 1.0 / (math.pi * float(l) * math.sqrt(2.0))
         breaks = [s0 * 10.0**k for k in range(-2, 6) if s0 * 10.0**k < 0.5]
-        quad = integrate_adaptive(
+        band, _ = quad(
             lambda s: spectral_density(spec, s),
             0.0,
             0.5,
-            abs_tol=1e-13,
-            rel_tol=1e-11,
-            points=breaks,
+            epsabs=1e-13,
+            epsrel=1e-11,
+            points=breaks or None,
+            limit=200,
         )
-        worst = max(worst, abs(2.0 * quad.value - se_energy_fraction(float(l), dt)))
+        worst = max(worst, abs(2.0 * band - se_energy_fraction(float(l), dt)))
 
-    # Matern: quadrature against the hypergeometric closed form, which
-    # carries a constant factor of 4.0 (measured; pinned in test_bound)
+    # Matern: band quadrature against the Student-t closed form
     for nu in (0.5, 1.5, 2.5, 4.0):
         for l in lscales:
-            quad = matern_energy_fraction(nu, float(l), dt)
-            closed = matern_energy_fraction_hypergeometric(nu, float(l), dt) / 4.0
-            worst = max(worst, abs(quad - closed))
+            spec = KernelSpec.matern(nu, 1.0, float(l))
+            s0 = math.sqrt(2.0 * nu) / (2.0 * math.pi * float(l))
+            breaks = [s0 * 10.0**k for k in range(-2, 6) if s0 * 10.0**k < 0.5]
+            band, _ = quad(
+                lambda s: spectral_density(spec, s),
+                0.0,
+                0.5,
+                epsabs=1e-13,
+                epsrel=1e-11,
+                points=breaks or None,
+                limit=200,
+            )
+            worst = max(worst, abs(2.0 * band - matern_energy_fraction(nu, float(l), dt)))
 
     # round-trip inversion
     worst_rt = 0.0

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import betainc, gamma, hyp2f1
 
 from shortgp.bound import (
-    BisectionError,
     BoundConfig,
+    BoundError,
     SamplingInfo,
     bound_config_from_times,
     delta_t_from_times,
     length_scale_bound,
     matern_energy_fraction,
-    matern_energy_fraction_hypergeometric,
     se_energy_fraction,
 )
 from shortgp.kernels import KernelSpec, spectral_density
-from shortgp.special import integrate_adaptive
 
 
 class TestDeltaT:
@@ -89,10 +89,10 @@ class TestSeEnergyFraction:
     def test_quadrature_oracle(self):
         # oracle: band integral of the unit-variance spectral density
         spec = KernelSpec.se(1.0, 1.0)
-        res = integrate_adaptive(
-            lambda s: spectral_density(spec, s), -0.5, 0.5, 1e-13, 1e-12
+        band, _ = quad(
+            lambda s: spectral_density(spec, s), -0.5, 0.5, epsabs=1e-13, epsrel=1e-12
         )
-        assert abs(se_energy_fraction(1.0, 1.0) - res.value) <= 1e-9
+        assert abs(se_energy_fraction(1.0, 1.0) - band) <= 1e-9
 
     def test_monotone_in_length_scale(self):
         # strict growth over 50 log-spaced samples in the double-resolvable
@@ -127,23 +127,41 @@ class TestMaternEnergyFraction:
             assert vals[0] < 1e-3
             assert matern_energy_fraction(nu, 1e6, 1.0) > 0.9999
 
-    def test_hypergeometric_cross_check_ratio(self):
-        # The closed form must track the quadrature fraction up to one
-        # constant per order; that constant measures 4.0 exactly.
-        for nu in [0.75, 1.5, 4.0]:
-            ratios = [
-                matern_energy_fraction_hypergeometric(nu, l, 1.0)
-                / matern_energy_fraction(nu, l, 1.0)
-                for l in [0.3, 1.0, 2.0, 5.0]
-            ]
-            for r in ratios:
-                assert abs(r / ratios[0] - 1.0) <= 1e-6
-            assert abs(ratios[0] - 4.0) <= 1e-6
+    @pytest.mark.parametrize("nu", [0.5, 0.75, 1.5, 2.5, 4.0, 7.3])
+    def test_quadrature_oracle(self, nu):
+        # oracle: band integral of the unit-variance spectral density, with
+        # breakpoints across the roll-off scale s0 = sqrt(2 nu) / (2 pi l)
+        for l in np.logspace(-2, 2, 9):
+            spec = KernelSpec.matern(nu, 1.0, float(l))
+            s0 = math.sqrt(2.0 * nu) / (2.0 * math.pi * float(l))
+            breaks = [s0 * 10.0**k for k in range(-2, 6) if s0 * 10.0**k < 0.5]
+            band, _ = quad(
+                lambda s: spectral_density(spec, s),
+                0.0,
+                0.5,
+                epsabs=1e-14,
+                epsrel=1e-13,
+                points=breaks or None,
+                limit=200,
+            )
+            assert abs(matern_energy_fraction(nu, float(l), 1.0) - 2.0 * band) <= 1e-12
 
-    def test_nu_three_halves_quadrature_vs_closed_form(self):
-        frac = matern_energy_fraction(1.5, 2.0, 1.0)
-        closed = matern_energy_fraction_hypergeometric(1.5, 2.0, 1.0) / 4.0
-        assert abs(frac - closed) <= 1e-9
+    def test_paper_hypergeometric_erratum(self):
+        # The paper's closed form for the band energy,
+        #   4 l sqrt(2 pi) Gamma(nu + 1/2) / (dt sqrt(nu) Gamma(nu))
+        #     * 2F1(1/2, nu + 1/2; 3/2; -pi^2 l^2 / (2 nu dt^2)),
+        # is four times the normalized energy fraction.
+        for nu in [0.75, 1.5, 4.0]:
+            for l in [0.3, 1.0, 2.0, 5.0]:
+                paper = (
+                    4.0
+                    * l
+                    * math.sqrt(2.0 * math.pi)
+                    * gamma(nu + 0.5)
+                    / (math.sqrt(nu) * gamma(nu))
+                    * hyp2f1(0.5, nu + 0.5, 1.5, -((math.pi * l) ** 2) / (2.0 * nu))
+                )
+                assert abs(paper / 4.0 - matern_energy_fraction(nu, l, 1.0)) <= 1e-12
 
 
 class TestLengthScaleBound:
@@ -199,6 +217,23 @@ class TestLengthScaleBound:
             length_scale_bound("matern", 0.99, 1.0)  # nu missing
         with pytest.raises(ValueError):
             length_scale_bound("cubic", 0.99, 1.0)
-        with pytest.raises(BisectionError):
-            # more energy than any bracketed length-scale can confine
-            length_scale_bound("matern", 1.0 - 1e-9, 1.0, nu=0.5)
+        with pytest.raises(BoundError):
+            # a bound near 1e1000 dt overflows the double range
+            length_scale_bound("matern", 0.99, 1.0, nu=0.001)
+
+    def test_matern_half_extreme_alpha_exact(self):
+        # nu = 1/2 inverts to 1 / (pi tan((1 - alpha) pi / 2)); the naive
+        # tan(alpha pi / 2) / pi loses digits as alpha approaches one
+        alpha = 1.0 - 1e-9
+        expected = 1.0 / (math.pi * math.tan((1.0 - alpha) * math.pi / 2.0))
+        got = length_scale_bound("matern", alpha, 1.0, nu=0.5)
+        assert abs(got / expected - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 4.0, 10.0, 100.0])
+    def test_matern_tail_forward_check(self, nu):
+        # the closed-form bound reproduces its upper-tail energy 1 - alpha
+        for alpha in [0.5, 0.9, 0.99, 0.999]:
+            a_l = length_scale_bound("matern", alpha, 1.0, nu)
+            x2 = (math.pi * a_l) ** 2
+            tail = betainc(nu, 0.5, 2.0 * nu / (2.0 * nu + x2))
+            assert abs(tail - (1.0 - alpha)) <= 1e-9 * (1.0 - alpha)

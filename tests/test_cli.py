@@ -209,7 +209,7 @@ class TestPlotdataCommand:
 
 class TestExitCodes:
     def test_numerical_failure_exit_code(self, capsys):
-        # an energy target no bracketed length-scale can reach
+        # a bound (near 1e1000) that double precision cannot represent
         rc = main(
             [
                 "bound",
@@ -218,9 +218,9 @@ class TestExitCodes:
                 "--family",
                 "matern",
                 "--nu",
-                "0.5",
+                "0.001",
                 "--alpha",
-                "0.999999999",
+                "0.99",
             ]
         )
         assert rc == 3

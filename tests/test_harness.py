@@ -295,6 +295,27 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             run_batch([], scenario_set="synthetic")
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_single_observation_series_is_not_fatal(self, parallelism, scenario_set):
+        # a one-point series has no sampling interval; placed first, it must
+        # still yield one failed record per scenario and leave the labels
+        # and the other series' fits alone
+        t = np.linspace(0.0, 6.0, 7)
+        ok = TimeSeries(t, sinc(t), noise_variances=np.full(7, 0.04), id="ok")
+        bad = TimeSeries([1.0], [0.3], noise_variances=[0.04], id="bad")
+        # per-series seeds follow the set order: "ok" is second in both runs
+        pair = run_batch([ok, ok], scenario_set=scenario_set, restarts=2)
+        report = run_batch(
+            [bad, ok], scenario_set=scenario_set, restarts=2, parallelism=parallelism
+        )
+        assert report.scenario_labels == pair.scenario_labels
+        labels = pair.scenario_labels
+        assert [r.scenario for r in report.rows[: len(labels)]] == labels
+        assert all(r.failed and r.n == 1 for r in report.rows[: len(labels)])
+        assert report.rows[len(labels) :] == pair.rows[len(labels) :]
+        assert not any(r.failed for r in pair.rows)
+
     def test_fixed_noise_scenarios_from_csv_variances(self):
         series = TimeSeries(
             np.linspace(0.0, 6.0, 7),
