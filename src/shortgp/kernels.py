@@ -101,6 +101,16 @@ class KernelGradient:
     d_length_scale: float
 
 
+def _log_bessel_k(order: float, u):
+    """log K_order(u) for u > 0, as log kve(order, u) - u.
+
+    Finite for any order at magnitudes where K itself would overflow or
+    underflow; K_(-order) = K_order.  Off the domain (u <= 0 or NaN) the
+    result is non-finite, so callers pass only positive distances.
+    """
+    return np.log(kve(order, u)) - u
+
+
 def _matern_general(
     spec: KernelSpec, r: np.ndarray, d_length_scale: bool
 ) -> np.ndarray:
@@ -109,8 +119,8 @@ def _matern_general(
     With u = sqrt(2 nu) r / l, k = sf2 * 2^(1-nu)/Gamma(nu) * u^nu * K_nu(u)
     and, from d/du [u^nu K_nu(u)] = -u^nu K_(nu-1)(u),
     dk/dl = sf2 * 2^(1-nu)/Gamma(nu) * u^(nu+1) * K_(nu-1)(u) / l.  Both are
-    combined in log space, log K(u) = log kve(u) - u, so that extreme
-    intermediate magnitudes (large nu, small r) stay representable.
+    combined in log space (``_log_bessel_k``), so that extreme intermediate
+    magnitudes (large nu, small r) stay representable.
     """
     nu = spec.nu
     l = spec.length_scale
@@ -121,7 +131,7 @@ def _matern_general(
     log_norm = (
         math.log(spec.signal_variance) + (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
     )
-    val = np.exp(log_norm + power * np.log(u) + np.log(kve(order, u)) - u)
+    val = np.exp(log_norm + power * np.log(u) + _log_bessel_k(order, u))
     out[pos] = val / l if d_length_scale else val
     return out
 

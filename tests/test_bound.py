@@ -146,7 +146,21 @@ class TestMaternEnergyFraction:
             )
             assert abs(matern_energy_fraction(nu, float(l), 1.0) - 2.0 * band) <= 1e-12
 
-    def test_paper_hypergeometric_erratum(self):
+    def test_nu_three_halves_quadrature_vs_closed_form(self):
+        # nu = 3/2 is a Student-t with 3 degrees of freedom, whose two-sided
+        # probability is elementary: (2/pi) (y / (1 + y^2) + arctan y) with
+        # y = pi l / (sqrt(3) dt)
+        spec = KernelSpec.matern(1.5, 1.0, 2.0)
+        band, _ = quad(
+            lambda s: spectral_density(spec, s), 0.0, 0.5, epsabs=1e-14, epsrel=1e-13
+        )
+        y = 2.0 * math.pi / math.sqrt(3.0)
+        closed = 2.0 / math.pi * (y / (1.0 + y * y) + math.atan(y))
+        frac = matern_energy_fraction(1.5, 2.0, 1.0)
+        assert abs(frac - closed) <= 1e-9
+        assert abs(frac - 2.0 * band) <= 1e-9
+
+    def test_hypergeometric_cross_check_ratio(self):
         # The paper's closed form for the band energy,
         #   4 l sqrt(2 pi) Gamma(nu + 1/2) / (dt sqrt(nu) Gamma(nu))
         #     * 2F1(1/2, nu + 1/2; 3/2; -pi^2 l^2 / (2 nu dt^2)),
