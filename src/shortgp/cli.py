@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -69,7 +68,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--id", default=None, help="series id (default: first series)")
     p_fit.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4,
                        help="constraint scenario 1..4 (default 4: both bounds)")
-    p_fit.add_argument("--scenario-set", choices=["synthetic", "expression"],
+    p_fit.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                        default="synthetic")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
@@ -99,7 +98,7 @@ def _build_parser() -> _Parser:
     p_batch = sub.add_parser("batch", help="fit every series in a CSV file")
     p_batch.add_argument("--input", required=True)
     p_batch.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
-    p_batch.add_argument("--scenario-set", choices=["synthetic", "expression"],
+    p_batch.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                          default="expression")
     p_batch.add_argument("--seed", type=int, default=0)
     p_batch.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
@@ -113,7 +112,7 @@ def _build_parser() -> _Parser:
     p_plot.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     p_plot.add_argument("--id", default=None)
     p_plot.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4)
-    p_plot.add_argument("--scenario-set", choices=["synthetic", "expression"],
+    p_plot.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                         default="synthetic")
     p_plot.add_argument("--seed", type=int, default=0)
     p_plot.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
@@ -145,10 +144,7 @@ def _select_series(args):
 
 def _scenario_for(args, series, family, nu):
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
-    if args.scenario_set == "expression":
-        scenarios = fitmod.make_expression_scenarios(series, family, alpha, nu)
-    else:
-        scenarios = fitmod.make_scenarios(series, family, alpha, nu)
+    scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
     return scenarios[args.scenario - 1]
 
 
@@ -213,41 +209,29 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # Flags are written over the config file's flat mapping, which is then
+    # parsed once.
     mapping = harness.load_config(args.config) if args.config else {}
-    config = harness.config_from_mapping(mapping)
-    if args.replicates is not None:
-        config = replace(config, replicates=args.replicates)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.noise_variance is not None:
-        config = replace(config, noise_variance=args.noise_variance)
-    if args.interval is not None:
-        lo, hi = (float(v) for v in args.interval.split(","))
-        config = replace(config, interval=(lo, hi))
-    if args.test_grid is not None:
-        lo, hi, count = args.test_grid.split(",")
-        config = replace(config, test_grid=(float(lo), float(hi), int(count)))
-    if args.noise_bounds is not None:
-        lo, hi = (float(v) for v in args.noise_bounds.split(","))
-        config = replace(config, noise_bounds=(lo, hi))
-    if args.restarts is not None:
-        config = replace(config, restarts=args.restarts)
+    for key in ("replicates", "seed", "noise_variance", "restarts", "alpha",
+                "n_grid", "out_dir", "parallelism"):
+        if getattr(args, key) is not None:
+            mapping[key] = getattr(args, key)
+    # --interval, --test-grid and --noise-bounds set a tuple field's keys
+    for field, keys in harness._SPLIT_KEYS.items():
+        if getattr(args, field) is not None:
+            parts = getattr(args, field).split(",")
+            if len(parts) != len(keys):
+                raise ValueError(f"--{field.replace('_', '-')} needs {len(keys)} values")
+            mapping.update(zip(keys, parts))
     if args.family is not None:
-        family, nu = _family(args)
-        config = replace(config, family=family, nu=nu)
-    if args.alpha is not None:
-        config = replace(config, alpha=args.alpha)
+        mapping["family"], mapping["nu"] = _family(args)
+    config = harness.config_from_mapping(mapping)
 
-    if args.n_grid is not None:
-        n_grid = [int(v) for v in args.n_grid.split(",")]
-    elif "n_grid" in mapping:
-        n_grid = [int(v) for v in str(mapping["n_grid"]).split(",")]
-    else:
-        n_grid = [5, 7, 9, 11, 13, 15]
-    out_dir = args.out_dir or mapping.get("out_dir")
+    n_grid = [int(v) for v in str(mapping.get("n_grid", "5,7,9,11,13,15")).split(",")]
+    out_dir = mapping.get("out_dir")
     if out_dir is None:
         raise _UsageError("synth needs --out-dir (or out_dir in the config file)")
-    parallelism = args.parallelism or int(mapping.get("parallelism", 1))
+    parallelism = int(mapping.get("parallelism", 1))
 
     report = harness.run_synthetic_experiment(config, n_grid, parallelism=parallelism)
     files = harness.emit_report(report, out_dir)

@@ -37,6 +37,7 @@ __all__ = [
     "diagnose",
     "make_scenarios",
     "make_expression_scenarios",
+    "SCENARIO_SETS",
     "result_noise_model",
     "profile_signal_variance",
     "likelihood_surface",
@@ -244,6 +245,17 @@ def _make_kernel(family: str, nu: float | None, sf2: float, l: float) -> KernelS
     return KernelSpec.se(sf2, l)
 
 
+def _check_family(family: str, nu: float | None) -> None:
+    """Raise ValueError unless :func:`fit` supports the kernel family and nu."""
+    if family == MATERN:
+        if nu not in FITTING_NUS:
+            raise ValueError(
+                f"Matern fitting supports nu in {FITTING_NUS}; got {nu!r}"
+            )
+    elif family != SQUARED_EXPONENTIAL:
+        raise ValueError(f"unknown kernel family {family!r}")
+
+
 def fit(
     series: TimeSeries,
     family: str,
@@ -267,13 +279,7 @@ def fit(
     """
     if len(series) < 2:
         raise ValueError("fitting needs at least two observations")
-    if family == MATERN:
-        if nu not in FITTING_NUS:
-            raise ValueError(
-                f"Matern fitting supports nu in {FITTING_NUS}; got {nu!r}"
-            )
-    elif family != SQUARED_EXPONENTIAL:
-        raise ValueError(f"unknown kernel family {family!r}")
+    _check_family(family, nu)
     if restarts < 1 and not extra_starts:
         raise ValueError("need at least one start")
     if scenario.noise_mode == NOISE_FIXED and series.noise_variances is None:
@@ -478,6 +484,10 @@ def make_expression_scenarios(
     info = bound.delta_t_from_times(series.times)
     a_l = _reference_lower_bound(family, nu, alpha, info.delta_t)
     return _four_scenarios(a_l, alpha, (NOISE_FIXED, None, None))
+
+
+# Preset scenario sets by name: ``builder(series, family, alpha, nu)``.
+SCENARIO_SETS = {"synthetic": make_scenarios, "expression": make_expression_scenarios}
 
 
 def profile_signal_variance(

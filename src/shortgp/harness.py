@@ -16,7 +16,8 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -24,7 +25,7 @@ from numpy.random import Generator, Philox
 from . import bound, gp
 from . import fitting as fitmod
 from .kernels import FactorizationError
-from .series import NoiseModel, TimeSeries
+from .series import TimeSeries
 
 __all__ = [
     "SyntheticConfig",
@@ -46,8 +47,6 @@ __all__ = [
 
 _DATA_STREAM = 0x44415441  # "DATA": noise draws for synthetic series
 _MASK64 = (1 << 64) - 1
-
-SCENARIO_LABELS = ("no_bounds", "lengthscale_bounded", "noise_bounded", "both_bounded")
 
 
 class CsvFormatError(ValueError):
@@ -251,26 +250,46 @@ def _inside_box(result: fitmod.FitResult, scenario: fitmod.Scenario) -> bool:
     return True
 
 
-def _fit_series_under_scenarios(
-    series: TimeSeries,
-    scenarios: list[fitmod.Scenario],
-    family: str,
-    nu: float | None,
-    restarts: int,
-    fit_seed: int,
-    n_label: int,
-    replicate: int,
-    alpha: float,
-    noise_flag_threshold: float,
-    test_times: np.ndarray | None,
-    test_values: np.ndarray | None,
-) -> list[ReplicateRecord]:
+@dataclass(frozen=True)
+class _RunSettings:
+    """Per-run constants of :func:`_fit_series`, bound once into the mapped
+    function.  ``test_times`` is None for runs without held-out scoring."""
+
+    family: str
+    nu: float | None
+    restarts: int
+    alpha: float
+    noise_flag_threshold: float
+    test_times: np.ndarray | None = None
+    test_values: np.ndarray | None = None
+
+
+def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
+    """Fit one series under each of its scenarios and score the fits.
+
+    ``task`` is ``(series, scenarios, fit_seed, n_label, replicate)``.  A
+    scenario has no fit of its own when all of its restarts fail, when the
+    series is too short to have a sampling interval, or when the scenario
+    fixes per-point noise and the series has no variances; ``fit`` is not
+    called in the last two cases.
+    """
+    series, scenarios, fit_seed, n_label, replicate = task
     own: list[fitmod.FitResult | None] = []
     for scenario in scenarios:
+        if len(series) < 2 or (
+            scenario.noise_mode == fitmod.NOISE_FIXED and series.noise_variances is None
+        ):
+            own.append(None)
+            continue
         try:
             own.append(
                 fitmod.fit(
-                    series, family, scenario, seed=fit_seed, nu=nu, restarts=restarts
+                    series,
+                    settings.family,
+                    scenario,
+                    seed=fit_seed,
+                    nu=settings.nu,
+                    restarts=settings.restarts,
                 )
             )
         except (fitmod.AllStartsFailedError, FactorizationError):
@@ -285,7 +304,8 @@ def _fit_series_under_scenarios(
     # all fits, nested marginal likelihoods are monotone and a looser
     # scenario's fit that lies inside a tighter box is the tighter
     # scenario's fit too, bitwise.
-    sampling = bound.delta_t_from_times(series.times)
+    sampling = bound.delta_t_from_times(series.times) if len(series) >= 2 else None
+    scored = settings.test_times is not None
     metrics: dict[int, tuple[float, float]] = {}
     records: list[dict] = []
     for idx, scenario in enumerate(scenarios):
@@ -311,7 +331,9 @@ def _fit_series_under_scenarios(
                 scenario, best.kernel.length_scale, best.noise_variance
             ),
         )
-        diag = fitmod.diagnose(result, sampling, alpha, noise_flag_threshold)
+        diag = fitmod.diagnose(
+            result, sampling, settings.alpha, settings.noise_flag_threshold
+        )
         rec = {
             **base,
             "failed": False,
@@ -323,20 +345,22 @@ def _fit_series_under_scenarios(
             "flag_tiny_noise": diag.tiny_noise,
             "length_scale_lower": diag.thresholds["length_scale_lower"],
         }
-        if test_times is not None:
+        if scored:
             if source not in metrics:
                 noise = fitmod.result_noise_model(result, series)
-                metrics[source] = (
-                    gp.predictive_log_likelihood(
-                        series, result.kernel, noise, test_times, test_values
-                    ),
-                    gp.mse(series, result.kernel, noise, test_times, test_values),
+                args = (
+                    series,
+                    result.kernel,
+                    noise,
+                    settings.test_times,
+                    settings.test_values,
                 )
+                metrics[source] = (gp.predictive_log_likelihood(*args), gp.mse(*args))
             rec["predictive_log_likelihood"], rec["mse"] = metrics[source]
         records.append(rec)
 
     all_ok = all(not r["failed"] for r in records)
-    if all_ok and test_times is not None:
+    if all_ok and scored:
         # Scenario winners.  Scores within 1e-10 of each other are a tie, and
         # a tie goes to the highest-numbered scenario (scenarios run from
         # unconstrained to most constrained): a constrained scenario that
@@ -356,36 +380,21 @@ def _fit_series_under_scenarios(
         records[best_ll]["win_loglik"] = True
         records[best_mse]["win_mse"] = True
     for r in records:
-        r["all_scenarios_ok"] = all_ok and test_times is not None
+        r["all_scenarios_ok"] = all_ok and scored
     return [ReplicateRecord(**r) for r in records]
 
 
-def _synthetic_task(args) -> list[ReplicateRecord]:
-    config, n, replicate, scenarios, test_times, test_values = args
-    cfg_n = replace(config, n_points=n)
-    series = generate_sinc_series(cfg_n, replicate)
-    return _fit_series_under_scenarios(
-        series,
-        scenarios,
-        config.family,
-        config.nu,
-        config.restarts,
-        _mix64(config.seed, n, replicate),
-        n,
-        replicate,
-        config.alpha,
-        config.noise_flag_threshold,
-        test_times,
-        test_values,
-    )
-
-
-def _map_tasks(task_fn, tasks, parallelism: int):
+def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[ReplicateRecord]:
+    """The records of every task, in task order, from ``parallelism``
+    worker processes (or this one)."""
+    task_fn = partial(_fit_series, settings)
     if parallelism <= 1 or len(tasks) <= 1:
-        return [task_fn(t) for t in tasks]
-    chunksize = max(1, len(tasks) // (parallelism * 4))
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(task_fn, tasks, chunksize=chunksize))
+        groups = map(task_fn, tasks)
+    else:
+        chunksize = max(1, len(tasks) // (parallelism * 4))
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            groups = list(pool.map(task_fn, tasks, chunksize=chunksize))
+    return [record for group in groups for record in group]
 
 
 def _structural_flags(
@@ -414,104 +423,59 @@ def run_synthetic_experiment(
     """Full synthetic sweep: for every sample size in ``n_grid`` fit all
     replicates under the four scenarios and aggregate.
 
-    The same replicate data is shared by all four scenarios (required for
-    the winner comparison to mean anything), and a row's fit is the best
-    feasible optimum among that series' scenario fits (see
-    :class:`ReplicateRecord`).  Diagnostics use the thresholds from
-    ``config``, and a replicate whose fit fails in any scenario is excluded
-    from the winner accounting but still reported.  Deterministic for a
-    given config regardless of ``parallelism``.
+    The replicate series are drawn here, in the calling process, and the
+    same data is shared by all four scenarios (required for the winner
+    comparison to mean anything).  A row's fit is the best feasible optimum
+    among that series' scenario fits (see :class:`ReplicateRecord`), and a
+    replicate's fits are seeded by (seed, n, replicate) alone.  Diagnostics
+    use the thresholds from ``config``, and a replicate whose fit fails in
+    any scenario is excluded from the winner accounting but still reported.
+    Deterministic for a given config regardless of ``parallelism``.
     """
     n_grid = [int(n) for n in n_grid]
     if family is not None:
         config = replace(config, family=family)
     lo, hi, count = config.test_grid
     test_times = np.linspace(lo, hi, int(count))
-    test_values = sinc(test_times)
+    settings = _RunSettings(
+        config.family,
+        config.nu,
+        config.restarts,
+        config.alpha,
+        config.noise_flag_threshold,
+        test_times,
+        sinc(test_times),
+    )
 
-    rows: list[ReplicateRecord] = []
-    structural: dict[str, dict[str, bool]] = {}
-    labels: list[str] = []
+    scenarios: list[fitmod.Scenario] = []
+    tasks = []
     for n in n_grid:
         cfg_n = replace(config, n_points=n)
-        probe = generate_sinc_series(cfg_n, 0)
+        series = [generate_sinc_series(cfg_n, rep) for rep in range(config.replicates)]
+        # All replicates of one n share the time grid, hence the scenarios.
         scenarios = fitmod.make_scenarios(
-            probe, config.family, config.alpha, config.nu, config.noise_bounds
+            series[0], config.family, config.alpha, config.nu, config.noise_bounds
         )
-        labels = [s.label for s in scenarios]
-        structural = _structural_flags(scenarios, config.noise_flag_threshold)
-        tasks = [
-            (config, n, rep, scenarios, test_times, test_values)
-            for rep in range(config.replicates)
+        tasks += [
+            (s, scenarios, _mix64(config.seed, n, rep), n, rep)
+            for rep, s in enumerate(series)
         ]
-        for group in _map_tasks(_synthetic_task, tasks, parallelism):
-            rows.extend(group)
 
     return BatchReport(
-        scenario_labels=labels,
+        scenario_labels=[s.label for s in scenarios],
         n_values=n_grid,
-        rows=rows,
+        rows=_fit_all(settings, tasks, parallelism),
         loglik_threshold=config.loglik_threshold,
         mse_threshold=config.mse_threshold,
         noise_flag_threshold=config.noise_flag_threshold,
-        structural=structural,
+        structural=_structural_flags(scenarios, config.noise_flag_threshold),
         has_metrics=True,
     )
 
 
-def _batch_task(args) -> list[ReplicateRecord]:
-    (
-        series,
-        index,
-        scenario_set,
-        family,
-        nu,
-        restarts,
-        seed,
-        alpha,
-        noise_flag_threshold,
-        labels,
-    ) = args
-    if len(series) < 2:
-        # No sampling interval, hence no length-scale bound and no fit: the
-        # series fails under every scenario.
-        return [
-            ReplicateRecord(series.id, len(series), index, label, k, failed=True)
-            for k, label in enumerate(labels)
-        ]
-    scenarios = _scenarios_for_series(series, scenario_set, family, alpha, nu)
-    return _fit_series_under_scenarios(
-        series,
-        scenarios,
-        family,
-        nu,
-        restarts,
-        _mix64(seed, index),
-        len(series),
-        index,
-        alpha,
-        noise_flag_threshold,
-        None,
-        None,
-    )
-
-
-def _scenarios_for_series(
-    series: TimeSeries,
-    scenario_set,
-    family: str,
-    alpha: float,
-    nu: float | None,
-) -> list[fitmod.Scenario]:
-    if scenario_set == "synthetic":
-        return fitmod.make_scenarios(series, family, alpha, nu)
-    if scenario_set == "expression":
-        return fitmod.make_expression_scenarios(series, family, alpha, nu)
-    if isinstance(scenario_set, (list, tuple)):
-        return list(scenario_set)
-    raise ValueError(
-        "scenario_set must be 'synthetic', 'expression' or a list of Scenario"
-    )
+# Stands in for any series when a preset scenario set is built only for its
+# labels and structure, which do not depend on the series.
+_UNIT_GRID = TimeSeries([0.0, 1.0], [0.0, 0.0])
 
 
 def run_batch(
@@ -530,50 +494,54 @@ def run_batch(
     ``scenario_set`` is "synthetic" (bounded noise interval), "expression"
     (fixed per-point noise, the default for ingested data) or an explicit
     scenario list applied verbatim.  Preset sets rebuild the length-scale
-    bound per series from its own sampling interval.  A row's fit is the
-    best feasible optimum among that series' scenario fits (see
-    :class:`ReplicateRecord`).  Per-series failures, including a series too
-    short to have a sampling interval, are recorded as failed rows, never
-    fatal; results are independent of input order and of the degree of
-    parallelism.
+    bound per series from its own sampling interval.  The report's labels
+    and structural flags come from the scenario set, not from a series, so
+    an unknown ``scenario_set``, a ``family`` and ``nu`` that fitting does
+    not support and, for a preset set, an ``alpha`` outside (0, 1) raise
+    ValueError before any fit.
+
+    A row's fit is the best feasible optimum among that series' scenario
+    fits (see :class:`ReplicateRecord`).  Every series yields one record per
+    scenario, in input order, and per-series failures are failed records,
+    never fatal: a series too short to have a sampling interval fails under
+    every scenario, and a series without per-point variances fails under the
+    fixed-noise scenarios while its estimated-noise scenarios are fitted as
+    usual.  Such a series leaves the other series' records unchanged.  A
+    series' fits are seeded by (seed, its index in ``series_set``), so
+    results do not depend on the degree of parallelism.
     """
     series_set = list(series_set)
     if not series_set:
         raise ValueError("series_set must not be empty")
-    # Labels and structural flags come from the first series long enough to
-    # build its scenarios; configuration errors surface there.
-    first = next((s for s in series_set if len(s) >= 2), None)
-    template = (
-        _scenarios_for_series(first, scenario_set, family, alpha, nu)
-        if first is not None
-        else []
-    )
-    labels = [sc.label for sc in template] or list(SCENARIO_LABELS)
-    tasks = [
-        (
-            s,
-            i,
-            scenario_set,
-            family,
-            nu,
-            restarts,
-            seed,
-            alpha,
-            noise_flag_threshold,
-            labels,
+    fitmod._check_family(family, nu)
+    if isinstance(scenario_set, (list, tuple)):
+        listed = list(scenario_set)
+
+        def build(series):
+            return listed
+
+    elif isinstance(scenario_set, str) and scenario_set in fitmod.SCENARIO_SETS:
+        preset = fitmod.SCENARIO_SETS[scenario_set]
+
+        def build(series):
+            return preset(series, family, alpha, nu)
+
+    else:
+        raise ValueError(
+            "scenario_set must be 'synthetic', 'expression' or a list of Scenario"
         )
+    template = build(_UNIT_GRID)
+    tasks = [
+        (s, build(s) if len(s) >= 2 else template, _mix64(seed, i), len(s), i)
         for i, s in enumerate(series_set)
     ]
-    rows: list[ReplicateRecord] = []
-    for group in _map_tasks(_batch_task, tasks, parallelism):
-        rows.extend(group)
-    structural = _structural_flags(template, noise_flag_threshold)
+    settings = _RunSettings(family, nu, restarts, alpha, noise_flag_threshold)
     return BatchReport(
-        scenario_labels=labels,
+        scenario_labels=[sc.label for sc in template],
         n_values=sorted({len(s) for s in series_set}),
-        rows=rows,
+        rows=_fit_all(settings, tasks, parallelism),
         noise_flag_threshold=noise_flag_threshold,
-        structural=structural,
+        structural=_structural_flags(template, noise_flag_threshold),
         has_metrics=False,
     )
 
@@ -900,29 +868,31 @@ def emit_fit_plotdata(
 # flat key=value config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n_points": int,
-    "interval_lo": float,
-    "interval_hi": float,
-    "noise_variance": float,
-    "replicates": int,
-    "test_lo": float,
-    "test_hi": float,
-    "test_count": int,
-    "seed": int,
-    "family": str,
-    "nu": float,
-    "alpha": float,
-    "noise_bound_lo": float,
-    "noise_bound_hi": float,
-    "restarts": int,
-    "loglik_threshold": float,
-    "mse_threshold": float,
-    "noise_flag_threshold": float,
-    "n_grid": str,
-    "out_dir": str,
-    "parallelism": int,
+# A tuple field of SyntheticConfig is split into one key per element; every
+# other field is its own key.  A key parses as the type of its default.
+_SPLIT_KEYS = {
+    "interval": ("interval_lo", "interval_hi"),
+    "test_grid": ("test_lo", "test_hi", "test_count"),
+    "noise_bounds": ("noise_bound_lo", "noise_bound_hi"),
 }
+
+
+def _config_fields():
+    """(field name, its config keys, their defaults) per SyntheticConfig field."""
+    for f in fields(SyntheticConfig):
+        if f.name in _SPLIT_KEYS:
+            yield f.name, _SPLIT_KEYS[f.name], f.default
+        else:
+            yield f.name, (f.name,), (f.default,)
+
+
+_CONFIG_KEYS = {
+    key: float if default is None else type(default)
+    for _, keys, defaults in _config_fields()
+    for key, default in zip(keys, defaults)
+}
+# keys of the run itself rather than of the protocol
+_CONFIG_KEYS.update(n_grid=str, out_dir=str, parallelism=int)
 
 
 def load_config(path) -> dict:
@@ -952,42 +922,19 @@ def load_config(path) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> SyntheticConfig:
-    """Build a SyntheticConfig from a flat mapping (config-file keys)."""
-    base = SyntheticConfig()
+    """Build a SyntheticConfig from a flat mapping (config-file keys).
+
+    Values may be strings or already parsed; a None value sets the field to
+    None.  A tuple field given only some of its keys keeps the defaults of
+    the others.
+    """
+    def parse(key, default):
+        value = mapping.get(key, default)
+        return None if value is None else _CONFIG_KEYS[key](value)
+
     kwargs = {}
-    if "n_points" in mapping:
-        kwargs["n_points"] = int(mapping["n_points"])
-    if "interval_lo" in mapping or "interval_hi" in mapping:
-        kwargs["interval"] = (
-            float(mapping.get("interval_lo", base.interval[0])),
-            float(mapping.get("interval_hi", base.interval[1])),
-        )
-    if "noise_variance" in mapping:
-        kwargs["noise_variance"] = float(mapping["noise_variance"])
-    if "replicates" in mapping:
-        kwargs["replicates"] = int(mapping["replicates"])
-    if any(k in mapping for k in ("test_lo", "test_hi", "test_count")):
-        kwargs["test_grid"] = (
-            float(mapping.get("test_lo", base.test_grid[0])),
-            float(mapping.get("test_hi", base.test_grid[1])),
-            int(mapping.get("test_count", base.test_grid[2])),
-        )
-    for key in (
-        "seed",
-        "family",
-        "alpha",
-        "restarts",
-        "loglik_threshold",
-        "mse_threshold",
-        "noise_flag_threshold",
-    ):
-        if key in mapping:
-            kwargs[key] = mapping[key]
-    if "nu" in mapping and mapping["nu"] is not None:
-        kwargs["nu"] = float(mapping["nu"])
-    if "noise_bound_lo" in mapping or "noise_bound_hi" in mapping:
-        kwargs["noise_bounds"] = (
-            float(mapping.get("noise_bound_lo", base.noise_bounds[0])),
-            float(mapping.get("noise_bound_hi", base.noise_bounds[1])),
-        )
-    return replace(base, **kwargs)
+    for name, keys, defaults in _config_fields():
+        if any(k in mapping for k in keys):
+            values = tuple(parse(k, d) for k, d in zip(keys, defaults))
+            kwargs[name] = values if name in _SPLIT_KEYS else values[0]
+    return SyntheticConfig(**kwargs)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from shortgp import harness
 from shortgp.cli import main
 from shortgp.harness import SyntheticConfig, export_csv, generate_sinc_series
 
@@ -156,6 +157,40 @@ class TestSynthCommand:
         with open(out_dir / "replicates.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 4  # flag overrode the config file
+
+    def test_tuple_flags_override_config_file(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def record(config, n_grid, parallelism=1):
+            seen.append(config)
+            return harness.BatchReport(scenario_labels=[], n_values=[], rows=[])
+
+        monkeypatch.setattr(harness, "run_synthetic_experiment", record)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "interval_lo = -4\ninterval_hi = 4\n"
+            "test_lo = -5\ntest_hi = 3\ntest_count = 8\n"
+            "noise_bound_lo = 0.02\nnoise_bound_hi = 0.2\n"
+            "out_dir = %s\n" % (tmp_path / "report")
+        )
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert main(
+            [
+                "synth",
+                "--config",
+                str(cfg),
+                "--interval=-3,2",
+                "--test-grid=-2,1,4",
+                "--noise-bounds=0.03,0.3",
+            ]
+        ) == 0
+        from_file, overridden = seen
+        assert from_file.interval == (-4.0, 4.0)
+        assert from_file.test_grid == (-5.0, 3.0, 8)
+        assert from_file.noise_bounds == (0.02, 0.2)
+        assert overridden.interval == (-3.0, 2.0)
+        assert overridden.test_grid == (-2.0, 1.0, 4)
+        assert overridden.noise_bounds == (0.03, 0.3)
 
     def test_missing_out_dir_is_usage_error(self, capsys):
         rc = main(["synth", "--n-grid", "5", "--replicates", "2"])

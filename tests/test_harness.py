@@ -4,8 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shortgp.fitting import Scenario, fit, make_expression_scenarios
+from shortgp.fitting import Scenario, fit, make_expression_scenarios, make_scenarios
 from shortgp.harness import (
     BatchReport,
     CsvFormatError,
@@ -316,6 +318,66 @@ class TestRunBatch:
         assert report.rows[len(labels) :] == pair.rows[len(labels) :]
         assert not any(r.failed for r in pair.rows)
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_series_without_variances_is_not_fatal(self, parallelism):
+        # under the fixed-noise set, a series without per-point variances
+        # fails its fixed-noise scenarios and fits its estimated-noise ones;
+        # placed first, it leaves the other series' rows alone
+        t = np.linspace(0.0, 6.0, 7)
+        ok = TimeSeries(t, sinc(t), noise_variances=np.full(7, 0.04), id="ok")
+        bare = TimeSeries(t, sinc(t) + 0.05 * np.cos(3.0 * t), id="bare")
+        pair = run_batch([ok, ok], scenario_set="expression", restarts=2)
+        report = run_batch(
+            [bare, ok], scenario_set="expression", restarts=2, parallelism=parallelism
+        )
+        assert report.scenario_labels == pair.scenario_labels
+        assert report.rows[4:] == pair.rows[4:]
+        bare_rows = report.rows[:4]
+        assert [r.scenario for r in bare_rows] == pair.scenario_labels
+        assert [r.failed for r in bare_rows] == [False, False, True, True]
+        assert all(r.noise_variance is not None for r in bare_rows[:2])
+        # the estimated-noise rows are those of a run of just those scenarios
+        estimated = make_expression_scenarios(bare, "se")[:2]
+        alone = run_batch([bare], scenario_set=estimated, restarts=2)
+        assert bare_rows[:2] == alone.rows
+
+    def test_all_short_series_labels_and_structure(self):
+        # with no series long enough to fit, the labels and structural flags
+        # still come from the scenario set
+        one_point = TimeSeries([1.0], [0.3], id="p")
+        report = run_batch([one_point], scenario_set="expression")
+        assert report.scenario_labels == [
+            "no_bounds",
+            "lengthscale_bounded",
+            "noise_fixed",
+            "both_bounded",
+        ]
+        assert report.structural == {
+            "no_bounds": {"lengthscale_impossible": False, "noise_impossible": False},
+            "lengthscale_bounded": {
+                "lengthscale_impossible": True,
+                "noise_impossible": False,
+            },
+            "noise_fixed": {"lengthscale_impossible": False, "noise_impossible": True},
+            "both_bounded": {"lengthscale_impossible": True, "noise_impossible": True},
+        }
+        assert [r.failed for r in report.rows] == [True] * 4
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scenario_set": "bogus"},
+            {"family": "foo"},
+            {"alpha": 1.5},
+            {"family": "matern", "nu": None},
+            {"family": "matern", "nu": 0.75},
+        ],
+    )
+    def test_configuration_errors_raise_without_a_fittable_series(self, kwargs):
+        one_point = TimeSeries([1.0], [0.3], noise_variances=[0.04], id="p")
+        with pytest.raises(ValueError):
+            run_batch([one_point], **kwargs)
+
     def test_fixed_noise_scenarios_from_csv_variances(self):
         series = TimeSeries(
             np.linspace(0.0, 6.0, 7),
@@ -327,6 +389,46 @@ class TestRunBatch:
         fixed_rows = [r for r in report.rows if r.scenario in ("noise_fixed", "both_bounded")]
         assert fixed_rows
         assert all(r.noise_variance is None for r in fixed_rows if not r.failed)
+
+
+@st.composite
+def _series_sets(draw):
+    """Lists of valid series: 1 to 6 points on increasing times, with or
+    without per-point variances."""
+    out = []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        gaps = draw(st.lists(st.floats(0.3, 3.0), min_size=n - 1, max_size=n - 1))
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        variances = None
+        if draw(st.booleans()):
+            variances = draw(st.lists(st.floats(0.01, 0.2), min_size=n, max_size=n))
+        out.append(TimeSeries(times, values, variances, id=f"s{k}"))
+    return out
+
+
+class TestBatchContract:
+    @settings(max_examples=20)
+    @given(series_set=_series_sets(), scenario_set=st.sampled_from(["synthetic", "expression"]))
+    def test_one_record_per_series_and_scenario_inside_its_box(
+        self, series_set, scenario_set
+    ):
+        report = run_batch(series_set, scenario_set=scenario_set, restarts=1)
+        labels = report.scenario_labels
+        assert len(labels) == 4
+        assert len(report.rows) == len(series_set) * len(labels)
+        build = make_scenarios if scenario_set == "synthetic" else make_expression_scenarios
+        for i, series in enumerate(series_set):
+            rows = report.rows[i * len(labels) : (i + 1) * len(labels)]
+            assert [r.series_id for r in rows] == [series.id] * len(labels)
+            assert [r.scenario for r in rows] == labels
+            assert [r.scenario_index for r in rows] == list(range(len(labels)))
+            if len(series) < 2:
+                assert all(r.failed for r in rows)
+                continue
+            for row, scenario in zip(rows, build(series, "se")):
+                assert row.failed or _in_box(row, scenario), (series.id, row.scenario)
 
 
 class TestCsv:
@@ -530,6 +632,58 @@ class TestConfigFile:
         assert config.test_grid == (-5.0, 3.0, 8)
         assert config.restarts == 2
         assert mapping["n_grid"] == "5,7"
+
+    def test_every_field_settable(self, tmp_path):
+        from dataclasses import fields
+
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n_points = 9\n"
+            "interval_lo = -4\n"
+            "interval_hi = 4.5\n"
+            "noise_variance = 0.04\n"
+            "replicates = 12\n"
+            "test_lo = -5\n"
+            "test_hi = 3\n"
+            "test_count = 8\n"
+            "seed = 9\n"
+            "family = matern\n"
+            "nu = 1.5\n"
+            "alpha = 0.95\n"
+            "noise_bound_lo = 0.02\n"
+            "noise_bound_hi = 0.2\n"
+            "restarts = 2\n"
+            "loglik_threshold = -10\n"
+            "mse_threshold = 0.2\n"
+            "noise_flag_threshold = 0.001\n"
+        )
+        config = config_from_mapping(load_config(path))
+        expected = SyntheticConfig(
+            n_points=9,
+            interval=(-4.0, 4.5),
+            noise_variance=0.04,
+            replicates=12,
+            test_grid=(-5.0, 3.0, 8),
+            seed=9,
+            family="matern",
+            nu=1.5,
+            alpha=0.95,
+            noise_bounds=(0.02, 0.2),
+            restarts=2,
+            loglik_threshold=-10.0,
+            mse_threshold=0.2,
+            noise_flag_threshold=0.001,
+        )
+        assert config == expected
+        default = SyntheticConfig()
+        for f in fields(SyntheticConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+        assert isinstance(config.test_grid[2], int)
+
+    def test_partial_tuple_keys_keep_defaults(self):
+        config = config_from_mapping({"interval_hi": "8", "test_count": "4"})
+        assert config.interval == (-5.0, 8.0)
+        assert config.test_grid == (-6.0, 5.0, 4)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
