@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -30,6 +31,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # An argument that starts like a negative number is a value, not an
+        # unknown option: "--interval -3,2" (the default interval starts at
+        # -5).  argparse's own rule takes only a bare number such as "-3".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on bad flags; this tool reserves 2 for
     # data errors, so usage problems are rerouted to exit code 1.
     def error(self, message):

@@ -6,6 +6,16 @@ noise described by a :class:`~shortgp.series.NoiseModel`.  All solves go
 through a Cholesky factorization with the kernels module jitter policy, and
 the log-determinant comes from the factor diagonal.  Series of a handful of
 points are the design target, so everything is dense.
+
+The solves call LAPACK (``dpotrs``, ``dtrtrs``) directly on the factor
+rather than through ``scipy.linalg.cho_solve`` and ``solve_triangular``.
+At n <= 15 the wrappers' finiteness checks and batch dispatch cost more
+than the arithmetic, and a fit evaluates the likelihood a few hundred
+times.  The routines and their arguments are the ones the wrappers pass, so
+every result is bitwise the same.  The factor comes from a finite matrix
+(:func:`~shortgp.kernels.factor_covariance` checks it), the observations
+are finite by construction, and the cross-covariance at query times is
+checked here.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .kernels import KernelSpec, _cov_array, _dcov_dl_array, factor_covariance
 from .series import NoiseModel, TimeSeries
@@ -56,9 +66,22 @@ def _factorize(series: TimeSeries, kernel: KernelSpec, noise: NoiseModel):
     t = series.times
     r = np.abs(t[:, None] - t[None, :])
     gram = _cov_array(kernel, r)
-    k = gram + np.diag(noise.diagonal(len(series)))
+    k = gram.copy()
+    k.ravel()[:: len(t) + 1] += noise.diagonal(len(t))
     chol, jitter = factor_covariance(k, kernel.signal_variance)
     return r, gram, chol, jitter
+
+
+def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower Cholesky factor of K."""
+    return dpotrs(chol, b, lower=1)[0]
+
+
+def _value_and_alpha(y: np.ndarray, chol: np.ndarray) -> tuple[float, np.ndarray]:
+    """log p(y) and alpha = K^-1 y from the lower Cholesky factor of K."""
+    alpha = _solve(chol, y)
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * len(y) * _LOG_2PI), alpha
 
 
 def log_marginal_likelihood(
@@ -66,10 +89,7 @@ def log_marginal_likelihood(
 ) -> float:
     """log p(y) = -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
     _, _, chol, _ = _factorize(series, kernel, noise)
-    y = series.values
-    alpha = cho_solve((chol, True), y)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * len(series) * _LOG_2PI)
+    return _value_and_alpha(series.values, chol)[0]
 
 
 def log_marginal_likelihood_and_gradient(
@@ -82,21 +102,18 @@ def log_marginal_likelihood_and_gradient(
     during factorization scales with sf2, so the sf2 component stays exact.
     """
     r, gram, chol, jitter = _factorize(series, kernel, noise)
-    y = series.values
-    n = len(series)
-    alpha = cho_solve((chol, True), y)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI)
+    value, alpha = _value_and_alpha(series.values, chol)
 
-    k_inv = cho_solve((chol, True), np.eye(n))
+    eye = np.eye(len(series))
+    k_inv = _solve(chol, eye)
     # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
-    inner = np.outer(alpha, alpha) - k_inv
+    inner = alpha[:, None] * alpha - k_inv
 
-    d_sf2 = gram + jitter * np.eye(n)  # dK/dlog sf2: the whole sf2-scaled block
+    d_sf2 = gram + jitter * eye  # dK/dlog sf2: the whole sf2-scaled block
     d_l = kernel.length_scale * _dcov_dl_array(kernel, r)
-    grad = [0.5 * float(np.sum(inner * d_sf2)), 0.5 * float(np.sum(inner * d_l))]
+    grad = [0.5 * float((inner * d_sf2).sum()), 0.5 * float((inner * d_l).sum())]
     if noise.is_estimated:
-        grad.append(0.5 * noise.variance * float(np.trace(inner)))
+        grad.append(0.5 * noise.variance * float(inner.trace()))
     return value, np.array(grad)
 
 
@@ -116,12 +133,14 @@ def posterior_at(
     """Posterior mean and variances of the latent function at ``query_times``."""
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     _, _, chol, _ = _factorize(series, kernel, noise)
-    alpha = cho_solve((chol, True), series.values)
+    alpha = _solve(chol, series.values)
     r_cross = np.abs(q[:, None] - series.times[None, :])
     k_cross = _cov_array(kernel, r_cross)
+    if not np.isfinite(k_cross).all():
+        raise ValueError("cross-covariance at query_times must be finite")
     mean = k_cross @ alpha
-    v = solve_triangular(chol, k_cross.T, lower=True)
-    var_latent = np.maximum(kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
+    v = dtrtrs(chol, k_cross.T, lower=1)[0]
+    var_latent = np.maximum(kernel.signal_variance - (v * v).sum(axis=0), 0.0)
     var_observed = var_latent + (noise.variance if noise.is_estimated else 0.0)
     return Posterior(
         times=q, mean=mean, variance_latent=var_latent, variance_observed=var_observed

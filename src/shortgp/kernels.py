@@ -17,6 +17,12 @@ exponentially scaled Bessel function combined in log space.
 Spectral densities are returned for unit signal variance (sf2 scales the
 covariance and the density by the same factor, so it cancels in every
 band-energy fraction).
+
+:func:`factor_covariance` calls LAPACK ``dpotrf`` directly rather than
+``scipy.linalg.cholesky``: at the n <= 15 this package fits, the wrapper's
+validation and batch dispatch cost more than the factorization itself.  The
+routine and its arguments are the ones the wrapper would pass, so the factor
+is bitwise the same; the square and finite checks are kept explicitly.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf
 from scipy.special import kve
 
 from .series import NoiseModel
@@ -220,24 +225,26 @@ def factor_covariance(
 
     Jitter starts at 1e-10 * sf2 on the diagonal and escalates tenfold up to
     1e-4 * sf2; returns (L, jitter_used) or raises FactorizationError once
-    the ladder is exhausted.  Scaling the jitter by the signal variance
+    the ladder is exhausted.  A matrix that is not square or not finite
+    raises ValueError.  Scaling the jitter by the signal variance
     keeps the kernel block of the matrix proportional to sf2, which the
     likelihood gradients rely on.
     """
-    try:
-        return cholesky(matrix, lower=True), 0.0
-    except LinAlgError:
-        pass
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"covariance matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("covariance matrix must not contain infs or NaNs")
+    chol, info = dpotrf(a, lower=1, clean=1)
+    if info == 0:
+        return chol, 0.0
     jitter = _JITTER_INITIAL
-    eye = np.eye(matrix.shape[0])
+    eye = np.eye(a.shape[0])
     while jitter <= _JITTER_MAX * 1.0000001:
-        try:
-            return (
-                cholesky(matrix + jitter * signal_variance * eye, lower=True),
-                jitter * signal_variance,
-            )
-        except LinAlgError:
-            jitter *= 10.0
+        chol, info = dpotrf(a + jitter * signal_variance * eye, lower=1, clean=1)
+        if info == 0:
+            return chol, jitter * signal_variance
+        jitter *= 10.0
     raise FactorizationError(
         "covariance matrix not positive definite even with jitter "
         f"{_JITTER_MAX:g} * signal_variance"

@@ -192,6 +192,27 @@ class TestSynthCommand:
         assert overridden.test_grid == (-2.0, 1.0, 4)
         assert overridden.noise_bounds == (0.03, 0.3)
 
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_tuple_flags_take_a_negative_first_value(self, tmp_path, monkeypatch, joined):
+        seen = []
+
+        def record(config, n_grid, parallelism=1):
+            seen.append(config)
+            return harness.BatchReport(scenario_labels=[], n_values=[], rows=[])
+
+        monkeypatch.setattr(harness, "run_synthetic_experiment", record)
+        flags = [("--interval", "-3,2"), ("--test-grid", "-6,5,10"),
+                 ("--noise-bounds", "-.5,0.1")]
+        argv = ["synth", "--out-dir", str(tmp_path / "report"), "--n-grid", "5"]
+        for flag, value in flags:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        assert main(argv) == 0
+        assert seen[0].interval == (-3.0, 2.0)
+        assert seen[0].test_grid == (-6.0, 5.0, 10)
+        # Parsed as given; the noise box itself is checked where the
+        # scenarios are built, which the recorder replaces.
+        assert seen[0].noise_bounds == (-0.5, 0.1)
+
     def test_missing_out_dir_is_usage_error(self, capsys):
         rc = main(["synth", "--n-grid", "5", "--replicates", "2"])
         assert rc == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
 from shortgp.gp import (
     PREDICTIVE_VARIANCE_FLOOR,
@@ -13,7 +14,13 @@ from shortgp.gp import (
     predictive_log_likelihood,
 )
 from shortgp.harness import sinc
-from shortgp.kernels import KernelSpec
+from shortgp.kernels import (
+    KernelSpec,
+    _cov_array,
+    _dcov_dl_array,
+    covariance_matrix,
+    factor_covariance,
+)
 from shortgp.series import NoiseModel, TimeSeries
 
 
@@ -257,6 +264,14 @@ class TestPosterior:
         assert np.max(np.abs(p12 - (a * p1 + b * p2))) <= 1e-9
 
 
+    @pytest.mark.parametrize("query", [math.nan, -math.inf])
+    def test_non_finite_cross_covariance_raises(self, query):
+        s = TimeSeries([0.0, 1.0, 2.0], [0.1, -0.2, 0.4])
+        spec = KernelSpec.matern(1.5, 1.0, 1.0)  # inf distance gives 0 * inf
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            posterior_at(s, spec, NoiseModel.estimated(0.1), [0.5, query])
+
+
 class TestMetrics:
     def test_loglik_at_posterior_mean(self):
         s = TimeSeries([0.0, 1.0, 2.0], [0.2, -0.1, 0.3])
@@ -327,3 +342,122 @@ class TestMetrics:
             predictive_log_likelihood(s, _se(), NoiseModel.estimated(0.1), [0.5], [0.1, 0.2])
         with pytest.raises(ValueError):
             mse(s, _se(), NoiseModel.estimated(0.1), [0.5, 0.7], [0.1])
+
+
+# Reference route through the scipy.linalg wrappers (cholesky, cho_solve,
+# solve_triangular).  They run the LAPACK routines the package calls
+# directly, with the same arguments and in the same order, so the package
+# must reproduce this route bit for bit.
+def _oracle_factor(matrix, sf2):
+    try:
+        return cholesky(matrix, lower=True), 0.0
+    except LinAlgError:
+        pass
+    jitter = 1e-10
+    eye = np.eye(matrix.shape[0])
+    while jitter <= 1e-4 * 1.0000001:
+        try:
+            return cholesky(matrix + jitter * sf2 * eye, lower=True), jitter * sf2
+        except LinAlgError:
+            jitter *= 10.0
+    raise AssertionError("oracle jitter ladder exhausted")
+
+
+def _oracle_factorize(series, kernel, noise):
+    t = series.times
+    r = np.abs(t[:, None] - t[None, :])
+    gram = _cov_array(kernel, r)
+    k = gram + np.diag(noise.diagonal(len(series)))
+    chol, jitter = _oracle_factor(k, kernel.signal_variance)
+    return r, gram, chol, jitter
+
+
+def _oracle_lml_and_gradient(series, kernel, noise):
+    r, gram, chol, jitter = _oracle_factorize(series, kernel, noise)
+    y = series.values
+    n = len(series)
+    alpha = cho_solve((chol, True), y)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi))
+    inner = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(n))
+    d_sf2 = gram + jitter * np.eye(n)
+    d_l = kernel.length_scale * _dcov_dl_array(kernel, r)
+    grad = [0.5 * float(np.sum(inner * d_sf2)), 0.5 * float(np.sum(inner * d_l))]
+    if noise.is_estimated:
+        grad.append(0.5 * noise.variance * float(np.trace(inner)))
+    return value, np.array(grad), jitter
+
+
+def _oracle_posterior(series, kernel, noise, q):
+    _, _, chol, _ = _oracle_factorize(series, kernel, noise)
+    alpha = cho_solve((chol, True), series.values)
+    k_cross = _cov_array(kernel, np.abs(q[:, None] - series.times[None, :]))
+    v = solve_triangular(chol, k_cross.T, lower=True)
+    var_latent = np.maximum(kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
+    return k_cross @ alpha, var_latent
+
+
+_FAMILIES = {
+    "se": lambda sf2, l: KernelSpec.se(sf2, l),
+    "m12": lambda sf2, l: KernelSpec.matern(0.5, sf2, l),
+    "m32": lambda sf2, l: KernelSpec.matern(1.5, sf2, l),
+    "m52": lambda sf2, l: KernelSpec.matern(2.5, sf2, l),
+}
+
+
+class TestBitwiseAgainstScipyRoute:
+    def _check(self, series, kernel, noise, expect_jitter):
+        value, grad = log_marginal_likelihood_and_gradient(series, kernel, noise)
+        o_value, o_grad, o_jitter = _oracle_lml_and_gradient(series, kernel, noise)
+        assert (o_jitter > 0.0) == expect_jitter
+        assert value == o_value
+        assert grad.shape == o_grad.shape and np.all(grad == o_grad)
+        assert log_marginal_likelihood(series, kernel, noise) == o_value
+
+        q = np.linspace(series.times[0] - 1.0, series.times[-1] + 1.0, 10)
+        post = posterior_at(series, kernel, noise, q)
+        o_mean, o_var = _oracle_posterior(series, kernel, noise, q)
+        assert np.array_equal(post.mean, o_mean)
+        assert np.array_equal(post.variance_latent, o_var)
+
+        k = covariance_matrix(kernel, series.times, noise)
+        chol, jitter = factor_covariance(k, kernel.signal_variance)
+        o_chol, o_jitter = _oracle_factor(k, kernel.signal_variance)
+        assert jitter == o_jitter
+        assert np.array_equal(chol, o_chol)
+
+    @pytest.mark.parametrize("n", [2, 5, 15])
+    @pytest.mark.parametrize("estimated", [True, False])
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_value_gradient_posterior_and_factor(self, family, estimated, n):
+        rng = np.random.default_rng(100 * n + 7)
+        for _ in range(5):
+            t = np.sort(rng.uniform(-5.0, 6.0, n))
+            y = np.sin(t) + 0.3 * rng.normal(size=n)
+            sf2, l = np.exp(rng.uniform(-1.5, 1.5, 2))
+            kernel = _FAMILIES[family](sf2, l)
+            if estimated:
+                series = TimeSeries(t, y)
+                noise = NoiseModel.estimated(math.exp(rng.uniform(-6.0, 0.0)))
+            else:
+                series = TimeSeries(t, y, noise_variances=rng.uniform(0.01, 0.2, n))
+                noise = NoiseModel.fixed(series.noise_variances)
+            self._check(series, kernel, noise, expect_jitter=False)
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_jittered_factor(self, family):
+        # The first two times differ by less than any distance resolves, so
+        # without noise their rows of K are identical, K is singular and the
+        # jitter ladder runs on both routes.
+        t = np.array([0.0, 1e-300, 1.0, 2.5, 4.0])
+        series = TimeSeries(t, [0.3, 0.3, -0.2, 0.1, 0.5], noise_variances=np.zeros(5))
+        kernel = _FAMILIES[family](1.3, 2.0)
+        self._check(series, kernel, NoiseModel.fixed(series.noise_variances), True)
+
+    def test_coincident_times_through_covariance_matrix(self):
+        kernel = KernelSpec.se(1.0, 1.0)
+        k = covariance_matrix(kernel, [1.0, 1.0, 2.5, 4.0])
+        chol, jitter = factor_covariance(k, 1.0)
+        o_chol, o_jitter = _oracle_factor(k, 1.0)
+        assert jitter > 0.0 and jitter == o_jitter
+        assert np.array_equal(chol, o_chol)

@@ -254,6 +254,18 @@ class TestFactorization:
         with pytest.raises(FactorizationError):
             factor_covariance(bad, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_value_error(self, bad):
+        k = covariance_matrix(KernelSpec.se(1.0, 1.0), [0.0, 1.0, 2.0])
+        k[2, 0] = bad  # below the diagonal, where the factorization reads
+        with pytest.raises(ValueError):
+            factor_covariance(k, 1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_non_square_matrix_raises_value_error(self, shape):
+        with pytest.raises(ValueError):
+            factor_covariance(np.ones(shape), 1.0)
+
 
 class TestSpectralDensity:
     def test_se_at_zero(self):
