@@ -13,7 +13,10 @@ degree of parallelism.
 from __future__ import annotations
 
 import csv
+import ctypes
+import importlib
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -136,9 +139,14 @@ class ReplicateRecord:
     The fit is the best optimum, by marginal likelihood, among the series'
     own fits under every scenario of the run that lie inside this scenario's
     box, so a looser scenario never reports a lower marginal likelihood than
-    a tighter one.  ``failed`` means no such fit exists.  ``win_loglik`` and
-    ``win_mse`` mark the scenario with the best held-out score; scores within
-    1e-10 go to the highest-numbered (most constrained) scenario.
+    a tighter one.  A scenario has no own fit when an earlier scenario whose
+    box contains its box already found an optimum inside its box and off its
+    lower bounds: its restarts are not run, and it reports that optimum (or
+    a better feasible one).  ``shared_from`` is the index of the scenario
+    whose own fit the row carries, and ``failed`` means no feasible fit
+    exists (``shared_from`` is then None).  ``win_loglik`` and ``win_mse``
+    mark the scenario with the best held-out score; scores within 1e-10 go
+    to the highest-numbered (most constrained) scenario.
     """
 
     series_id: str
@@ -159,6 +167,7 @@ class ReplicateRecord:
     win_loglik: bool = False
     win_mse: bool = False
     all_scenarios_ok: bool = False
+    shared_from: int | None = None
 
 
 @dataclass(frozen=True)
@@ -250,6 +259,27 @@ def _inside_box(result: fitmod.FitResult, scenario: fitmod.Scenario) -> bool:
     return True
 
 
+def _contains(outer: fitmod.Scenario, inner: fitmod.Scenario) -> bool:
+    """Whether the box of ``outer`` contains the box of ``inner``: the
+    length-scale interval, and the noise box (estimated noise contains any
+    estimated or bounded noise, a bounded box the bounded boxes inside it,
+    and fixed noise only fixed noise)."""
+    if not (
+        outer.length_scale_lower <= inner.length_scale_lower
+        and inner.length_scale_upper <= outer.length_scale_upper
+    ):
+        return False
+    if outer.noise_mode == fitmod.NOISE_ESTIMATED:
+        return inner.noise_mode != fitmod.NOISE_FIXED
+    if outer.noise_mode == fitmod.NOISE_BOUNDED:
+        return (
+            inner.noise_mode == fitmod.NOISE_BOUNDED
+            and outer.noise_lower <= inner.noise_lower
+            and inner.noise_upper <= outer.noise_upper
+        )
+    return inner.noise_mode == fitmod.NOISE_FIXED
+
+
 @dataclass(frozen=True)
 class _RunSettings:
     """Per-run constants of :func:`_fit_series`, bound once into the mapped
@@ -267,17 +297,40 @@ class _RunSettings:
 def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
     """Fit one series under each of its scenarios and score the fits.
 
-    ``task`` is ``(series, scenarios, fit_seed, n_label, replicate)``.  A
-    scenario has no fit of its own when all of its restarts fail, when the
-    series is too short to have a sampling interval, or when the scenario
-    fixes per-point noise and the series has no variances; ``fit`` is not
-    called in the last two cases.
+    ``task`` is ``(series, scenarios, fit_seed, n_label, replicate)``.  The
+    scenarios are fitted in list order.  A scenario has no fit of its own
+    when all of its restarts fail, when the series is too short to have a
+    sampling interval, when the scenario fixes per-point noise and the
+    series has no variances, or when it is skipped: an earlier scenario
+    whose box contains its box has an own fit that lies inside its box and
+    on none of its lower bounds.  ``fit`` is called only in the first case;
+    a skipped scenario reports the containing scenario's optimum through
+    the sharing of optima below.
     """
     series, scenarios, fit_seed, n_label, replicate = task
     own: list[fitmod.FitResult | None] = []
     for scenario in scenarios:
         if len(series) < 2 or (
             scenario.noise_mode == fitmod.NOISE_FIXED and series.noise_variances is None
+        ):
+            own.append(None)
+            continue
+        # Skip the fit when a looser scenario's optimum lies inside this box:
+        # as far as the looser multi-start could tell, nothing in this
+        # smaller box is better.  Not when that optimum sits on one of this
+        # box's lower bounds (within fitting's relative 1e-6): the looser fit
+        # stopped just short of the bound, and this scenario's own fit
+        # reaches the bound exactly.
+        if any(
+            f is not None
+            and _contains(outer, scenario)
+            and _inside_box(f, scenario)
+            and not any(
+                fitmod.lower_bounds_active(
+                    scenario, f.kernel.length_scale, f.noise_variance
+                ).values()
+            )
+            for outer, f in zip(scenarios, own)
         ):
             own.append(None)
             continue
@@ -297,13 +350,13 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
 
     # Share optima: every scenario takes the best fit, by marginal
     # likelihood, among its own and the other scenarios' fits that lie inside
-    # its box, equal likelihoods going to the lowest-numbered fit.  A
-    # multi-start fit of a looser scenario can miss an optimum that a tighter
-    # one found, and two scenarios that reach the same optimum stop at
-    # slightly different points.  Because the choice is one total order over
-    # all fits, nested marginal likelihoods are monotone and a looser
-    # scenario's fit that lies inside a tighter box is the tighter
-    # scenario's fit too, bitwise.
+    # its box, equal likelihoods going to the lowest-numbered fit.  This is
+    # how a skipped scenario gets the looser optimum.  A multi-start fit of a
+    # looser scenario can miss an optimum that a tighter one found, and two
+    # scenarios that reach the same optimum stop at slightly different
+    # points.  Because the choice is one total order over all fits, nested
+    # marginal likelihoods are monotone and a looser scenario's fit that lies
+    # inside a tighter box is the tighter scenario's fit too, bitwise.
     sampling = bound.delta_t_from_times(series.times) if len(series) >= 2 else None
     scored = settings.test_times is not None
     metrics: dict[int, tuple[float, float]] = {}
@@ -344,6 +397,7 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
             "flag_short_length_scale": diag.length_scale_below_bound,
             "flag_tiny_noise": diag.tiny_noise,
             "length_scale_lower": diag.thresholds["length_scale_lower"],
+            "shared_from": source,
         }
         if scored:
             if source not in metrics:
@@ -384,15 +438,47 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
     return [ReplicateRecord(**r) for r in records]
 
 
+# The OpenBLAS thread-count setters exported by the numpy and scipy wheels
+# (the ones threadpoolctl calls), as (module of the shared library, symbol).
+_BLAS_THREAD_SETTERS = (
+    ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
+    ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+)
+_load_library = ctypes.CDLL
+
+
+def _pin_blas() -> None:
+    """Pool initializer: one BLAS thread per worker process, so that the
+    workers do not oversubscribe the cores.  A setter that this BLAS build
+    does not export is left out; then the worker keeps its thread count."""
+    for module, symbol in _BLAS_THREAD_SETTERS:
+        try:
+            library = _load_library(importlib.import_module(module).__file__)
+            setter = getattr(library, symbol)
+        except (ImportError, OSError, AttributeError):
+            continue
+        setter(1)
+
+
 def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[ReplicateRecord]:
     """The records of every task, in task order, from ``parallelism``
-    worker processes (or this one)."""
+    worker processes (or this one).
+
+    Workers are forked where the platform can, so that a script without a
+    ``__main__`` guard still runs, and each runs BLAS on one thread."""
     task_fn = partial(_fit_series, settings)
     if parallelism <= 1 or len(tasks) <= 1:
         groups = map(task_fn, tasks)
     else:
         chunksize = max(1, len(tasks) // (parallelism * 4))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        context = (
+            multiprocessing.get_context("fork")
+            if "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
+        with ProcessPoolExecutor(
+            max_workers=parallelism, mp_context=context, initializer=_pin_blas
+        ) as pool:
             groups = list(pool.map(task_fn, tasks, chunksize=chunksize))
     return [record for group in groups for record in group]
 
@@ -426,10 +512,13 @@ def run_synthetic_experiment(
     The replicate series are drawn here, in the calling process, and the
     same data is shared by all four scenarios (required for the winner
     comparison to mean anything).  A row's fit is the best feasible optimum
-    among that series' scenario fits (see :class:`ReplicateRecord`), and a
-    replicate's fits are seeded by (seed, n, replicate) alone.  Diagnostics
-    use the thresholds from ``config``, and a replicate whose fit fails in
-    any scenario is excluded from the winner accounting but still reported.
+    among that series' scenario fits (see :class:`ReplicateRecord`); a
+    tighter scenario whose box already holds a looser scenario's optimum,
+    off its lower bounds, reports that optimum without running its own
+    restarts.  A replicate's fits are seeded by (seed, n, replicate) alone.
+    Diagnostics use the thresholds from ``config``, and a replicate whose
+    fit fails in any scenario is excluded from the winner accounting but
+    still reported.
     Deterministic for a given config regardless of ``parallelism``.
     """
     n_grid = [int(n) for n in n_grid]
@@ -501,7 +590,10 @@ def run_batch(
     ValueError before any fit.
 
     A row's fit is the best feasible optimum among that series' scenario
-    fits (see :class:`ReplicateRecord`).  Every series yields one record per
+    fits (see :class:`ReplicateRecord`).  A scenario whose box lies inside an
+    earlier scenario's box, and already holds that scenario's optimum off
+    its lower bounds, reports that optimum without running its own restarts;
+    this holds for an explicit list too.  Every series yields one record per
     scenario, in input order, and per-series failures are failed records,
     never fatal: a series too short to have a sampling interval fails under
     every scenario, and a series without per-point variances fails under the
@@ -713,6 +805,7 @@ _RAW_COLUMNS = (
     "win_loglik",
     "win_mse",
     "all_scenarios_ok",
+    "shared_from",
 )
 
 

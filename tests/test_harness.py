@@ -1,12 +1,18 @@
 import csv
+import ctypes
+import importlib
 import math
 import os
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shortgp import fitting as fitmod
+from shortgp import harness
 from shortgp.fitting import Scenario, fit, make_expression_scenarios, make_scenarios
 from shortgp.harness import (
     BatchReport,
@@ -429,6 +435,214 @@ class TestBatchContract:
                 continue
             for row, scenario in zip(rows, build(series, "se")):
                 assert row.failed or _in_box(row, scenario), (series.id, row.scenario)
+
+
+# (looser, tighter) scenario indices whose boxes nest, per preset set
+_NESTING = {
+    "synthetic": set(_NESTED_PAIRS),
+    "expression": {(0, 1), (2, 3)},
+}
+
+
+def _on_lower_bound(result, scenario):
+    l, lo = result.kernel.length_scale, scenario.length_scale_lower
+    if lo > 0.0 and l - lo <= 1e-6 * lo:
+        return True
+    return (
+        scenario.noise_mode == "bounded"
+        and result.noise_variance - scenario.noise_lower <= 1e-6 * scenario.noise_lower
+    )
+
+
+def _point(result):
+    return SimpleNamespace(
+        length_scale=result.kernel.length_scale, noise_variance=result.noise_variance
+    )
+
+
+def _oracle(series, scenarios, nesting, seed, restarts):
+    """Every scenario fitted; a fit skipped when a nesting scenario's kept
+    fit lies in its box off its lower bounds; then every scenario takes the
+    first best feasible kept fit.  Returns (shared_from, l, sf2, sn2, lml)
+    per scenario and the number of kept fits."""
+    fits = [fit(series, "se", sc, seed=seed, restarts=restarts) for sc in scenarios]
+    kept = []
+    for k, sc in enumerate(scenarios):
+        skip = any(
+            (j, k) in nesting
+            and kept[j] is not None
+            and _in_box(_point(kept[j]), sc)
+            and not _on_lower_bound(kept[j], sc)
+            for j in range(k)
+        )
+        kept.append(None if skip else fits[k])
+    out = []
+    for sc in scenarios:
+        feasible = [j for j, f in enumerate(kept) if f is not None and _in_box(_point(f), sc)]
+        j = max(feasible, key=lambda j: kept[j].log_marginal_likelihood)
+        f = kept[j]
+        out.append(
+            (j, f.kernel.length_scale, f.kernel.signal_variance, f.noise_variance,
+             f.log_marginal_likelihood)
+        )
+    return out, sum(f is not None for f in kept)
+
+
+def _row_fits(rows):
+    return [
+        (r.shared_from, r.length_scale, r.signal_variance, r.noise_variance,
+         r.log_marginal_likelihood)
+        for r in rows
+    ]
+
+
+def _count_fits(monkeypatch):
+    calls = []
+    original = fitmod.fit
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].label)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fitmod, "fit", counting)
+    return calls
+
+
+class TestNestedSkip:
+    def test_contains_preset_sets(self):
+        series = _toy_series_set(count=1, n=7)[0]
+        for name, build in (("synthetic", make_scenarios), ("expression", make_expression_scenarios)):
+            scenarios = build(series, "se")
+            for i, outer in enumerate(scenarios):
+                for k, inner in enumerate(scenarios):
+                    expected = i == k or (i, k) in _NESTING[name]
+                    assert harness._contains(outer, inner) == expected, (name, i, k)
+        # so neither bounded scenario contains the other, and no_bounds does
+        # not contain noise_fixed
+        assert make_expression_scenarios(series, "se")[2].label == "noise_fixed"
+
+    def test_contains_explicit_list(self):
+        free = Scenario("free")
+        wide = Scenario("wide", noise_mode="bounded", noise_lower=0.01, noise_upper=0.5)
+        narrow = Scenario("narrow", noise_mode="bounded", noise_lower=0.02, noise_upper=0.1)
+        shifted = Scenario("shifted", noise_mode="bounded", noise_lower=0.05, noise_upper=1.0)
+        boxed = Scenario("boxed", 1.0, 5.0)
+        inner = Scenario("inner", 2.0, 4.0, "bounded", 0.02, 0.1)
+        fixed = Scenario("fixed", noise_mode="fixed")
+        fixed_boxed = Scenario("fixed_boxed", 1.0, 5.0, "fixed")
+        assert harness._contains(free, wide) and harness._contains(free, boxed)
+        assert harness._contains(wide, narrow) and not harness._contains(narrow, wide)
+        assert not harness._contains(wide, shifted) and not harness._contains(shifted, wide)
+        assert harness._contains(boxed, inner) and not harness._contains(inner, boxed)
+        assert harness._contains(wide, inner) and not harness._contains(boxed, narrow)
+        assert harness._contains(fixed, fixed_boxed) and not harness._contains(fixed_boxed, fixed)
+        assert not harness._contains(free, fixed) and not harness._contains(fixed, free)
+        assert not harness._contains(fixed, narrow) and not harness._contains(wide, fixed)
+
+    def test_sweep_rows_match_the_oracle(self):
+        cfg = SyntheticConfig(replicates=6, seed=3, restarts=2)
+        report = run_synthetic_experiment(cfg, [5, 9])
+        kept = 0
+        for i, n in enumerate([5, 9]):
+            for rep in range(6):
+                series = generate_sinc_series(replace(cfg, n_points=n), rep)
+                expected, count = _oracle(
+                    series, make_scenarios(series, "se"), _NESTING["synthetic"],
+                    harness._mix64(3, n, rep), 2,
+                )
+                kept += count
+                start = (i * 6 + rep) * 4
+                assert _row_fits(report.rows[start : start + 4]) == expected, series.id
+        assert 12 <= kept < 12 * 4
+
+    def test_fixed_noise_batch_rows_match_the_oracle(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 10.0, 6)
+        series_set = [
+            TimeSeries(
+                t, sinc(t - 5.0) + rng.normal(0.0, 0.2, 6), np.full(6, 0.04), id=f"g{k}"
+            )
+            for k in range(8)
+        ]
+        report = run_batch(series_set, scenario_set="expression", seed=3, restarts=2)
+        kept = 0
+        for i, series in enumerate(series_set):
+            expected, count = _oracle(
+                series, make_expression_scenarios(series, "se"), _NESTING["expression"],
+                harness._mix64(3, i), 2,
+            )
+            kept += count
+            assert _row_fits(report.rows[4 * i : 4 * i + 4]) == expected, series.id
+        assert kept < 8 * 4
+
+    def test_fewer_than_four_fits_per_series(self, monkeypatch):
+        calls = _count_fits(monkeypatch)
+        report = run_synthetic_experiment(SyntheticConfig(replicates=6, seed=1, restarts=2), [9])
+        assert 6 <= len(calls) < 4 * 6
+        skipped = [r for r in report.rows if r.shared_from != r.scenario_index]
+        assert len(skipped) >= 4 * 6 - len(calls)
+
+    def test_no_skip_on_an_active_lower_bound(self, monkeypatch):
+        series = _toy_series_set(count=1, n=7)[0]
+        free = Scenario("free")
+        l_free = fit(series, "se", free, seed=harness._mix64(0, 0), restarts=2).kernel.length_scale
+        on_bound = Scenario("on_bound", length_scale_lower=l_free * (1.0 - 1e-7))
+        below = Scenario("below", length_scale_lower=l_free * 0.5)
+        calls = _count_fits(monkeypatch)
+        run_batch([series], scenario_set=[free, on_bound], seed=0, restarts=2)
+        assert calls == ["free", "on_bound"]
+        calls.clear()
+        report = run_batch([series], scenario_set=[free, below], seed=0, restarts=2)
+        assert calls == ["free"]
+        assert [r.shared_from for r in report.rows] == [0, 0]
+
+
+def _blas_threads():
+    """Thread counts of scipy's and numpy's OpenBLAS, or None if unknown."""
+    counts = []
+    for module, symbol in (
+        ("scipy.linalg._fblas", "scipy_openblas_get_num_threads"),
+        ("numpy._core._multiarray_umath", "scipy_openblas_get_num_threads64_"),
+    ):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            counts.append(int(getattr(lib, symbol)()))
+        except (ImportError, OSError, AttributeError):
+            return None
+    return tuple(counts)
+
+
+def _worker_blas_threads(settings, task):
+    return [_blas_threads()]
+
+
+class TestPool:
+    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("this BLAS build has no thread-count getters")
+        monkeypatch.setattr(harness, "_fit_series", _worker_blas_threads)
+        in_workers = harness._fit_all(None, list(range(4)), 2)
+        assert in_workers == [(1, 1)] * 4
+        assert _blas_threads() == before
+
+    def test_pin_blas_without_the_setters_does_nothing(self, monkeypatch):
+        before = _blas_threads()
+        loaded = []
+
+        def without_setters(path):
+            loaded.append(path)
+            return SimpleNamespace()
+
+        def missing(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(harness, "_load_library", without_setters)
+        harness._pin_blas()
+        assert len(loaded) == 2
+        monkeypatch.setattr(harness, "_load_library", missing)
+        harness._pin_blas()
+        assert _blas_threads() == before
 
 
 class TestCsv:
