@@ -10,9 +10,7 @@ how much those constraints help.
 """
 
 from .bound import (
-    BoundConfig,
     SamplingInfo,
-    bound_config_from_times,
     delta_t_from_times,
     length_scale_bound,
     matern_energy_fraction,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllStartsFailedError",
     "BatchReport",
-    "BoundConfig",
     "CellStats",
     "CsvFormatError",
     "Diagnostics",
@@ -88,7 +85,6 @@ __all__ = [
     "Scenario",
     "SyntheticConfig",
     "TimeSeries",
-    "bound_config_from_times",
     "covariance",
     "covariance_gradient",
     "covariance_matrix",

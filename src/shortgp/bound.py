@@ -45,10 +45,8 @@ from . import kernels
 
 __all__ = [
     "SamplingInfo",
-    "BoundConfig",
     "BoundError",
     "delta_t_from_times",
-    "bound_config_from_times",
     "se_energy_fraction",
     "matern_energy_fraction",
     "length_scale_bound",
@@ -80,27 +78,6 @@ class SamplingInfo:
     rule: str = "min_gap"
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    """Length-scale box derived from the energy constraint.
-
-    ``lower`` is a_l(alpha); ``upper`` defaults to the observation span when
-    one is available and to infinity otherwise.
-    """
-
-    alpha: float
-    lower: float
-    upper: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not self.lower > 0.0:
-            raise ValueError("lower bound must be > 0")
-        if not self.upper > self.lower:
-            raise ValueError("upper bound must exceed the lower bound")
-
-
 def delta_t_from_times(times, rule: str = "min_gap") -> SamplingInfo:
     """Sampling interval of a strictly increasing time grid (n >= 2).
 
@@ -129,21 +106,6 @@ def delta_t_from_times(times, rule: str = "min_gap") -> SamplingInfo:
         uniform=uniform,
         rule=rule,
     )
-
-
-def bound_config_from_times(
-    times,
-    alpha: float = DEFAULT_ALPHA,
-    family: str = kernels.SQUARED_EXPONENTIAL,
-    nu: float | None = None,
-    include_upper: bool = True,
-) -> BoundConfig:
-    """Length-scale box for a time grid: [a_l(alpha), span] by default."""
-    info = delta_t_from_times(times)
-    lower = length_scale_bound(family, alpha, info.delta_t, nu)
-    t = np.asarray(times, dtype=float)
-    upper = float(t[-1] - t[0]) if include_upper else math.inf
-    return BoundConfig(alpha=alpha, lower=lower, upper=upper)
 
 
 def _clamp_unit(v: float) -> float:

@@ -1,17 +1,16 @@
 """Bounded maximum-likelihood hyperparameter estimation.
 
-Box constraints are turned into smooth unconstrained problems by
-reparameterizing each hyperparameter, then a quasi-Newton ascent (L-BFGS-B
-on the transformed coordinates, no residual box) maximizes the log marginal
-likelihood from several seeded restarts:
-
-    (0, inf)        log transform
-    [lo, inf)       shifted log, v = lo + exp(z)
-    bounded box     scaled logistic, v = lo + (hi - lo) * sigmoid(z)
-
-The transforms guarantee every returned parameter lies inside its box
-exactly, not merely up to a tolerance.  Restart initialization, convergence
-thresholds and tie-breaking are all deterministic given the seed.
+Each fit maximizes the log marginal likelihood over z = log(sf2, l[, sn2])
+with L-BFGS-B from several seeded restarts.  The scenario's box on each
+parameter is handed to L-BFGS-B as the log of that box (no bound where the
+box edge is 0 or infinity), so an optimum on a face of the box is reached,
+not approached.  The likelihood gradient is already in log coordinates, so
+the objective needs no chain factor.  Mapped back to natural units, a z on
+a face (or within 1e-6 of it) gives exactly that bound and any other z its
+exp, so every returned parameter lies inside its box exactly, and one that
+sits on a bound sits on it exactly.  Restart
+initialization, convergence thresholds and tie-breaking are all
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -146,92 +145,6 @@ class Diagnostics:
     thresholds: dict[str, float] = field(default_factory=dict)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
-class _Transform:
-    """Scalar reparameterization z <-> v with the chain factor dlog(v)/dz."""
-
-    def to_natural(self, z: float) -> float:
-        raise NotImplementedError
-
-    def to_internal(self, v: float) -> float:
-        raise NotImplementedError
-
-    def dlog_dz(self, z: float) -> float:
-        raise NotImplementedError
-
-    def clamp(self, v: float) -> float:
-        """Map a proposed natural-space start into the open feasible set."""
-        raise NotImplementedError
-
-
-class _Log(_Transform):
-    def to_natural(self, z):
-        return math.exp(min(max(z, -230.0), 230.0))
-
-    def to_internal(self, v):
-        return math.log(v)
-
-    def dlog_dz(self, z):
-        return 1.0
-
-    def clamp(self, v):
-        return min(max(v, 1e-300), 1e300)
-
-
-class _ShiftedLog(_Transform):
-    def __init__(self, lower: float):
-        self.lower = lower
-
-    def to_natural(self, z):
-        return self.lower + math.exp(min(max(z, -230.0), 230.0))
-
-    def to_internal(self, v):
-        return math.log(v - self.lower)
-
-    def dlog_dz(self, z):
-        e = math.exp(min(max(z, -230.0), 230.0))
-        return e / (self.lower + e)
-
-    def clamp(self, v):
-        return max(v, self.lower * (1.0 + 1e-3))
-
-
-class _Logistic(_Transform):
-    def __init__(self, lower: float, upper: float):
-        self.lower = lower
-        self.upper = upper
-
-    def to_natural(self, z):
-        return self.lower + (self.upper - self.lower) * _sigmoid(z)
-
-    def to_internal(self, v):
-        frac = (v - self.lower) / (self.upper - self.lower)
-        return math.log(frac / (1.0 - frac))
-
-    def dlog_dz(self, z):
-        s = _sigmoid(z)
-        v = self.lower + (self.upper - self.lower) * s
-        return (self.upper - self.lower) * s * (1.0 - s) / v
-
-    def clamp(self, v):
-        width = self.upper - self.lower
-        return min(max(v, self.lower + 1e-3 * width), self.upper - 1e-3 * width)
-
-
-def _length_scale_transform(scenario: Scenario) -> _Transform:
-    if math.isinf(scenario.length_scale_upper):
-        if scenario.length_scale_lower > 0.0:
-            return _ShiftedLog(scenario.length_scale_lower)
-        return _Log()
-    return _Logistic(scenario.length_scale_lower, scenario.length_scale_upper)
-
-
 @lru_cache(maxsize=4096)
 def _reference_lower_bound(
     family: str, nu: float | None, alpha: float, delta_t: float
@@ -267,12 +180,15 @@ def fit(
 ) -> FitResult:
     """Constrained maximum-likelihood fit of (sf2, l[, sn2]) for one series.
 
-    Runs ``restarts`` L-BFGS-B ascents from seeded random initializations
-    (plus any ``extra_starts``, given as (sf2, l, sn2) triples in natural
-    space, sn2 ignored for fixed noise).  The best optimum wins; likelihood
-    ties below 1e-10 go to the smaller length-scale, then the smaller noise
-    variance, so the result does not depend on enumeration order.
-    Deterministic given (series, scenario, seed).
+    Runs ``restarts`` L-BFGS-B ascents in the log box of ``scenario`` from
+    seeded random initializations (plus any ``extra_starts``, given as
+    (sf2, l, sn2) triples in natural space, sn2 ignored for fixed noise),
+    each start clipped into the box.  A length-scale or noise variance
+    within a relative 1e-6 of a bound is returned as exactly that bound.
+    The best optimum wins; likelihood ties below 1e-10 go to the smaller
+    length-scale, then the smaller noise variance, so the result does not
+    depend on enumeration order.  Deterministic given (series, scenario,
+    seed).
 
     Raises AllStartsFailedError when no restart produces a usable optimum
     and ValueError for inconsistent scenario / series combinations.
@@ -287,24 +203,42 @@ def fit(
             "scenario fixes per-point noise but the series has no variances"
         )
 
-    t_len = _length_scale_transform(scenario)
+    # The box of each optimized parameter in natural units, and its log.
+    boxes = [(0.0, math.inf), (scenario.length_scale_lower, scenario.length_scale_upper)]
     estimate_noise = scenario.noise_mode != NOISE_FIXED
-    t_noise = None
     fixed_noise = None
     if scenario.noise_mode == NOISE_BOUNDED:
-        t_noise = _Logistic(scenario.noise_lower, scenario.noise_upper)
+        boxes.append((scenario.noise_lower, scenario.noise_upper))
     elif scenario.noise_mode == NOISE_ESTIMATED:
-        t_noise = _Log()
+        boxes.append((0.0, math.inf))
     else:
         fixed_noise = NoiseModel.fixed(series.noise_variances)
+    log_box = [
+        (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
+        for lo, hi in boxes
+    ]
+
+    def natural(z: np.ndarray) -> list[float]:
+        # A z on a face of the log box, or within _ACTIVE_RTOL of it, is
+        # exactly that bound, not the exp of its log, which rounds to either
+        # side of it.  L-BFGS-B's projected-gradient test can stop within
+        # gtol of a face without reaching it; the band puts such a stop on
+        # the face, so a fit that lower_bounds_active calls active is on it.
+        # Any other z lies more than the band inside the box, and so does
+        # its exp.
+        out = []
+        for zi, (lo, hi), (zlo, zhi) in zip(z, boxes, log_box):
+            if zlo is not None and zi <= zlo + _ACTIVE_RTOL:
+                out.append(lo)
+            elif zhi is not None and zi >= zhi - _ACTIVE_RTOL:
+                out.append(hi)
+            else:
+                out.append(math.exp(min(max(zi, -230.0), 230.0)))
+        return out
 
     def unpack(z: np.ndarray):
-        sf2 = math.exp(min(max(z[0], -230.0), 230.0))
-        l = t_len.to_natural(z[1])
-        if estimate_noise:
-            sn2 = t_noise.to_natural(z[2])
-            return sf2, l, NoiseModel.estimated(sn2)
-        return sf2, l, fixed_noise
+        sf2, l, *sn2 = natural(z)
+        return sf2, l, NoiseModel.estimated(sn2[0]) if estimate_noise else fixed_noise
 
     def objective(z: np.ndarray):
         sf2, l, noise = unpack(z)
@@ -316,12 +250,7 @@ def fit(
             return _FAILED_OBJECTIVE, np.zeros_like(z)
         if not math.isfinite(value):
             return _FAILED_OBJECTIVE, np.zeros_like(z)
-        g = np.empty_like(z)
-        g[0] = grad_log[0]
-        g[1] = grad_log[1] * t_len.dlog_dz(z[1])
-        if estimate_noise:
-            g[2] = grad_log[2] * t_noise.dlog_dz(z[2])
-        return -value, -g
+        return -value, -grad_log
 
     # Initialization: sf2 at the sample variance; l log-uniform between a
     # tenth of the (reference) lower bound or sampling interval and the
@@ -349,15 +278,16 @@ def fit(
     best = None
     restarts_used = 0
     for sf2_0, l0, sn0 in starts:
-        z0 = [math.log(min(max(sf2_0, 1e-300), 1e300))]
-        z0.append(t_len.to_internal(t_len.clamp(l0)))
-        if estimate_noise:
-            z0.append(t_noise.to_internal(t_noise.clamp(sn0)))
+        z0 = [
+            math.log(min(max(v, lo, 1e-300), hi, 1e300))
+            for v, (lo, hi) in zip((sf2_0, l0, sn0), boxes)
+        ]
         res = minimize(
             objective,
             np.array(z0),
             jac=True,
             method="L-BFGS-B",
+            bounds=log_box,
             options={"maxiter": _MAX_ITER, "ftol": _OBJ_REL_TOL, "gtol": _GRAD_TOL},
         )
         if not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:

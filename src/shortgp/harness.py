@@ -484,20 +484,36 @@ def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[Repl
 
 
 def _structural_flags(
-    scenarios: list[fitmod.Scenario], noise_flag_threshold: float
+    settings: _RunSettings, template: list[fitmod.Scenario], tasks: list
 ) -> dict[str, dict[str, bool]]:
-    out = {}
-    for sc in scenarios:
-        out[sc.label] = {
-            "lengthscale_impossible": sc.length_scale_lower > 0.0,
+    """Per scenario label, which over-fit flags its constraints make
+    impossible.  The length-scale flag is impossible when the scenario's
+    floor is at least the bound that :func:`fitting.diagnose` flags against,
+    on every fitted series of the run; the noise flag under fixed noise, or
+    a noise box whose lower edge is at least the flag threshold."""
+    lengthscale = {sc.label: sc.length_scale_lower > 0.0 for sc in template}
+    for series, scenarios, *_ in tasks:
+        if len(series) < 2:
+            continue
+        a_l = fitmod._reference_lower_bound(
+            settings.family,
+            settings.nu,
+            settings.alpha,
+            bound.delta_t_from_times(series.times).delta_t,
+        )
+        for sc in scenarios:
+            lengthscale[sc.label] = lengthscale[sc.label] and sc.length_scale_lower >= a_l
+    return {
+        sc.label: {
+            "lengthscale_impossible": lengthscale[sc.label],
             "noise_impossible": sc.noise_mode == fitmod.NOISE_FIXED
             or (
                 sc.noise_mode == fitmod.NOISE_BOUNDED
-                and sc.noise_lower is not None
-                and sc.noise_lower >= noise_flag_threshold
+                and sc.noise_lower >= settings.noise_flag_threshold
             ),
         }
-    return out
+        for sc in template
+    }
 
 
 def run_synthetic_experiment(
@@ -557,7 +573,7 @@ def run_synthetic_experiment(
         loglik_threshold=config.loglik_threshold,
         mse_threshold=config.mse_threshold,
         noise_flag_threshold=config.noise_flag_threshold,
-        structural=_structural_flags(scenarios, config.noise_flag_threshold),
+        structural=_structural_flags(settings, scenarios, tasks),
         has_metrics=True,
     )
 
@@ -584,10 +600,11 @@ def run_batch(
     (fixed per-point noise, the default for ingested data) or an explicit
     scenario list applied verbatim.  Preset sets rebuild the length-scale
     bound per series from its own sampling interval.  The report's labels
-    and structural flags come from the scenario set, not from a series, so
-    an unknown ``scenario_set``, a ``family`` and ``nu`` that fitting does
-    not support and, for a preset set, an ``alpha`` outside (0, 1) raise
-    ValueError before any fit.
+    come from the scenario set, not from a series, so an unknown
+    ``scenario_set``, a ``family`` and ``nu`` that fitting does not support
+    and, for a preset set, an ``alpha`` outside (0, 1) raise ValueError
+    before any fit.  A scenario's length-scale cells print "." only when its
+    floor is at least every fitted series' own bound.
 
     A row's fit is the best feasible optimum among that series' scenario
     fits (see :class:`ReplicateRecord`).  A scenario whose box lies inside an
@@ -633,7 +650,7 @@ def run_batch(
         n_values=sorted({len(s) for s in series_set}),
         rows=_fit_all(settings, tasks, parallelism),
         noise_flag_threshold=noise_flag_threshold,
-        structural=_structural_flags(template, noise_flag_threshold),
+        structural=_structural_flags(settings, template, tasks),
         has_metrics=False,
     )
 
@@ -750,14 +767,12 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
     raise ValueError(f"unknown format {format!r}")
 
 
-def export_csv(series_list, path, format: str = "long") -> None:
+def export_csv(series_list, path) -> None:
     """Write series to CSV in the long format understood by :func:`ingest_csv`.
 
     Values use full float precision, so export followed by ingest
     reproduces the series exactly.
     """
-    if format != "long":
-        raise ValueError("only long-format export is supported")
     series_list = list(series_list)
     with_var = any(s.noise_variances is not None for s in series_list)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -8,10 +8,8 @@ from scipy.integrate import quad
 from scipy.special import betainc, gamma, hyp2f1
 
 from shortgp.bound import (
-    BoundConfig,
     BoundError,
     SamplingInfo,
-    bound_config_from_times,
     delta_t_from_times,
     length_scale_bound,
     matern_energy_fraction,
@@ -58,23 +56,6 @@ class TestDeltaT:
             delta_t_from_times([1.0, 0.5])
         with pytest.raises(ValueError):
             delta_t_from_times([0.0, 1.0], rule="mean_gap")
-
-
-class TestBoundConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundConfig(alpha=1.0, lower=1.0)
-        with pytest.raises(ValueError):
-            BoundConfig(alpha=0.99, lower=0.0)
-        with pytest.raises(ValueError):
-            BoundConfig(alpha=0.99, lower=2.0, upper=1.0)
-
-    def test_from_times(self):
-        times = np.linspace(-5.0, 6.0, 7)
-        cfg = bound_config_from_times(times)
-        assert abs(cfg.lower - 1.5032) <= 1e-3
-        assert cfg.upper == 11.0
-        assert bound_config_from_times(times, include_upper=False).upper == math.inf
 
 
 class TestSeEnergyFraction:

@@ -252,6 +252,24 @@ class TestFit:
         ) <= 1e-6 * scenarios[3].length_scale_lower
         assert active == at_bound
 
+    def test_active_lower_bounds_are_exact(self):
+        # a length-scale or bounded noise variance within a relative 1e-6 of
+        # its lower bound is that bound, not a point just short of it
+        near = 0
+        for n in (5, 7, 9):
+            for rep in range(10):
+                series = _sinc_series(n=n, rep=rep)
+                for scenario in make_scenarios(series, "se")[1:]:
+                    result = fit(series, "se", scenario, seed=rep)
+                    pairs = [(result.kernel.length_scale, scenario.length_scale_lower)]
+                    if scenario.noise_mode == "bounded":
+                        pairs.append((result.noise_variance, scenario.noise_lower))
+                    for value, lower in pairs:
+                        if lower > 0.0 and value - lower <= 1e-6 * lower:
+                            near += 1
+                            assert value == lower
+        assert near > 0
+
 
 class TestDiagnose:
     def test_short_length_scale_flag(self):

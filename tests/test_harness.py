@@ -781,6 +781,24 @@ class TestEmitReport:
         assert rows["noise_fixed"] == "."
         assert rows["both_bounded"] == "."
 
+    def test_floor_below_the_bound_keeps_its_lengthscale_cell(self, tmp_path):
+        # a floor under the Nyquist bound cannot stop the length-scale flag,
+        # so its cell is the flagged fraction, not "."
+        rng = np.random.default_rng(3)
+        t = np.arange(7.0)
+        series = [
+            TimeSeries(t, np.sin(1.3 * t) + rng.normal(0.0, 0.3, 7), id=f"s{i}")
+            for i in range(8)
+        ]
+        scenarios = [Scenario("free"), Scenario("low_floor", length_scale_lower=0.05)]
+        report = run_batch(series, scenario_set=scenarios, restarts=3)
+        emit_report(report, tmp_path / "report")
+        with open(tmp_path / "report" / "overfit_lengthscale.csv") as fh:
+            rows = {r[0]: r[1] for r in list(csv.reader(fh))[1:]}
+        flagged = report.cell("low_floor").overfit_fraction_lengthscale
+        assert flagged > 0.0
+        assert rows["low_floor"] == f"{flagged:.4f}"
+
 
 class TestEmitPlotdata:
     def test_columns_and_interpolation(self, tmp_path):
