@@ -11,6 +11,14 @@ exp, so every returned parameter lies inside its box exactly, and one that
 sits on a bound sits on it exactly.  Restart
 initialization, convergence thresholds and tie-breaking are all
 deterministic given the seed.
+
+Each restart drives L-BFGS-B's reverse-communication routine ``setulb``
+directly (:func:`minimize`) rather than through ``scipy.optimize.minimize``.
+At n <= 15 the wrapper's per-call bookkeeping (its scalar-function object,
+gradient memo and array checks) cost more than the likelihood itself.  The
+loop mirrors scipy's ``_minimize_lbfgsb`` for this problem: the same memory,
+line-search limit, tolerances, bound encoding, start clipping and memo of
+the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
 """
 
 from __future__ import annotations
@@ -21,7 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+
+# L-BFGS-B's reverse-communication routine.  The module is private; this is
+# the setulb of scipy's C translation (scipy >= 1.15: integer task and
+# ln_task, no csave or iprint).  tests/test_fit.py::TestDriverMatchesScipyMinimize
+# guards it: every fit's runs must equal scipy.optimize.minimize's bitwise.
+from scipy.optimize._lbfgsb import setulb
 
 from . import bound, gp
 from .kernels import FITTING_NUS, FactorizationError, KernelSpec, MATERN, SQUARED_EXPONENTIAL
@@ -56,6 +70,11 @@ _TIE_TOL = 1e-10
 _FAILED_OBJECTIVE = 1e25
 _ACTIVE_RTOL = 1e-6
 _FIT_STREAM = 0x464954  # "FIT": keeps restart draws apart from data streams
+_LBFGS_MEMORY = 10  # scipy's maxcor
+_MAX_LINE_SEARCH = 20  # scipy's maxls
+_MAX_FUN = 15000  # scipy's maxfun
+# setulb's bound type per (has lower, has upper)
+_NBD = {(False, False): 0, (True, False): 1, (True, True): 2, (False, True): 3}
 
 
 class AllStartsFailedError(RuntimeError):
@@ -282,14 +301,7 @@ def fit(
             math.log(min(max(v, lo, 1e-300), hi, 1e300))
             for v, (lo, hi) in zip((sf2_0, l0, sn0), boxes)
         ]
-        res = minimize(
-            objective,
-            np.array(z0),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=log_box,
-            options={"maxiter": _MAX_ITER, "ftol": _OBJ_REL_TOL, "gtol": _GRAD_TOL},
-        )
+        res = minimize(objective, np.array(z0), log_box)
         if not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
             continue
         sf2, l, noise = unpack(res.x)
@@ -321,6 +333,64 @@ def fit(
         converged=converged,
         scenario_label=scenario.label,
     )
+
+
+def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
+    """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` inside ``bounds``,
+    a (lower, upper) pair per coordinate with None for no bound.
+
+    Drives ``setulb`` the way scipy's ``_minimize_lbfgsb`` does with
+    maxiter=_MAX_ITER, ftol=_OBJ_REL_TOL and gtol=_GRAD_TOL, so iterates,
+    ``nit``, ``nfev`` and ``success`` are those of
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", ...)``.
+    """
+    lb = np.array([-math.inf if lo is None else lo for lo, _ in bounds])
+    ub = np.array([math.inf if hi is None else hi for _, hi in bounds])
+    x = np.clip(np.asarray(x0, dtype=np.float64), lb, ub)
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    nbd = np.array([_NBD[key] for key in zip(has_lo, has_hi)], np.int32)
+    low = np.where(has_lo, lb, 0.0)
+    up = np.where(has_hi, ub, 0.0)
+    n = len(x)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    m = _LBFGS_MEMORY
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = _OBJ_REL_TOL / np.finfo(float).eps
+    # scipy evaluates x0 once before the loop; the memo makes the first
+    # request for it (and any repeat of the last x) a lookup.  Comparing
+    # lists of floats is np.array_equal here (NaN never matches) at a tenth
+    # of its cost.
+    x_seen = x.tolist()
+    f_seen, g_seen = fun(x.copy())
+    nfev, nit = 1, 0
+    while True:
+        # g is copied before every call, as scipy does, so setulb never
+        # writes into the memo.
+        g = np.array(g, dtype=np.float64)
+        setulb(m, x, low, up, nbd, f, g, factr, _GRAD_TOL, wa, iwa, task,
+               lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
+        if task[0] == 3:
+            if x.tolist() != x_seen:
+                x_seen = x.tolist()
+                f_seen, g_seen = fun(x.copy())
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:
+            nit += 1
+            if nit >= _MAX_ITER:
+                task[:] = 5, 504
+            elif nfev > _MAX_FUN:
+                task[:] = 5, 502
+        else:
+            break
+    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
 
 
 def lower_bounds_active(

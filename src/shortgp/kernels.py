@@ -168,11 +168,24 @@ def _dcov_dl_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         return sf2 * np.exp(-r / l) * r / l**2
     if nu == 1.5:
         u = (math.sqrt(3.0) / l) * r
-        return sf2 * 3.0 * r * r / l**3 * np.exp(-u)
+        decay = np.exp(-u)
+        return _zero_where_decayed(sf2 * 3.0 * r * r / l**3 * decay, decay)
     if nu == 2.5:
         u = (math.sqrt(5.0) / l) * r
-        return sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * np.exp(-u)
+        decay = np.exp(-u)
+        d_l = sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * decay
+        return _zero_where_decayed(d_l, decay)
     return _matern_general(spec, r, d_length_scale=True)
+
+
+def _zero_where_decayed(d_l: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """``d_l`` with 0 wherever ``decay`` underflowed to 0.
+
+    There a polynomial factor in r/l may have overflowed to inf, and
+    inf * 0 is NaN; every finite product there is already +0.0.
+    """
+    d_l[decay == 0.0] = 0.0
+    return d_l
 
 
 def covariance(spec: KernelSpec, r):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from shortgp import fitting
 from shortgp.bound import delta_t_from_times, length_scale_bound
 from shortgp.fitting import (
     AllStartsFailedError,
@@ -269,6 +271,94 @@ class TestFit:
                             near += 1
                             assert value == lower
         assert near > 0
+
+
+class TestDriverMatchesScipyMinimize:
+    """``fitting.minimize`` drives L-BFGS-B's ``setulb`` itself; every run
+    that ``fit`` makes must equal scipy.optimize.minimize's L-BFGS-B run
+    from the same start in the same box, bit for bit."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        driver = fitting.minimize
+        recorded = []
+
+        def recorder(fun, x0, bounds):
+            ours = driver(fun, x0, bounds)
+            ref = scipy.optimize.minimize(
+                fun,
+                x0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={
+                    "maxiter": fitting._MAX_ITER,
+                    "ftol": fitting._OBJ_REL_TOL,
+                    "gtol": fitting._GRAD_TOL,
+                },
+            )
+            recorded.append((ours, ref, bounds))
+            return ours
+
+        monkeypatch.setattr(fitting, "minimize", recorder)
+        return recorded
+
+    @staticmethod
+    def _assert_same(runs):
+        assert runs
+        for ours, ref, _ in runs:
+            assert ours.x.tobytes() == ref.x.tobytes()
+            assert ours.fun == ref.fun
+            assert ours.nit == ref.nit
+            assert ours.nfev == ref.nfev
+            assert ours.success == ref.success
+
+    @pytest.mark.parametrize("n", [5, 15])
+    @pytest.mark.parametrize(
+        "family, nu", [("se", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5)]
+    )
+    def test_every_scenario(self, runs, family, nu, n):
+        base = _sinc_series(n=n, rep=3)
+        series = TimeSeries(base.times, base.values, np.full(n, 0.09))
+        scenarios = make_scenarios(series, family, nu=nu)
+        scenarios += make_expression_scenarios(series, family, nu=nu)
+        for scenario in scenarios:
+            fit(series, family, scenario, seed=n, nu=nu)
+        assert len(runs) == len(scenarios) * 5
+        self._assert_same(runs)
+
+    def test_every_evaluation_failed(self, runs, monkeypatch):
+        from shortgp import gp as gp_module
+
+        def boom(*args, **kwargs):
+            raise FactorizationError("forced")
+
+        monkeypatch.setattr(gp_module, "log_marginal_likelihood_and_gradient", boom)
+        series = _sinc_series(n=5)
+        with pytest.raises(AllStartsFailedError):
+            fit(series, "se", make_scenarios(series, "se")[0], seed=0)
+        assert len(runs) == 5
+        assert all(ours.fun == fitting._FAILED_OBJECTIVE for ours, _, _ in runs)
+        self._assert_same(runs)
+
+    def test_optimum_on_a_lower_bound(self, runs):
+        series = _sinc_series(n=5, rep=0)
+        scenarios = make_scenarios(series, "se")
+        for scenario, name, i in (
+            (scenarios[1], "length_scale", 1),
+            (scenarios[2], "noise_variance", 2),
+        ):
+            runs.clear()
+            assert fit(series, "se", scenario, seed=0).bound_lower_active[name]
+            assert any(ours.x[i] == bounds[i][0] for ours, _, bounds in runs)
+            self._assert_same(runs)
+
+    def test_iteration_cap(self, runs, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_ITER", 3)
+        series = _sinc_series(n=9, rep=2)
+        fit(series, "se", make_scenarios(series, "se")[0], seed=2)
+        assert all(not ours.success and ours.nit == 3 for ours, _, _ in runs)
+        self._assert_same(runs)
 
 
 class TestDiagnose:

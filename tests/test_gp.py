@@ -146,6 +146,22 @@ class TestGradient:
             )
             assert np.all(np.abs(grad - fd) <= 1e-5 * np.maximum(np.abs(fd), 1e-3))
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [KernelSpec.matern(2.5, 1.0, 1e-80), KernelSpec.matern(1.5, 1e10, 1e-100)],
+    )
+    def test_tiny_length_scale_gives_finite_gradient(self, kernel):
+        # exp(-r/l) underflows to 0 off the diagonal while r^2/l^3 overflows;
+        # the length-scale derivative there is 0, not inf * 0 = NaN
+        s = TimeSeries(np.arange(7.0), np.sin(np.arange(7.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = log_marginal_likelihood_and_gradient(
+                s, kernel, NoiseModel.estimated(0.1)
+            )
+        assert math.isfinite(value)
+        assert np.all(np.isfinite(grad))
+        assert grad[1] == 0.0
+
     def test_fixed_noise_gradient_length(self):
         s = TimeSeries([0.0, 1.0, 2.0], [0.1, -0.2, 0.4], noise_variances=[0.1, 0.1, 0.1])
         grad = log_marginal_likelihood_gradient(
