@@ -53,6 +53,22 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
                         help="spectral energy fraction for the bound (default 0.99)")
 
 
+def _add_single_fit_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``fit`` and ``plotdata``: which series, which scenario,
+    how to fit it and the plot resolution."""
+    parser.add_argument("--input", required=True, help="input CSV path")
+    parser.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
+    parser.add_argument("--id", default=None, help="series id (default: first series)")
+    parser.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4,
+                        help="constraint scenario 1..4 (default 4: both bounds)")
+    parser.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
+                        default="synthetic")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
+    parser.add_argument("--resolution", type=int, default=200)
+    _add_family_flags(parser)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="shortgp",
@@ -71,19 +87,9 @@ def _build_parser() -> _Parser:
     _add_family_flags(p_bound)
 
     p_fit = sub.add_parser("fit", help="fit one series from a CSV file")
-    p_fit.add_argument("--input", required=True, help="input CSV path")
-    p_fit.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
-    p_fit.add_argument("--id", default=None, help="series id (default: first series)")
-    p_fit.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4,
-                       help="constraint scenario 1..4 (default 4: both bounds)")
-    p_fit.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
-                       default="synthetic")
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
+    _add_single_fit_flags(p_fit)
     p_fit.add_argument("--plot-out", default=None,
                        help="also write posterior plot data to this CSV")
-    p_fit.add_argument("--resolution", type=int, default=200)
-    _add_family_flags(p_fit)
 
     p_synth = sub.add_parser("synth", help="run the synthetic benchmark sweep")
     p_synth.add_argument("--config", default=None, help="flat key=value config file")
@@ -116,17 +122,8 @@ def _build_parser() -> _Parser:
     _add_family_flags(p_batch)
 
     p_plot = sub.add_parser("plotdata", help="emit posterior curves for one fit")
-    p_plot.add_argument("--input", required=True)
-    p_plot.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
-    p_plot.add_argument("--id", default=None)
-    p_plot.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4)
-    p_plot.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
-                        default="synthetic")
-    p_plot.add_argument("--seed", type=int, default=0)
-    p_plot.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
+    _add_single_fit_flags(p_plot)
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--resolution", type=int, default=200)
-    _add_family_flags(p_plot)
 
     return parser
 
@@ -150,10 +147,18 @@ def _select_series(args):
     raise harness.CsvFormatError(f"series id {args.id!r} not found in input")
 
 
-def _scenario_for(args, series, family, nu):
+def _single_fit(args):
+    """The ``fit``/``plotdata`` step: the selected series, its scenario and
+    the fit of that scenario."""
+    family, nu = _family(args)
+    series = _select_series(args)
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
     scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
-    return scenarios[args.scenario - 1]
+    scenario = scenarios[args.scenario - 1]
+    result = fitmod.fit(
+        series, family, scenario, seed=args.seed, nu=nu, restarts=args.restarts
+    )
+    return series, scenario, result
 
 
 def _cmd_bound(args) -> int:
@@ -189,15 +194,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    family, nu = _family(args)
-    series = _select_series(args)
-    scenario = _scenario_for(args, series, family, nu)
-    result = fitmod.fit(
-        series, family, scenario, seed=args.seed, nu=nu, restarts=args.restarts
-    )
+    series, scenario, result = _single_fit(args)
     info = bound.delta_t_from_times(series.times)
-    alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
-    diag = fitmod.diagnose(result, info, alpha)
+    diag = fitmod.diagnose(result, info, scenario.alpha)
     print(f"series              {series.id!r} (n={len(series)})")
     print(f"scenario            {scenario.label}")
     print(f"length_scale        {result.kernel.length_scale!r}")
@@ -272,12 +271,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    family, nu = _family(args)
-    series = _select_series(args)
-    scenario = _scenario_for(args, series, family, nu)
-    result = fitmod.fit(
-        series, family, scenario, seed=args.seed, nu=nu, restarts=args.restarts
-    )
+    series, _, result = _single_fit(args)
     harness.emit_fit_plotdata(series, result, args.out, args.resolution)
     print(args.out)
     return 0

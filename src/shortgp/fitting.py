@@ -89,6 +89,13 @@ class Scenario:
     of "estimated" (free sn2 > 0), "bounded" (sn2 in
     [noise_lower, noise_upper]) or "fixed" (per-point variances taken from
     the series).
+
+    The scenario's box (:attr:`box`) is the (lower, upper) interval of the
+    length-scale, then of the noise variance unless the series fixes the
+    noise: (0, inf) for estimated noise, (noise_lower, noise_upper) for
+    bounded noise.  A lower edge of 0 and an upper edge of inf are no bound.
+    Fitting optimizes inside this box, and a fit of one scenario serves
+    another exactly when it lies in that scenario's box.
     """
 
     label: str
@@ -113,6 +120,32 @@ class Scenario:
                 raise ValueError("bounded noise needs 0 < lower < upper")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+
+    @property
+    def box(self) -> tuple[tuple[float, float], ...]:
+        """The (lower, upper) interval of l, then of sn2 unless it is fixed."""
+        length_scale = (self.length_scale_lower, self.length_scale_upper)
+        if self.noise_mode == NOISE_FIXED:
+            return (length_scale,)
+        if self.noise_mode == NOISE_BOUNDED:
+            return (length_scale, (self.noise_lower, self.noise_upper))
+        return (length_scale, (0.0, math.inf))
+
+    def holds(self, length_scale: float, noise_variance: float | None) -> bool:
+        """Whether a fit of the same series, with ``noise_variance`` None
+        for the series' own fixed noise, is a point of this box."""
+        point = (length_scale,) if noise_variance is None else (length_scale, noise_variance)
+        return len(point) == len(self.box) and all(
+            lo <= value <= hi for value, (lo, hi) in zip(point, self.box)
+        )
+
+    def contains(self, other: "Scenario") -> bool:
+        """Whether this box contains ``other``'s box; fixed noise contains
+        only fixed noise, and is contained only by it."""
+        return len(self.box) == len(other.box) and all(
+            lo <= inner_lo and inner_hi <= hi
+            for (lo, hi), (inner_lo, inner_hi) in zip(self.box, other.box)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -223,15 +256,9 @@ def fit(
         )
 
     # The box of each optimized parameter in natural units, and its log.
-    boxes = [(0.0, math.inf), (scenario.length_scale_lower, scenario.length_scale_upper)]
+    boxes = [(0.0, math.inf), *scenario.box]
     estimate_noise = scenario.noise_mode != NOISE_FIXED
-    fixed_noise = None
-    if scenario.noise_mode == NOISE_BOUNDED:
-        boxes.append((scenario.noise_lower, scenario.noise_upper))
-    elif scenario.noise_mode == NOISE_ESTIMATED:
-        boxes.append((0.0, math.inf))
-    else:
-        fixed_noise = NoiseModel.fixed(series.noise_variances)
+    fixed_noise = None if estimate_noise else NoiseModel.fixed(series.noise_variances)
     log_box = [
         (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
         for lo, hi in boxes
@@ -301,7 +328,10 @@ def fit(
             math.log(min(max(v, lo, 1e-300), hi, 1e300))
             for v, (lo, hi) in zip((sf2_0, l0, sn0), boxes)
         ]
-        res = minimize(objective, np.array(z0), log_box)
+        # A Matern length-scale probed near e^-230 overflows in dK/dl; the
+        # kernel masks those entries, so the warnings carry nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize(objective, np.array(z0), log_box)
         if not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
             continue
         sf2, l, noise = unpack(res.x)
@@ -397,14 +427,14 @@ def lower_bounds_active(
     scenario: Scenario, length_scale: float, noise_variance: float | None
 ) -> dict[str, bool]:
     """Which lower bounds of ``scenario`` a solution sits on (within a
-    relative 1e-6); the ``bound_lower_active`` field of a FitResult."""
+    relative 1e-6); the ``bound_lower_active`` field of a FitResult.  A
+    lower edge of 0, and fixed noise, is never active."""
+    lowers = [lo for lo, _ in scenario.box] + [0.0]
     return {
-        "length_scale": scenario.length_scale_lower > 0.0
-        and (length_scale - scenario.length_scale_lower)
-        <= _ACTIVE_RTOL * scenario.length_scale_lower,
-        "noise_variance": scenario.noise_mode == NOISE_BOUNDED
-        and (noise_variance - scenario.noise_lower)
-        <= _ACTIVE_RTOL * scenario.noise_lower,
+        key: lo > 0.0 and value - lo <= _ACTIVE_RTOL * lo
+        for key, value, lo in zip(
+            ("length_scale", "noise_variance"), (length_scale, noise_variance), lowers
+        )
     }
 
 

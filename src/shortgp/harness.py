@@ -139,14 +139,16 @@ class ReplicateRecord:
     The fit is the best optimum, by marginal likelihood, among the series'
     own fits under every scenario of the run that lie inside this scenario's
     box, so a looser scenario never reports a lower marginal likelihood than
-    a tighter one.  A scenario has no own fit when an earlier scenario whose
-    box contains its box already found an optimum inside its box and off its
-    lower bounds: its restarts are not run, and it reports that optimum (or
-    a better feasible one).  ``shared_from`` is the index of the scenario
-    whose own fit the row carries, and ``failed`` means no feasible fit
-    exists (``shared_from`` is then None).  ``win_loglik`` and ``win_mse``
-    mark the scenario with the best held-out score; scores within 1e-10 go
-    to the highest-numbered (most constrained) scenario.
+    a tighter one.  The nested-skip rule: a scenario has no own fit when an
+    earlier scenario whose box contains its box (``Scenario.contains``)
+    already found an optimum inside its box (``Scenario.holds``) and off its
+    lower bounds (``fitting.lower_bounds_active``): its restarts are not
+    run, and it reports that optimum (or a better feasible one).
+    ``shared_from`` is the index of the scenario whose own fit the row
+    carries, and ``failed`` means no feasible fit exists (``shared_from`` is
+    then None).  ``win_loglik`` and ``win_mse`` mark the scenario with the
+    best held-out score; scores within 1e-10 go to the highest-numbered
+    (most constrained) scenario.
     """
 
     series_id: str
@@ -242,44 +244,6 @@ class BatchReport:
         )
 
 
-def _inside_box(result: fitmod.FitResult, scenario: fitmod.Scenario) -> bool:
-    """Whether a fit of the same series is a feasible point of ``scenario``:
-    its length-scale lies in the length-scale box, and its noise lies in the
-    noise box (estimated, bounded) or is the series' own fixed noise."""
-    l = result.kernel.length_scale
-    if not scenario.length_scale_lower <= l <= scenario.length_scale_upper:
-        return False
-    sn2 = result.noise_variance
-    if scenario.noise_mode == fitmod.NOISE_FIXED:
-        return sn2 is None
-    if sn2 is None:
-        return False
-    if scenario.noise_mode == fitmod.NOISE_BOUNDED:
-        return scenario.noise_lower <= sn2 <= scenario.noise_upper
-    return True
-
-
-def _contains(outer: fitmod.Scenario, inner: fitmod.Scenario) -> bool:
-    """Whether the box of ``outer`` contains the box of ``inner``: the
-    length-scale interval, and the noise box (estimated noise contains any
-    estimated or bounded noise, a bounded box the bounded boxes inside it,
-    and fixed noise only fixed noise)."""
-    if not (
-        outer.length_scale_lower <= inner.length_scale_lower
-        and inner.length_scale_upper <= outer.length_scale_upper
-    ):
-        return False
-    if outer.noise_mode == fitmod.NOISE_ESTIMATED:
-        return inner.noise_mode != fitmod.NOISE_FIXED
-    if outer.noise_mode == fitmod.NOISE_BOUNDED:
-        return (
-            inner.noise_mode == fitmod.NOISE_BOUNDED
-            and outer.noise_lower <= inner.noise_lower
-            and inner.noise_upper <= outer.noise_upper
-        )
-    return inner.noise_mode == fitmod.NOISE_FIXED
-
-
 @dataclass(frozen=True)
 class _RunSettings:
     """Per-run constants of :func:`_fit_series`, bound once into the mapped
@@ -301,11 +265,10 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
     scenarios are fitted in list order.  A scenario has no fit of its own
     when all of its restarts fail, when the series is too short to have a
     sampling interval, when the scenario fixes per-point noise and the
-    series has no variances, or when it is skipped: an earlier scenario
-    whose box contains its box has an own fit that lies inside its box and
-    on none of its lower bounds.  ``fit`` is called only in the first case;
-    a skipped scenario reports the containing scenario's optimum through
-    the sharing of optima below.
+    series has no variances, or when it is skipped (the rule is on
+    :class:`ReplicateRecord`).  ``fit`` is called only in the first case; a
+    skipped scenario reports the containing scenario's optimum through the
+    sharing of optima below.
     """
     series, scenarios, fit_seed, n_label, replicate = task
     own: list[fitmod.FitResult | None] = []
@@ -323,8 +286,8 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
         # reaches the bound exactly.
         if any(
             f is not None
-            and _contains(outer, scenario)
-            and _inside_box(f, scenario)
+            and outer.contains(scenario)
+            and scenario.holds(f.kernel.length_scale, f.noise_variance)
             and not any(
                 fitmod.lower_bounds_active(
                     scenario, f.kernel.length_scale, f.noise_variance
@@ -370,20 +333,15 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
             "scenario_index": idx,
         }
         feasible = [
-            j for j, f in enumerate(own) if f is not None and _inside_box(f, scenario)
+            j
+            for j, f in enumerate(own)
+            if f is not None and scenario.holds(f.kernel.length_scale, f.noise_variance)
         ]
         if not feasible:
             records.append({**base, "failed": True})
             continue
         source = max(feasible, key=lambda j: own[j].log_marginal_likelihood)
-        best = own[source]
-        result = replace(
-            best,
-            scenario_label=scenario.label,
-            bound_lower_active=fitmod.lower_bounds_active(
-                scenario, best.kernel.length_scale, best.noise_variance
-            ),
-        )
+        result = own[source]
         diag = fitmod.diagnose(
             result, sampling, settings.alpha, settings.noise_flag_threshold
         )
@@ -506,11 +464,10 @@ def _structural_flags(
     return {
         sc.label: {
             "lengthscale_impossible": lengthscale[sc.label],
-            "noise_impossible": sc.noise_mode == fitmod.NOISE_FIXED
-            or (
-                sc.noise_mode == fitmod.NOISE_BOUNDED
-                and sc.noise_lower >= settings.noise_flag_threshold
-            ),
+            # Fixed noise (no noise box) never flags; estimated noise, whose
+            # box has no lower bound, always can.
+            "noise_impossible": len(sc.box) == 1
+            or 0.0 < sc.box[1][0] >= settings.noise_flag_threshold,
         }
         for sc in template
     }
@@ -527,11 +484,9 @@ def run_synthetic_experiment(
 
     The replicate series are drawn here, in the calling process, and the
     same data is shared by all four scenarios (required for the winner
-    comparison to mean anything).  A row's fit is the best feasible optimum
-    among that series' scenario fits (see :class:`ReplicateRecord`); a
-    tighter scenario whose box already holds a looser scenario's optimum,
-    off its lower bounds, reports that optimum without running its own
-    restarts.  A replicate's fits are seeded by (seed, n, replicate) alone.
+    comparison to mean anything).  A row's fit, and when a scenario's own
+    fit is skipped, follow :class:`ReplicateRecord`.  A replicate's fits are
+    seeded by (seed, n, replicate) alone.
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
     still reported.
@@ -606,18 +561,16 @@ def run_batch(
     before any fit.  A scenario's length-scale cells print "." only when its
     floor is at least every fitted series' own bound.
 
-    A row's fit is the best feasible optimum among that series' scenario
-    fits (see :class:`ReplicateRecord`).  A scenario whose box lies inside an
-    earlier scenario's box, and already holds that scenario's optimum off
-    its lower bounds, reports that optimum without running its own restarts;
-    this holds for an explicit list too.  Every series yields one record per
-    scenario, in input order, and per-series failures are failed records,
-    never fatal: a series too short to have a sampling interval fails under
-    every scenario, and a series without per-point variances fails under the
-    fixed-noise scenarios while its estimated-noise scenarios are fitted as
-    usual.  Such a series leaves the other series' records unchanged.  A
-    series' fits are seeded by (seed, its index in ``series_set``), so
-    results do not depend on the degree of parallelism.
+    A row's fit, and when a scenario's own fit is skipped, follow
+    :class:`ReplicateRecord`, for an explicit list too.  Every series yields
+    one record per scenario, in input order, and per-series failures are
+    failed records, never fatal: a series too short to have a sampling
+    interval fails under every scenario, and a series without per-point
+    variances fails under the fixed-noise scenarios while its
+    estimated-noise scenarios are fitted as usual.  Such a series leaves the
+    other series' records unchanged.  A series' fits are seeded by (seed,
+    its index in ``series_set``), so results do not depend on the degree of
+    parallelism.
     """
     series_set = list(series_set)
     if not series_set:
@@ -801,27 +754,7 @@ _AGGREGATE_FILES = {
     "failed.csv": "failed_fraction",
 }
 
-_RAW_COLUMNS = (
-    "series_id",
-    "n",
-    "replicate",
-    "scenario",
-    "scenario_index",
-    "failed",
-    "length_scale",
-    "signal_variance",
-    "noise_variance",
-    "log_marginal_likelihood",
-    "predictive_log_likelihood",
-    "mse",
-    "flag_short_length_scale",
-    "flag_tiny_noise",
-    "length_scale_lower",
-    "win_loglik",
-    "win_mse",
-    "all_scenarios_ok",
-    "shared_from",
-)
+_RAW_COLUMNS = tuple(f.name for f in fields(ReplicateRecord))
 
 
 def _format_raw(value) -> str:

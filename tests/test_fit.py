@@ -53,6 +53,74 @@ class TestScenario:
         assert Scenario.from_dict(sc.to_dict()) == sc
 
 
+_ESTIMATED = Scenario("estimated", 1.0, 5.0)
+_BOUNDED = Scenario("bounded", 1.0, 5.0, "bounded", 0.01, 0.1)
+_FIXED = Scenario("fixed", 1.0, 5.0, "fixed")
+
+
+class TestScenarioBox:
+    @pytest.mark.parametrize(
+        "scenario, box",
+        [
+            (_ESTIMATED, ((1.0, 5.0), (0.0, math.inf))),
+            (_BOUNDED, ((1.0, 5.0), (0.01, 0.1))),
+            (_FIXED, ((1.0, 5.0),)),
+            (Scenario("free"), ((0.0, math.inf), (0.0, math.inf))),
+        ],
+    )
+    def test_box(self, scenario, box):
+        assert scenario.box == box
+
+    @pytest.mark.parametrize(
+        "scenario, length_scale, noise_variance, inside",
+        [
+            # the length-scale faces, and just outside them
+            (_ESTIMATED, 1.0, 0.05, True),
+            (_ESTIMATED, 5.0, 0.05, True),
+            (_ESTIMATED, math.nextafter(1.0, -math.inf), 0.05, False),
+            (_ESTIMATED, math.nextafter(5.0, math.inf), 0.05, False),
+            (_BOUNDED, 1.0, 0.05, True),
+            (_BOUNDED, 5.0, 0.05, True),
+            (_BOUNDED, math.nextafter(1.0, -math.inf), 0.05, False),
+            (_BOUNDED, math.nextafter(5.0, math.inf), 0.05, False),
+            (_FIXED, 1.0, None, True),
+            (_FIXED, 5.0, None, True),
+            (_FIXED, math.nextafter(1.0, -math.inf), None, False),
+            (_FIXED, math.nextafter(5.0, math.inf), None, False),
+            # the noise faces, and just outside them
+            (_BOUNDED, 2.0, 0.01, True),
+            (_BOUNDED, 2.0, 0.1, True),
+            (_BOUNDED, 2.0, math.nextafter(0.01, -math.inf), False),
+            (_BOUNDED, 2.0, math.nextafter(0.1, math.inf), False),
+            (_ESTIMATED, 2.0, 1e-300, True),
+            (_ESTIMATED, 2.0, 1e300, True),
+            # the series' own fixed noise (None) against an estimated one
+            (_ESTIMATED, 2.0, None, False),
+            (_BOUNDED, 2.0, None, False),
+            (_FIXED, 2.0, 0.05, False),
+        ],
+    )
+    def test_holds(self, scenario, length_scale, noise_variance, inside):
+        assert scenario.holds(length_scale, noise_variance) is inside
+
+    @pytest.mark.parametrize(
+        "scenario, length_scale, noise_variance, active",
+        [
+            (_ESTIMATED, 1.0, 1e-300, (True, False)),
+            (_ESTIMATED, 1.0 + 2e-6, 0.05, (False, False)),
+            (_BOUNDED, 1.0 + 1e-7, 0.01, (True, True)),
+            (_BOUNDED, 2.0, 0.01 * (1.0 + 1e-7), (False, True)),
+            (_BOUNDED, 2.0, 0.01 * (1.0 + 2e-6), (False, False)),
+            (_FIXED, 1.0, None, (True, False)),
+            (_FIXED, 2.0, None, (False, False)),
+            (Scenario("free"), 1e-300, 1e-300, (False, False)),
+        ],
+    )
+    def test_lower_bounds_active(self, scenario, length_scale, noise_variance, active):
+        flags = fitting.lower_bounds_active(scenario, length_scale, noise_variance)
+        assert flags == dict(zip(("length_scale", "noise_variance"), active))
+
+
 class TestMakeScenarios:
     def test_four_benchmark_configurations(self):
         series = _sinc_series(n=7)
@@ -229,6 +297,17 @@ class TestFit:
         fixed = Scenario("fx", noise_mode="fixed")
         with pytest.raises(ValueError):
             fit(series, "se", fixed, seed=0)  # series has no variances
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_matern_length_scales_warn_nothing(self):
+        # these fits probe l near e^-230, where dK/dl overflows before the
+        # kernel masks it
+        base = _sinc_series(n=15, rep=3)
+        series = TimeSeries(base.times, base.values, np.full(15, 0.09))
+        scenarios = make_scenarios(series, "matern", nu=2.5)
+        scenarios += make_expression_scenarios(series, "matern", nu=2.5)
+        for scenario in scenarios:
+            fit(series, "matern", scenario, seed=15, nu=2.5)
 
     def test_all_starts_failed(self, monkeypatch):
         from shortgp import gp as gp_module

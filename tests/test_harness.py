@@ -516,7 +516,7 @@ class TestNestedSkip:
             for i, outer in enumerate(scenarios):
                 for k, inner in enumerate(scenarios):
                     expected = i == k or (i, k) in _NESTING[name]
-                    assert harness._contains(outer, inner) == expected, (name, i, k)
+                    assert outer.contains(inner) == expected, (name, i, k)
         # so neither bounded scenario contains the other, and no_bounds does
         # not contain noise_fixed
         assert make_expression_scenarios(series, "se")[2].label == "noise_fixed"
@@ -530,14 +530,14 @@ class TestNestedSkip:
         inner = Scenario("inner", 2.0, 4.0, "bounded", 0.02, 0.1)
         fixed = Scenario("fixed", noise_mode="fixed")
         fixed_boxed = Scenario("fixed_boxed", 1.0, 5.0, "fixed")
-        assert harness._contains(free, wide) and harness._contains(free, boxed)
-        assert harness._contains(wide, narrow) and not harness._contains(narrow, wide)
-        assert not harness._contains(wide, shifted) and not harness._contains(shifted, wide)
-        assert harness._contains(boxed, inner) and not harness._contains(inner, boxed)
-        assert harness._contains(wide, inner) and not harness._contains(boxed, narrow)
-        assert harness._contains(fixed, fixed_boxed) and not harness._contains(fixed_boxed, fixed)
-        assert not harness._contains(free, fixed) and not harness._contains(fixed, free)
-        assert not harness._contains(fixed, narrow) and not harness._contains(wide, fixed)
+        assert free.contains(wide) and free.contains(boxed)
+        assert wide.contains(narrow) and not narrow.contains(wide)
+        assert not wide.contains(shifted) and not shifted.contains(wide)
+        assert boxed.contains(inner) and not inner.contains(boxed)
+        assert wide.contains(inner) and not boxed.contains(narrow)
+        assert fixed.contains(fixed_boxed) and not fixed_boxed.contains(fixed)
+        assert not free.contains(fixed) and not fixed.contains(free)
+        assert not fixed.contains(narrow) and not wide.contains(fixed)
 
     def test_sweep_rows_match_the_oracle(self):
         cfg = SyntheticConfig(replicates=6, seed=3, restarts=2)
