@@ -221,6 +221,32 @@ def _check_family(family: str, nu: float | None) -> None:
         raise ValueError(f"unknown kernel family {family!r}")
 
 
+def _no_fit_reason(series: TimeSeries, scenario: Scenario) -> str | None:
+    """Why ``scenario`` has no maximum-likelihood fit on ``series``, or None.
+
+    A series of fewer than two points has no sampling interval, and fixed
+    noise needs the series' per-point variances.  On a constant series
+    (var y = 0, tested as all values equal, which the rounding of a computed
+    variance could miss) estimated noise has no maximum: the likelihood
+    grows without bound as sn2 -> 0 and l -> inf (for y = 0, as sf2 and
+    sn2 -> 0 at any l), and a fit would report wherever its ascent stalled.
+    Bounded and fixed noise, and a finite length-scale box on a nonzero
+    constant, keep the likelihood bounded.
+    """
+    if len(series) < 2:
+        return "fitting needs at least two observations"
+    if scenario.noise_mode == NOISE_FIXED and series.noise_variances is None:
+        return "scenario fixes per-point noise but the series has no variances"
+    y = series.values
+    if (
+        scenario.noise_mode == NOISE_ESTIMATED
+        and np.ptp(y) == 0.0
+        and (scenario.length_scale_upper == math.inf or y[0] == 0.0)
+    ):
+        return "estimated noise has no maximum-likelihood fit on a constant series"
+    return None
+
+
 def fit(
     series: TimeSeries,
     family: str,
@@ -243,17 +269,16 @@ def fit(
     seed).
 
     Raises AllStartsFailedError when no restart produces a usable optimum
-    and ValueError for inconsistent scenario / series combinations.
+    and ValueError for a series the scenario cannot be fitted to: fewer
+    than two points, fixed noise without per-point variances, or estimated
+    noise on a constant series, whose likelihood has no maximum.
     """
-    if len(series) < 2:
-        raise ValueError("fitting needs at least two observations")
+    reason = _no_fit_reason(series, scenario)
+    if reason is not None:
+        raise ValueError(reason)
     _check_family(family, nu)
     if restarts < 1 and not extra_starts:
         raise ValueError("need at least one start")
-    if scenario.noise_mode == NOISE_FIXED and series.noise_variances is None:
-        raise ValueError(
-            "scenario fixes per-point noise but the series has no variances"
-        )
 
     # The box of each optimized parameter in natural units, and its log.
     boxes = [(0.0, math.inf), *scenario.box]
@@ -273,7 +298,7 @@ def fit(
         # Any other z lies more than the band inside the box, and so does
         # its exp.
         out = []
-        for zi, (lo, hi), (zlo, zhi) in zip(z, boxes, log_box):
+        for zi, (lo, hi), (zlo, zhi) in zip(z.tolist(), boxes, log_box):
             if zlo is not None and zi <= zlo + _ACTIVE_RTOL:
                 out.append(lo)
             elif zhi is not None and zi >= zhi - _ACTIVE_RTOL:
@@ -406,13 +431,15 @@ def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
         g = np.array(g, dtype=np.float64)
         setulb(m, x, low, up, nbd, f, g, factr, _GRAD_TOL, wa, iwa, task,
                lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
-        if task[0] == 3:
-            if x.tolist() != x_seen:
-                x_seen = x.tolist()
+        state = task[0]
+        if state == 3:
+            x_now = x.tolist()
+            if x_now != x_seen:
+                x_seen = x_now
                 f_seen, g_seen = fun(x.copy())
                 nfev += 1
             f, g = f_seen, g_seen
-        elif task[0] == 1:
+        elif state == 1:
             nit += 1
             if nit >= _MAX_ITER:
                 task[:] = 5, 504

@@ -16,17 +16,26 @@ every result is bitwise the same.  The factor comes from a finite matrix
 (:func:`~shortgp.kernels.factor_covariance` checks it), the observations
 are finite by construction, and the cross-covariance at query times is
 checked here.
+
+For the same reason a likelihood call does only the work that depends on
+the hyperparameters.  The distance matrix is the series' own, computed once
+per series (:attr:`~shortgp.series.TimeSeries.distances`); the identity
+that K^-1 is solved from is one cached read-only array per n; K and dK/dl
+come from one exponential; estimated noise is added to the diagonal as a
+scalar; and without jitter the Gram matrix itself is dK/dlog sf2.  Each of
+these gives the bits the direct computation gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from .kernels import KernelSpec, _cov_array, _dcov_dl_array, factor_covariance
+from .kernels import KernelSpec, _cov_and_dcov_dl, _cov_array, factor_covariance
 from .series import NoiseModel, TimeSeries
 
 __all__ = [
@@ -62,14 +71,23 @@ class Posterior:
     variance_observed: np.ndarray
 
 
-def _factorize(series: TimeSeries, kernel: KernelSpec, noise: NoiseModel):
-    t = series.times
-    r = np.abs(t[:, None] - t[None, :])
-    gram = _cov_array(kernel, r)
+@lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _factorize(
+    series: TimeSeries, kernel: KernelSpec, noise: NoiseModel, d_length_scale: bool = False
+):
+    """(gram, dK/dl or None, Cholesky factor of gram + noise, jitter)."""
+    n = len(series)
+    gram, d_l = _cov_and_dcov_dl(kernel, series.distances, d_length_scale)
     k = gram.copy()
-    k.ravel()[:: len(t) + 1] += noise.diagonal(len(t))
+    k.ravel()[:: n + 1] += noise.variance if noise.is_estimated else noise.diagonal(n)
     chol, jitter = factor_covariance(k, kernel.signal_variance)
-    return r, gram, chol, jitter
+    return gram, d_l, chol, jitter
 
 
 def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,7 +106,7 @@ def log_marginal_likelihood(
     series: TimeSeries, kernel: KernelSpec, noise: NoiseModel
 ) -> float:
     """log p(y) = -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
-    _, _, chol, _ = _factorize(series, kernel, noise)
+    chol = _factorize(series, kernel, noise)[2]
     return _value_and_alpha(series.values, chol)[0]
 
 
@@ -101,16 +119,18 @@ def log_marginal_likelihood_and_gradient(
     d/dlog sn2 when the noise variance is estimated.  Any jitter added
     during factorization scales with sf2, so the sf2 component stays exact.
     """
-    r, gram, chol, jitter = _factorize(series, kernel, noise)
+    gram, d_l, chol, jitter = _factorize(series, kernel, noise, d_length_scale=True)
     value, alpha = _value_and_alpha(series.values, chol)
 
-    eye = np.eye(len(series))
+    eye = _identity(len(series))
     k_inv = _solve(chol, eye)
     # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
     inner = alpha[:, None] * alpha - k_inv
 
-    d_sf2 = gram + jitter * eye  # dK/dlog sf2: the whole sf2-scaled block
-    d_l = kernel.length_scale * _dcov_dl_array(kernel, r)
+    # dK/dlog sf2 is the whole sf2-scaled block, jitter included; gram
+    # has no -0.0 entries, so gram + 0 * eye would be gram bit for bit.
+    d_sf2 = gram + jitter * eye if jitter else gram
+    d_l = kernel.length_scale * d_l
     grad = [0.5 * float((inner * d_sf2).sum()), 0.5 * float((inner * d_l).sum())]
     if noise.is_estimated:
         grad.append(0.5 * noise.variance * float(inner.trace()))
@@ -132,7 +152,7 @@ def posterior_at(
 ) -> Posterior:
     """Posterior mean and variances of the latent function at ``query_times``."""
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
-    _, _, chol, _ = _factorize(series, kernel, noise)
+    chol = _factorize(series, kernel, noise)[2]
     alpha = _solve(chol, series.values)
     r_cross = np.abs(q[:, None] - series.times[None, :])
     k_cross = _cov_array(kernel, r_cross)

@@ -146,9 +146,14 @@ class ReplicateRecord:
     run, and it reports that optimum (or a better feasible one).
     ``shared_from`` is the index of the scenario whose own fit the row
     carries, and ``failed`` means no feasible fit exists (``shared_from`` is
-    then None).  ``win_loglik`` and ``win_mse`` mark the scenario with the
-    best held-out score; scores within 1e-10 go to the highest-numbered
-    (most constrained) scenario.
+    then None).  A scenario that cannot be fitted to the series is failed
+    and takes no other scenario's fit: a series of fewer than two points,
+    fixed noise on a series without per-point variances, and estimated
+    noise on a constant series (var y = 0), whose likelihood grows without
+    bound as sn2 -> 0 and l -> inf (the one statement of the rule is
+    ``fitting._no_fit_reason``).  ``win_loglik`` and ``win_mse`` mark the
+    scenario with the best held-out score; scores within 1e-10 go to the
+    highest-numbered (most constrained) scenario.
     """
 
     series_id: str
@@ -263,19 +268,17 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
 
     ``task`` is ``(series, scenarios, fit_seed, n_label, replicate)``.  The
     scenarios are fitted in list order.  A scenario has no fit of its own
-    when all of its restarts fail, when the series is too short to have a
-    sampling interval, when the scenario fixes per-point noise and the
-    series has no variances, or when it is skipped (the rule is on
-    :class:`ReplicateRecord`).  ``fit`` is called only in the first case; a
-    skipped scenario reports the containing scenario's optimum through the
-    sharing of optima below.
+    when all of its restarts fail, when the series cannot be fitted under it
+    (``fitting._no_fit_reason``; its record is then failed), or when it is
+    skipped (the rule is on :class:`ReplicateRecord`).  ``fit`` is called
+    only in the first case; a skipped scenario reports the containing
+    scenario's optimum through the sharing of optima below.
     """
     series, scenarios, fit_seed, n_label, replicate = task
+    unfittable = [fitmod._no_fit_reason(series, sc) is not None for sc in scenarios]
     own: list[fitmod.FitResult | None] = []
-    for scenario in scenarios:
-        if len(series) < 2 or (
-            scenario.noise_mode == fitmod.NOISE_FIXED and series.noise_variances is None
-        ):
+    for scenario, no_fit in zip(scenarios, unfittable):
+        if no_fit:
             own.append(None)
             continue
         # Skip the fit when a looser scenario's optimum lies inside this box:
@@ -324,7 +327,7 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
     scored = settings.test_times is not None
     metrics: dict[int, tuple[float, float]] = {}
     records: list[dict] = []
-    for idx, scenario in enumerate(scenarios):
+    for idx, (scenario, no_fit) in enumerate(zip(scenarios, unfittable)):
         base = {
             "series_id": series.id,
             "n": n_label,
@@ -332,7 +335,10 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
             "scenario": scenario.label,
             "scenario_index": idx,
         }
-        feasible = [
+        # A scenario that cannot be fitted takes no other scenario's fit
+        # either: on a constant series, a bounded-noise optimum is not the
+        # maximum of an estimated-noise likelihood, which has none.
+        feasible = [] if no_fit else [
             j
             for j, f in enumerate(own)
             if f is not None and scenario.holds(f.kernel.length_scale, f.noise_variance)
@@ -565,12 +571,14 @@ def run_batch(
     :class:`ReplicateRecord`, for an explicit list too.  Every series yields
     one record per scenario, in input order, and per-series failures are
     failed records, never fatal: a series too short to have a sampling
-    interval fails under every scenario, and a series without per-point
+    interval fails under every scenario, a series without per-point
     variances fails under the fixed-noise scenarios while its
-    estimated-noise scenarios are fitted as usual.  Such a series leaves the
-    other series' records unchanged.  A series' fits are seeded by (seed,
-    its index in ``series_set``), so results do not depend on the degree of
-    parallelism.
+    estimated-noise scenarios are fitted as usual, and a constant series
+    (var y = 0) fails under the estimated-noise scenarios, where the
+    likelihood has no maximum, while its bounded- and fixed-noise scenarios
+    are fitted as usual.  Such a series leaves the other series' records
+    unchanged.  A series' fits are seeded by (seed, its index in
+    ``series_set``), so results do not depend on the degree of parallelism.
     """
     series_set = list(series_set)
     if not series_set:
@@ -789,6 +797,13 @@ def emit_report(report: BatchReport, out_dir) -> list[str]:
     columns = report.n_values if by_n else [None]
     col_names = [f"n={n}" for n in report.n_values] if by_n else ["all"]
 
+    # Each (scenario, n) cell is aggregated once, here, for every table and
+    # the summary; the report itself keeps no cache that could go stale.
+    cells = {
+        (label, n): report.cell(label, n)
+        for label in report.scenario_labels
+        for n in columns
+    }
     structural_metric = {
         "overfit_fraction_lengthscale": "lengthscale_impossible",
         "overfit_fraction_noise": "noise_impossible",
@@ -819,7 +834,7 @@ def emit_report(report: BatchReport, out_dir) -> list[str]:
                     if impossible:
                         row.append(".")
                         continue
-                    value = _cell_value(report.cell(label, n), metric)
+                    value = _cell_value(cells[label, n], metric)
                     row.append("" if value is None else f"{value:.4f}")
                 writer.writerow(row)
         written.append(path)
@@ -842,7 +857,7 @@ def emit_report(report: BatchReport, out_dir) -> list[str]:
         for label in report.scenario_labels:
             fh.write(f"[{label}]\n")
             for n, name in zip(columns, col_names):
-                stats = report.cell(label, n)
+                stats = cells[label, n]
                 parts = [
                     f"fits={stats.count}",
                     f"failed={stats.failed}",

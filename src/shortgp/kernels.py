@@ -23,6 +23,11 @@ band-energy fraction).
 validation and batch dispatch cost more than the factorization itself.  The
 routine and its arguments are the ones the wrapper would pass, so the factor
 is bitwise the same; the square and finite checks are kept explicitly.
+
+For the same reason the closed-form families evaluate the covariance and
+its length-scale derivative from one exponential (:func:`_cov_and_dcov_dl`),
+and take the distance matrix from the caller, which computes it once per
+series (:attr:`~shortgp.series.TimeSeries.distances`).
 """
 
 from __future__ import annotations
@@ -141,41 +146,57 @@ def _matern_general(
     return out
 
 
-def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+def _cov_and_dcov_dl(
+    spec: KernelSpec, r: np.ndarray, d_length_scale: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The covariance over ``r`` and, if ``d_length_scale``, its derivative
+    in l (else None).
+
+    The closed forms take one ``exp`` for both: the likelihood gradient
+    needs K and dK/dl at every call, and at n <= 15 the exponential is a
+    visible share of the call.  The derivative multiplies the same array by
+    the same factors as a separate evaluation would, so both are bitwise
+    what each formula gives on its own.
+    """
     sf2 = spec.signal_variance
     l = spec.length_scale
-    if spec.family == SQUARED_EXPONENTIAL:
-        return sf2 * np.exp(-0.5 * (r / l) ** 2)
     nu = spec.nu
-    if nu == 0.5:
-        return sf2 * np.exp(-r / l)
-    if nu == 1.5:
+    d_l = None
+    if spec.family == SQUARED_EXPONENTIAL:
+        k = sf2 * np.exp(-0.5 * (r / l) ** 2)
+        if d_length_scale:
+            d_l = k * r * r / l**3
+    elif nu == 0.5:
+        k = sf2 * np.exp(-r / l)
+        if d_length_scale:
+            d_l = k * r / l**2
+    elif nu == 1.5:
         u = (math.sqrt(3.0) / l) * r
-        return sf2 * (1.0 + u) * np.exp(-u)
-    if nu == 2.5:
+        decay = np.exp(-u)
+        k = sf2 * (1.0 + u) * decay
+        if d_length_scale:
+            d_l = _zero_where_decayed(sf2 * 3.0 * r * r / l**3 * decay, decay)
+    elif nu == 2.5:
         u = (math.sqrt(5.0) / l) * r
-        return sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
-    return _matern_general(spec, r, d_length_scale=False)
+        decay = np.exp(-u)
+        k = sf2 * (1.0 + u + u * u / 3.0) * decay
+        if d_length_scale:
+            d_l = _zero_where_decayed(
+                sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * decay, decay
+            )
+    else:
+        k = _matern_general(spec, r, d_length_scale=False)
+        if d_length_scale:
+            d_l = _matern_general(spec, r, d_length_scale=True)
+    return k, d_l
+
+
+def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    return _cov_and_dcov_dl(spec, r, d_length_scale=False)[0]
 
 
 def _dcov_dl_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    sf2 = spec.signal_variance
-    l = spec.length_scale
-    if spec.family == SQUARED_EXPONENTIAL:
-        return sf2 * np.exp(-0.5 * (r / l) ** 2) * r * r / l**3
-    nu = spec.nu
-    if nu == 0.5:
-        return sf2 * np.exp(-r / l) * r / l**2
-    if nu == 1.5:
-        u = (math.sqrt(3.0) / l) * r
-        decay = np.exp(-u)
-        return _zero_where_decayed(sf2 * 3.0 * r * r / l**3 * decay, decay)
-    if nu == 2.5:
-        u = (math.sqrt(5.0) / l) * r
-        decay = np.exp(-u)
-        d_l = sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * decay
-        return _zero_where_decayed(d_l, decay)
-    return _matern_general(spec, r, d_length_scale=True)
+    return _cov_and_dcov_dl(spec, r)[1]
 
 
 def _zero_where_decayed(d_l: np.ndarray, decay: np.ndarray) -> np.ndarray:

@@ -1,8 +1,17 @@
-"""Observed time-series data and observation-noise descriptions."""
+"""Observed time-series data and observation-noise descriptions.
+
+A series also carries what every likelihood evaluation on it needs and
+what depends on the times alone: the matrix of pairwise distances
+|t_i - t_j| (:attr:`TimeSeries.distances`).  It is computed once per series,
+on first use, because a fit evaluates the likelihood a hundred or more
+times and at n <= 15 rebuilding the matrix costs about as much as a
+kernel evaluation.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +92,23 @@ class TimeSeries:
     def span(self) -> float:
         """Observation window length t_last - t_first."""
         return float(self.times[-1] - self.times[0])
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only n x n matrix of |t_i - t_j|, computed on first use."""
+        t = self.times
+        r = np.abs(t[:, None] - t[None, :])
+        r.setflags(write=False)
+        return r
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable; the cached distances rely
+        # on the times never changing, and a cached matrix must stay
+        # read-only too.
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True, eq=False)

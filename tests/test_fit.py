@@ -298,6 +298,22 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(series, "se", fixed, seed=0)  # series has no variances
 
+    @pytest.mark.parametrize(
+        "value, upper, unbounded",
+        [(0.1, math.inf, True), (0.0, math.inf, True), (0.0, 2.0, True), (0.1, 2.0, False)],
+    )
+    def test_constant_series_under_estimated_noise(self, value, upper, unbounded):
+        # the likelihood grows without bound as sn2 -> 0 and l -> inf, or,
+        # for y = 0, as sf2 and sn2 -> 0; a finite l box on a nonzero
+        # constant keeps it bounded
+        series = TimeSeries(np.linspace(0.0, 6.0, 7), np.full(7, value))
+        scenario = Scenario("x", 0.0, upper)
+        if unbounded:
+            with pytest.raises(ValueError, match="constant series"):
+                fit(series, "se", scenario, seed=0)
+        else:
+            assert math.isfinite(fit(series, "se", scenario, seed=0).log_marginal_likelihood)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_matern_length_scales_warn_nothing(self):
         # these fits probe l near e^-230, where dK/dl overflows before the

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ class TestTimeSeries:
         s = TimeSeries([0.0, 2.5], [1.0, -1.0])
         assert s.span == 2.5
         assert len(s) == 2
+
+    def test_distances_computed_once_read_only_and_picklable(self):
+        t = np.array([-1.0, 0.3, 1.7, 4.0, 4.25])
+        s = TimeSeries(t, np.sin(t))
+        r = s.distances
+        assert np.array_equal(r, np.abs(t[:, None] - t[None, :]))
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 1] = 0.0
+        log_marginal_likelihood_and_gradient(s, _se(), NoiseModel.estimated(0.1))
+        assert s.distances is r
+        # the process pool pickles series
+        copy = pickle.loads(pickle.dumps(s))
+        assert np.array_equal(copy.distances, r)
+        assert not copy.distances.flags.writeable
+        assert np.array_equal(copy.times, t) and np.array_equal(copy.values, s.values)
+        assert not copy.times.flags.writeable and not copy.values.flags.writeable
 
 
 class TestNoiseModel:

@@ -296,7 +296,8 @@ class TestRunBatch:
         a = TimeSeries(np.linspace(0.0, 4.0, 5), np.zeros(5) + 0.1, id="dense")
         b = TimeSeries(np.linspace(0.0, 40.0, 5), np.zeros(5) + 0.1, id="sparse")
         report = run_batch([a, b], scenario_set="synthetic", restarts=2)
-        rows = {r.series_id: r for r in report.rows if r.scenario == "no_bounds"}
+        # the series are constant, so only their bounded-noise scenarios fit
+        rows = {r.series_id: r for r in report.rows if r.scenario == "noise_bounded"}
         assert abs(rows["dense"].length_scale_lower * 10.0 - rows["sparse"].length_scale_lower) <= 1e-9
 
     def test_empty_set_rejected(self):
@@ -346,6 +347,30 @@ class TestRunBatch:
         estimated = make_expression_scenarios(bare, "se")[:2]
         alone = run_batch([bare], scenario_set=estimated, restarts=2)
         assert bare_rows[:2] == alone.rows
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_constant_series_fails_under_estimated_noise(self, parallelism, scenario_set):
+        # var y = 0: the estimated-noise likelihood grows without bound as
+        # sn2 -> 0 and l -> inf, so those scenarios are failed records and
+        # take no bounded- or fixed-noise fit, which still stand.  The
+        # values are 0.1 so that np.var is 1.9e-34, not 0: the rule is
+        # "all values equal", not a rounded variance.
+        t = np.linspace(0.0, 6.0, 7)
+        ok = TimeSeries(t, sinc(t), noise_variances=np.full(7, 0.04), id="ok")
+        flat = TimeSeries(t, np.full(7, 0.1), noise_variances=np.full(7, 0.04), id="flat")
+        pair = run_batch([ok, ok], scenario_set=scenario_set, restarts=2)
+        report = run_batch(
+            [flat, ok], scenario_set=scenario_set, restarts=2, parallelism=parallelism
+        )
+        assert report.rows[4:] == pair.rows[4:]
+        flat_rows = report.rows[:4]
+        assert [r.failed for r in flat_rows] == [True, True, False, False]
+        assert all(r.shared_from is None for r in flat_rows[:2])
+        assert all(math.isfinite(r.log_marginal_likelihood) for r in flat_rows[2:])
+        for scenario in fitmod.SCENARIO_SETS[scenario_set](flat, "se")[:2]:
+            with pytest.raises(ValueError, match="constant series"):
+                fit(flat, "se", scenario, seed=0)
 
     def test_all_short_series_labels_and_structure(self):
         # with no series long enough to fit, the labels and structural flags

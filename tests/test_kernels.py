@@ -9,7 +9,9 @@ from scipy.special import kv
 
 from shortgp.kernels import (
     FactorizationError,
+    _cov_and_dcov_dl,
     _dcov_dl_array,
+    _matern_general,
     KernelSpec,
     covariance,
     covariance_gradient,
@@ -318,3 +320,67 @@ class TestSpectralDensity:
         a = spectral_density(KernelSpec.se(1.0, 1.0), 0.2)
         b = spectral_density(KernelSpec.se(7.0, 1.0), 0.2)
         assert a == b
+
+
+def _standalone(spec, r):
+    """K and dK/dl over ``r``, each formula written out on its own, with its
+    own exp; dK/dl is 0 where the Matern 3/2 and 5/2 decay underflows."""
+    sf2, l, nu = spec.signal_variance, spec.length_scale, spec.nu
+    if spec.family == "se":
+        return (
+            sf2 * np.exp(-0.5 * (r / l) ** 2),
+            sf2 * np.exp(-0.5 * (r / l) ** 2) * r * r / l**3,
+        )
+    if nu == 0.5:
+        return sf2 * np.exp(-r / l), sf2 * np.exp(-r / l) * r / l**2
+    if nu in (1.5, 2.5):
+        u = (math.sqrt(2.0 * nu) / l) * r
+        if nu == 1.5:
+            k = sf2 * (1.0 + u) * np.exp(-u)
+            d_l = sf2 * 3.0 * r * r / l**3 * np.exp(-u)
+        else:
+            k = sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
+            d_l = sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * np.exp(-u)
+        d_l[np.exp(-u) == 0.0] = 0.0
+        return k, d_l
+    return _matern_general(spec, r, False), _matern_general(spec, r, True)
+
+
+def _gram_distances():
+    # the 15-point grid of TestGeneralOrderMatern
+    times = np.sort(np.random.default_rng(11).uniform(0.0, 6.0, 15))
+    return np.abs(times[:, None] - times[None, :])
+
+
+_SHARED_EXP_CASES = [
+    # (family, nu, sf2, l, distances)
+    ("se", None, 1.0, 1.0, np.array([0.0, 1.0])),  # TestCovarianceGradient
+    ("se", None, 1.7, 0.9, _gram_distances()),
+    ("matern", 0.5, 1.7, 0.9, _gram_distances()),
+    ("matern", 1.5, 1.0, 1.3, np.array([0.0, 0.7])),  # TestCovarianceGradient
+    ("matern", 1.5, 1.7, 0.9, _gram_distances()),
+    ("matern", 2.5, 1.7, 0.9, _gram_distances()),
+    ("matern", 3.3, 1.0, 1.1, np.array([0.0, 0.9])),  # TestCovarianceGradient
+    *(("matern", nu, 1.7, 0.9, _gram_distances()) for nu in (0.75, 3.3, 7.3)),
+    # tiny l: the decay underflows to 0 and r^2 / l^3 overflows to inf
+    ("se", None, 2.0, 1e-105, _gram_distances()),
+    *(("matern", nu, 2.0, 1e-105, _gram_distances()) for nu in (0.5, 1.5, 2.5)),
+]
+
+
+class TestSharedExponential:
+    @pytest.mark.parametrize("family, nu, sf2, l, r", _SHARED_EXP_CASES)
+    def test_equals_the_standalone_formulas(self, family, nu, sf2, l, r):
+        spec = KernelSpec(family, sf2, l, nu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k, d_l = _cov_and_dcov_dl(spec, r)
+            k_only, none = _cov_and_dcov_dl(spec, r, d_length_scale=False)
+            o_k, o_d_l = _standalone(spec, r)
+            d_l_only = _dcov_dl_array(spec, r)
+        assert none is None
+        assert np.array_equal(k, o_k) and np.array_equal(k_only, o_k)
+        assert np.array_equal(d_l, o_d_l) and np.array_equal(d_l_only, o_d_l)
+        assert np.isfinite(d_l).all()
+        if l == 1e-105:
+            off_diagonal = r > 0.0
+            assert np.all(k[off_diagonal] == 0.0) and np.all(d_l[off_diagonal] == 0.0)
