@@ -33,7 +33,6 @@ from .gp import (
     Posterior,
     log_marginal_likelihood,
     log_marginal_likelihood_and_gradient,
-    log_marginal_likelihood_gradient,
     mse,
     posterior_at,
     predictive_log_likelihood,
@@ -56,10 +55,8 @@ from .harness import (
 )
 from .kernels import (
     FactorizationError,
-    KernelGradient,
     KernelSpec,
     covariance,
-    covariance_gradient,
     covariance_matrix,
     factor_covariance,
     spectral_density,
@@ -76,7 +73,6 @@ __all__ = [
     "Diagnostics",
     "FactorizationError",
     "FitResult",
-    "KernelGradient",
     "KernelSpec",
     "NoiseModel",
     "Posterior",
@@ -86,7 +82,6 @@ __all__ = [
     "SyntheticConfig",
     "TimeSeries",
     "covariance",
-    "covariance_gradient",
     "covariance_matrix",
     "delta_t_from_times",
     "diagnose",
@@ -102,7 +97,6 @@ __all__ = [
     "load_config",
     "log_marginal_likelihood",
     "log_marginal_likelihood_and_gradient",
-    "log_marginal_likelihood_gradient",
     "make_expression_scenarios",
     "make_scenarios",
     "matern_energy_fraction",

@@ -147,33 +147,6 @@ class Scenario:
             for (lo, hi), (inner_lo, inner_hi) in zip(self.box, other.box)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "length_scale_lower": self.length_scale_lower,
-            "length_scale_upper": self.length_scale_upper,
-            "noise_mode": self.noise_mode,
-            "noise_lower": self.noise_lower,
-            "noise_upper": self.noise_upper,
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            label=str(data["label"]),
-            length_scale_lower=float(data.get("length_scale_lower", 0.0)),
-            length_scale_upper=float(data.get("length_scale_upper", math.inf)),
-            noise_mode=str(data.get("noise_mode", NOISE_ESTIMATED)),
-            noise_lower=None
-            if data.get("noise_lower") is None
-            else float(data["noise_lower"]),
-            noise_upper=None
-            if data.get("noise_upper") is None
-            else float(data["noise_upper"]),
-            alpha=float(data.get("alpha", bound.DEFAULT_ALPHA)),
-        )
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -41,7 +41,6 @@ from .series import NoiseModel, TimeSeries
 __all__ = [
     "Posterior",
     "log_marginal_likelihood",
-    "log_marginal_likelihood_gradient",
     "log_marginal_likelihood_and_gradient",
     "posterior_at",
     "predictive_log_likelihood",
@@ -135,13 +134,6 @@ def log_marginal_likelihood_and_gradient(
     if noise.is_estimated:
         grad.append(0.5 * noise.variance * float(inner.trace()))
     return value, np.array(grad)
-
-
-def log_marginal_likelihood_gradient(
-    series: TimeSeries, kernel: KernelSpec, noise: NoiseModel
-) -> np.ndarray:
-    """Gradient of :func:`log_marginal_likelihood`; see the combined form."""
-    return log_marginal_likelihood_and_gradient(series, kernel, noise)[1]
 
 
 def posterior_at(

@@ -8,6 +8,11 @@ fractions and per-replicate scenario winners.  All randomness comes from
 counter-based Philox streams keyed by (seed, n, replicate), so any
 replicate is reproducible in isolation and results do not depend on the
 degree of parallelism.
+
+Every fitting path, serial or pooled, runs BLAS on one thread: at n <= 15 a
+second thread speeds up no BLAS call, while OpenBLAS keeps an idle helper
+thread spinning on another core (a serial sweep used twice its wall time in
+CPU time).
 """
 
 from __future__ import annotations
@@ -402,37 +407,52 @@ def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
     return [ReplicateRecord(**r) for r in records]
 
 
-# The OpenBLAS thread-count setters exported by the numpy and scipy wheels
-# (the ones threadpoolctl calls), as (module of the shared library, symbol).
-_BLAS_THREAD_SETTERS = (
-    ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
-    ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
-)
+# The OpenBLAS thread-count getters and setters that the numpy and scipy
+# wheels export (the ones threadpoolctl calls), as (module of the shared
+# library, suffix of the symbol names).
+_BLAS_LIBRARIES = (("scipy.linalg._fblas", ""), ("numpy._core._multiarray_umath", "64_"))
 _load_library = ctypes.CDLL
 
 
-def _pin_blas() -> None:
-    """Pool initializer: one BLAS thread per worker process, so that the
-    workers do not oversubscribe the cores.  A setter that this BLAS build
-    does not export is left out; then the worker keeps its thread count."""
-    for module, symbol in _BLAS_THREAD_SETTERS:
+def _blas_on_one_thread():
+    """Run numpy's and scipy's BLAS on one thread; return a function that
+    restores the thread counts found.
+
+    A library whose getter or setter this BLAS build does not export is left
+    as it is."""
+    restores = []
+    for module, suffix in _BLAS_LIBRARIES:
         try:
             library = _load_library(importlib.import_module(module).__file__)
-            setter = getattr(library, symbol)
+            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+            set_threads = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
         except (ImportError, OSError, AttributeError):
             continue
-        setter(1)
+        restores.append(partial(set_threads, get()))
+        set_threads(1)
+
+    def restore() -> None:
+        for set_previous in restores:
+            set_previous()
+
+    return restore
 
 
 def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[ReplicateRecord]:
     """The records of every task, in task order, from ``parallelism``
-    worker processes (or this one).
+    worker processes (or this one), with BLAS on one thread.
 
-    Workers are forked where the platform can, so that a script without a
-    ``__main__`` guard still runs, and each runs BLAS on one thread."""
+    Each worker sets that once; a serial run sets it here, so that no idle
+    OpenBLAS thread spins beside the fits, and restores the caller's counts
+    after.  Workers are forked where the platform can, so that a script
+    without a ``__main__`` guard still runs."""
     task_fn = partial(_fit_series, settings)
     if parallelism <= 1 or len(tasks) <= 1:
-        groups = map(task_fn, tasks)
+        restore = _blas_on_one_thread()
+        try:
+            groups = list(map(task_fn, tasks))
+        finally:
+            restore()
     else:
         chunksize = max(1, len(tasks) // (parallelism * 4))
         context = (
@@ -441,7 +461,7 @@ def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[Repl
             else None
         )
         with ProcessPoolExecutor(
-            max_workers=parallelism, mp_context=context, initializer=_pin_blas
+            max_workers=parallelism, mp_context=context, initializer=_blas_on_one_thread
         ) as pool:
             groups = list(pool.map(task_fn, tasks, chunksize=chunksize))
     return [record for group in groups for record in group]
@@ -642,13 +662,15 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
 
     Long format has columns ``id,time,value`` plus an optional ``variance``
     column that populates per-point noise variances for fixed-noise fitting;
-    one series per distinct id, rows in time order.  Wide format has an
-    ``id`` column followed by one column per time point whose header cells
-    parse as times (a ``t=`` prefix is allowed).  ``format`` may be "long",
+    one series per distinct id, rows in time order; a series whose variance
+    cells are all empty has none (``noise_variances`` is None).  Wide format
+    has an ``id`` column followed by one column per time point whose header
+    cells parse as times (a ``t=`` prefix is allowed).  ``format`` may be "long",
     "wide" or "auto" (sniffed from the header).
 
     Raises CsvFormatError (with a line number) for malformed cells or
-    missing columns and for non-increasing times within a series.
+    missing columns, for a series that mixes empty and numeric variance
+    cells, and for non-increasing times within a series.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -678,11 +700,17 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
                 if len(row) < len(header):
                     raise CsvFormatError(f"line {line_no}: expected {len(header)} cells")
                 sid = row[col["id"]].strip()
-                g = groups.setdefault(sid, {"t": [], "y": [], "v": []})
+                var_cell = row[var_col].strip() if var_col is not None else ""
+                g = groups.setdefault(sid, {"t": [], "y": [], "v": [] if var_cell else None})
                 g["t"].append(_parse_float(row[col["time"]], line_no, "time"))
                 g["y"].append(_parse_float(row[col["value"]], line_no, "value"))
-                if var_col is not None:
-                    g["v"].append(_parse_float(row[var_col], line_no, "variance"))
+                if (g["v"] is None) == bool(var_cell):
+                    raise CsvFormatError(
+                        f"line {line_no}: series {sid!r} mixes empty and numeric "
+                        "variance cells"
+                    )
+                if var_cell:
+                    g["v"].append(_parse_float(var_cell, line_no, "variance"))
             out = []
             for sid, g in groups.items():
                 t = np.array(g["t"])
@@ -694,7 +722,7 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
                     TimeSeries(
                         t,
                         np.array(g["y"]),
-                        np.array(g["v"]) if var_col is not None else None,
+                        None if g["v"] is None else np.array(g["v"]),
                         id=sid,
                     )
                 )
@@ -732,7 +760,9 @@ def export_csv(series_list, path) -> None:
     """Write series to CSV in the long format understood by :func:`ingest_csv`.
 
     Values use full float precision, so export followed by ingest
-    reproduces the series exactly.
+    reproduces the series exactly.  The ``variance`` column is written when
+    any series has variances; a series without them gets empty cells there,
+    which ingest reads back as no variances.
     """
     series_list = list(series_list)
     with_var = any(s.noise_variances is not None for s in series_list)
@@ -743,8 +773,8 @@ def export_csv(series_list, path) -> None:
             for i in range(len(s)):
                 row = [s.id, repr(float(s.times[i])), repr(float(s.values[i]))]
                 if with_var:
-                    v = 0.0 if s.noise_variances is None else float(s.noise_variances[i])
-                    row.append(repr(v))
+                    v = s.noise_variances
+                    row.append("" if v is None else repr(float(v[i])))
                 writer.writerow(row)
 
 

@@ -1,4 +1,5 @@
-"""Stationary covariance functions, their gradients and spectral densities.
+"""Stationary covariance functions, their length-scale derivative and spectral
+densities.
 
 Two families are provided: the squared exponential
 
@@ -33,7 +34,7 @@ series (:attr:`~shortgp.series.TimeSeries.distances`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -46,11 +47,9 @@ __all__ = [
     "MATERN",
     "FITTING_NUS",
     "KernelSpec",
-    "KernelGradient",
     "FactorizationError",
     "covariance",
     "covariance_matrix",
-    "covariance_gradient",
     "spectral_density",
     "factor_covariance",
 ]
@@ -98,17 +97,6 @@ class KernelSpec:
         cls, nu: float, signal_variance: float, length_scale: float
     ) -> "KernelSpec":
         return cls(MATERN, signal_variance, length_scale, nu=float(nu))
-
-    def with_params(self, **kwargs) -> "KernelSpec":
-        return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class KernelGradient:
-    """Partial derivatives of k(r) with respect to sf2 and l."""
-
-    d_signal_variance: float
-    d_length_scale: float
 
 
 def _log_bessel_k(order: float, u):
@@ -195,10 +183,6 @@ def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     return _cov_and_dcov_dl(spec, r, d_length_scale=False)[0]
 
 
-def _dcov_dl_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    return _cov_and_dcov_dl(spec, r)[1]
-
-
 def _zero_where_decayed(d_l: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """``d_l`` with 0 wherever ``decay`` underflowed to 0.
 
@@ -217,18 +201,6 @@ def covariance(spec: KernelSpec, r):
     arr = np.abs(np.asarray(r, dtype=float))
     out = _cov_array(spec, np.atleast_1d(arr))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def covariance_gradient(spec: KernelSpec, r) -> KernelGradient:
-    """Derivatives of k(r) with respect to the hyperparameters.
-
-    For the Matern family nu is held fixed (no smoothness gradient).
-    """
-    rr = abs(float(np.asarray(r, dtype=float)))
-    k = covariance(spec, rr)
-    d_sf2 = k / spec.signal_variance
-    d_l = float(_dcov_dl_array(spec, np.atleast_1d(np.float64(rr)))[0])
-    return KernelGradient(d_signal_variance=d_sf2, d_length_scale=d_l)
 
 
 def covariance_matrix(

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from shortgp.gp import (
     PREDICTIVE_VARIANCE_FLOOR,
     log_marginal_likelihood,
     log_marginal_likelihood_and_gradient,
-    log_marginal_likelihood_gradient,
     mse,
     posterior_at,
     predictive_log_likelihood,
@@ -17,8 +17,8 @@ from shortgp.gp import (
 from shortgp.harness import sinc
 from shortgp.kernels import (
     KernelSpec,
+    _cov_and_dcov_dl,
     _cov_array,
-    _dcov_dl_array,
     covariance_matrix,
     factor_covariance,
 )
@@ -148,8 +148,8 @@ class TestGradient:
             h = 1e-6
 
             def lml(d0, d1, d2):
-                spec2 = spec.with_params(
-                    signal_variance=sf2 * math.exp(d0), length_scale=l * math.exp(d1)
+                spec2 = replace(
+                    spec, signal_variance=sf2 * math.exp(d0), length_scale=l * math.exp(d1)
                 )
                 return log_marginal_likelihood(
                     s, spec2, NoiseModel.estimated(sn2 * math.exp(d2))
@@ -182,9 +182,9 @@ class TestGradient:
 
     def test_fixed_noise_gradient_length(self):
         s = TimeSeries([0.0, 1.0, 2.0], [0.1, -0.2, 0.4], noise_variances=[0.1, 0.1, 0.1])
-        grad = log_marginal_likelihood_gradient(
+        grad = log_marginal_likelihood_and_gradient(
             s, _se(), NoiseModel.fixed(s.noise_variances)
-        )
+        )[1]
         assert grad.shape == (2,)
 
     def test_gradient_zero_at_optimum(self):
@@ -215,11 +215,11 @@ class TestGradient:
             ]
         )
         res = minimize(neg, z0, jac=True, method="BFGS", options={"gtol": 1e-8})
-        grad = log_marginal_likelihood_gradient(
+        grad = log_marginal_likelihood_and_gradient(
             s,
             _se(math.exp(res.x[0]), math.exp(res.x[1])),
             NoiseModel.estimated(math.exp(res.x[2])),
-        )
+        )[1]
         assert np.max(np.abs(grad)) < 1e-5
         # and the polish must not have moved the optimum materially
         assert abs(-res.fun - result.log_marginal_likelihood) < 1e-4
@@ -233,7 +233,7 @@ class TestGradient:
         s = TimeSeries(t, y)
         noise = NoiseModel.estimated(0.05)
         sf2 = profile_signal_variance(s, "se", 1.2, noise)
-        grad = log_marginal_likelihood_gradient(s, _se(sf2, 1.2), noise)
+        grad = log_marginal_likelihood_and_gradient(s, _se(sf2, 1.2), noise)[1]
         assert abs(grad[0]) <= 1e-6
 
 
@@ -415,7 +415,7 @@ def _oracle_lml_and_gradient(series, kernel, noise):
     value = float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi))
     inner = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(n))
     d_sf2 = gram + jitter * np.eye(n)
-    d_l = kernel.length_scale * _dcov_dl_array(kernel, r)
+    d_l = kernel.length_scale * _cov_and_dcov_dl(kernel, r)[1]
     grad = [0.5 * float(np.sum(inner * d_sf2)), 0.5 * float(np.sum(inner * d_l))]
     if noise.is_estimated:
         grad.append(0.5 * noise.variance * float(np.trace(inner)))

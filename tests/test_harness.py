@@ -647,9 +647,10 @@ class TestPool:
         if before is None:
             pytest.skip("this BLAS build has no thread-count getters")
         monkeypatch.setattr(harness, "_fit_series", _worker_blas_threads)
-        in_workers = harness._fit_all(None, list(range(4)), 2)
-        assert in_workers == [(1, 1)] * 4
-        assert _blas_threads() == before
+        for parallelism in (2, 1):  # pool workers, then the serial path
+            in_fits = harness._fit_all(None, list(range(4)), parallelism)
+            assert in_fits == [(1, 1)] * 4, parallelism
+            assert _blas_threads() == before, parallelism
 
     def test_pin_blas_without_the_setters_does_nothing(self, monkeypatch):
         before = _blas_threads()
@@ -663,10 +664,12 @@ class TestPool:
             raise OSError(f"cannot load {path}")
 
         monkeypatch.setattr(harness, "_load_library", without_setters)
-        harness._pin_blas()
+        harness._blas_on_one_thread()()
         assert len(loaded) == 2
         monkeypatch.setattr(harness, "_load_library", missing)
-        harness._pin_blas()
+        restore = harness._blas_on_one_thread()
+        assert _blas_threads() == before
+        restore()
         assert _blas_threads() == before
 
 
@@ -705,25 +708,36 @@ class TestCsv:
         assert scenarios[2].noise_mode == "fixed"
 
     def test_round_trip(self, tmp_path):
-        series_set = [
+        with_variances = [
             TimeSeries([0.0, 0.7, 2.0], [0.1, -0.2, 0.33], [0.01, 0.02, 0.03], id="a"),
             TimeSeries([0.5, 1.5], [1.0, 2.0], [0.1, 0.2], id="b"),
         ]
-        path = tmp_path / "out.csv"
-        export_csv(series_set, path)
-        back = ingest_csv(path)
-        assert len(back) == 2
-        for orig, new in zip(series_set, back):
-            assert new.id == orig.id
-            assert np.array_equal(new.times, orig.times)
-            assert np.array_equal(new.values, orig.values)
-            assert np.array_equal(new.noise_variances, orig.noise_variances)
+        # a series without variances beside one with them keeps none
+        mixed = [with_variances[0], TimeSeries([0.5, 1.5], [1.0, 2.0], id="c")]
+        for series_set in (with_variances, mixed):
+            path = tmp_path / "out.csv"
+            export_csv(series_set, path)
+            back = ingest_csv(path)
+            assert len(back) == 2
+            for orig, new in zip(series_set, back):
+                assert new.id == orig.id
+                assert np.array_equal(new.times, orig.times)
+                assert np.array_equal(new.values, orig.values)
+                if orig.noise_variances is None:
+                    assert new.noise_variances is None
+                else:
+                    assert np.array_equal(new.noise_variances, orig.noise_variances)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("id,time,value\ng1,0,0.1\ng1,oops,0.2\n")
-        with pytest.raises(CsvFormatError, match="line 3"):
-            ingest_csv(path)
+        for text in (
+            "id,time,value\ng1,0,0.1\ng1,oops,0.2\n",
+            # a series that mixes empty and numeric variance cells
+            "id,time,value,variance\ng1,0,0.1,\ng1,1,0.2,0.02\n",
+        ):
+            path.write_text(text)
+            with pytest.raises(CsvFormatError, match="line 3"):
+                ingest_csv(path)
 
     def test_monotonicity_violation(self, tmp_path):
         path = tmp_path / "bad.csv"
