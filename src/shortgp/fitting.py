@@ -13,12 +13,25 @@ initialization, convergence thresholds and tie-breaking are all
 deterministic given the seed.
 
 Each restart drives L-BFGS-B's reverse-communication routine ``setulb``
-directly (:func:`minimize`) rather than through ``scipy.optimize.minimize``.
+directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
 At n <= 15 the wrapper's per-call bookkeeping (its scalar-function object,
 gradient memo and array checks) cost more than the likelihood itself.  The
 loop mirrors scipy's ``_minimize_lbfgsb`` for this problem: the same memory,
 line-search limit, tolerances, bound encoding, start clipping and memo of
 the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
+
+The restarts of one fit run in lockstep (:func:`_minimize_lockstep`): one
+``setulb`` state per start, advanced together round by round.  Each round
+every running member goes on until it asks for a new point or stops, and
+the points asked for are evaluated as one batch
+(:func:`shortgp.gp._lml_and_grad_batch`), which shares the Python glue and
+the small-array work of a likelihood call among the members.  The batch
+gives each member the bits a call of its own gives, so every restart takes
+the path it takes alone.  A lone point, and a member whose K is not finite
+or needs jitter, are evaluated by the one-point objective, through
+:func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
+costs more than a call, and that function owns the jitter ladder and the
+errors.
 """
 
 from __future__ import annotations
@@ -241,6 +254,12 @@ def fit(
     depend on enumeration order.  Deterministic given (series, scenario,
     seed).
 
+    An evaluation whose factorization fails, whose likelihood is not
+    finite, or whose point z is NaN (an L-BFGS-B step that overflowed) is a
+    failed evaluation, of a value worse than any likelihood, and a restart
+    that ends on such a point is dropped.  An infinite coordinate of z is
+    no failure: like any other z beyond 230 in size, it is evaluated at
+    exp(+-230).
     Raises AllStartsFailedError when no restart produces a usable optimum
     and ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, or estimated
@@ -262,30 +281,32 @@ def fit(
         for lo, hi in boxes
     ]
 
-    def natural(z: np.ndarray) -> list[float]:
+    def natural(z: np.ndarray) -> list[float] | None:
         # A z on a face of the log box, or within _ACTIVE_RTOL of it, is
         # exactly that bound, not the exp of its log, which rounds to either
         # side of it.  L-BFGS-B's projected-gradient test can stop within
         # gtol of a face without reaching it; the band puts such a stop on
         # the face, so a fit that lower_bounds_active calls active is on it.
         # Any other z lies more than the band inside the box, and so does
-        # its exp.
+        # its exp.  None for a NaN z: it is a failed evaluation.
         out = []
         for zi, (lo, hi), (zlo, zhi) in zip(z.tolist(), boxes, log_box):
             if zlo is not None and zi <= zlo + _ACTIVE_RTOL:
                 out.append(lo)
             elif zhi is not None and zi >= zhi - _ACTIVE_RTOL:
                 out.append(hi)
+            elif math.isnan(zi):
+                return None
             else:
                 out.append(math.exp(min(max(zi, -230.0), 230.0)))
         return out
 
-    def unpack(z: np.ndarray):
-        sf2, l, *sn2 = natural(z)
-        return sf2, l, NoiseModel.estimated(sn2[0]) if estimate_noise else fixed_noise
-
     def objective(z: np.ndarray):
-        sf2, l, noise = unpack(z)
+        params = natural(z)
+        if params is None:
+            return _FAILED_OBJECTIVE, np.zeros_like(z)
+        sf2, l, *sn2 = params
+        noise = NoiseModel.estimated(sn2[0]) if estimate_noise else fixed_noise
         try:
             value, grad_log = gp.log_marginal_likelihood_and_gradient(
                 series, _make_kernel(family, nu, sf2, l), noise
@@ -295,6 +316,23 @@ def fit(
         if not math.isfinite(value):
             return _FAILED_OBJECTIVE, np.zeros_like(z)
         return -value, -grad_log
+
+    def objective_batch(zs: list[np.ndarray]) -> list:
+        # objective(z) for each z, bit for bit: the batched likelihood takes
+        # the z that are not NaN when there are two or more, and objective
+        # whatever it leaves or finds failed.
+        params = [natural(z) for z in zs]
+        batched = [i for i, p in enumerate(params) if p is not None]
+        out = [None] * len(zs)
+        if len(batched) > 1:
+            sf2, l, *sn2 = zip(*(params[i] for i in batched))
+            values, grads, ok = gp._lml_and_grad_batch(
+                series, family, nu, sf2, l, sn2[0] if sn2 else None
+            )
+            for i, value, grad, done in zip(batched, (-values).tolist(), -grads, ok):
+                if done and math.isfinite(value):
+                    out[i] = value, grad
+        return [objective(z) if r is None else r for z, r in zip(zs, out)]
 
     # Initialization: sf2 at the sample variance; l log-uniform between a
     # tenth of the (reference) lower bound or sampling interval and the
@@ -319,23 +357,28 @@ def fit(
         sn0 = math.exp(rng.uniform(math.log(1e-4), math.log(sn2_hi)))
         starts.append((sf2_init, l0, sn0))
 
+    z0s = [
+        np.array([
+            math.log(min(max(v, lo, 1e-300), hi, 1e300))
+            for v, (lo, hi) in zip(start, boxes)
+        ])
+        for start in starts
+    ]
+    # A Matern length-scale probed near e^-230 overflows in dK/dl; the
+    # kernel masks those entries, so the warnings carry nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = _minimize_lockstep(objective_batch, z0s, log_box)
+
     best = None
     restarts_used = 0
-    for sf2_0, l0, sn0 in starts:
-        z0 = [
-            math.log(min(max(v, lo, 1e-300), hi, 1e300))
-            for v, (lo, hi) in zip((sf2_0, l0, sn0), boxes)
-        ]
-        # A Matern length-scale probed near e^-230 overflows in dK/dl; the
-        # kernel masks those entries, so the warnings carry nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = minimize(objective, np.array(z0), log_box)
-        if not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
+    for res in results:
+        params = natural(res.x)
+        if params is None or not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
             continue
-        sf2, l, noise = unpack(res.x)
+        sf2, l, *sn2 = params
         value = -float(res.fun)
         restarts_used += 1
-        cand = (value, l, noise.variance if estimate_noise else 0.0, sf2, bool(res.success))
+        cand = (value, l, sn2[0] if estimate_noise else 0.0, sf2, bool(res.success))
         if best is None:
             best = cand
         elif cand[0] > best[0] + _TIE_TOL:
@@ -367,10 +410,47 @@ def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
     """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` inside ``bounds``,
     a (lower, upper) pair per coordinate with None for no bound.
 
-    Drives ``setulb`` the way scipy's ``_minimize_lbfgsb`` does with
-    maxiter=_MAX_ITER, ftol=_OBJ_REL_TOL and gtol=_GRAD_TOL, so iterates,
-    ``nit``, ``nfev`` and ``success`` are those of
-    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", ...)``.
+    The one-member case of :func:`_minimize_lockstep`, so iterates, ``nit``,
+    ``nfev`` and ``success`` are those of
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", ...)``
+    with maxiter=_MAX_ITER, ftol=_OBJ_REL_TOL and gtol=_GRAD_TOL.
+    """
+    return _minimize_lockstep(lambda xs: [fun(x) for x in xs], [x0], bounds)[0]
+
+
+def _minimize_lockstep(fun_batch, x0s, bounds) -> list[OptimizeResult]:
+    """:func:`minimize` from each start in ``x0s``, all in one box, in
+    lockstep.
+
+    Each round, every running member advances until it asks for a new point
+    or stops; ``fun_batch(xs)`` then evaluates the points asked for, in
+    member order, and returns their (value, gradient) pairs.  It must give
+    each point what it gives that point alone, so that each result is that
+    of the member's own :func:`minimize`.
+    """
+    runs = [_lbfgsb(x0, bounds) for x0 in x0s]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        xs = list(pending.values())
+        evaluated = fun_batch(xs)
+        asked, pending = pending, {}
+        for i, value in zip(asked, evaluated):
+            try:
+                pending[i] = runs[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+    return results
+
+
+def _lbfgsb(x0: np.ndarray, bounds):
+    """One L-BFGS-B run as a generator: it yields each point whose
+    (value, gradient) it needs, is sent that pair, and returns the
+    OptimizeResult.
+
+    Drives ``setulb`` the way scipy's ``_minimize_lbfgsb`` does, with the
+    memo of the last evaluated point inside the run, so a repeated point is
+    not yielded and counts no evaluation.
     """
     lb = np.array([-math.inf if lo is None else lo for lo, _ in bounds])
     ub = np.array([math.inf if hi is None else hi for _, hi in bounds])
@@ -396,7 +476,7 @@ def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
     # lists of floats is np.array_equal here (NaN never matches) at a tenth
     # of its cost.
     x_seen = x.tolist()
-    f_seen, g_seen = fun(x.copy())
+    f_seen, g_seen = yield x.copy()
     nfev, nit = 1, 0
     while True:
         # g is copied before every call, as scipy does, so setulb never
@@ -409,7 +489,7 @@ def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
             x_now = x.tolist()
             if x_now != x_seen:
                 x_seen = x_now
-                f_seen, g_seen = fun(x.copy())
+                f_seen, g_seen = yield x.copy()
                 nfev += 1
             f, g = f_seen, g_seen
         elif state == 1:

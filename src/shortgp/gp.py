@@ -24,6 +24,19 @@ that K^-1 is solved from is one cached read-only array per n; K and dK/dl
 come from one exponential; estimated noise is added to the diagonal as a
 scalar; and without jitter the Gram matrix itself is dK/dlog sf2.  Each of
 these gives the bits the direct computation gives.
+
+A fit runs its restarts in lockstep (:mod:`~shortgp.fitting`), and
+:func:`_lml_and_grad_batch` evaluates the points they ask for together, as
+one (B, n, n) problem, from raw hyperparameter arrays: no
+:class:`~shortgp.kernels.KernelSpec` or :class:`NoiseModel` is built per
+point.  The kernel, the noise diagonal, the finiteness check and the
+reductions run batched; ``dpotrf``, both ``dpotrs`` calls and ``y @ alpha``
+run per member, because their batched counterparts do not give the per-call
+bits.  A member whose K is not finite, or whose first factorization fails,
+is left to :func:`log_marginal_likelihood_and_gradient`, which owns the
+jitter ladder and the errors, so each of them exists once.  Both functions
+end in :func:`_value_and_gradient`, the per-call one as a batch of one, so
+the formula of the value and the gradient exists once too.
 """
 
 from __future__ import annotations
@@ -33,9 +46,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .kernels import KernelSpec, _cov_and_dcov_dl, _cov_array, factor_covariance
+from .kernels import KernelSpec, _closed_form, _cov_and_dcov_dl, _cov_array, factor_covariance
 from .series import NoiseModel, TimeSeries
 
 __all__ = [
@@ -119,21 +132,96 @@ def log_marginal_likelihood_and_gradient(
     during factorization scales with sf2, so the sf2 component stays exact.
     """
     gram, d_l, chol, jitter = _factorize(series, kernel, noise, d_length_scale=True)
-    value, alpha = _value_and_alpha(series.values, chol)
-
-    eye = _identity(len(series))
-    k_inv = _solve(chol, eye)
-    # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
-    inner = alpha[:, None] * alpha - k_inv
-
     # dK/dlog sf2 is the whole sf2-scaled block, jitter included; gram
     # has no -0.0 entries, so gram + 0 * eye would be gram bit for bit.
-    d_sf2 = gram + jitter * eye if jitter else gram
-    d_l = kernel.length_scale * d_l
-    grad = [0.5 * float((inner * d_sf2).sum()), 0.5 * float((inner * d_l).sum())]
-    if noise.is_estimated:
-        grad.append(0.5 * noise.variance * float(inner.trace()))
-    return value, np.array(grad)
+    d_sf2 = gram + jitter * _identity(len(series)) if jitter else gram
+    values, grads = _value_and_gradient(
+        series.values,
+        chol[None],
+        d_sf2[None],
+        (kernel.length_scale * d_l)[None],
+        [noise.variance] if noise.is_estimated else None,
+    )
+    return float(values[0]), grads[0]
+
+
+def _lml_and_grad_batch(
+    series: TimeSeries, family: str, nu: float | None, sf2, l, sn2=None
+) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """:func:`log_marginal_likelihood_and_gradient` of B members at once.
+
+    ``sf2``, ``l`` and ``sn2`` are sequences of B positive floats, the
+    hyperparameters of an SE or half-integer Matern kernel; ``sn2`` None
+    takes the series' fixed per-point variances.  Returns the values (B,),
+    the gradients (B, 2 or 3) and, as a list, a mask of the members
+    evaluated here.  A member outside the mask has a K that is not finite,
+    or one that needs jitter; its row holds no result, and the caller
+    evaluates it through :func:`log_marginal_likelihood_and_gradient`.
+    Every row inside the mask is bitwise that function's result.
+    """
+    n = len(series)
+    b = len(sf2)
+    ls = np.array(l).reshape(b, 1, 1)
+    gram, d_l = _closed_form(
+        family, nu, np.array(sf2).reshape(b, 1, 1), ls, series.distances
+    )
+    k = gram.copy()
+    k.reshape(b, n * n)[:, :: n + 1] += (
+        series.noise_variances if sn2 is None else np.array(sn2)[:, None]
+    )
+    ok = np.isfinite(k).all(axis=(1, 2)).tolist()
+
+    # K is exactly symmetric, so each member of the transpose is its own K
+    # in Fortran order, which dpotrf factors in place.
+    chols = k.transpose(0, 2, 1)
+    for i in range(b):
+        if ok[i]:
+            ok[i] = not dpotrf(chols[i], lower=1, clean=1, overwrite_a=1)[1]
+        if not ok[i]:
+            # Neutral rows, so that the arithmetic below warns nothing.
+            k[i] = _identity(n)
+            gram[i] = 0.0
+            d_l[i] = 0.0
+    values, grads = _value_and_gradient(series.values, chols, gram, ls * d_l, sn2)
+    return values, grads, ok
+
+
+def _value_and_gradient(
+    y: np.ndarray, chols: np.ndarray, d_sf2: np.ndarray, d_l: np.ndarray, sn2
+) -> tuple[np.ndarray, np.ndarray]:
+    """log p(y) (B,) and its gradient in log coordinates (B, 2 or 3) for B
+    members, from the lower Cholesky factors of their K (B, n, n), dK/dlog
+    sf2 and dK/dlog l; ``sn2`` is the B estimated noise variances, or None
+    for fixed noise.
+
+    ``dpotrs`` and ``y @ alpha`` run per member, because their batched
+    counterparts do not give the bits of one member's call; the rest runs
+    batched.  y and the identity are solved for in place, in rows filled
+    with them beforehand (the assignments then copy nothing).
+    """
+    b, n = chols.shape[:2]
+    half_y = -0.5 * y
+    alphas = np.empty((b, n))
+    alphas[...] = y
+    k_invs = np.empty((b, n, n))
+    k_invs[...] = _identity(n)
+    k_invs = k_invs.transpose(0, 2, 1)
+    y_alpha = np.empty(b)
+    for i in range(b):
+        alphas[i] = dpotrs(chols[i], alphas[i], lower=1, overwrite_b=1)[0]
+        k_invs[i] = dpotrs(chols[i], k_invs[i], lower=1, overwrite_b=1)[0]
+        y_alpha[i] = half_y @ alphas[i]
+
+    logdet = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    values = y_alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI
+    # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
+    inner = alphas[:, :, None] * alphas[:, None, :] - k_invs
+    grads = np.empty((b, 2 if sn2 is None else 3))
+    grads[:, 0] = 0.5 * (inner * d_sf2).reshape(b, n * n).sum(axis=1)
+    grads[:, 1] = 0.5 * (inner * d_l).reshape(b, n * n).sum(axis=1)
+    if sn2 is not None:
+        grads[:, 2] = 0.5 * np.array(sn2) * inner.diagonal(axis1=1, axis2=2).sum(axis=1)
+    return values, grads
 
 
 def posterior_at(

@@ -146,36 +146,57 @@ def _cov_and_dcov_dl(
     the same factors as a separate evaluation would, so both are bitwise
     what each formula gives on its own.
     """
-    sf2 = spec.signal_variance
-    l = spec.length_scale
-    nu = spec.nu
+    if spec.family == MATERN and spec.nu not in FITTING_NUS:
+        k = _matern_general(spec, r, d_length_scale=False)
+        d_l = _matern_general(spec, r, d_length_scale=True) if d_length_scale else None
+        return k, d_l
+    return _closed_form(
+        spec.family, spec.nu, spec.signal_variance, spec.length_scale, r, d_length_scale
+    )
+
+
+def _power(l, k: int):
+    """``l ** k``, taken per element as Python floats when ``l`` is an array:
+    numpy's array power differs from the float power in the last bit for
+    about one l in twenty."""
+    if isinstance(l, np.ndarray):
+        return np.array([v**k for v in l.ravel().tolist()]).reshape(l.shape)
+    return l**k
+
+
+def _closed_form(
+    family: str, nu: float | None, sf2, l, r: np.ndarray, d_length_scale: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_cov_and_dcov_dl` of the SE and half-integer Matern families,
+    from raw hyperparameters.
+
+    ``sf2`` and ``l`` are floats, or arrays of shape (B, 1, 1) that give one
+    (B, n, n) covariance per member; every element is bitwise what the float
+    call for its member gives.
+    """
     d_l = None
-    if spec.family == SQUARED_EXPONENTIAL:
+    if family == SQUARED_EXPONENTIAL:
         k = sf2 * np.exp(-0.5 * (r / l) ** 2)
         if d_length_scale:
-            d_l = k * r * r / l**3
+            d_l = k * r * r / _power(l, 3)
     elif nu == 0.5:
         k = sf2 * np.exp(-r / l)
         if d_length_scale:
-            d_l = k * r / l**2
+            d_l = k * r / _power(l, 2)
     elif nu == 1.5:
         u = (math.sqrt(3.0) / l) * r
         decay = np.exp(-u)
         k = sf2 * (1.0 + u) * decay
         if d_length_scale:
-            d_l = _zero_where_decayed(sf2 * 3.0 * r * r / l**3 * decay, decay)
-    elif nu == 2.5:
+            d_l = _zero_where_decayed(sf2 * 3.0 * r * r / _power(l, 3) * decay, decay)
+    else:
         u = (math.sqrt(5.0) / l) * r
         decay = np.exp(-u)
         k = sf2 * (1.0 + u + u * u / 3.0) * decay
         if d_length_scale:
             d_l = _zero_where_decayed(
-                sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * decay, decay
+                sf2 * (5.0 * r * r / (3.0 * _power(l, 3))) * (1.0 + u) * decay, decay
             )
-    else:
-        k = _matern_general(spec, r, d_length_scale=False)
-        if d_length_scale:
-            d_l = _matern_general(spec, r, d_length_scale=True)
     return k, d_l
 
 

@@ -316,18 +316,51 @@ class TestFit:
             fit(series, "matern", scenario, seed=15, nu=2.5)
 
     def test_all_starts_failed(self, monkeypatch):
-        from shortgp import gp as gp_module
-
-        def boom(*args, **kwargs):
-            raise FactorizationError("forced")
-
-        monkeypatch.setattr(
-            gp_module, "log_marginal_likelihood_and_gradient", boom
-        )
+        _force_factorization_errors(monkeypatch)
         series = _sinc_series(n=5)
         scenario = make_scenarios(series, "se")[0]
         with pytest.raises(AllStartsFailedError):
             fit(series, "se", scenario, seed=0)
+
+    def test_non_finite_steps_are_failed_evaluations(self, monkeypatch):
+        # At this scale the likelihood's gradient overflows, and L-BFGS-B
+        # steps to NaN z; those must be failed evaluations, not errors.
+        lockstep = fitting._minimize_lockstep
+        asked, objectives = [], []
+
+        def recorder(fun_batch, x0s, bounds):
+            def batch(xs):
+                outs = fun_batch(xs)
+                asked.extend(zip(xs, outs))
+                return outs
+
+            objectives.append(fun_batch)
+            return lockstep(batch, x0s, bounds)
+
+        monkeypatch.setattr(fitting, "_minimize_lockstep", recorder)
+        t = np.arange(7.0)
+        series = TimeSeries(t, np.sin(t) * 1e140)
+        with pytest.raises(AllStartsFailedError):
+            fit(series, "se", make_scenarios(series, "se")[0], seed=0)
+        nan = [out for x, out in asked if np.isnan(x).any()]
+        assert nan
+        for value, grad in nan:
+            assert value == fitting._FAILED_OBJECTIVE and not grad.any()
+
+        # An infinite coordinate is no failure: it is evaluated at
+        # exp(+-230), as any z beyond 230 in size is, alone and in a batch.
+        series = _sinc_series(n=5)
+        fit(series, "se", make_scenarios(series, "se")[0], seed=0)
+        objective = objectives[-1]
+        for far in (-math.inf, math.inf):
+            z = np.array([far, 0.0, -2.0])
+            clamped = np.array([math.copysign(230.0, far), 0.0, -2.0])
+            outs = objective([z]) + objective([clamped]) + objective([z, clamped])
+            for value, grad in outs[1:]:
+                assert value == outs[0][0]
+                assert grad.tobytes() == outs[0][1].tobytes()
+            if far < 0:
+                assert outs[0][0] < fitting._FAILED_OBJECTIVE * 0.5
 
     def test_bound_activity_flag(self):
         series = _sinc_series(n=5, rep=7)
@@ -358,34 +391,53 @@ class TestFit:
         assert near > 0
 
 
+def _force_factorization_errors(monkeypatch):
+    """Make every likelihood evaluation fail to factor K, on both paths: the
+    per-call path raises FactorizationError, and the batched path's dpotrf
+    reports a matrix that is not positive definite, which hands each member
+    to the per-call path."""
+    from shortgp import gp as gp_module
+
+    def boom(*args, **kwargs):
+        raise FactorizationError("forced")
+
+    def not_positive_definite(a, **kwargs):
+        return np.array(a, order="F"), 1
+
+    monkeypatch.setattr(gp_module, "log_marginal_likelihood_and_gradient", boom)
+    monkeypatch.setattr(gp_module, "dpotrf", not_positive_definite)
+
+
 class TestDriverMatchesScipyMinimize:
-    """``fitting.minimize`` drives L-BFGS-B's ``setulb`` itself; every run
-    that ``fit`` makes must equal scipy.optimize.minimize's L-BFGS-B run
-    from the same start in the same box, bit for bit."""
+    """``fit`` drives L-BFGS-B's ``setulb`` itself, with its restarts in
+    lockstep over a batched objective; every run must equal
+    scipy.optimize.minimize's L-BFGS-B run from the same start in the same
+    box on the one-point objective, bit for bit."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        driver = fitting.minimize
+        lockstep = fitting._minimize_lockstep
         recorded = []
 
-        def recorder(fun, x0, bounds):
-            ours = driver(fun, x0, bounds)
-            ref = scipy.optimize.minimize(
-                fun,
-                x0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={
-                    "maxiter": fitting._MAX_ITER,
-                    "ftol": fitting._OBJ_REL_TOL,
-                    "gtol": fitting._GRAD_TOL,
-                },
-            )
-            recorded.append((ours, ref, bounds))
-            return ours
+        def recorder(fun_batch, x0s, bounds):
+            results = lockstep(fun_batch, x0s, bounds)
+            for ours, x0 in zip(results, x0s):
+                ref = scipy.optimize.minimize(
+                    lambda x: fun_batch([x])[0],
+                    x0,
+                    jac=True,
+                    method="L-BFGS-B",
+                    bounds=bounds,
+                    options={
+                        "maxiter": fitting._MAX_ITER,
+                        "ftol": fitting._OBJ_REL_TOL,
+                        "gtol": fitting._GRAD_TOL,
+                    },
+                )
+                recorded.append((ours, ref, bounds))
+            return results
 
-        monkeypatch.setattr(fitting, "minimize", recorder)
+        monkeypatch.setattr(fitting, "_minimize_lockstep", recorder)
         return recorded
 
     @staticmethod
@@ -413,12 +465,7 @@ class TestDriverMatchesScipyMinimize:
         self._assert_same(runs)
 
     def test_every_evaluation_failed(self, runs, monkeypatch):
-        from shortgp import gp as gp_module
-
-        def boom(*args, **kwargs):
-            raise FactorizationError("forced")
-
-        monkeypatch.setattr(gp_module, "log_marginal_likelihood_and_gradient", boom)
+        _force_factorization_errors(monkeypatch)
         series = _sinc_series(n=5)
         with pytest.raises(AllStartsFailedError):
             fit(series, "se", make_scenarios(series, "se")[0], seed=0)

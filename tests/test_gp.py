@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 
+from shortgp import gp
 from shortgp.gp import (
     PREDICTIVE_VARIANCE_FLOOR,
     log_marginal_likelihood,
@@ -495,3 +498,104 @@ class TestBitwiseAgainstScipyRoute:
         o_chol, o_jitter = _oracle_factor(k, 1.0)
         assert jitter > 0.0 and jitter == o_jitter
         assert np.array_equal(chol, o_chol)
+
+
+_FITTING_FAMILIES = [("se", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5)]
+
+
+def _kernel(family, nu, sf2, l):
+    return KernelSpec.se(sf2, l) if family == "se" else KernelSpec.matern(nu, sf2, l)
+
+
+def _noise(series, sn2):
+    if sn2 is None:
+        return NoiseModel.fixed(series.noise_variances)
+    return NoiseModel.estimated(sn2)
+
+
+def _per_call(series, family, nu, sf2, l, sn2):
+    # Members with extreme hyperparameters overflow as a fit's do; fit
+    # silences the same warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log_marginal_likelihood_and_gradient(
+            series, _kernel(family, nu, sf2, l), _noise(series, sn2)
+        )
+
+
+def _jitter(series, family, nu, sf2, l, sn2):
+    """The jitter the per-call path adds to this member's K."""
+    return gp._factorize(series, _kernel(family, nu, sf2, l), _noise(series, sn2))[3]
+
+
+@st.composite
+def _batches(draw):
+    """A series of 2 to 15 points, a fitting family, estimated or fixed
+    noise, and 1 to 20 members' hyperparameters."""
+    n = draw(st.integers(2, 15))
+    b = draw(st.integers(1, 20))
+    family, nu = draw(st.sampled_from(_FITTING_FAMILIES))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    variances = None
+    if draw(st.booleans()):
+        variances = draw(st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n))
+    series = TimeSeries(times, values, variances)
+
+    def members(lo, hi):
+        logs = draw(st.lists(st.floats(lo, hi), min_size=b, max_size=b))
+        return [math.exp(v) for v in logs]
+
+    sf2, l = members(-5.0, 5.0), members(-4.0, 4.0)
+    sn2 = None if variances is not None else members(-12.0, 1.0)
+    return series, family, nu, sf2, l, sn2
+
+
+class TestBatchedLikelihood:
+    """``gp._lml_and_grad_batch`` gives every member it evaluates the bits
+    of log_marginal_likelihood_and_gradient, and leaves to it exactly the
+    members that need jitter or whose K is not finite."""
+
+    @staticmethod
+    def _check_members(series, family, nu, sf2, l, sn2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, grads, ok = gp._lml_and_grad_batch(series, family, nu, sf2, l, sn2)
+        assert values.shape == (len(sf2),) and len(ok) == len(sf2)
+        assert grads.shape == (len(sf2), 2 if sn2 is None else 3)
+        for i, done in enumerate(ok):
+            member = (sf2[i], l[i], None if sn2 is None else sn2[i])
+            if not done:
+                continue
+            value, grad = _per_call(series, family, nu, *member)
+            assert values[i] == value
+            assert grads[i].shape == grad.shape
+            assert all(a == b for a, b in zip(grads[i].tolist(), grad.tolist()))
+        return ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=_batches())
+    def test_every_member_is_bitwise_the_per_call_result(self, batch):
+        series, family, nu, sf2, l, sn2 = batch
+        ok = self._check_members(series, family, nu, sf2, l, sn2)
+        for i, done in enumerate(ok):
+            if not done:
+                # left to the per-call path only when that path jitters
+                member = (sf2[i], l[i], None if sn2 is None else sn2[i])
+                assert _jitter(series, family, nu, *member) > 0.0
+
+    @pytest.mark.parametrize("family, nu", _FITTING_FAMILIES)
+    def test_jittered_and_non_finite_members_take_the_per_call_path(self, family, nu):
+        # The first two times differ by less than any distance resolves, so
+        # a member with negligible noise has a singular K; a member whose
+        # signal and noise variances sum past the largest float has an
+        # infinite diagonal.
+        t = np.array([0.0, 1e-300, 1.0, 2.5, 4.0])
+        series = TimeSeries(t, [0.3, 0.1, -0.2, 0.1, 0.5])
+        sf2 = [1.3, 1.3, 1e308, 0.7]
+        l = [2.0, 2.0, 2.0, 0.9]
+        sn2 = [0.1, 1e-300, 1e308, 0.02]
+        ok = self._check_members(series, family, nu, sf2, l, sn2)
+        assert ok == [True, False, False, True]
+        assert _jitter(series, family, nu, sf2[1], l[1], sn2[1]) > 0.0
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _per_call(series, family, nu, sf2[2], l[2], sn2[2])

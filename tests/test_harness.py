@@ -462,6 +462,19 @@ class TestBatchContract:
                 assert row.failed or _in_box(row, scenario), (series.id, row.scenario)
 
 
+    @pytest.mark.parametrize("scale", [1e140, 1e150])
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_extreme_scales_give_a_record_per_scenario(self, scale, scenario_set):
+        # the likelihood's gradient overflows at these scales, and L-BFGS-B
+        # steps to points that are not finite
+        t = np.arange(7.0)
+        series = TimeSeries(t, np.sin(t) * scale, np.full(7, 0.04), id="big")
+        report = run_batch([series], scenario_set=scenario_set)
+        assert len(report.rows) == 4
+        assert [r.scenario for r in report.rows] == report.scenario_labels
+        assert [r.series_id for r in report.rows] == ["big"] * 4
+
+
 # (looser, tighter) scenario indices whose boxes nest, per preset set
 _NESTING = {
     "synthetic": set(_NESTED_PAIRS),
