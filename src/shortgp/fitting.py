@@ -23,12 +23,13 @@ the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
 The restarts of one fit run in lockstep (:func:`_minimize_lockstep`): one
 ``setulb`` state per start, advanced together round by round.  Each round
 every running member goes on until it asks for a new point or stops, and
-the points asked for are evaluated as one batch
-(:func:`shortgp.gp._lml_and_grad_batch`), which shares the Python glue and
-the small-array work of a likelihood call among the members.  The batch
-gives each member the bits a call of its own gives, so every restart takes
-the path it takes alone.  A lone point, and a member whose K is not finite
-or needs jitter, are evaluated by the one-point objective, through
+the points asked for are evaluated by one objective.  It maps each point
+to natural units once and hands two or more of them to
+:func:`shortgp.gp._lml_and_grad_batch` as one parameter array, which shares
+the Python glue and the small-array work of a likelihood call among the
+members.  The batch gives each member the bits a call of its own gives, so
+every restart takes the path it takes alone.  A lone point, and a member
+whose K is not finite or needs jitter, go to
 :func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
 costs more than a call, and that function owns the jitter ladder and the
 errors.
@@ -171,7 +172,6 @@ class FitResult:
     bound_lower_active: dict[str, bool]
     restarts_used: int
     converged: bool
-    scenario_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,9 @@ def fit(
     failed evaluation, of a value worse than any likelihood, and a restart
     that ends on such a point is dropped.  An infinite coordinate of z is
     no failure: like any other z beyond 230 in size, it is evaluated at
-    exp(+-230).
+    exp(+-230).  So the parameters are not unit-free: on values around 1e100
+    or larger, sf2 (at most e^230, about 7.7e99) cannot reach var(y), and
+    every restart fails.
     Raises AllStartsFailedError when no restart produces a usable optimum
     and ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, or estimated
@@ -301,38 +303,36 @@ def fit(
                 out.append(math.exp(min(max(zi, -230.0), 230.0)))
         return out
 
-    def objective(z: np.ndarray):
-        params = natural(z)
-        if params is None:
-            return _FAILED_OBJECTIVE, np.zeros_like(z)
-        sf2, l, *sn2 = params
-        noise = NoiseModel.estimated(sn2[0]) if estimate_noise else fixed_noise
-        try:
-            value, grad_log = gp.log_marginal_likelihood_and_gradient(
-                series, _make_kernel(family, nu, sf2, l), noise
-            )
-        except FactorizationError:
-            return _FAILED_OBJECTIVE, np.zeros_like(z)
-        if not math.isfinite(value):
-            return _FAILED_OBJECTIVE, np.zeros_like(z)
-        return -value, -grad_log
-
-    def objective_batch(zs: list[np.ndarray]) -> list:
-        # objective(z) for each z, bit for bit: the batched likelihood takes
-        # the z that are not NaN when there are two or more, and objective
-        # whatever it leaves or finds failed.
+    def objective(zs: list[np.ndarray]) -> list:
+        # (-log p, -gradient) at each z, each z mapped once.  Two or more
+        # points go to the batched likelihood as one array; a lone point,
+        # and a member the batch leaves (K not finite, or jitter needed), to
+        # the per-call one, which owns the jitter ladder and the errors.
+        # Both give the same bits, so each z gets what it gets alone.
         params = [natural(z) for z in zs]
+        found = [None] * len(zs)
         batched = [i for i, p in enumerate(params) if p is not None]
-        out = [None] * len(zs)
         if len(batched) > 1:
-            sf2, l, *sn2 = zip(*(params[i] for i in batched))
             values, grads, ok = gp._lml_and_grad_batch(
-                series, family, nu, sf2, l, sn2[0] if sn2 else None
+                series, family, nu, np.array([params[i] for i in batched])
             )
-            for i, value, grad, done in zip(batched, (-values).tolist(), -grads, ok):
-                if done and math.isfinite(value):
-                    out[i] = value, grad
-        return [objective(z) if r is None else r for z, r in zip(zs, out)]
+            for i, value, grad, done in zip(batched, values.tolist(), grads, ok):
+                found[i] = (value, grad) if done else None
+        out = []
+        for p, pair in zip(params, found):
+            if pair is None and p is not None:
+                noise = NoiseModel.estimated(p[2]) if estimate_noise else fixed_noise
+                try:
+                    pair = gp.log_marginal_likelihood_and_gradient(
+                        series, _make_kernel(family, nu, p[0], p[1]), noise
+                    )
+                except FactorizationError:
+                    pass
+            if pair is None or not math.isfinite(pair[0]):
+                out.append((_FAILED_OBJECTIVE, np.zeros(len(boxes))))
+            else:
+                out.append((-pair[0], -pair[1]))
+        return out
 
     # Initialization: sf2 at the sample variance; l log-uniform between a
     # tenth of the (reference) lower bound or sampling interval and the
@@ -367,7 +367,7 @@ def fit(
     # A Matern length-scale probed near e^-230 overflows in dK/dl; the
     # kernel masks those entries, so the warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        results = _minimize_lockstep(objective_batch, z0s, log_box)
+        results = _minimize_lockstep(objective, z0s, log_box)
 
     best = None
     restarts_used = 0
@@ -379,13 +379,10 @@ def fit(
         value = -float(res.fun)
         restarts_used += 1
         cand = (value, l, sn2[0] if estimate_noise else 0.0, sf2, bool(res.success))
-        if best is None:
-            best = cand
-        elif cand[0] > best[0] + _TIE_TOL:
-            best = cand
-        elif abs(cand[0] - best[0]) <= _TIE_TOL and (cand[1], cand[2]) < (
-            best[1],
-            best[2],
+        if (
+            best is None
+            or cand[0] > best[0] + _TIE_TOL
+            or (abs(cand[0] - best[0]) <= _TIE_TOL and cand[1:3] < best[1:3])
         ):
             best = cand
 
@@ -402,7 +399,6 @@ def fit(
         bound_lower_active=lower_bounds_active(scenario, l, sn2),
         restarts_used=restarts_used,
         converged=converged,
-        scenario_label=scenario.label,
     )
 
 

@@ -27,14 +27,16 @@ these gives the bits the direct computation gives.
 
 A fit runs its restarts in lockstep (:mod:`~shortgp.fitting`), and
 :func:`_lml_and_grad_batch` evaluates the points they ask for together, as
-one (B, n, n) problem, from raw hyperparameter arrays: no
-:class:`~shortgp.kernels.KernelSpec` or :class:`NoiseModel` is built per
+one (B, n, n) problem, from one (B, 2 or 3) array of raw hyperparameters:
+no :class:`~shortgp.kernels.KernelSpec` or :class:`NoiseModel` is built per
 point.  The kernel, the noise diagonal, the finiteness check and the
-reductions run batched; ``dpotrf``, both ``dpotrs`` calls and ``y @ alpha``
-run per member, because their batched counterparts do not give the per-call
-bits.  A member whose K is not finite, or whose first factorization fails,
-is left to :func:`log_marginal_likelihood_and_gradient`, which owns the
-jitter ladder and the errors, so each of them exists once.  Both functions
+reductions run batched; ``dpotrf``, ``dpotrs`` and ``y @ alpha`` run per
+member, because their batched counterparts do not give the per-call bits.
+Each member solves for alpha and K^-1 in one ``dpotrs`` call on [y | I],
+whose columns each have the bits of their own solve.  A member whose K is
+not finite, or whose first factorization fails, is left to
+:func:`log_marginal_likelihood_and_gradient`, which owns the jitter ladder
+and the errors, so each of them exists once.  Both functions
 end in :func:`_value_and_gradient`, the per-call one as a batch of one, so
 the formula of the value and the gradient exists once too.
 """
@@ -102,24 +104,15 @@ def _factorize(
     return gram, d_l, chol, jitter
 
 
-def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K^-1 b from the lower Cholesky factor of K."""
-    return dpotrs(chol, b, lower=1)[0]
-
-
-def _value_and_alpha(y: np.ndarray, chol: np.ndarray) -> tuple[float, np.ndarray]:
-    """log p(y) and alpha = K^-1 y from the lower Cholesky factor of K."""
-    alpha = _solve(chol, y)
-    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * len(y) * _LOG_2PI), alpha
-
-
 def log_marginal_likelihood(
     series: TimeSeries, kernel: KernelSpec, noise: NoiseModel
 ) -> float:
     """log p(y) = -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
     chol = _factorize(series, kernel, noise)[2]
-    return _value_and_alpha(series.values, chol)[0]
+    y = series.values
+    alpha = dpotrs(chol, y, lower=1)[0]
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
+    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * len(y) * _LOG_2PI)
 
 
 def log_marginal_likelihood_and_gradient(
@@ -146,28 +139,27 @@ def log_marginal_likelihood_and_gradient(
 
 
 def _lml_and_grad_batch(
-    series: TimeSeries, family: str, nu: float | None, sf2, l, sn2=None
+    series: TimeSeries, family: str, nu: float | None, params: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[bool]]:
     """:func:`log_marginal_likelihood_and_gradient` of B members at once.
 
-    ``sf2``, ``l`` and ``sn2`` are sequences of B positive floats, the
-    hyperparameters of an SE or half-integer Matern kernel; ``sn2`` None
-    takes the series' fixed per-point variances.  Returns the values (B,),
-    the gradients (B, 2 or 3) and, as a list, a mask of the members
-    evaluated here.  A member outside the mask has a K that is not finite,
-    or one that needs jitter; its row holds no result, and the caller
-    evaluates it through :func:`log_marginal_likelihood_and_gradient`.
-    Every row inside the mask is bitwise that function's result.
+    ``params`` is a (B, 2 or 3) array of positive (sf2, l[, sn2]), the
+    hyperparameters of an SE or half-integer Matern kernel; two columns take
+    the series' fixed per-point variances.  Returns the values (B,), the
+    gradients (B, 2 or 3) and, as a list, a mask of the members evaluated
+    here.  A member outside the mask has a K that is not finite, or one that
+    needs jitter; its row holds no result, and the caller evaluates it
+    through :func:`log_marginal_likelihood_and_gradient`.  Every row inside
+    the mask is bitwise that function's result.
     """
     n = len(series)
-    b = len(sf2)
-    ls = np.array(l).reshape(b, 1, 1)
-    gram, d_l = _closed_form(
-        family, nu, np.array(sf2).reshape(b, 1, 1), ls, series.distances
-    )
+    b = len(params)
+    sf2, ls = params[:, :2].T.reshape(2, b, 1, 1)
+    sn2 = params[:, 2] if params.shape[1] == 3 else None
+    gram, d_l = _closed_form(family, nu, sf2, ls, series.distances)
     k = gram.copy()
     k.reshape(b, n * n)[:, :: n + 1] += (
-        series.noise_variances if sn2 is None else np.array(sn2)[:, None]
+        series.noise_variances if sn2 is None else sn2[:, None]
     )
     ok = np.isfinite(k).all(axis=(1, 2)).tolist()
 
@@ -196,21 +188,24 @@ def _value_and_gradient(
 
     ``dpotrs`` and ``y @ alpha`` run per member, because their batched
     counterparts do not give the bits of one member's call; the rest runs
-    batched.  y and the identity are solved for in place, in rows filled
-    with them beforehand (the assignments then copy nothing).
+    batched.  Each member solves [y | I] in one ``dpotrs`` call, in place,
+    in a Fortran-ordered block filled with them beforehand (the assignment
+    then copies nothing): alpha = K^-1 y is its first column and K^-1 the
+    rest.  Each column of a multi-column solve has the bits of its own
+    solve.
     """
     b, n = chols.shape[:2]
     half_y = -0.5 * y
-    alphas = np.empty((b, n))
-    alphas[...] = y
-    k_invs = np.empty((b, n, n))
-    k_invs[...] = _identity(n)
-    k_invs = k_invs.transpose(0, 2, 1)
+    solved = np.empty((b, n + 1, n))
+    solved[:, 0] = y
+    solved[:, 1:] = _identity(n)
+    blocks = solved.transpose(0, 2, 1)
     y_alpha = np.empty(b)
     for i in range(b):
-        alphas[i] = dpotrs(chols[i], alphas[i], lower=1, overwrite_b=1)[0]
-        k_invs[i] = dpotrs(chols[i], k_invs[i], lower=1, overwrite_b=1)[0]
-        y_alpha[i] = half_y @ alphas[i]
+        blocks[i] = dpotrs(chols[i], blocks[i], lower=1, overwrite_b=1)[0]
+        y_alpha[i] = half_y @ solved[i, 0]
+    alphas = solved[:, 0]
+    k_invs = blocks[:, :, 1:]
 
     logdet = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
     values = y_alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI
@@ -220,7 +215,7 @@ def _value_and_gradient(
     grads[:, 0] = 0.5 * (inner * d_sf2).reshape(b, n * n).sum(axis=1)
     grads[:, 1] = 0.5 * (inner * d_l).reshape(b, n * n).sum(axis=1)
     if sn2 is not None:
-        grads[:, 2] = 0.5 * np.array(sn2) * inner.diagonal(axis1=1, axis2=2).sum(axis=1)
+        grads[:, 2] = 0.5 * np.asarray(sn2) * inner.diagonal(axis1=1, axis2=2).sum(axis=1)
     return values, grads
 
 
@@ -233,7 +228,7 @@ def posterior_at(
     """Posterior mean and variances of the latent function at ``query_times``."""
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     chol = _factorize(series, kernel, noise)[2]
-    alpha = _solve(chol, series.values)
+    alpha = dpotrs(chol, series.values, lower=1)[0]
     r_cross = np.abs(q[:, None] - series.times[None, :])
     k_cross = _cov_array(kernel, r_cross)
     if not np.isfinite(k_cross).all():

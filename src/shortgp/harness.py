@@ -515,12 +515,16 @@ def run_synthetic_experiment(
     seeded by (seed, n, replicate) alone.
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
-    still reported.
+    still reported.  A family and nu that fitting does not support, and
+    fewer than one restart, raise ValueError before any series is drawn.
     Deterministic for a given config regardless of ``parallelism``.
     """
     n_grid = [int(n) for n in n_grid]
     if family is not None:
         config = replace(config, family=family)
+    fitmod._check_family(config.family, config.nu)
+    if config.restarts < 1:
+        raise ValueError("restarts must be >= 1")
     lo, hi, count = config.test_grid
     test_times = np.linspace(lo, hi, int(count))
     settings = _RunSettings(
@@ -582,10 +586,10 @@ def run_batch(
     scenario list applied verbatim.  Preset sets rebuild the length-scale
     bound per series from its own sampling interval.  The report's labels
     come from the scenario set, not from a series, so an unknown
-    ``scenario_set``, a ``family`` and ``nu`` that fitting does not support
-    and, for a preset set, an ``alpha`` outside (0, 1) raise ValueError
-    before any fit.  A scenario's length-scale cells print "." only when its
-    floor is at least every fitted series' own bound.
+    ``scenario_set``, a ``family`` and ``nu`` that fitting does not support,
+    ``restarts`` below 1 and, for a preset set, an ``alpha`` outside (0, 1)
+    raise ValueError before any fit.  A scenario's length-scale cells print
+    "." only when its floor is at least every fitted series' own bound.
 
     A row's fit, and when a scenario's own fit is skipped, follow
     :class:`ReplicateRecord`, for an explicit list too.  Every series yields
@@ -604,6 +608,8 @@ def run_batch(
     if not series_set:
         raise ValueError("series_set must not be empty")
     fitmod._check_family(family, nu)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if isinstance(scenario_set, (list, tuple)):
         listed = list(scenario_set)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from shortgp import gp
 from shortgp.gp import (
@@ -558,8 +559,9 @@ class TestBatchedLikelihood:
 
     @staticmethod
     def _check_members(series, family, nu, sf2, l, sn2):
+        params = np.array([sf2, l] if sn2 is None else [sf2, l, sn2]).T
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads, ok = gp._lml_and_grad_batch(series, family, nu, sf2, l, sn2)
+            values, grads, ok = gp._lml_and_grad_batch(series, family, nu, params)
         assert values.shape == (len(sf2),) and len(ok) == len(sf2)
         assert grads.shape == (len(sf2), 2 if sn2 is None else 3)
         for i, done in enumerate(ok):
@@ -599,3 +601,43 @@ class TestBatchedLikelihood:
         assert _jitter(series, family, nu, sf2[1], l[1], sn2[1]) > 0.0
         with pytest.raises(ValueError, match="infs or NaNs"):
             _per_call(series, family, nu, sf2[2], l[2], sn2[2])
+
+
+@st.composite
+def _systems(draw):
+    """The lower Cholesky factor of an SE covariance over 1 to 15 random
+    times, with noise down to 1e-12 of sf2, and a random y."""
+    n = draw(st.integers(1, 15))
+    times = np.sort(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    sf2 = math.exp(draw(st.floats(-5.0, 5.0)))
+    l = math.exp(draw(st.floats(-3.0, 3.0)))
+    sn2 = sf2 * 10.0 ** draw(st.floats(-12.0, 0.0))
+    k = sf2 * np.exp(-0.5 * (np.subtract.outer(times, times) / l) ** 2)
+    k.ravel()[:: n + 1] += sn2
+    chol, info = dpotrf(k, lower=1, clean=1)
+    y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return chol, info, y
+
+
+class TestOneSolvePerMember:
+    """The likelihood solves [y | I] in one ``dpotrs`` call, in place; each
+    column must have the bits of the solve of y alone and of I alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=_systems())
+    def test_columns_match_their_own_solves(self, system):
+        chol, info, y = system
+        if info:
+            return  # not positive definite: the likelihood jitters such a K
+        n = len(y)
+        # The buffer of gp._value_and_gradient for one member.
+        solved = np.empty((1, n + 1, n))
+        solved[:, 0] = y
+        solved[:, 1:] = np.eye(n)
+        block = solved.transpose(0, 2, 1)[0]
+        out, status = dpotrs(chol, block, lower=1, overwrite_b=1)
+        assert status == 0 and np.shares_memory(out, solved)
+        alpha = dpotrs(chol, y, lower=1)[0]
+        k_inv = dpotrs(chol, np.eye(n), lower=1)[0]
+        assert solved[0, 0].tolist() == alpha.tolist()
+        assert block[:, 1:].tolist() == k_inv.tolist()

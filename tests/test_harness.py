@@ -90,7 +90,24 @@ def _toy_series_set(count=6, n=5, seed=0):
     return [generate_sinc_series(cfg, rep) for rep in range(count)]
 
 
+def _record_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a stub that records its calls."""
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
 class TestRunSyntheticExperiment:
+    @pytest.mark.parametrize(
+        "kwargs", [{"restarts": 0}, {"family": "matern", "nu": 0.7}]
+    )
+    def test_settings_fitting_rejects_raise_before_any_draw(self, monkeypatch, kwargs):
+        fits = _record_calls(monkeypatch, fitmod, "fit")
+        draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
+        with pytest.raises(ValueError):
+            run_synthetic_experiment(SyntheticConfig(replicates=2, **kwargs), [5, 7])
+        assert fits == [] and draws == []
+
     def test_small_sweep_structure(self):
         cfg = SyntheticConfig(replicates=6, seed=1, restarts=2)
         report = run_synthetic_experiment(cfg, [5])
@@ -393,6 +410,12 @@ class TestRunBatch:
             "both_bounded": {"lengthscale_impossible": True, "noise_impossible": True},
         }
         assert [r.failed for r in report.rows] == [True] * 4
+
+    def test_zero_restarts_raise_before_any_fit(self, monkeypatch):
+        fits = _record_calls(monkeypatch, fitmod, "fit")
+        with pytest.raises(ValueError, match="restarts"):
+            run_batch(_toy_series_set(count=2), "synthetic", restarts=0)
+        assert fits == []
 
     @pytest.mark.parametrize(
         "kwargs",
