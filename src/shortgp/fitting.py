@@ -33,6 +33,18 @@ whose K is not finite or needs jitter, go to
 :func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
 costs more than a call, and that function owns the jitter ladder and the
 errors.
+
+The lockstep runs over problems, not only over restarts:
+:func:`_fit_problems` fits any number of (series, scenario, seed) problems
+in one lockstep, and a round's points from series of one length and one
+noise mode go to one batched call, whatever series they come from.  The
+harness hands it one scenario of many series of one length at a time, so
+that each call amortizes its fixed cost over more members.  :func:`fit` is
+its one-problem case, and gives the same bits for a problem as the engine
+does among others.  An evaluation that overflows a float (a power of a
+huge length-scale) is a failed evaluation; a batched call that overflows
+leaves its members to the per-call path, so that only the members that
+overflow there fail.
 """
 
 from __future__ import annotations
@@ -255,151 +267,249 @@ def fit(
     seed).
 
     An evaluation whose factorization fails, whose likelihood is not
-    finite, or whose point z is NaN (an L-BFGS-B step that overflowed) is a
-    failed evaluation, of a value worse than any likelihood, and a restart
-    that ends on such a point is dropped.  An infinite coordinate of z is
-    no failure: like any other z beyond 230 in size, it is evaluated at
-    exp(+-230).  So the parameters are not unit-free: on values around 1e100
-    or larger, sf2 (at most e^230, about 7.7e99) cannot reach var(y), and
-    every restart fails.
+    finite, that overflows a float (l^3, or l^2 under Matern 1/2, beyond
+    the largest float: l of about 5.6e102, or 1.3e154, or more) or whose
+    point z is NaN (an L-BFGS-B step that overflowed) is a failed
+    evaluation, of a value worse than any likelihood, and a restart that
+    ends on such a point is dropped.
+    An infinite coordinate of z is no failure: like any other z beyond 230
+    in size, it is evaluated at exp(+-230), or at the box's bound where the
+    box lies beyond.  So the parameters are not unit-free: on values around
+    1e100 or larger, sf2 (at most e^230, about 7.7e99) cannot reach var(y),
+    and every restart fails; so does every restart of a scenario whose
+    length-scale floor overflows, as the Nyquist floor of times about 1e103
+    or more apart does.
     Raises AllStartsFailedError when no restart produces a usable optimum
     and ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, or estimated
     noise on a constant series, whose likelihood has no maximum.
+
+    This is the one-problem case of :func:`_fit_problems`.
     """
-    reason = _no_fit_reason(series, scenario)
-    if reason is not None:
-        raise ValueError(reason)
-    _check_family(family, nu)
-    if restarts < 1 and not extra_starts:
-        raise ValueError("need at least one start")
+    extra_starts = tuple(extra_starts)
+    result = _fit_problems([(series, scenario, seed)], family, nu, restarts, extra_starts)[0]
+    if result is None:
+        raise AllStartsFailedError(
+            f"all {len(extra_starts) + max(restarts, 0)} starts failed for scenario "
+            f"{scenario.label!r}"
+        )
+    return result
 
-    # The box of each optimized parameter in natural units, and its log.
-    boxes = [(0.0, math.inf), *scenario.box]
-    estimate_noise = scenario.noise_mode != NOISE_FIXED
-    fixed_noise = None if estimate_noise else NoiseModel.fixed(series.noise_variances)
-    log_box = [
-        (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
-        for lo, hi in boxes
-    ]
 
-    def natural(z: np.ndarray) -> list[float] | None:
-        # A z on a face of the log box, or within _ACTIVE_RTOL of it, is
-        # exactly that bound, not the exp of its log, which rounds to either
-        # side of it.  L-BFGS-B's projected-gradient test can stop within
-        # gtol of a face without reaching it; the band puts such a stop on
-        # the face, so a fit that lower_bounds_active calls active is on it.
-        # Any other z lies more than the band inside the box, and so does
-        # its exp.  None for a NaN z: it is a failed evaluation.
+class _Problem:
+    """The set-up of one (series, scenario, seed) of :func:`_fit_problems`:
+    the box in natural units and its log, the starts, and the map of a
+    point z back into the box."""
+
+    def __init__(self, series, family, scenario, seed, nu, restarts, extra_starts):
+        reason = _no_fit_reason(series, scenario)
+        if reason is not None:
+            raise ValueError(reason)
+        _check_family(family, nu)
+        if restarts < 1 and not extra_starts:
+            raise ValueError("need at least one start")
+        self.series = series
+        self.scenario = scenario
+        # The box of each optimized parameter in natural units, and its log.
+        self.boxes = boxes = [(0.0, math.inf), *scenario.box]
+        self.estimate_noise = scenario.noise_mode != NOISE_FIXED
+        self.fixed_noise = (
+            None if self.estimate_noise else NoiseModel.fixed(series.noise_variances)
+        )
+        self.log_box = [
+            (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
+            for lo, hi in boxes
+        ]
+
+        # Initialization: sf2 at the sample variance; l log-uniform between a
+        # tenth of the (reference) lower bound or sampling interval and the
+        # observation span; sn2 log-uniform between 1e-4 and the sample
+        # variance.
+        info = bound.delta_t_from_times(series.times)
+        if scenario.length_scale_lower > 0.0:
+            a_ref = scenario.length_scale_lower
+        else:
+            a_ref = _reference_lower_bound(family, nu, scenario.alpha, info.delta_t)
+        init_lo = max(a_ref / 10.0, info.delta_t / 10.0)
+        init_hi = max(series.span, init_lo * 10.0)
+        var_y = float(np.var(series.values))
+        sf2_init = var_y if var_y > 0.0 else 1e-8
+        sn2_hi = max(var_y, 2e-4)
+
+        rng = Generator(Philox(key=[int(seed), _FIT_STREAM]))
+        starts: list[tuple[float, float, float]] = []
+        for sf2, l, sn2 in extra_starts:
+            starts.append((float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2))
+        for _ in range(max(restarts, 0)):
+            l0 = math.exp(rng.uniform(math.log(init_lo), math.log(init_hi)))
+            sn0 = math.exp(rng.uniform(math.log(1e-4), math.log(sn2_hi)))
+            starts.append((sf2_init, l0, sn0))
+        self.z0s = [
+            np.array([
+                math.log(min(max(v, lo, 1e-300), hi, 1e300))
+                for v, (lo, hi) in zip(start, boxes)
+            ])
+            for start in starts
+        ]
+
+    def natural(self, z: np.ndarray) -> list[float] | None:
+        """(sf2, l[, sn2]) at z, or None for a NaN z: a failed evaluation.
+
+        A z on a face of the log box, or within _ACTIVE_RTOL of it, is
+        exactly that bound, not the exp of its log, which rounds to either
+        side of it.  L-BFGS-B's projected-gradient test can stop within gtol
+        of a face without reaching it; the band puts such a stop on the
+        face, so a fit that lower_bounds_active calls active is on it.  Any
+        other z lies more than the band inside the box, and so does its exp.
+        A z beyond 230 in size is taken as +-230, and a box beyond e^+-230
+        takes the bound nearest e^+-230, so that the point stays in the box.
+        """
         out = []
-        for zi, (lo, hi), (zlo, zhi) in zip(z.tolist(), boxes, log_box):
+        for zi, (lo, hi), (zlo, zhi) in zip(z.tolist(), self.boxes, self.log_box):
             if zlo is not None and zi <= zlo + _ACTIVE_RTOL:
                 out.append(lo)
             elif zhi is not None and zi >= zhi - _ACTIVE_RTOL:
                 out.append(hi)
+            elif -230.0 <= zi <= 230.0:
+                out.append(math.exp(zi))
             elif math.isnan(zi):
                 return None
             else:
-                out.append(math.exp(min(max(zi, -230.0), 230.0)))
+                out.append(min(max(math.exp(math.copysign(230.0, zi)), lo), hi))
         return out
 
-    def objective(zs: list[np.ndarray]) -> list:
-        # (-log p, -gradient) at each z, each z mapped once.  Two or more
-        # points go to the batched likelihood as one array; a lone point,
-        # and a member the batch leaves (K not finite, or jitter needed), to
-        # the per-call one, which owns the jitter ladder and the errors.
-        # Both give the same bits, so each z gets what it gets alone.
-        params = [natural(z) for z in zs]
-        found = [None] * len(zs)
-        batched = [i for i, p in enumerate(params) if p is not None]
-        if len(batched) > 1:
-            values, grads, ok = gp._lml_and_grad_batch(
-                series, family, nu, np.array([params[i] for i in batched])
-            )
-            for i, value, grad, done in zip(batched, values.tolist(), grads, ok):
-                found[i] = (value, grad) if done else None
-        out = []
-        for p, pair in zip(params, found):
-            if pair is None and p is not None:
-                noise = NoiseModel.estimated(p[2]) if estimate_noise else fixed_noise
-                try:
-                    pair = gp.log_marginal_likelihood_and_gradient(
-                        series, _make_kernel(family, nu, p[0], p[1]), noise
-                    )
-                except FactorizationError:
-                    pass
-            if pair is None or not math.isfinite(pair[0]):
-                out.append((_FAILED_OBJECTIVE, np.zeros(len(boxes))))
-            else:
-                out.append((-pair[0], -pair[1]))
-        return out
+    def best(self, results, family: str, nu: float | None) -> FitResult | None:
+        """The winning optimum of the problem's restarts, or None when no
+        restart ended on a usable point."""
+        best = None
+        restarts_used = 0
+        for res in results:
+            params = self.natural(res.x)
+            if params is None or not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
+                continue
+            sf2, l, *sn2 = params
+            value = -float(res.fun)
+            restarts_used += 1
+            cand = (value, l, sn2[0] if self.estimate_noise else 0.0, sf2, bool(res.success))
+            if (
+                best is None
+                or cand[0] > best[0] + _TIE_TOL
+                or (abs(cand[0] - best[0]) <= _TIE_TOL and cand[1:3] < best[1:3])
+            ):
+                best = cand
+        if best is None:
+            return None
+        value, l, sn2, sf2, converged = best
+        return FitResult(
+            kernel=_make_kernel(family, nu, sf2, l),
+            noise_variance=sn2 if self.estimate_noise else None,
+            log_marginal_likelihood=value,
+            bound_lower_active=lower_bounds_active(self.scenario, l, sn2),
+            restarts_used=restarts_used,
+            converged=converged,
+        )
 
-    # Initialization: sf2 at the sample variance; l log-uniform between a
-    # tenth of the (reference) lower bound or sampling interval and the
-    # observation span; sn2 log-uniform between 1e-4 and the sample variance.
-    info = bound.delta_t_from_times(series.times)
-    if scenario.length_scale_lower > 0.0:
-        a_ref = scenario.length_scale_lower
-    else:
-        a_ref = _reference_lower_bound(family, nu, scenario.alpha, info.delta_t)
-    init_lo = max(a_ref / 10.0, info.delta_t / 10.0)
-    init_hi = max(series.span, init_lo * 10.0)
-    var_y = float(np.var(series.values))
-    sf2_init = var_y if var_y > 0.0 else 1e-8
-    sn2_hi = max(var_y, 2e-4)
 
-    rng = Generator(Philox(key=[int(seed), _FIT_STREAM]))
-    starts: list[tuple[float, float, float]] = []
-    for sf2, l, sn2 in extra_starts:
-        starts.append((float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2))
-    for _ in range(max(restarts, 0)):
-        l0 = math.exp(rng.uniform(math.log(init_lo), math.log(init_hi)))
-        sn0 = math.exp(rng.uniform(math.log(1e-4), math.log(sn2_hi)))
-        starts.append((sf2_init, l0, sn0))
+def _failed(size: int) -> tuple[float, np.ndarray]:
+    """The (value, gradient) of a failed evaluation."""
+    return _FAILED_OBJECTIVE, np.zeros(size)
 
-    z0s = [
-        np.array([
-            math.log(min(max(v, lo, 1e-300), hi, 1e300))
-            for v, (lo, hi) in zip(start, boxes)
-        ])
-        for start in starts
+
+def _fit_problems(
+    problems, family: str, nu: float | None, restarts: int, extra_starts=()
+) -> list[FitResult | None]:
+    """:func:`fit` of every (series, scenario, seed) in ``problems``, all of
+    their restarts in one lockstep; None where :func:`fit` raises
+    AllStartsFailedError.  Raises ValueError where :func:`fit` does, before
+    any restart runs.
+
+    The problems' series have one length, and their scenarios one noise
+    mode (fixed or estimated); else ValueError.  Each round, the points
+    asked for are mapped to natural units once and go to the batched
+    likelihood as one call, whatever series they come from; a member gets
+    the bits of its own fit's evaluation, so each result is that of the
+    problem's own :func:`fit`.  A lone point, and a member that the batch
+    leaves (K not finite, or jitter needed), go to
+    :func:`shortgp.gp.log_marginal_likelihood_and_gradient`, which owns the
+    jitter ladder and the errors.  A batched call that overflows a float
+    leaves every member to it, so that only the members that overflow there
+    fail.
+    """
+    setups = [
+        _Problem(series, family, scenario, seed, nu, restarts, extra_starts)
+        for series, scenario, seed in problems
     ]
+    if len({(len(setup.series), setup.estimate_noise) for setup in setups}) > 1:
+        raise ValueError("problems of one lockstep need one series length and noise mode")
+    # The series data of the batched likelihood, one row per problem.
+    distances = np.array([setup.series.distances for setup in setups])
+    ys = np.array([setup.series.values for setup in setups])
+    variances = (
+        None
+        if setups[0].estimate_noise
+        else np.array([setup.series.noise_variances for setup in setups])
+    )
+    owner = [p for p, setup in enumerate(setups) for _ in setup.z0s]
+    member_setup = [setups[p] for p in owner]
+
+    def objective(members: list[int], zs: list[np.ndarray]) -> list:
+        # (-log p, -gradient) at each member's z, each z mapped once.
+        params = [member_setup[m].natural(z) for m, z in zip(members, zs)]
+        batched = [i for i, p in enumerate(params) if p is not None]
+        out = [None] * len(zs)
+        if len(batched) > 1:
+            rows = [owner[members[i]] for i in batched]
+            try:
+                values, grads, ok = gp._lml_and_grad_batch(
+                    family,
+                    nu,
+                    np.array([params[i] for i in batched]),
+                    distances.take(rows, 0),
+                    ys.take(rows, 0),
+                    None if variances is None else variances.take(rows, 0),
+                )
+            except OverflowError:
+                pass
+            else:
+                for i, value, grad, done in zip(batched, (-values).tolist(), -grads, ok):
+                    if done:
+                        out[i] = (value, grad) if math.isfinite(value) else _failed(len(grad))
+        # The rest go through the per-call entry, which owns the jitter
+        # ladder and the errors, and whose calls the benchmark's spans time.
+        for i, (m, p) in enumerate(zip(members, params)):
+            if out[i] is not None:
+                continue
+            setup = member_setup[m]
+            if p is not None:
+                noise = NoiseModel.estimated(p[2]) if setup.estimate_noise else setup.fixed_noise
+                try:
+                    value, grad = gp.log_marginal_likelihood_and_gradient(
+                        setup.series, _make_kernel(family, nu, p[0], p[1]), noise
+                    )
+                except (FactorizationError, OverflowError):
+                    pass
+                else:
+                    if math.isfinite(value):
+                        out[i] = (-value, -grad)
+                        continue
+            out[i] = _failed(len(setup.boxes))
+        return out
+
     # A Matern length-scale probed near e^-230 overflows in dK/dl; the
     # kernel masks those entries, so the warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        results = _minimize_lockstep(objective, z0s, log_box)
-
-    best = None
-    restarts_used = 0
-    for res in results:
-        params = natural(res.x)
-        if params is None or not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
-            continue
-        sf2, l, *sn2 = params
-        value = -float(res.fun)
-        restarts_used += 1
-        cand = (value, l, sn2[0] if estimate_noise else 0.0, sf2, bool(res.success))
-        if (
-            best is None
-            or cand[0] > best[0] + _TIE_TOL
-            or (abs(cand[0] - best[0]) <= _TIE_TOL and cand[1:3] < best[1:3])
-        ):
-            best = cand
-
-    if best is None:
-        raise AllStartsFailedError(
-            f"all {len(starts)} starts failed for scenario {scenario.label!r}"
+        results = _minimize_lockstep(
+            objective,
+            [z0 for setup in setups for z0 in setup.z0s],
+            [setup.log_box for setup in member_setup],
         )
-
-    value, l, sn2, sf2, converged = best
-    return FitResult(
-        kernel=_make_kernel(family, nu, sf2, l),
-        noise_variance=sn2 if estimate_noise else None,
-        log_marginal_likelihood=value,
-        bound_lower_active=lower_bounds_active(scenario, l, sn2),
-        restarts_used=restarts_used,
-        converged=converged,
-    )
+    out = []
+    first = 0
+    for setup in setups:
+        last = first + len(setup.z0s)
+        out.append(setup.best(results[first:last], family, nu))
+        first = last
+    return out
 
 
 def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
@@ -409,27 +519,29 @@ def minimize(fun, x0: np.ndarray, bounds) -> OptimizeResult:
     The one-member case of :func:`_minimize_lockstep`, so iterates, ``nit``,
     ``nfev`` and ``success`` are those of
     ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", ...)``
-    with maxiter=_MAX_ITER, ftol=_OBJ_REL_TOL and gtol=_GRAD_TOL.
+    with maxiter=_MAX_ITER, ftol=_OBJ_REL_TOL and gtol=_GRAD_TOL.  No fit
+    calls it; it stays because the benchmark's spans (``bench/spans.py``)
+    wrap it by name.
     """
-    return _minimize_lockstep(lambda xs: [fun(x) for x in xs], [x0], bounds)[0]
+    return _minimize_lockstep(lambda _, xs: [fun(x) for x in xs], [x0], [bounds])[0]
 
 
-def _minimize_lockstep(fun_batch, x0s, bounds) -> list[OptimizeResult]:
-    """:func:`minimize` from each start in ``x0s``, all in one box, in
-    lockstep.
+def _minimize_lockstep(fun_batch, x0s, boxes) -> list[OptimizeResult]:
+    """:func:`minimize` from each start in ``x0s`` inside its box in
+    ``boxes``, all in lockstep.
 
     Each round, every running member advances until it asks for a new point
-    or stops; ``fun_batch(xs)`` then evaluates the points asked for, in
-    member order, and returns their (value, gradient) pairs.  It must give
-    each point what it gives that point alone, so that each result is that
-    of the member's own :func:`minimize`.
+    or stops; ``fun_batch(members, xs)`` then evaluates the points ``xs``
+    asked for by the members ``members`` (indices into ``x0s``), in member
+    order, and returns their (value, gradient) pairs.  It must give each
+    point what it gives that point alone, so that each result is that of
+    the member's own :func:`minimize`.
     """
-    runs = [_lbfgsb(x0, bounds) for x0 in x0s]
+    runs = [_lbfgsb(x0, box) for x0, box in zip(x0s, boxes)]
     pending = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while pending:
-        xs = list(pending.values())
-        evaluated = fun_batch(xs)
+        evaluated = fun_batch(list(pending), list(pending.values()))
         asked, pending = pending, {}
         for i, value in zip(asked, evaluated):
             try:

@@ -25,20 +25,25 @@ come from one exponential; estimated noise is added to the diagonal as a
 scalar; and without jitter the Gram matrix itself is dK/dlog sf2.  Each of
 these gives the bits the direct computation gives.
 
-A fit runs its restarts in lockstep (:mod:`~shortgp.fitting`), and
+A fit runs its restarts in lockstep (:mod:`~shortgp.fitting`), and so do
+the fits of one scenario of many series of one length.
 :func:`_lml_and_grad_batch` evaluates the points they ask for together, as
-one (B, n, n) problem, from one (B, 2 or 3) array of raw hyperparameters:
-no :class:`~shortgp.kernels.KernelSpec` or :class:`NoiseModel` is built per
-point.  The kernel, the noise diagonal, the finiteness check and the
-reductions run batched; ``dpotrf``, ``dpotrs`` and ``y @ alpha`` run per
-member, because their batched counterparts do not give the per-call bits.
-Each member solves for alpha and K^-1 in one ``dpotrs`` call on [y | I],
-whose columns each have the bits of their own solve.  A member whose K is
-not finite, or whose first factorization fails, is left to
-:func:`log_marginal_likelihood_and_gradient`, which owns the jitter ladder
-and the errors, so each of them exists once.  Both functions
-end in :func:`_value_and_gradient`, the per-call one as a batch of one, so
-the formula of the value and the gradient exists once too.
+one (B, n, n) problem, from one (B, 2 or 3) array of raw hyperparameters
+and the per-member series data (distances, values and fixed variances,
+each member's own): no :class:`~shortgp.kernels.KernelSpec` or
+:class:`NoiseModel` is built per point.  The kernel, the noise diagonal,
+the finiteness check and the reductions run batched; ``dpotrf``,
+``dpotrs`` and ``y @ alpha`` run per member, because their batched
+counterparts do not give the per-call bits, so no member's bits depend on
+its batch-mates.  Each member solves for alpha and K^-1 in one ``dpotrs``
+call on [y | I], whose columns each have the bits of their own solve.  A
+member whose K is not finite, or whose first factorization fails, is left
+to :func:`log_marginal_likelihood_and_gradient`, which owns the jitter
+ladder and the errors, so each of them exists once.  Both functions end in
+:func:`_value_and_gradient`, the per-call one as a batch of one, and
+:func:`log_marginal_likelihood` takes its value from the same solve and
+reduction (:func:`_solve_and_value`), so the formula of the value and the
+gradient exists once too.
 """
 
 from __future__ import annotations
@@ -109,10 +114,7 @@ def log_marginal_likelihood(
 ) -> float:
     """log p(y) = -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
     chol = _factorize(series, kernel, noise)[2]
-    y = series.values
-    alpha = dpotrs(chol, y, lower=1)[0]
-    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-    return float(-0.5 * y @ alpha - 0.5 * logdet - 0.5 * len(y) * _LOG_2PI)
+    return float(_solve_and_value(series.values[None], chol[None])[1][0])
 
 
 def log_marginal_likelihood_and_gradient(
@@ -129,7 +131,7 @@ def log_marginal_likelihood_and_gradient(
     # has no -0.0 entries, so gram + 0 * eye would be gram bit for bit.
     d_sf2 = gram + jitter * _identity(len(series)) if jitter else gram
     values, grads = _value_and_gradient(
-        series.values,
+        series.values[None],
         chol[None],
         d_sf2[None],
         (kernel.length_scale * d_l)[None],
@@ -139,28 +141,34 @@ def log_marginal_likelihood_and_gradient(
 
 
 def _lml_and_grad_batch(
-    series: TimeSeries, family: str, nu: float | None, params: np.ndarray
+    family: str,
+    nu: float | None,
+    params: np.ndarray,
+    distances: np.ndarray,
+    ys: np.ndarray,
+    variances: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[bool]]:
     """:func:`log_marginal_likelihood_and_gradient` of B members at once.
 
     ``params`` is a (B, 2 or 3) array of positive (sf2, l[, sn2]), the
-    hyperparameters of an SE or half-integer Matern kernel; two columns take
-    the series' fixed per-point variances.  Returns the values (B,), the
+    hyperparameters of an SE or half-integer Matern kernel.  Each member
+    has its own series of n points, which may be another member's: its
+    distance matrix (B, n, n), its values (B, n) and, for two columns (fixed
+    noise), its per-point variances (B, n).  Returns the values (B,), the
     gradients (B, 2 or 3) and, as a list, a mask of the members evaluated
     here.  A member outside the mask has a K that is not finite, or one that
     needs jitter; its row holds no result, and the caller evaluates it
     through :func:`log_marginal_likelihood_and_gradient`.  Every row inside
-    the mask is bitwise that function's result.
+    the mask is bitwise that function's result on the member's series.
+    Raises OverflowError, as that function does, when a member's l^3 or l^2
+    overflows a float.
     """
-    n = len(series)
-    b = len(params)
+    b, n = ys.shape
     sf2, ls = params[:, :2].T.reshape(2, b, 1, 1)
     sn2 = params[:, 2] if params.shape[1] == 3 else None
-    gram, d_l = _closed_form(family, nu, sf2, ls, series.distances)
+    gram, d_l = _closed_form(family, nu, sf2, ls, distances)
     k = gram.copy()
-    k.reshape(b, n * n)[:, :: n + 1] += (
-        series.noise_variances if sn2 is None else sn2[:, None]
-    )
+    k.reshape(b, n * n)[:, :: n + 1] += variances if sn2 is None else sn2[:, None]
     ok = np.isfinite(k).all(axis=(1, 2)).tolist()
 
     # K is exactly symmetric, so each member of the transpose is its own K
@@ -174,41 +182,50 @@ def _lml_and_grad_batch(
             k[i] = _identity(n)
             gram[i] = 0.0
             d_l[i] = 0.0
-    values, grads = _value_and_gradient(series.values, chols, gram, ls * d_l, sn2)
+    values, grads = _value_and_gradient(ys, chols, gram, ls * d_l, sn2)
     return values, grads, ok
 
 
-def _value_and_gradient(
-    y: np.ndarray, chols: np.ndarray, d_sf2: np.ndarray, d_l: np.ndarray, sn2
-) -> tuple[np.ndarray, np.ndarray]:
-    """log p(y) (B,) and its gradient in log coordinates (B, 2 or 3) for B
-    members, from the lower Cholesky factors of their K (B, n, n), dK/dlog
-    sf2 and dK/dlog l; ``sn2`` is the B estimated noise variances, or None
-    for fixed noise.
+def _solve_and_value(ys: np.ndarray, chols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[y | I] solved for each of B members (B, n + 1, n), and log p(y) (B,),
+    from their values (B, n) and the lower Cholesky factors of their K
+    (B, n, n).
 
     ``dpotrs`` and ``y @ alpha`` run per member, because their batched
     counterparts do not give the bits of one member's call; the rest runs
     batched.  Each member solves [y | I] in one ``dpotrs`` call, in place,
     in a Fortran-ordered block filled with them beforehand (the assignment
-    then copies nothing): alpha = K^-1 y is its first column and K^-1 the
-    rest.  Each column of a multi-column solve has the bits of its own
-    solve.
+    then copies nothing): alpha = K^-1 y is row 0 of its solution and K^-1
+    the rest, transposed.  Each column of a multi-column solve has the bits
+    of its own solve.
     """
     b, n = chols.shape[:2]
-    half_y = -0.5 * y
+    half_ys = -0.5 * ys
     solved = np.empty((b, n + 1, n))
-    solved[:, 0] = y
+    solved[:, 0] = ys
     solved[:, 1:] = _identity(n)
     blocks = solved.transpose(0, 2, 1)
     y_alpha = np.empty(b)
     for i in range(b):
         blocks[i] = dpotrs(chols[i], blocks[i], lower=1, overwrite_b=1)[0]
-        y_alpha[i] = half_y @ solved[i, 0]
-    alphas = solved[:, 0]
-    k_invs = blocks[:, :, 1:]
-
+        y_alpha[i] = half_ys[i] @ solved[i, 0]
     logdet = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    values = y_alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI
+    return solved, y_alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI
+
+
+def _value_and_gradient(
+    ys: np.ndarray, chols: np.ndarray, d_sf2: np.ndarray, d_l: np.ndarray, sn2
+) -> tuple[np.ndarray, np.ndarray]:
+    """log p(y) (B,) and its gradient in log coordinates (B, 2 or 3) for B
+    members, from their values (B, n), the lower Cholesky factors of their
+    K (B, n, n), dK/dlog sf2 and dK/dlog l; ``sn2`` is the B estimated noise
+    variances, or None for fixed noise.  The solves and the value are
+    :func:`_solve_and_value`'s.
+    """
+    b, n = chols.shape[:2]
+    solved, values = _solve_and_value(ys, chols)
+    alphas = solved[:, 0]
+    k_invs = solved.transpose(0, 2, 1)[:, :, 1:]
     # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
     inner = alphas[:, :, None] * alphas[:, None, :] - k_invs
     grads = np.empty((b, 2 if sn2 is None else 3))

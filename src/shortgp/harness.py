@@ -9,6 +9,15 @@ counter-based Philox streams keyed by (seed, n, replicate), so any
 replicate is reproducible in isolation and results do not depend on the
 degree of parallelism.
 
+Series of one length are fitted together (:func:`_fit_all`): within a
+group, scenario k of every series that needs its own fit goes to one stage,
+once the series' earlier scenarios have been fitted, because the nested-skip
+rule reads them.  A stage of two or more problems runs in one lockstep
+(``fitting._fit_problems``); a stage of one calls ``fitting.fit``.  The
+sharing of optima, the scoring and the winners stay per series, and records
+come out in input order.  No fit depends on its group-mates, so the records
+are those of fitting each series alone.
+
 Every fitting path, serial or pooled, runs BLAS on one thread: at n <= 15 a
 second thread speeds up no BLAS call, while OpenBLAS keeps an idle helper
 thread spinning on another core (a serial sweep used twice its wall time in
@@ -256,7 +265,7 @@ class BatchReport:
 
 @dataclass(frozen=True)
 class _RunSettings:
-    """Per-run constants of :func:`_fit_series`, bound once into the mapped
+    """Per-run constants of :func:`_fit_group`, bound once into the mapped
     function.  ``test_times`` is None for runs without held-out scoring."""
 
     family: str
@@ -268,57 +277,101 @@ class _RunSettings:
     test_values: np.ndarray | None = None
 
 
-def _fit_series(settings: _RunSettings, task) -> list[ReplicateRecord]:
-    """Fit one series under each of its scenarios and score the fits.
+def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord]]:
+    """The records of each task of a group whose series have one length.
 
-    ``task`` is ``(series, scenarios, fit_seed, n_label, replicate)``.  The
-    scenarios are fitted in list order.  A scenario has no fit of its own
-    when all of its restarts fail, when the series cannot be fitted under it
-    (``fitting._no_fit_reason``; its record is then failed), or when it is
-    skipped (the rule is on :class:`ReplicateRecord`).  ``fit`` is called
-    only in the first case; a skipped scenario reports the containing
-    scenario's optimum through the sharing of optima below.
+    A task is ``(series, scenarios, fit_seed, n_label, replicate)``.  Each
+    series' scenarios are fitted in list order, and scenario k of every
+    series together: their problems go to one stage.  A scenario has no fit
+    of its own when all of its restarts fail, when the series cannot be
+    fitted under it (``fitting._no_fit_reason``; its record is then
+    failed), or when it is skipped (the rule is on :class:`ReplicateRecord`,
+    and reads only the series' earlier scenarios).  A skipped scenario
+    reports the containing scenario's optimum through the sharing of optima
+    in :func:`_series_records`.
     """
-    series, scenarios, fit_seed, n_label, replicate = task
-    unfittable = [fitmod._no_fit_reason(series, sc) is not None for sc in scenarios]
-    own: list[fitmod.FitResult | None] = []
-    for scenario, no_fit in zip(scenarios, unfittable):
-        if no_fit:
-            own.append(None)
-            continue
-        # Skip the fit when a looser scenario's optimum lies inside this box:
-        # as far as the looser multi-start could tell, nothing in this
-        # smaller box is better.  Not when that optimum sits on one of this
-        # box's lower bounds (within fitting's relative 1e-6): the looser fit
-        # stopped just short of the bound, and this scenario's own fit
-        # reaches the bound exactly.
-        if any(
-            f is not None
-            and outer.contains(scenario)
-            and scenario.holds(f.kernel.length_scale, f.noise_variance)
-            and not any(
-                fitmod.lower_bounds_active(
-                    scenario, f.kernel.length_scale, f.noise_variance
-                ).values()
-            )
-            for outer, f in zip(scenarios, own)
-        ):
-            own.append(None)
-            continue
-        try:
-            own.append(
-                fitmod.fit(
-                    series,
-                    settings.family,
-                    scenario,
-                    seed=fit_seed,
-                    nu=settings.nu,
-                    restarts=settings.restarts,
-                )
-            )
-        except (fitmod.AllStartsFailedError, FactorizationError):
-            own.append(None)
+    unfittable = [
+        [fitmod._no_fit_reason(series, sc) is not None for sc in scenarios]
+        for series, scenarios, *_ in tasks
+    ]
+    own: list[list[fitmod.FitResult | None]] = [[] for _ in tasks]
+    for k in range(max(len(task[1]) for task in tasks)):
+        stage = []
+        for i, task in enumerate(tasks):
+            scenarios = task[1]
+            if k >= len(scenarios):
+                continue
+            if not unfittable[i][k] and not _skipped(scenarios, k, own[i]):
+                stage.append(i)
+            own[i].append(None)
+        for i, result in zip(stage, _fit_stage(settings, [tasks[i] for i in stage], k)):
+            own[i][k] = result
+    return [
+        _series_records(settings, task, flags, fits)
+        for task, flags, fits in zip(tasks, unfittable, own)
+    ]
 
+
+def _skipped(scenarios: list, k: int, own: list) -> bool:
+    """Whether scenario k goes without a fit of its own, given the own fits
+    of the scenarios before it.
+
+    Skip the fit when a looser scenario's optimum lies inside this box: as
+    far as the looser multi-start could tell, nothing in this smaller box is
+    better.  Not when that optimum sits on one of this box's lower bounds
+    (within fitting's relative 1e-6): the looser fit stopped just short of
+    the bound, and this scenario's own fit reaches the bound exactly.
+    """
+    scenario = scenarios[k]
+    return any(
+        f is not None
+        and outer.contains(scenario)
+        and scenario.holds(f.kernel.length_scale, f.noise_variance)
+        and not any(
+            fitmod.lower_bounds_active(scenario, f.kernel.length_scale, f.noise_variance).values()
+        )
+        for outer, f in zip(scenarios, own)
+    )
+
+
+def _fit_stage(settings: _RunSettings, tasks: list, k: int) -> list:
+    """The own fit of scenario k of each task's series (None where every
+    restart failed), all in one call.
+
+    A stage of one problem goes through ``fitting.fit``, and two or more
+    through its engine ``fitting._fit_problems``: both give the same bits,
+    but the benchmark's spans (``bench/spans.py``) time ``fit``, and a stage
+    of one keeps that path measured.
+    """
+    if not tasks:
+        return []
+    problems = [(series, scenarios[k], seed) for series, scenarios, seed, *_ in tasks]
+    if len(problems) > 1:
+        return fitmod._fit_problems(
+            problems, settings.family, settings.nu, settings.restarts
+        )
+    series, scenario, seed = problems[0]
+    try:
+        return [
+            fitmod.fit(
+                series,
+                settings.family,
+                scenario,
+                seed=seed,
+                nu=settings.nu,
+                restarts=settings.restarts,
+            )
+        ]
+    except (fitmod.AllStartsFailedError, FactorizationError):
+        return [None]
+
+
+def _series_records(
+    settings: _RunSettings, task, unfittable: list[bool], own: list
+) -> list[ReplicateRecord]:
+    """One series' records from the own fits of its scenarios: the sharing
+    of optima, the diagnostics, the held-out scores and the winners."""
+    series, scenarios, _, n_label, replicate = task
     # Share optima: every scenario takes the best fit, by marginal
     # likelihood, among its own and the other scenarios' fits that lie inside
     # its box, equal likelihoods going to the lowest-numbered fit.  This is
@@ -438,23 +491,43 @@ def _blas_on_one_thread():
     return restore
 
 
+# The most series one group holds, so that a group's stacked arrays stay
+# small on large inputs.
+_GROUP_SERIES = 256
+
+
 def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[ReplicateRecord]:
     """The records of every task, in task order, from ``parallelism``
     worker processes (or this one), with BLAS on one thread.
 
-    Each worker sets that once; a serial run sets it here, so that no idle
-    OpenBLAS thread spins beside the fits, and restores the caller's counts
-    after.  Workers are forked where the platform can, so that a script
-    without a ``__main__`` guard still runs."""
-    task_fn = partial(_fit_series, settings)
-    if parallelism <= 1 or len(tasks) <= 1:
+    Tasks whose series have one length are fitted together
+    (:func:`_fit_group`), in groups of at most ``_GROUP_SERIES`` and of at
+    most a worker's share of the tasks, so that every worker gets a group.
+    A worker takes whole groups.  A fit does not depend on its group-mates,
+    so neither do the records.  Each worker sets BLAS to one thread once; a
+    serial run sets it here, so that no idle OpenBLAS thread spins beside
+    the fits, and restores the caller's counts after.  Workers are forked
+    where the platform can, so that a script without a ``__main__`` guard
+    still runs."""
+    by_length: dict[int, list[int]] = {}
+    for i, task in enumerate(tasks):
+        by_length.setdefault(len(task[0]), []).append(i)
+    size = min(_GROUP_SERIES, math.ceil(len(tasks) / max(parallelism, 1)))
+    groups = [
+        indices[first : first + size]
+        for indices in by_length.values()
+        for first in range(0, len(indices), size)
+    ]
+    group_tasks = [[tasks[i] for i in group] for group in groups]
+    group_fn = partial(_fit_group, settings)
+    if parallelism <= 1 or len(groups) <= 1:
         restore = _blas_on_one_thread()
         try:
-            groups = list(map(task_fn, tasks))
+            outputs = list(map(group_fn, group_tasks))
         finally:
             restore()
     else:
-        chunksize = max(1, len(tasks) // (parallelism * 4))
+        chunksize = max(1, len(groups) // (parallelism * 4))
         context = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -463,8 +536,12 @@ def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[Repl
         with ProcessPoolExecutor(
             max_workers=parallelism, mp_context=context, initializer=_blas_on_one_thread
         ) as pool:
-            groups = list(pool.map(task_fn, tasks, chunksize=chunksize))
-    return [record for group in groups for record in group]
+            outputs = list(pool.map(group_fn, group_tasks, chunksize=chunksize))
+    records: list = [None] * len(tasks)
+    for group, output in zip(groups, outputs):
+        for i, task_records in zip(group, output):
+            records[i] = task_records
+    return [record for task_records in records for record in task_records]
 
 
 def _structural_flags(

@@ -328,14 +328,14 @@ class TestFit:
         lockstep = fitting._minimize_lockstep
         asked, objectives = [], []
 
-        def recorder(fun_batch, x0s, bounds):
-            def batch(xs):
-                outs = fun_batch(xs)
+        def recorder(fun_batch, x0s, boxes):
+            def batch(members, xs):
+                outs = fun_batch(members, xs)
                 asked.extend(zip(xs, outs))
                 return outs
 
             objectives.append(fun_batch)
-            return lockstep(batch, x0s, bounds)
+            return lockstep(batch, x0s, boxes)
 
         monkeypatch.setattr(fitting, "_minimize_lockstep", recorder)
         t = np.arange(7.0)
@@ -355,12 +355,32 @@ class TestFit:
         for far in (-math.inf, math.inf):
             z = np.array([far, 0.0, -2.0])
             clamped = np.array([math.copysign(230.0, far), 0.0, -2.0])
-            outs = objective([z]) + objective([clamped]) + objective([z, clamped])
+            outs = objective([0], [z]) + objective([0], [clamped])
+            outs += objective([0, 1], [z, clamped])
             for value, grad in outs[1:]:
                 assert value == outs[0][0]
                 assert grad.tobytes() == outs[0][1].tobytes()
             if far < 0:
                 assert outs[0][0] < fitting._FAILED_OBJECTIVE * 0.5
+
+    def test_overflowing_length_scales_are_failed_evaluations(self):
+        # Sampled 1e120 apart, the length-scale floor of the bounded
+        # scenarios, about 8.2e119, cubed overflows a float; alone and in a
+        # batch, such an evaluation is a failed one.  Without a floor, the
+        # length-scale stops at e^230 and fits.
+        series = TimeSeries(np.arange(5.0) * 1e120, [0.1, 0.5, -0.2, 0.3, 0.0])
+        free, floored, noise_bounded, both = make_scenarios(series, "se")
+        for scenario in (floored, both):
+            with pytest.raises(AllStartsFailedError):
+                fit(series, "se", scenario, seed=0)
+        for scenario in (free, noise_bounded):
+            assert fit(series, "se", scenario, seed=0).kernel.length_scale == math.exp(230.0)
+        # Under Matern 1/2, whose l^2 overflows only beyond about 1.3e154,
+        # the floored scenarios fit: a z beyond 230 inside a box that lies
+        # beyond e^230 maps onto the box, not to e^230 below its floor.
+        for scenario in make_scenarios(series, "matern", nu=0.5):
+            result = fit(series, "matern", scenario, seed=0, nu=0.5)
+            assert scenario.holds(result.kernel.length_scale, result.noise_variance)
 
     def test_bound_activity_flag(self):
         series = _sinc_series(n=5, rep=7)
@@ -419,11 +439,11 @@ class TestDriverMatchesScipyMinimize:
         lockstep = fitting._minimize_lockstep
         recorded = []
 
-        def recorder(fun_batch, x0s, bounds):
-            results = lockstep(fun_batch, x0s, bounds)
-            for ours, x0 in zip(results, x0s):
+        def recorder(fun_batch, x0s, boxes):
+            results = lockstep(fun_batch, x0s, boxes)
+            for member, (ours, x0, bounds) in enumerate(zip(results, x0s, boxes)):
                 ref = scipy.optimize.minimize(
-                    lambda x: fun_batch([x])[0],
+                    lambda x: fun_batch([member], [x])[0],
                     x0,
                     jac=True,
                     method="L-BFGS-B",
@@ -463,6 +483,20 @@ class TestDriverMatchesScipyMinimize:
             fit(series, family, scenario, seed=n, nu=nu)
         assert len(runs) == len(scenarios) * 5
         self._assert_same(runs)
+
+    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+    @pytest.mark.parametrize("build, k", [(make_scenarios, 1), (make_expression_scenarios, 2)])
+    def test_members_from_several_series(self, runs, family, nu, build, k):
+        # one lockstep over the restarts of four series of 7 points, under
+        # one scenario each
+        series = [_sinc_series(n=7, rep=rep) for rep in range(4)]
+        series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
+        problems = [(s, build(s, family, nu=nu)[k], seed) for seed, s in enumerate(series)]
+        results = fitting._fit_problems(problems, family, nu, 5)
+        assert len(runs) == len(problems) * 5
+        self._assert_same(runs)
+        for (s, scenario, seed), result in zip(problems, results):
+            assert result == fit(s, family, scenario, seed=seed, nu=nu)
 
     def test_every_evaluation_failed(self, runs, monkeypatch):
         _force_factorization_errors(monkeypatch)

@@ -530,45 +530,62 @@ def _jitter(series, family, nu, sf2, l, sn2):
 
 @st.composite
 def _batches(draw):
-    """A series of 2 to 15 points, a fitting family, estimated or fixed
-    noise, and 1 to 20 members' hyperparameters."""
+    """1 to 4 series of one length, 2 to 15 points, all with or all without
+    per-point variances; a fitting family; and 1 to 20 members, each with
+    one of those series and its own hyperparameters."""
     n = draw(st.integers(2, 15))
     b = draw(st.integers(1, 20))
     family, nu = draw(st.sampled_from(_FITTING_FAMILIES))
-    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
-    times = np.concatenate([[0.0], np.cumsum(gaps)])
-    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
-    variances = None
-    if draw(st.booleans()):
-        variances = draw(st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n))
-    series = TimeSeries(times, values, variances)
+    fixed = draw(st.booleans())
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        variances = None
+        if fixed:
+            variances = draw(st.lists(st.floats(1e-3, 0.5), min_size=n, max_size=n))
+        pool.append(TimeSeries(times, values, variances))
+    series = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(b)]
 
     def members(lo, hi):
         logs = draw(st.lists(st.floats(lo, hi), min_size=b, max_size=b))
         return [math.exp(v) for v in logs]
 
     sf2, l = members(-5.0, 5.0), members(-4.0, 4.0)
-    sn2 = None if variances is not None else members(-12.0, 1.0)
+    sn2 = None if fixed else members(-12.0, 1.0)
     return series, family, nu, sf2, l, sn2
 
 
 class TestBatchedLikelihood:
     """``gp._lml_and_grad_batch`` gives every member it evaluates the bits
-    of log_marginal_likelihood_and_gradient, and leaves to it exactly the
-    members that need jitter or whose K is not finite."""
+    of log_marginal_likelihood_and_gradient on the member's own series, and
+    leaves to it exactly the members that need jitter or whose K is not
+    finite."""
 
     @staticmethod
     def _check_members(series, family, nu, sf2, l, sn2):
+        # ``series`` holds each member's series.
         params = np.array([sf2, l] if sn2 is None else [sf2, l, sn2]).T
+        variances = None
+        if sn2 is None:
+            variances = np.array([s.noise_variances for s in series])
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads, ok = gp._lml_and_grad_batch(series, family, nu, params)
+            values, grads, ok = gp._lml_and_grad_batch(
+                family,
+                nu,
+                params,
+                np.array([s.distances for s in series]),
+                np.array([s.values for s in series]),
+                variances,
+            )
         assert values.shape == (len(sf2),) and len(ok) == len(sf2)
         assert grads.shape == (len(sf2), 2 if sn2 is None else 3)
         for i, done in enumerate(ok):
             member = (sf2[i], l[i], None if sn2 is None else sn2[i])
             if not done:
                 continue
-            value, grad = _per_call(series, family, nu, *member)
+            value, grad = _per_call(series[i], family, nu, *member)
             assert values[i] == value
             assert grads[i].shape == grad.shape
             assert all(a == b for a, b in zip(grads[i].tolist(), grad.tolist()))
@@ -583,7 +600,7 @@ class TestBatchedLikelihood:
             if not done:
                 # left to the per-call path only when that path jitters
                 member = (sf2[i], l[i], None if sn2 is None else sn2[i])
-                assert _jitter(series, family, nu, *member) > 0.0
+                assert _jitter(series[i], family, nu, *member) > 0.0
 
     @pytest.mark.parametrize("family, nu", _FITTING_FAMILIES)
     def test_jittered_and_non_finite_members_take_the_per_call_path(self, family, nu):
@@ -596,7 +613,7 @@ class TestBatchedLikelihood:
         sf2 = [1.3, 1.3, 1e308, 0.7]
         l = [2.0, 2.0, 2.0, 0.9]
         sn2 = [0.1, 1e-300, 1e308, 0.02]
-        ok = self._check_members(series, family, nu, sf2, l, sn2)
+        ok = self._check_members([series] * 4, family, nu, sf2, l, sn2)
         assert ok == [True, False, False, True]
         assert _jitter(series, family, nu, sf2[1], l[1], sn2[1]) > 0.0
         with pytest.raises(ValueError, match="infs or NaNs"):

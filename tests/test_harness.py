@@ -90,10 +90,12 @@ def _toy_series_set(count=6, n=5, seed=0):
     return [generate_sinc_series(cfg, rep) for rep in range(count)]
 
 
-def _record_calls(monkeypatch, module, name):
-    """Replace ``module.name`` with a stub that records its calls."""
+def _record_calls(monkeypatch, module, *names):
+    """Replace each ``module.name`` with a stub that records its calls, all
+    in one list."""
     calls = []
-    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+    for name in names:
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
     return calls
 
 
@@ -102,7 +104,7 @@ class TestRunSyntheticExperiment:
         "kwargs", [{"restarts": 0}, {"family": "matern", "nu": 0.7}]
     )
     def test_settings_fitting_rejects_raise_before_any_draw(self, monkeypatch, kwargs):
-        fits = _record_calls(monkeypatch, fitmod, "fit")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
         draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
         with pytest.raises(ValueError):
             run_synthetic_experiment(SyntheticConfig(replicates=2, **kwargs), [5, 7])
@@ -412,7 +414,7 @@ class TestRunBatch:
         assert [r.failed for r in report.rows] == [True] * 4
 
     def test_zero_restarts_raise_before_any_fit(self, monkeypatch):
-        fits = _record_calls(monkeypatch, fitmod, "fit")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
         with pytest.raises(ValueError, match="restarts"):
             run_batch(_toy_series_set(count=2), "synthetic", restarts=0)
         assert fits == []
@@ -462,6 +464,11 @@ def _series_sets(draw):
     return out
 
 
+# Values of a series sampled 1e120 apart: its length-scale bound, about
+# 8.2e119, cubed overflows a float.
+_FAR_VALUES = [0.1, 0.5, -0.2, 0.3, 0.0]
+
+
 class TestBatchContract:
     @settings(max_examples=20)
     @given(series_set=_series_sets(), scenario_set=st.sampled_from(["synthetic", "expression"]))
@@ -498,6 +505,24 @@ class TestBatchContract:
         assert [r.series_id for r in report.rows] == ["big"] * 4
 
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_far_sampled_series_fails_alone(self, parallelism):
+        near = TimeSeries(np.arange(5.0), _FAR_VALUES, id="near")
+        far = TimeSeries(np.arange(5.0) * 1e120, _FAR_VALUES, id="far")
+        alone = run_batch([near], scenario_set="synthetic", restarts=2)
+        report = run_batch(
+            [near, far], scenario_set="synthetic", restarts=2, parallelism=parallelism
+        )
+        assert [r.series_id for r in report.rows] == ["near"] * 4 + ["far"] * 4
+        assert repr(report.rows[:4]) == repr(alone.rows)
+        # the length-scale-bounded scenarios fail; the others fit inside
+        # their boxes, at a length-scale of e^230
+        scenarios = make_scenarios(far, "se")
+        for row, scenario in zip(report.rows[4:], scenarios):
+            assert row.failed == (scenario.length_scale_lower > 0.0), row.scenario
+            assert row.failed or _in_box(row, scenario), row.scenario
+
+
 # (looser, tighter) scenario indices whose boxes nest, per preset set
 _NESTING = {
     "synthetic": set(_NESTED_PAIRS),
@@ -521,12 +546,25 @@ def _point(result):
     )
 
 
+def _own_fit(series, scenario, seed, restarts):
+    """``fit``, or None where the series cannot be fitted under the scenario
+    or every restart fails."""
+    if fitmod._no_fit_reason(series, scenario) is not None:
+        return None
+    try:
+        return fit(series, "se", scenario, seed=seed, restarts=restarts)
+    except fitmod.AllStartsFailedError:
+        return None
+
+
 def _oracle(series, scenarios, nesting, seed, restarts):
-    """Every scenario fitted; a fit skipped when a nesting scenario's kept
-    fit lies in its box off its lower bounds; then every scenario takes the
-    first best feasible kept fit.  Returns (shared_from, l, sf2, sn2, lml)
-    per scenario and the number of kept fits."""
-    fits = [fit(series, "se", sc, seed=seed, restarts=restarts) for sc in scenarios]
+    """Every scenario fitted on its own; a fit skipped when a nesting
+    scenario's kept fit lies in its box off its lower bounds; then every
+    scenario that the series can be fitted under takes the first best
+    feasible kept fit, and the others, and those with none, are failed
+    (None in every field).  Returns (shared_from, l, sf2, sn2, lml) per
+    scenario and the number of kept fits."""
+    fits = [_own_fit(series, sc, seed, restarts) for sc in scenarios]
     kept = []
     for k, sc in enumerate(scenarios):
         skip = any(
@@ -539,7 +577,12 @@ def _oracle(series, scenarios, nesting, seed, restarts):
         kept.append(None if skip else fits[k])
     out = []
     for sc in scenarios:
-        feasible = [j for j, f in enumerate(kept) if f is not None and _in_box(_point(f), sc)]
+        feasible = [] if fitmod._no_fit_reason(series, sc) is not None else [
+            j for j, f in enumerate(kept) if f is not None and _in_box(_point(f), sc)
+        ]
+        if not feasible:
+            out.append((None,) * 5)
+            continue
         j = max(feasible, key=lambda j: kept[j].log_marginal_likelihood)
         f = kept[j]
         out.append(
@@ -558,14 +601,17 @@ def _row_fits(rows):
 
 
 def _count_fits(monkeypatch):
+    """Record the scenario label of every problem fitted.  Each passes
+    through fitting's engine once: ``fit`` is its one-problem case, and the
+    harness hands it stages of two or more problems directly."""
     calls = []
-    original = fitmod.fit
+    original = fitmod._fit_problems
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].label)
-        return original(*args, **kwargs)
+    def counting(problems, *args, **kwargs):
+        calls.extend(scenario.label for _, scenario, _ in problems)
+        return original(problems, *args, **kwargs)
 
-    monkeypatch.setattr(fitmod, "fit", counting)
+    monkeypatch.setattr(fitmod, "_fit_problems", counting)
     return calls
 
 
@@ -658,6 +704,55 @@ class TestNestedSkip:
         assert [r.shared_from for r in report.rows] == [0, 0]
 
 
+def _mixed_lengths():
+    """Two series of every length from 1 to 15, some without per-point
+    variances, plus a constant series, one with near-duplicate times and one
+    sampled 1e120 apart, whose length-scales overflow."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in range(1, 16):
+        for k in range(2):
+            t = np.cumsum(rng.uniform(0.3, 2.0, n))
+            y = np.sin(t) + rng.normal(0.0, 0.3, n)
+            variances = rng.uniform(0.01, 0.2, n) if (n + k) % 3 else None
+            out.append(TimeSeries(t, y, variances, id=f"m{n}-{k}"))
+    t = np.arange(6.0)
+    out.append(TimeSeries(t, np.full(6, 0.4), np.full(6, 0.05), id="constant"))
+    t = np.array([0.0, 1e-9, 1.0, 2.0, 3.5, 4.0, 6.0])
+    out.append(TimeSeries(t, np.cos(t), np.full(7, 0.05), id="near-duplicate"))
+    out.append(TimeSeries(np.arange(5.0) * 1e120, _FAR_VALUES, np.full(5, 0.05), id="far"))
+    return out
+
+
+class TestFitsAcrossSeries:
+    """Series of one length are fitted together, scenario by scenario; every
+    record must be the one that fitting each problem on its own gives."""
+
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_mixed_lengths_match_the_oracle(self, scenario_set):
+        series_set = _mixed_lengths()
+        build = make_scenarios if scenario_set == "synthetic" else make_expression_scenarios
+        expected = []
+        for i, series in enumerate(series_set):
+            if len(series) < 2:
+                expected += [(None,) * 5] * 4
+                continue
+            rows, _ = _oracle(
+                series, build(series, "se"), _NESTING[scenario_set],
+                harness._mix64(4, i), 2,
+            )
+            expected += rows
+        ids = [s.id for s in series_set for _ in range(4)]
+        for parallelism in (1, 2):
+            report = run_batch(
+                series_set, scenario_set, seed=4, restarts=2, parallelism=parallelism
+            )
+            assert [r.series_id for r in report.rows] == ids
+            assert _row_fits(report.rows) == expected, parallelism
+            far = report.rows[-4:]
+            assert [r.failed for r in far] == [False, True, False, True]
+
+
 def _blas_threads():
     """Thread counts of scipy's and numpy's OpenBLAS, or None if unknown."""
     counts = []
@@ -673,8 +768,8 @@ def _blas_threads():
     return tuple(counts)
 
 
-def _worker_blas_threads(settings, task):
-    return [_blas_threads()]
+def _worker_blas_threads(settings, group):
+    return [[_blas_threads()] for _ in group]
 
 
 class TestPool:
@@ -682,9 +777,10 @@ class TestPool:
         before = _blas_threads()
         if before is None:
             pytest.skip("this BLAS build has no thread-count getters")
-        monkeypatch.setattr(harness, "_fit_series", _worker_blas_threads)
+        monkeypatch.setattr(harness, "_fit_group", _worker_blas_threads)
+        tasks = [([0.0] * n,) for n in range(1, 5)]  # four lengths, four groups
         for parallelism in (2, 1):  # pool workers, then the serial path
-            in_fits = harness._fit_all(None, list(range(4)), parallelism)
+            in_fits = harness._fit_all(None, tasks, parallelism)
             assert in_fits == [(1, 1)] * 4, parallelism
             assert _blas_threads() == before, parallelism
 
