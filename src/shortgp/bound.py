@@ -120,8 +120,8 @@ def se_energy_fraction(length_scale: float, delta_t: float) -> float:
     """
     if not length_scale > 0.0:
         raise ValueError("length_scale must be > 0")
-    if not delta_t > 0.0:
-        raise ValueError("delta_t must be > 0")
+    if not 0.0 < delta_t < math.inf:
+        raise ValueError("delta_t must be finite and > 0")
     x = math.pi * length_scale / (math.sqrt(2.0) * delta_t)
     return _clamp_unit(math.erf(x))
 
@@ -137,8 +137,8 @@ def matern_energy_fraction(nu: float, length_scale: float, delta_t: float) -> fl
         raise ValueError("nu must be > 0")
     if not length_scale > 0.0:
         raise ValueError("length_scale must be > 0")
-    if not delta_t > 0.0:
-        raise ValueError("delta_t must be > 0")
+    if not 0.0 < delta_t < math.inf:
+        raise ValueError("delta_t must be finite and > 0")
     x2 = (math.pi * length_scale / delta_t) ** 2
     return _clamp_unit(float(betainc(0.5, nu, x2 / (x2 + 2.0 * nu))))
 
@@ -172,8 +172,8 @@ def length_scale_bound(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not delta_t > 0.0:
-        raise ValueError("delta_t must be > 0")
+    if not 0.0 < delta_t < math.inf:
+        raise ValueError("delta_t must be finite and > 0")
     if family == kernels.SQUARED_EXPONENTIAL:
         return math.sqrt(2.0) * float(erfinv(alpha)) / math.pi * delta_t
     if family == kernels.MATERN:

@@ -173,8 +173,8 @@ def _cmd_bound(args) -> int:
         info = bound.delta_t_from_times(times, rule=rule)
         upper = float(times[-1] - times[0])
     else:
-        if not args.delta_t > 0.0:
-            raise ValueError("--delta-t must be > 0")
+        if not 0.0 < args.delta_t < np.inf:
+            raise ValueError("--delta-t must be finite and > 0")
         info = bound.SamplingInfo(
             delta_t=args.delta_t,
             nyquist_frequency=1.0 / (2.0 * args.delta_t),

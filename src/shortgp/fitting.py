@@ -34,17 +34,22 @@ whose K is not finite or needs jitter, go to
 costs more than a call, and that function owns the jitter ladder and the
 errors.
 
-The lockstep runs over problems, not only over restarts:
-:func:`_fit_problems` fits any number of (series, scenario, seed) problems
-in one lockstep, and a round's points from series of one length and one
-noise mode go to one batched call, whatever series they come from.  The
-harness hands it one scenario of many series of one length at a time, so
-that each call amortizes its fixed cost over more members.  :func:`fit` is
-its one-problem case, and gives the same bits for a problem as the engine
-does among others.  An evaluation that overflows a float (a power of a
-huge length-scale) is a failed evaluation; a batched call that overflows
-leaves its members to the per-call path, so that only the members that
-overflow there fail.
+The lockstep runs over problems, not only over restarts: :func:`_lockstep`
+fits any number of (series, scenario, seed) problems at once, and a round's
+points from series of one length and one noise mode go to one batched call.
+:func:`fit` is its one-problem case, with the same bits.  The harness makes
+one call per stage, to :func:`_fit_problems`: one scenario of many series
+of one length.  An evaluation that overflows a float (a power of a huge
+length-scale) is a failed evaluation; a batched call that overflows leaves
+its members to the per-call path, so that only the members that overflow
+there fail.
+
+Three paths are kept for the benchmark's spans (``bench/spans.py``), which
+wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
+problem goes through :func:`fit`, a lone point through the per-call
+likelihood (cheaper, too, than a batch of one), and :func:`minimize`, which
+no fit calls, is the lockstep's one-member case.  They can go once the
+benchmark times the engine's stages.
 """
 
 from __future__ import annotations
@@ -284,10 +289,10 @@ def fit(
     than two points, fixed noise without per-point variances, or estimated
     noise on a constant series, whose likelihood has no maximum.
 
-    This is the one-problem case of :func:`_fit_problems`.
+    This is the one-problem case of :func:`_lockstep`.
     """
     extra_starts = tuple(extra_starts)
-    result = _fit_problems([(series, scenario, seed)], family, nu, restarts, extra_starts)[0]
+    result = _lockstep([(series, scenario, seed)], family, nu, restarts, extra_starts)[0]
     if result is None:
         raise AllStartsFailedError(
             f"all {len(extra_starts) + max(restarts, 0)} starts failed for scenario "
@@ -297,7 +302,7 @@ def fit(
 
 
 class _Problem:
-    """The set-up of one (series, scenario, seed) of :func:`_fit_problems`:
+    """The set-up of one (series, scenario, seed) of :func:`_lockstep`:
     the box in natural units and its log, the starts, and the map of a
     point z back into the box."""
 
@@ -415,7 +420,22 @@ def _failed(size: int) -> tuple[float, np.ndarray]:
     return _FAILED_OBJECTIVE, np.zeros(size)
 
 
-def _fit_problems(
+def _fit_problems(problems, family: str, nu: float | None, restarts: int) -> list:
+    """The own fit of every (series, scenario, seed) in ``problems``, None
+    where every restart failed, in one :func:`_lockstep`.  A lone problem
+    goes through :func:`fit`, with the same bits: the benchmark's spans wrap
+    ``fitting.fit``, and every stage of ``bench/test_bench.py``'s runs is a
+    lone problem, as they hold one series per length."""
+    if len(problems) > 1:
+        return _lockstep(problems, family, nu, restarts)
+    [(series, scenario, seed)] = problems
+    try:
+        return [fit(series, family, scenario, seed=seed, nu=nu, restarts=restarts)]
+    except AllStartsFailedError:
+        return [None]
+
+
+def _lockstep(
     problems, family: str, nu: float | None, restarts: int, extra_starts=()
 ) -> list[FitResult | None]:
     """:func:`fit` of every (series, scenario, seed) in ``problems``, all of

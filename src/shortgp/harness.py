@@ -12,8 +12,7 @@ degree of parallelism.
 Series of one length are fitted together (:func:`_fit_all`): within a
 group, scenario k of every series that needs its own fit goes to one stage,
 once the series' earlier scenarios have been fitted, because the nested-skip
-rule reads them.  A stage of two or more problems runs in one lockstep
-(``fitting._fit_problems``); a stage of one calls ``fitting.fit``.  The
+rule reads them.  A stage is one call of ``fitting._fit_problems``.  The
 sharing of optima, the scoring and the winners stay per series, and records
 come out in input order.  No fit depends on its group-mates, so the records
 are those of fitting each series alone.
@@ -41,7 +40,6 @@ from numpy.random import Generator, Philox
 
 from . import bound, gp
 from . import fitting as fitmod
-from .kernels import FactorizationError
 from .series import TimeSeries
 
 __all__ = [
@@ -294,18 +292,23 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
         [fitmod._no_fit_reason(series, sc) is not None for sc in scenarios]
         for series, scenarios, *_ in tasks
     ]
-    own: list[list[fitmod.FitResult | None]] = [[] for _ in tasks]
-    for k in range(max(len(task[1]) for task in tasks)):
-        stage = []
-        for i, task in enumerate(tasks):
-            scenarios = task[1]
-            if k >= len(scenarios):
-                continue
-            if not unfittable[i][k] and not _skipped(scenarios, k, own[i]):
-                stage.append(i)
-            own[i].append(None)
-        for i, result in zip(stage, _fit_stage(settings, [tasks[i] for i in stage], k)):
-            own[i][k] = result
+    count = len(tasks[0][1])  # every task of a run has as many scenarios
+    own: list[list[fitmod.FitResult | None]] = [[None] * count for _ in tasks]
+    for k in range(count):
+        stage = [
+            i
+            for i, task in enumerate(tasks)
+            if not unfittable[i][k] and not _skipped(task[1], k, own[i])
+        ]
+        if stage:
+            results = fitmod._fit_problems(
+                [(tasks[i][0], tasks[i][1][k], tasks[i][2]) for i in stage],
+                settings.family,
+                settings.nu,
+                settings.restarts,
+            )
+            for i, result in zip(stage, results):
+                own[i][k] = result
     return [
         _series_records(settings, task, flags, fits)
         for task, flags, fits in zip(tasks, unfittable, own)
@@ -332,38 +335,6 @@ def _skipped(scenarios: list, k: int, own: list) -> bool:
         )
         for outer, f in zip(scenarios, own)
     )
-
-
-def _fit_stage(settings: _RunSettings, tasks: list, k: int) -> list:
-    """The own fit of scenario k of each task's series (None where every
-    restart failed), all in one call.
-
-    A stage of one problem goes through ``fitting.fit``, and two or more
-    through its engine ``fitting._fit_problems``: both give the same bits,
-    but the benchmark's spans (``bench/spans.py``) time ``fit``, and a stage
-    of one keeps that path measured.
-    """
-    if not tasks:
-        return []
-    problems = [(series, scenarios[k], seed) for series, scenarios, seed, *_ in tasks]
-    if len(problems) > 1:
-        return fitmod._fit_problems(
-            problems, settings.family, settings.nu, settings.restarts
-        )
-    series, scenario, seed = problems[0]
-    try:
-        return [
-            fitmod.fit(
-                series,
-                settings.family,
-                scenario,
-                seed=seed,
-                nu=settings.nu,
-                restarts=settings.restarts,
-            )
-        ]
-    except (fitmod.AllStartsFailedError, FactorizationError):
-        return [None]
 
 
 def _series_records(
@@ -592,11 +563,13 @@ def run_synthetic_experiment(
     seeded by (seed, n, replicate) alone.
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
-    still reported.  A family and nu that fitting does not support, and
-    fewer than one restart, raise ValueError before any series is drawn.
+    still reported.  A repeated n, a family and nu that fitting does not
+    support and fewer than one restart raise ValueError before any draw.
     Deterministic for a given config regardless of ``parallelism``.
     """
     n_grid = [int(n) for n in n_grid]
+    if len(set(n_grid)) < len(n_grid):
+        raise ValueError("n_grid must not repeat a sample size")
     if family is not None:
         config = replace(config, family=family)
     fitmod._check_family(config.family, config.nu)
@@ -662,7 +635,7 @@ def run_batch(
     (fixed per-point noise, the default for ingested data) or an explicit
     scenario list applied verbatim.  Preset sets rebuild the length-scale
     bound per series from its own sampling interval.  The report's labels
-    come from the scenario set, not from a series, so an unknown
+    come from the scenario set, not from a series, so an unknown or empty
     ``scenario_set``, a ``family`` and ``nu`` that fitting does not support,
     ``restarts`` below 1 and, for a preset set, an ``alpha`` outside (0, 1)
     raise ValueError before any fit.  A scenario's length-scale cells print
@@ -689,6 +662,8 @@ def run_batch(
         raise ValueError("restarts must be >= 1")
     if isinstance(scenario_set, (list, tuple)):
         listed = list(scenario_set)
+        if not listed:
+            raise ValueError("scenario_set must not be empty")
 
         def build(series):
             return listed

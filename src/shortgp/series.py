@@ -10,6 +10,7 @@ kernel evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,10 +29,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class TimeSeries:
     """Ordered (time, value) observations with optional per-point noise variances.
 
-    ``times`` must be strictly increasing; use :meth:`from_unordered` to
-    canonicalize jointly-permuted data.  ``noise_variances``, when present,
-    holds one non-negative observation-noise variance per point and enables
-    fixed-noise fitting.
+    ``times`` must be strictly increasing, over a span t[-1] - t[0] that is a
+    finite float; use :meth:`from_unordered` to canonicalize jointly-permuted
+    data.  ``noise_variances``, when present, holds one non-negative
+    observation-noise variance per point and enables fixed-noise fitting.
     """
 
     times: np.ndarray
@@ -53,6 +54,8 @@ class TimeSeries:
             raise ValueError("a series needs at least one observation")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
             raise ValueError("times and values must be finite")
+        if not math.isfinite(float(times[-1]) - float(times[0])):
+            raise ValueError("the time span t[-1] - t[0] must be finite")
         gaps = np.diff(times)
         if np.any(gaps == 0.0):
             raise ValueError("duplicate observation times are not allowed")

@@ -208,6 +208,13 @@ class TestLengthScaleBound:
             length_scale_bound("se", 0.0, 1.0)
         with pytest.raises(ValueError):
             length_scale_bound("se", 0.99, 0.0)
+        for family, nu in (("se", None), ("matern", 1.5)):
+            with pytest.raises(ValueError, match="delta_t"):
+                length_scale_bound(family, 0.99, math.inf, nu)
+        with pytest.raises(ValueError, match="delta_t"):
+            se_energy_fraction(1.0, math.inf)
+        with pytest.raises(ValueError, match="delta_t"):
+            matern_energy_fraction(1.5, 1.0, math.inf)
         with pytest.raises(ValueError):
             length_scale_bound("matern", 0.99, 1.0)  # nu missing
         with pytest.raises(ValueError):

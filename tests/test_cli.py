@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shortgp import harness
+from shortgp.bound import length_scale_bound
 from shortgp.cli import main
 from shortgp.harness import SyntheticConfig, export_csv, generate_sinc_series
 
@@ -56,6 +57,11 @@ class TestBoundCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "non-default heuristic" in out
+
+    @pytest.mark.parametrize("delta_t", ["0", "-1", "inf", "nan"])
+    def test_delta_t_outside_zero_to_inf_is_data_error(self, delta_t, capsys):
+        assert main(["bound", "--delta-t", delta_t]) == 2
+        assert "--delta-t must be finite and > 0" in capsys.readouterr().err
 
     def test_usage_errors(self, capsys):
         assert main(["bound"]) == 1
@@ -112,6 +118,12 @@ class TestFitCommand:
         bad.write_text("id,time,value\ng1,zero,1\n")
         rc = main(["fit", "--input", str(bad)])
         assert rc == 2
+
+    def test_header_only_csv_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,time,value\n")
+        assert main(["fit", "--input", str(empty)]) == 2
+        assert "no series found" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -217,6 +229,23 @@ class TestSynthCommand:
         rc = main(["synth", "--n-grid", "5", "--replicates", "2"])
         assert rc == 1
 
+    def test_tuple_flag_with_too_few_values_is_data_error(self, tmp_path, capsys):
+        rc = main(["synth", "--interval", "1", "--out-dir", str(tmp_path / "report")])
+        assert rc == 2
+        assert "--interval needs 2 values" in capsys.readouterr().err
+
+    def test_matern_sweep(self, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        argv = ["synth", "--family", "matern", "--nu", "1.5", "--n-grid", "5",
+                "--replicates", "2", "--restarts", "1", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        with open(out_dir / "replicates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 4
+        # the Matern 3/2 bound of the default grid: 5 points on [-5, 6]
+        bound = length_scale_bound("matern", 0.99, 11.0 / 4.0, 1.5)
+        assert {float(r["length_scale_lower"]) for r in rows} == {bound}
+
 
 class TestBatchCommand:
     def test_expression_batch(self, variance_csv, tmp_path, capsys):
@@ -239,6 +268,30 @@ class TestBatchCommand:
             rows = {r[0]: r[1] for r in list(csv.reader(fh))[1:]}
         assert rows["noise_fixed"] == "."
         assert rows["both_bounded"] == "."
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,time,value\n",
+            # the second series' time span overflows a float
+            "id,time,value,variance\na,0,0.1,0.05\na,1,0.5,0.05\n"
+            "b,-1e308,0.1,0.05\nb,0,0.5,0.05\nb,1e308,0.2,0.05\n",
+        ],
+    )
+    def test_unusable_csv_is_data_error(self, text, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out_dir = tmp_path / "report"
+        assert main(["batch", "--input", str(path), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    def test_zero_restarts_is_data_error(self, variance_csv, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        argv = ["batch", "--input", str(variance_csv), "--restarts", "0",
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        assert "restarts must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestPlotdataCommand:

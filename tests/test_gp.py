@@ -43,6 +43,10 @@ class TestTimeSeries:
             TimeSeries([0.0, 1.0], [1.0, 2.0], noise_variances=[-0.1, 0.0])
         with pytest.raises(ValueError):
             TimeSeries([0.0, 1.0], [1.0, 2.0], noise_variances=[0.1])
+        # t[-1] - t[0] overflows: the span, and with two points the gap, is inf
+        for times in ([-1e308, 0.0, 1e308], [-1e308, 1e308]):
+            with pytest.raises(ValueError, match="span"):
+                TimeSeries(times, [0.1] * len(times), [0.05] * len(times))
 
     def test_from_unordered_sorts_jointly(self):
         s = TimeSeries.from_unordered(

@@ -110,6 +110,13 @@ class TestRunSyntheticExperiment:
             run_synthetic_experiment(SyntheticConfig(replicates=2, **kwargs), [5, 7])
         assert fits == [] and draws == []
 
+    def test_repeated_n_raises_before_any_draw(self, monkeypatch):
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
+        with pytest.raises(ValueError, match="n_grid"):
+            run_synthetic_experiment(SyntheticConfig(replicates=2), [5, 7, 5])
+        assert fits == [] and draws == []
+
     def test_small_sweep_structure(self):
         cfg = SyntheticConfig(replicates=6, seed=1, restarts=2)
         report = run_synthetic_experiment(cfg, [5])
@@ -419,6 +426,12 @@ class TestRunBatch:
             run_batch(_toy_series_set(count=2), "synthetic", restarts=0)
         assert fits == []
 
+    def test_empty_scenario_list_raises_before_any_fit(self, monkeypatch):
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        with pytest.raises(ValueError, match="scenario_set"):
+            run_batch(_toy_series_set(count=2), scenario_set=[])
+        assert fits == []
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -601,9 +614,9 @@ def _row_fits(rows):
 
 
 def _count_fits(monkeypatch):
-    """Record the scenario label of every problem fitted.  Each passes
-    through fitting's engine once: ``fit`` is its one-problem case, and the
-    harness hands it stages of two or more problems directly."""
+    """Record the scenario label of every problem fitted.  The harness
+    hands each stage, of one problem or more, to ``fitting._fit_problems``
+    once, and ``fit`` does not call it."""
     calls = []
     original = fitmod._fit_problems
 
@@ -753,6 +766,65 @@ class TestFitsAcrossSeries:
             assert [r.failed for r in far] == [False, True, False, True]
 
 
+def _record_stages(monkeypatch):
+    """Record each call of ``fitting._fit_problems`` as the (length, label)
+    pairs of its problems, and the label of each call of ``fitting.fit``."""
+    stages, fits = [], []
+    fit_problems, fit_one = fitmod._fit_problems, fitmod.fit
+
+    def on_stage(problems, *args):
+        stages.append([(len(series), scenario.label) for series, scenario, _ in problems])
+        return fit_problems(problems, *args)
+
+    def on_fit(series, family, scenario, *args, **kwargs):
+        fits.append(scenario.label)
+        return fit_one(series, family, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(fitmod, "_fit_problems", on_stage)
+    monkeypatch.setattr(fitmod, "fit", on_fit)
+    return stages, fits
+
+
+# Two scenarios neither of whose boxes holds the other's, so that no fit is
+# skipped and every stage holds every series of its length.
+_APART = [Scenario("short", length_scale_upper=3.0), Scenario("long", length_scale_lower=0.5)]
+
+
+class TestStageRouting:
+    """One ``fitting._fit_problems`` call per non-empty stage; a lone problem
+    goes through ``fitting.fit``, and two or more do not."""
+
+    @pytest.mark.parametrize("per_length", [1, 2])
+    @pytest.mark.parametrize(
+        "scenario_set, nesting",
+        [("synthetic", _NESTING["synthetic"]), (_APART, set())],
+        ids=["synthetic", "apart"],
+    )
+    def test_stages(self, monkeypatch, per_length, scenario_set, nesting):
+        series_set = [
+            s for n in (5, 7, 9) for s in _toy_series_set(count=per_length, n=n, seed=n)
+        ]
+        expected, fitted = [], 0
+        for i, series in enumerate(series_set):
+            scenarios = _APART if scenario_set is _APART else make_scenarios(series, "se")
+            rows, count = _oracle(series, scenarios, nesting, harness._mix64(2, i), 2)
+            expected += rows
+            fitted += count
+        stages, fits = _record_stages(monkeypatch)
+        report = run_batch(series_set, scenario_set, seed=2, restarts=2)
+        assert _row_fits(report.rows) == expected
+        # every call is one stage: one length and one scenario, and no stage
+        # is split over two calls
+        assert all(len(set(stage)) == 1 for stage in stages)
+        assert len({stage[0] for stage in stages}) == len(stages)
+        assert sum(len(stage) for stage in stages) == fitted
+        assert fits == [label for stage in stages if len(stage) == 1 for _, label in stage]
+        if per_length == 1:
+            assert len(fits) == fitted
+        if scenario_set is _APART:
+            assert [len(stage) for stage in stages] == [per_length] * 6
+
+
 def _blas_threads():
     """Thread counts of scipy's and numpy's OpenBLAS, or None if unknown."""
     counts = []
@@ -882,6 +954,35 @@ class TestCsv:
         path.write_text("id,time\ng1,0\n")
         with pytest.raises(CsvFormatError, match="missing"):
             ingest_csv(path, format="long")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("id,t=0\ng1,0.5\n", "two time columns"),
+            ("id,t=1,t=0\ng1,0.5,0.25\n", "header times must be strictly increasing"),
+            ("id,t=0,t=1\ng1,0.5,0.25\ng2,0.5\n", "line 3: expected 3 cells, got 2"),
+        ],
+    )
+    def test_wide_format_errors(self, tmp_path, text, match):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=match):
+            ingest_csv(path, format="wide")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,t=0,t=1\n\ng1,0.5,0.25\n , \n",
+            "id,time,value\n\ng1,0,0.5\n , , \ng1,1,0.25\n",
+        ],
+    )
+    def test_blank_rows_skipped(self, tmp_path, text):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        [series] = ingest_csv(path)
+        assert series.id == "g1"
+        assert np.array_equal(series.times, [0.0, 1.0])
+        assert np.array_equal(series.values, [0.5, 0.25])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -1092,6 +1193,12 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("replicas = 12\n")
         with pytest.raises(CsvFormatError, match="unknown config key"):
+            load_config(path)
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# a comment\n\nreplicates 12\n")
+        with pytest.raises(CsvFormatError, match="line 3: expected 'key = value'"):
             load_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
