@@ -1,7 +1,8 @@
 """Nyquist spectral-energy lower bound on the kernel length-scale.
 
 Sampling a process at interval dt makes frequencies above the Nyquist
-frequency f_n = 1/(2 dt) unidentifiable.  Requiring that a fraction alpha of
+frequency f_n = 1/(2 dt) unidentifiable; f_n is derived from dt alone
+(:attr:`SamplingInfo.nyquist_frequency`).  Requiring that a fraction alpha of
 the kernel's spectral energy lies inside [-f_n, f_n] therefore yields a
 lower bound a_l(alpha) on the length-scale: shorter length-scales would put
 identifiable weight on frequencies the sampling grid cannot resolve, which
@@ -42,6 +43,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, erfinv
 
 from . import kernels
+from .series import _grid_gaps
 
 __all__ = [
     "SamplingInfo",
@@ -66,46 +68,43 @@ class BoundError(RuntimeError):
 class SamplingInfo:
     """Sampling interval summary for a time grid.
 
-    ``rule`` records how ``delta_t`` was chosen: ``"min_gap"`` (default,
-    the conservative choice yielding the least restrictive bound) or
+    The Nyquist frequency is derived from ``delta_t``, not stored.  ``rule``
+    records how ``delta_t`` was chosen: ``"min_gap"`` (default, the
+    conservative choice yielding the least restrictive bound) or
     ``"median_gap"`` (an optional heuristic; downstream reports flag it as
     a non-default rule).
     """
 
     delta_t: float
-    nyquist_frequency: float
     uniform: bool
     rule: str = "min_gap"
+
+    @property
+    def nyquist_frequency(self) -> float:
+        """f_n = 1/(2 delta_t), as 0.5 / delta_t: the same bits, and no
+        overflow in 2 delta_t for delta_t near the largest float."""
+        return 0.5 / self.delta_t
 
 
 def delta_t_from_times(times, rule: str = "min_gap") -> SamplingInfo:
     """Sampling interval of a strictly increasing time grid (n >= 2).
 
-    Non-uniform grids use the shortest consecutive gap by default, which is
-    the conservative rule (the least restrictive length-scale bound).
+    The grid must pass the checks of ``TimeSeries`` times: finite, over a
+    finite span, strictly increasing.  Non-uniform grids use the shortest
+    consecutive gap by default, which is the conservative rule (the least
+    restrictive length-scale bound).
     """
     if rule not in ("min_gap", "median_gap"):
         raise ValueError(f"unknown gap rule {rule!r}")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.shape[0] < 2:
         raise ValueError("need at least two observation times")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
-    gaps = np.diff(t)
-    if np.any(gaps == 0.0):
-        raise ValueError("duplicate observation times")
-    if np.any(gaps < 0.0):
-        raise ValueError("times must be strictly increasing")
+    gaps = _grid_gaps(t)
     gmin = float(np.min(gaps))
     gmax = float(np.max(gaps))
     uniform = (gmax - gmin) <= _UNIFORM_RTOL * gmax
     dt = gmin if rule == "min_gap" else float(np.median(gaps))
-    return SamplingInfo(
-        delta_t=dt,
-        nyquist_frequency=1.0 / (2.0 * dt),
-        uniform=uniform,
-        rule=rule,
-    )
+    return SamplingInfo(delta_t=dt, uniform=uniform, rule=rule)
 
 
 def _clamp_unit(v: float) -> float:

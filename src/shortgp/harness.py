@@ -40,7 +40,7 @@ from numpy.random import Generator, Philox
 
 from . import bound, gp
 from . import fitting as fitmod
-from .series import TimeSeries
+from .series import TimeSeries, _grid_gaps
 
 __all__ = [
     "SyntheticConfig",
@@ -727,8 +727,11 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
     "wide" or "auto" (sniffed from the header).
 
     Raises CsvFormatError (with a line number) for malformed cells or
-    missing columns, for a series that mixes empty and numeric variance
-    cells, and for non-increasing times within a series.
+    missing columns, and for a series that mixes empty and numeric variance
+    cells.  A series that breaks a :class:`TimeSeries` rule (a non-finite
+    cell, a negative variance, times not strictly increasing, a span
+    t[-1] - t[0] that overflows) raises CsvFormatError naming the series
+    (long format) or its line (wide format; line 1 for the header times).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -771,19 +774,11 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
                     g["v"].append(_parse_float(var_cell, line_no, "variance"))
             out = []
             for sid, g in groups.items():
-                t = np.array(g["t"])
-                if np.any(np.diff(t) <= 0.0):
-                    raise CsvFormatError(
-                        f"series {sid!r}: times must be strictly increasing"
-                    )
-                out.append(
-                    TimeSeries(
-                        t,
-                        np.array(g["y"]),
-                        None if g["v"] is None else np.array(g["v"]),
-                        id=sid,
-                    )
-                )
+                v = None if g["v"] is None else np.array(g["v"])
+                try:
+                    out.append(TimeSeries(np.array(g["t"]), np.array(g["y"]), v, id=sid))
+                except ValueError as exc:
+                    raise CsvFormatError(f"series {sid!r}: {exc}") from None
             return out
 
         if format == "wide":
@@ -793,10 +788,10 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
                     "two time columns"
                 )
             times = np.array([_parse_wide_time(c, 1) for c in header[1:]])
-            if np.any(np.diff(times) <= 0.0):
-                raise CsvFormatError(
-                    "line 1: wide-format header times must be strictly increasing"
-                )
+            try:
+                _grid_gaps(times)
+            except ValueError as exc:
+                raise CsvFormatError(f"line 1: wide-format header {exc}") from None
             out = []
             for line_no, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
@@ -808,7 +803,11 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
                 values = np.array(
                     [_parse_float(c, line_no, "value") for c in row[1:]]
                 )
-                out.append(TimeSeries(times, values, id=row[0].strip()))
+                sid = row[0].strip()
+                try:
+                    out.append(TimeSeries(times, values, id=sid))
+                except ValueError as exc:
+                    raise CsvFormatError(f"line {line_no}: series {sid!r}: {exc}") from None
             return out
 
     raise ValueError(f"unknown format {format!r}")

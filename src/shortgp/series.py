@@ -25,6 +25,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _grid_gaps(times: np.ndarray) -> np.ndarray:
+    """Consecutive gaps of a valid time grid: finite times over a span
+    t[-1] - t[0] that is a finite float, strictly increasing.  Raises
+    ValueError otherwise, before any arithmetic that could overflow."""
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if not math.isfinite(float(times[-1]) - float(times[0])):
+        raise ValueError("times must span a finite t[-1] - t[0]")
+    if np.any(times[1:] <= times[:-1]):
+        raise ValueError("times must be strictly increasing")
+    return np.diff(times)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered (time, value) observations with optional per-point noise variances.
@@ -52,15 +65,9 @@ class TimeSeries:
             )
         if times.shape[0] < 1:
             raise ValueError("a series needs at least one observation")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise ValueError("times and values must be finite")
-        if not math.isfinite(float(times[-1]) - float(times[0])):
-            raise ValueError("the time span t[-1] - t[0] must be finite")
-        gaps = np.diff(times)
-        if np.any(gaps == 0.0):
-            raise ValueError("duplicate observation times are not allowed")
-        if np.any(gaps < 0.0):
-            raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        _grid_gaps(times)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if self.noise_variances is not None:

@@ -57,6 +57,17 @@ class TestDeltaT:
         with pytest.raises(ValueError):
             delta_t_from_times([0.0, 1.0], rule="mean_gap")
 
+    def test_overflowing_span_rejected(self):
+        # every gap is finite, but t[-1] - t[0] is not
+        with pytest.raises(ValueError, match="span"):
+            delta_t_from_times([-1e308, 0.0, 1e308])
+
+    @given(st.floats(min_value=0.0, max_value=8e307, exclude_min=True))
+    def test_nyquist_frequency_keeps_the_old_bits(self, delta_t):
+        # 0.5 / dt equals 1 / (2 dt) bitwise wherever 2 dt is finite
+        nyquist = SamplingInfo(delta_t, uniform=True).nyquist_frequency
+        assert nyquist.hex() == (1.0 / (2.0 * delta_t)).hex()
+
 
 class TestSeEnergyFraction:
     def test_saturation(self):

@@ -63,6 +63,17 @@ class TestBoundCommand:
         assert main(["bound", "--delta-t", delta_t]) == 2
         assert "--delta-t must be finite and > 0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_delta_t_near_largest_float(self, capsys):
+        # 1 / (2 dt) would overflow 2 dt and print 0.0
+        assert main(["bound", "--delta-t", "1e308"]) == 0
+        assert "nyquist_frequency   5e-309" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_times_with_overflowing_span_is_data_error(self, capsys):
+        assert main(["bound", "--times=-1e308,0,1e308"]) == 2
+        assert "span" in capsys.readouterr().err
+
     def test_usage_errors(self, capsys):
         assert main(["bound"]) == 1
         assert main(["bound", "--times=0,1", "--delta-t", "1"]) == 1

@@ -969,6 +969,37 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match=match):
             ingest_csv(path, format="wide")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "format, text, match",
+        [
+            ("long", "id,time,value\ng1,0,0.1\ng1,1,nan\n", "series 'g1': values must be finite"),
+            ("long", "id,time,value\ng1,0,0.1\ng1,1,inf\n", "series 'g1': values must be finite"),
+            (
+                "long",
+                "id,time,value,variance\ng1,0,0.1,0.05\ng1,1,0.2,-0.05\n",
+                "series 'g1': noise_variances must be finite and >= 0",
+            ),
+            ("long", "id,time,value\ng1,-1e308,0.1\ng1,1e308,0.2\n", "series 'g1': times must span"),
+            ("long", "id,time,value\ng1,1,0.1\ng1,0,0.2\n", "series 'g1': times must be strictly increasing"),
+            ("wide", "id,t=0,t=1\ng1,0.5,0.25\ng2,nan,0.25\n", "line 3: series 'g2': values must be finite"),
+            ("wide", "id,t=0,t=1\ng1,0.5,0.25\ng2,0.5,inf\n", "line 3: series 'g2': values must be finite"),
+            ("wide", "id,t=-1e308,t=1e308\ng1,0.5,0.25\n", "line 1: wide-format header times must span"),
+            ("wide", "id,t=1,t=0\ng1,0.5,0.25\n", "line 1: wide-format header times must be strictly increasing"),
+        ],
+        ids=[
+            "long-nan", "long-inf", "long-negative-variance", "long-span", "long-decreasing",
+            "wide-nan", "wide-inf", "wide-span", "wide-decreasing",
+        ],
+    )
+    def test_series_rule_broken_names_series_or_line(self, tmp_path, format, text, match):
+        # a TimeSeries rule is a CsvFormatError naming where it broke, with
+        # no overflow warning on the way
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"^{match}"):
+            ingest_csv(path, format=format)
+
     @pytest.mark.parametrize(
         "text",
         [
