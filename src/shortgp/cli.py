@@ -173,8 +173,8 @@ def _cmd_bound(args) -> int:
         info = bound.delta_t_from_times(times, rule=rule)
         upper = float(times[-1] - times[0])
     else:
-        if not 0.0 < args.delta_t < np.inf:
-            raise ValueError("--delta-t must be finite and > 0")
+        if not np.finfo(float).tiny <= args.delta_t < np.inf:
+            raise ValueError("--delta-t must be finite and > 0, and not subnormal")
         info = bound.SamplingInfo(args.delta_t, uniform=True)
     a_l = bound.length_scale_bound(family, alpha, info.delta_t, nu)
     print(f"delta_t             {info.delta_t!r}")

@@ -515,7 +515,7 @@ def _lockstep(
             out[i] = _failed(len(setup.boxes))
         return out
 
-    # A Matern length-scale probed near e^-230 overflows in dK/dl; the
+    # A Matern length-scale probed near e^-230 overflows in K and dK/dl; the
     # kernel masks those entries, so the warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         results = _minimize_lockstep(

@@ -244,6 +244,8 @@ def posterior_at(
 ) -> Posterior:
     """Posterior mean and variances of the latent function at ``query_times``."""
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
+    if not np.isfinite(q).all():
+        raise ValueError("query_times must be finite")
     chol = _factorize(series, kernel, noise)[2]
     alpha = dpotrs(chol, series.values, lower=1)[0]
     r_cross = np.abs(q[:, None] - series.times[None, :])

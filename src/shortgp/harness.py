@@ -195,6 +195,7 @@ class CellStats:
 
     count: int
     failed: int
+    failed_fraction: float
     overfit_fraction_lengthscale: float
     overfit_fraction_noise: float
     low_loglik_fraction: float | None
@@ -218,7 +219,6 @@ class BatchReport:
     rows: list[ReplicateRecord]
     loglik_threshold: float = -20.0
     mse_threshold: float = 0.1
-    noise_flag_threshold: float = 1e-4
     structural: dict[str, dict[str, bool]] = field(default_factory=dict)
     has_metrics: bool = True
 
@@ -252,6 +252,7 @@ class BatchReport:
         return CellStats(
             count=len(rows),
             failed=len(rows) - n_ok,
+            failed_fraction=((len(rows) - n_ok) / len(rows)) if rows else 0.0,
             overfit_fraction_lengthscale=frac(r.flag_short_length_scale for r in ok),
             overfit_fraction_noise=frac(r.flag_tiny_noise for r in ok),
             low_loglik_fraction=low,
@@ -264,7 +265,9 @@ class BatchReport:
 @dataclass(frozen=True)
 class _RunSettings:
     """Per-run constants of :func:`_fit_group`, bound once into the mapped
-    function.  ``test_times`` is None for runs without held-out scoring."""
+    function.  ``test_times`` is None for runs without held-out scoring.
+    Built before any draw or fit, it owns the run's checks; the bound at
+    Δt = 1 checks ``alpha`` for every Δt, as the bound is linear in Δt."""
 
     family: str
     nu: float | None
@@ -273,6 +276,12 @@ class _RunSettings:
     noise_flag_threshold: float
     test_times: np.ndarray | None = None
     test_values: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        fitmod._check_family(self.family, self.nu)
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        fitmod._reference_lower_bound(self.family, self.nu, self.alpha, 1.0)
 
 
 def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord]]:
@@ -521,8 +530,9 @@ def _structural_flags(
     """Per scenario label, which over-fit flags its constraints make
     impossible.  The length-scale flag is impossible when the scenario's
     floor is at least the bound that :func:`fitting.diagnose` flags against,
-    on every fitted series of the run; the noise flag under fixed noise, or
-    a noise box whose lower edge is at least the flag threshold."""
+    on every series of the run with two or more points; the noise flag under
+    fixed noise, or a noise box whose lower edge is at least the flag
+    threshold."""
     lengthscale = {sc.label: sc.length_scale_lower > 0.0 for sc in template}
     for series, scenarios, *_ in tasks:
         if len(series) < 2:
@@ -564,17 +574,15 @@ def run_synthetic_experiment(
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
     still reported.  A repeated n, a family and nu that fitting does not
-    support and fewer than one restart raise ValueError before any draw.
-    Deterministic for a given config regardless of ``parallelism``.
+    support, fewer than one restart and an ``alpha`` outside (0, 1) raise
+    ValueError before any draw.  Deterministic for a given config regardless
+    of ``parallelism``.
     """
     n_grid = [int(n) for n in n_grid]
     if len(set(n_grid)) < len(n_grid):
         raise ValueError("n_grid must not repeat a sample size")
     if family is not None:
         config = replace(config, family=family)
-    fitmod._check_family(config.family, config.nu)
-    if config.restarts < 1:
-        raise ValueError("restarts must be >= 1")
     lo, hi, count = config.test_grid
     test_times = np.linspace(lo, hi, int(count))
     settings = _RunSettings(
@@ -607,8 +615,6 @@ def run_synthetic_experiment(
         rows=_fit_all(settings, tasks, parallelism),
         loglik_threshold=config.loglik_threshold,
         mse_threshold=config.mse_threshold,
-        noise_flag_threshold=config.noise_flag_threshold,
-        structural=_structural_flags(settings, scenarios, tasks),
         has_metrics=True,
     )
 
@@ -637,9 +643,10 @@ def run_batch(
     bound per series from its own sampling interval.  The report's labels
     come from the scenario set, not from a series, so an unknown or empty
     ``scenario_set``, a ``family`` and ``nu`` that fitting does not support,
-    ``restarts`` below 1 and, for a preset set, an ``alpha`` outside (0, 1)
-    raise ValueError before any fit.  A scenario's length-scale cells print
-    "." only when its floor is at least every fitted series' own bound.
+    ``restarts`` below 1 and an ``alpha`` outside (0, 1), for every scenario
+    set, raise ValueError before any fit.  A scenario's length-scale cells
+    print "." only when its floor is at least the own bound of every series
+    of two or more points.
 
     A row's fit, and when a scenario's own fit is skipped, follow
     :class:`ReplicateRecord`, for an explicit list too.  Every series yields
@@ -657,9 +664,7 @@ def run_batch(
     series_set = list(series_set)
     if not series_set:
         raise ValueError("series_set must not be empty")
-    fitmod._check_family(family, nu)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    settings = _RunSettings(family, nu, restarts, alpha, noise_flag_threshold)
     if isinstance(scenario_set, (list, tuple)):
         listed = list(scenario_set)
         if not listed:
@@ -683,12 +688,10 @@ def run_batch(
         (s, build(s) if len(s) >= 2 else template, _mix64(seed, i), len(s), i)
         for i, s in enumerate(series_set)
     ]
-    settings = _RunSettings(family, nu, restarts, alpha, noise_flag_threshold)
     return BatchReport(
         scenario_labels=[sc.label for sc in template],
         n_values=sorted({len(s) for s in series_set}),
         rows=_fit_all(settings, tasks, parallelism),
-        noise_flag_threshold=noise_flag_threshold,
         structural=_structural_flags(settings, template, tasks),
         has_metrics=False,
     )
@@ -729,7 +732,7 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
     Raises CsvFormatError (with a line number) for malformed cells or
     missing columns, and for a series that mixes empty and numeric variance
     cells.  A series that breaks a :class:`TimeSeries` rule (a non-finite
-    cell, a negative variance, times not strictly increasing, a span
+    cell, a negative variance, unordered times, a subnormal gap, a span
     t[-1] - t[0] that overflows) raises CsvFormatError naming the series
     (long format) or its line (wide format; line 1 for the header times).
     """
@@ -839,15 +842,18 @@ def export_csv(series_list, path) -> None:
 # report emission
 # ---------------------------------------------------------------------------
 
-_AGGREGATE_FILES = {
-    "overfit_lengthscale.csv": "overfit_fraction_lengthscale",
-    "overfit_noise.csv": "overfit_fraction_noise",
-    "low_loglik.csv": "low_loglik_fraction",
-    "high_mse.csv": "high_mse_fraction",
-    "win_loglik.csv": "win_fraction_loglik",
-    "win_mse.csv": "win_fraction_mse",
-    "failed.csv": "failed_fraction",
-}
+# One row per aggregate table: its file, the CellStats field it prints, the
+# ``BatchReport.structural`` key whose cells print "." in reports without
+# held-out metrics, and whether the table needs held-out metrics.
+_AGGREGATE_FILES = (
+    ("overfit_lengthscale.csv", "overfit_fraction_lengthscale", "lengthscale_impossible", False),
+    ("overfit_noise.csv", "overfit_fraction_noise", "noise_impossible", False),
+    ("low_loglik.csv", "low_loglik_fraction", None, True),
+    ("high_mse.csv", "high_mse_fraction", None, True),
+    ("win_loglik.csv", "win_fraction_loglik", None, True),
+    ("win_mse.csv", "win_fraction_mse", None, True),
+    ("failed.csv", "failed_fraction", None, False),
+)
 
 _RAW_COLUMNS = tuple(f.name for f in fields(ReplicateRecord))
 
@@ -860,12 +866,6 @@ def _format_raw(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _cell_value(stats: CellStats, metric: str) -> float | None:
-    if metric == "failed_fraction":
-        return (stats.failed / stats.count) if stats.count else 0.0
-    return getattr(stats, metric)
 
 
 def emit_report(report: BatchReport, out_dir) -> list[str]:
@@ -891,38 +891,20 @@ def emit_report(report: BatchReport, out_dir) -> list[str]:
         for label in report.scenario_labels
         for n in columns
     }
-    structural_metric = {
-        "overfit_fraction_lengthscale": "lengthscale_impossible",
-        "overfit_fraction_noise": "noise_impossible",
-    }
-
-    for filename, metric in _AGGREGATE_FILES.items():
-        if not report.has_metrics and metric in (
-            "low_loglik_fraction",
-            "high_mse_fraction",
-            "win_fraction_loglik",
-            "win_fraction_mse",
-        ):
+    structural = {} if report.has_metrics else report.structural
+    for filename, metric, structural_key, held_out in _AGGREGATE_FILES:
+        if held_out and not report.has_metrics:
             continue
         path = os.path.join(out_dir, filename)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["scenario", *col_names])
             for label in report.scenario_labels:
+                impossible = structural.get(label, {}).get(structural_key, False)
                 row = [label]
                 for n in columns:
-                    impossible = (
-                        not report.has_metrics
-                        and metric in structural_metric
-                        and report.structural.get(label, {}).get(
-                            structural_metric[metric], False
-                        )
-                    )
-                    if impossible:
-                        row.append(".")
-                        continue
-                    value = _cell_value(cells[label, n], metric)
-                    row.append("" if value is None else f"{value:.4f}")
+                    value = getattr(cells[label, n], metric)
+                    row.append("." if impossible else "" if value is None else f"{value:.4f}")
                 writer.writerow(row)
         written.append(path)
 

@@ -186,16 +186,18 @@ def _closed_form(
     elif nu == 1.5:
         u = (math.sqrt(3.0) / l) * r
         decay = np.exp(-u)
-        k = sf2 * (1.0 + u) * decay
+        decayed = decay == 0.0
+        k = _zero_where(sf2 * (1.0 + u) * decay, decayed)
         if d_length_scale:
-            d_l = _zero_where_decayed(sf2 * 3.0 * r * r / _power(l, 3) * decay, decay)
+            d_l = _zero_where(sf2 * 3.0 * r * r / _power(l, 3) * decay, decayed)
     else:
         u = (math.sqrt(5.0) / l) * r
         decay = np.exp(-u)
-        k = sf2 * (1.0 + u + u * u / 3.0) * decay
+        decayed = decay == 0.0
+        k = _zero_where(sf2 * (1.0 + u + u * u / 3.0) * decay, decayed)
         if d_length_scale:
-            d_l = _zero_where_decayed(
-                sf2 * (5.0 * r * r / (3.0 * _power(l, 3))) * (1.0 + u) * decay, decay
+            d_l = _zero_where(
+                sf2 * (5.0 * r * r / (3.0 * _power(l, 3))) * (1.0 + u) * decay, decayed
             )
     return k, d_l
 
@@ -204,14 +206,15 @@ def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     return _cov_and_dcov_dl(spec, r, d_length_scale=False)[0]
 
 
-def _zero_where_decayed(d_l: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """``d_l`` with 0 wherever ``decay`` underflowed to 0.
+def _zero_where(values: np.ndarray, decayed: np.ndarray) -> np.ndarray:
+    """``values`` (K or dK/dl) with 0 wherever the mask ``decayed`` says the
+    Matern decay exp(-u) underflowed to 0.
 
-    There a polynomial factor in r/l may have overflowed to inf, and
+    There a polynomial factor in u may have overflowed to inf, and
     inf * 0 is NaN; every finite product there is already +0.0.
     """
-    d_l[decay == 0.0] = 0.0
-    return d_l
+    values[decayed] = 0.0
+    return values
 
 
 def covariance(spec: KernelSpec, r):

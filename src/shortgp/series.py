@@ -27,24 +27,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _grid_gaps(times: np.ndarray) -> np.ndarray:
     """Consecutive gaps of a valid time grid: finite times over a span
-    t[-1] - t[0] that is a finite float, strictly increasing.  Raises
-    ValueError otherwise, before any arithmetic that could overflow."""
+    t[-1] - t[0] that is a finite float, strictly increasing, with no gap
+    below the smallest normal float (a subnormal gap's Nyquist frequency
+    0.5 / gap can overflow).  Raises ValueError otherwise, before any
+    arithmetic that could overflow."""
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     if not math.isfinite(float(times[-1]) - float(times[0])):
         raise ValueError("times must span a finite t[-1] - t[0]")
     if np.any(times[1:] <= times[:-1]):
         raise ValueError("times must be strictly increasing")
-    return np.diff(times)
+    gaps = np.diff(times)
+    if np.any(gaps < np.finfo(float).tiny):
+        raise ValueError("times must be at least the smallest normal float apart")
+    return gaps
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered (time, value) observations with optional per-point noise variances.
 
-    ``times`` must be strictly increasing, over a span t[-1] - t[0] that is a
-    finite float; use :meth:`from_unordered` to canonicalize jointly-permuted
-    data.  ``noise_variances``, when present, holds one non-negative
+    ``times`` must be strictly increasing, no gap below the smallest normal
+    float, over a span t[-1] - t[0] that is a finite float; use
+    :meth:`from_unordered` to canonicalize jointly-permuted data.
+    ``noise_variances``, when present, holds one non-negative
     observation-noise variance per point and enables fixed-noise fitting.
     """
 

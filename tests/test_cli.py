@@ -74,6 +74,25 @@ class TestBoundCommand:
         assert main(["bound", "--times=-1e308,0,1e308"]) == 2
         assert "span" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--delta-t", "1e-320"], "--delta-t must be finite and > 0"),
+            (["--times=0,1e-320,2e-320"], "smallest normal float"),
+        ],
+        ids=["delta-t", "times"],
+    )
+    def test_subnormal_sampling_interval_is_data_error(self, argv, message, capsys):
+        # its Nyquist frequency 0.5 / dt would overflow to inf
+        assert main(["bound", *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_smallest_normal_sampling_interval(self, capsys):
+        assert main(["bound", "--delta-t", "2.3e-308"]) == 0
+        assert "nyquist_frequency   2.17" in capsys.readouterr().out
+
     def test_usage_errors(self, capsys):
         assert main(["bound"]) == 1
         assert main(["bound", "--times=0,1", "--delta-t", "1"]) == 1

@@ -315,6 +315,18 @@ class TestFit:
         for scenario in scenarios:
             fit(series, "matern", scenario, seed=15, nu=2.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_sampled_matern_fits(self):
+        # Sampled 1e60 apart, these fits probe l where u^2 in K overflows
+        # while the decay underflows: K is 0 there, not inf * 0 = NaN, which
+        # the factorization rejected with a ValueError.
+        base = _sinc_series(n=15, rep=3)
+        series = TimeSeries(base.times * 1e60, base.values, np.full(15, 0.09))
+        scenario = make_scenarios(series, "matern", nu=2.5)[2]
+        result = fit(series, "matern", scenario, seed=15, nu=2.5)
+        assert scenario.holds(result.kernel.length_scale, result.noise_variance)
+        assert math.isfinite(result.log_marginal_likelihood)
+
     def test_all_starts_failed(self, monkeypatch):
         _force_factorization_errors(monkeypatch)
         series = _sinc_series(n=5)

@@ -101,7 +101,7 @@ def _record_calls(monkeypatch, module, *names):
 
 class TestRunSyntheticExperiment:
     @pytest.mark.parametrize(
-        "kwargs", [{"restarts": 0}, {"family": "matern", "nu": 0.7}]
+        "kwargs", [{"restarts": 0}, {"family": "matern", "nu": 0.7}, {"alpha": 1.5}]
     )
     def test_settings_fitting_rejects_raise_before_any_draw(self, monkeypatch, kwargs):
         fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
@@ -430,6 +430,14 @@ class TestRunBatch:
         fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
         with pytest.raises(ValueError, match="scenario_set"):
             run_batch(_toy_series_set(count=2), scenario_set=[])
+        assert fits == []
+
+    def test_alpha_raises_before_any_fit_for_an_explicit_list(self, monkeypatch):
+        # an explicit list builds no bound of its own, so only the run's
+        # settings see alpha before the fits
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        with pytest.raises(ValueError, match="alpha"):
+            run_batch(_toy_series_set(count=2), scenario_set=[Scenario("free")], alpha=1.5)
         assert fits == []
 
     @pytest.mark.parametrize(
@@ -986,10 +994,13 @@ class TestCsv:
             ("wide", "id,t=0,t=1\ng1,0.5,0.25\ng2,0.5,inf\n", "line 3: series 'g2': values must be finite"),
             ("wide", "id,t=-1e308,t=1e308\ng1,0.5,0.25\n", "line 1: wide-format header times must span"),
             ("wide", "id,t=1,t=0\ng1,0.5,0.25\n", "line 1: wide-format header times must be strictly increasing"),
+            ("long", "id,time,value\ng1,0,0.1\ng1,1e-320,0.2\n", "series 'g1': times must be at least"),
+            ("wide", "id,t=0,t=1e-320\ng1,0.5,0.25\n", "line 1: wide-format header times must be at least"),
         ],
         ids=[
             "long-nan", "long-inf", "long-negative-variance", "long-span", "long-decreasing",
-            "wide-nan", "wide-inf", "wide-span", "wide-decreasing",
+            "wide-nan", "wide-inf", "wide-span", "wide-decreasing", "long-subnormal-gap",
+            "wide-subnormal-gap",
         ],
     )
     def test_series_rule_broken_names_series_or_line(self, tmp_path, format, text, match):

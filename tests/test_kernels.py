@@ -89,6 +89,16 @@ class TestCovariance:
         b = covariance(KernelSpec.matern(1.5, 1.0, l / c), r / c)
         assert abs(a - b) <= 1e-12
 
+    @pytest.mark.parametrize("nu, r", [(1.5, 1e210), (2.5, 1e60)])
+    def test_matern_is_zero_where_its_decay_underflows(self, nu, r):
+        # there u (nu = 3/2) or u^2 (nu = 5/2) overflows to inf, and the
+        # polynomial times the decay would be inf * 0 = NaN
+        spec = KernelSpec.matern(nu, 1.0, 1e-100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k, d_l = _cov_and_dcov_dl(spec, np.array([r]))
+            assert covariance(spec, r) == 0.0
+        assert k[0] == 0.0 and d_l[0] == 0.0
+
     def test_large_nu_approaches_se(self):
         se = KernelSpec.se(1.0, 1.0)
         mat = KernelSpec.matern(50.0, 1.0, 1.0)
