@@ -128,11 +128,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _family(args) -> tuple[str, float | None]:
-    family = args.family or "se"
-    if family == "matern" and args.nu is None:
-        raise _UsageError("--family matern requires --nu")
-    return family, (args.nu if family == "matern" else None)
+def _family(family: str | None, nu: float | None) -> tuple[str, float | None]:
+    """The family (default se) and nu of a command; nu goes with matern only."""
+    family = family or "se"
+    if family == "matern" and nu is None:
+        raise _UsageError("the matern family requires --nu (or nu in the config)")
+    if family != "matern" and nu is not None:
+        raise _UsageError(f"nu applies only to the matern family, not to {family!r}")
+    return family, nu
 
 
 def _select_series(args):
@@ -150,7 +153,7 @@ def _select_series(args):
 def _single_fit(args):
     """The ``fit``/``plotdata`` step: the selected series, its scenario and
     the fit of that scenario."""
-    family, nu = _family(args)
+    family, nu = _family(args.family, args.nu)
     series = _select_series(args)
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
     scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
@@ -162,7 +165,7 @@ def _single_fit(args):
 
 
 def _cmd_bound(args) -> int:
-    family, nu = _family(args)
+    family, nu = _family(args.family, args.nu)
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
     if (args.times is None) == (args.delta_t is None):
         raise _UsageError("bound needs exactly one of --times or --delta-t")
@@ -216,7 +219,7 @@ def _cmd_synth(args) -> int:
     # parsed once.
     mapping = harness.load_config(args.config) if args.config else {}
     for key in ("replicates", "seed", "noise_variance", "restarts", "alpha",
-                "n_grid", "out_dir", "parallelism"):
+                "n_grid", "out_dir", "parallelism", "family", "nu"):
         if getattr(args, key) is not None:
             mapping[key] = getattr(args, key)
     # --interval, --test-grid and --noise-bounds set a tuple field's keys
@@ -226,8 +229,7 @@ def _cmd_synth(args) -> int:
             if len(parts) != len(keys):
                 raise ValueError(f"--{field.replace('_', '-')} needs {len(keys)} values")
             mapping.update(zip(keys, parts))
-    if args.family is not None:
-        mapping["family"], mapping["nu"] = _family(args)
+    mapping["family"], mapping["nu"] = _family(mapping.get("family"), mapping.get("nu"))
     config = harness.config_from_mapping(mapping)
 
     n_grid = [int(v) for v in str(mapping.get("n_grid", "5,7,9,11,13,15")).split(",")]
@@ -244,7 +246,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    family, nu = _family(args)
+    family, nu = _family(args.family, args.nu)
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
     series_list = harness.ingest_csv(args.input, format=args.format)
     if not series_list:

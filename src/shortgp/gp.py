@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .kernels import KernelSpec, _closed_form, _cov_and_dcov_dl, _cov_array, factor_covariance
+from .kernels import KernelSpec, _cov_and_dcov_dl, _cov_array, _evaluate, factor_covariance
 from .series import NoiseModel, TimeSeries
 
 __all__ = [
@@ -100,9 +100,13 @@ def _identity(n: int) -> np.ndarray:
 def _factorize(
     series: TimeSeries, kernel: KernelSpec, noise: NoiseModel, d_length_scale: bool = False
 ):
-    """(gram, dK/dl or None, Cholesky factor of gram + noise, jitter)."""
+    """(gram, dK/dl or None, Cholesky factor of gram + noise, jitter); only
+    the fits, which run under their own errstate, ask for dK/dl."""
     n = len(series)
-    gram, d_l = _cov_and_dcov_dl(kernel, series.distances, d_length_scale)
+    if d_length_scale:
+        gram, d_l = _cov_and_dcov_dl(kernel, series.distances)
+    else:
+        gram, d_l = _cov_array(kernel, series.distances), None
     k = gram.copy()
     k.ravel()[:: n + 1] += noise.variance if noise.is_estimated else noise.diagonal(n)
     chol, jitter = factor_covariance(k, kernel.signal_variance)
@@ -166,7 +170,7 @@ def _lml_and_grad_batch(
     b, n = ys.shape
     sf2, ls = params[:, :2].T.reshape(2, b, 1, 1)
     sn2 = params[:, 2] if params.shape[1] == 3 else None
-    gram, d_l = _closed_form(family, nu, sf2, ls, distances)
+    gram, d_l = _evaluate(family, nu, sf2, ls, distances)
     k = gram.copy()
     k.reshape(b, n * n)[:, :: n + 1] += variances if sn2 is None else sn2[:, None]
     ok = np.isfinite(k).all(axis=(1, 2)).tolist()

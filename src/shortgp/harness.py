@@ -642,7 +642,8 @@ def run_batch(
     scenario list applied verbatim.  Preset sets rebuild the length-scale
     bound per series from its own sampling interval.  The report's labels
     come from the scenario set, not from a series, so an unknown or empty
-    ``scenario_set``, a ``family`` and ``nu`` that fitting does not support,
+    ``scenario_set``, one that repeats a label (the report is keyed by
+    label), a ``family`` and ``nu`` that fitting does not support,
     ``restarts`` below 1 and an ``alpha`` outside (0, 1), for every scenario
     set, raise ValueError before any fit.  A scenario's length-scale cells
     print "." only when its floor is at least the own bound of every series
@@ -667,8 +668,6 @@ def run_batch(
     settings = _RunSettings(family, nu, restarts, alpha, noise_flag_threshold)
     if isinstance(scenario_set, (list, tuple)):
         listed = list(scenario_set)
-        if not listed:
-            raise ValueError("scenario_set must not be empty")
 
         def build(series):
             return listed
@@ -684,12 +683,15 @@ def run_batch(
             "scenario_set must be 'synthetic', 'expression' or a list of Scenario"
         )
     template = build(_UNIT_GRID)
+    labels = [sc.label for sc in template]
+    if not labels or len(set(labels)) < len(labels):
+        raise ValueError("scenario_set must not be empty or repeat a scenario label")
     tasks = [
         (s, build(s) if len(s) >= 2 else template, _mix64(seed, i), len(s), i)
         for i, s in enumerate(series_set)
     ]
     return BatchReport(
-        scenario_labels=[sc.label for sc in template],
+        scenario_labels=labels,
         n_values=sorted({len(s) for s in series_set}),
         rows=_fit_all(settings, tasks, parallelism),
         structural=_structural_flags(settings, template, tasks),
@@ -735,8 +737,9 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
     cell, a negative variance, unordered times, a subnormal gap, a span
     t[-1] - t[0] that overflows) raises CsvFormatError naming the series
     (long format) or its line (wide format; line 1 for the header times).
+    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -1021,9 +1024,10 @@ _CONFIG_KEYS.update(n_grid=str, out_dir=str, parallelism=int)
 
 
 def load_config(path) -> dict:
-    """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` config file ('#' starts a comment; a
+    leading UTF-8 byte-order mark is skipped)."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

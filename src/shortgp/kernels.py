@@ -10,10 +10,11 @@ and the Matern class
     k(r) = sf2 * 2^(1-nu)/Gamma(nu) * (sqrt(2 nu) r / l)^nu * K_nu(sqrt(2 nu) r / l)
 
 with signal variance ``sf2``, length-scale ``l`` and smoothness ``nu``.
-Half-integer nu in {1/2, 3/2, 5/2} use the elementary closed forms and are
-the orders supported for likelihood fitting; arbitrary nu > 0 is available
-for covariance evaluation, vectorised over distances through scipy's
-exponentially scaled Bessel function combined in log space.
+One dispatch on (family, nu), :func:`_evaluate`, serves every kernel: the
+elementary closed forms for nu in {1/2, 3/2, 5/2}, the orders supported for
+likelihood fitting, and for any other nu > 0 scipy's exponentially scaled
+Bessel function in log space.  Where a Matern decay underflows, K and dK/dl
+are exactly 0 (:func:`_zero_where`).
 
 Spectral densities are returned for unit signal variance (sf2 scales the
 covariance and the density by the same factor, so it cancels in every
@@ -25,10 +26,10 @@ validation and batch dispatch cost more than the factorization itself.  The
 routine and its arguments are the ones the wrapper would pass, so the factor
 is bitwise the same; the square and finite checks are kept explicitly.
 
-For the same reason the closed-form families evaluate the covariance and
-its length-scale derivative from one exponential (:func:`_cov_and_dcov_dl`),
-and take the distance matrix from the caller, which computes it once per
-series (:attr:`~shortgp.series.TimeSeries.distances`).
+For the same reason every family evaluates the covariance and its
+length-scale derivative in one pass, and takes the distance matrix from the
+caller, which computes it once per series
+(:attr:`~shortgp.series.TimeSeries.distances`).
 """
 
 from __future__ import annotations
@@ -104,55 +105,16 @@ def _log_bessel_k(order: float, u):
 
     Finite for any order at magnitudes where K itself would overflow or
     underflow; K_(-order) = K_order.  Off the domain (u <= 0 or NaN) the
-    result is non-finite, so callers pass only positive distances.
+    result is non-finite, so callers pass only positive distances; beyond
+    kve's argument range (u > 2^30 - 1/2, or inf) it is NaN.
     """
     return np.log(kve(order, u)) - u
 
 
-def _matern_general(
-    spec: KernelSpec, r: np.ndarray, d_length_scale: bool
-) -> np.ndarray:
-    """General-order Matern covariance, or its derivative in l, over ``r``.
-
-    With u = sqrt(2 nu) r / l, k = sf2 * 2^(1-nu)/Gamma(nu) * u^nu * K_nu(u)
-    and, from d/du [u^nu K_nu(u)] = -u^nu K_(nu-1)(u),
-    dk/dl = sf2 * 2^(1-nu)/Gamma(nu) * u^(nu+1) * K_(nu-1)(u) / l.  Both are
-    combined in log space (``_log_bessel_k``), so that extreme intermediate
-    magnitudes (large nu, small r) stay representable.
-    """
-    nu = spec.nu
-    l = spec.length_scale
-    out = np.full(r.shape, 0.0 if d_length_scale else spec.signal_variance)
-    pos = r > 0.0
-    u = (math.sqrt(2.0 * nu) / l) * r[pos]
-    order, power = (nu - 1.0, nu + 1.0) if d_length_scale else (nu, nu)
-    log_norm = (
-        math.log(spec.signal_variance) + (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
-    )
-    val = np.exp(log_norm + power * np.log(u) + _log_bessel_k(order, u))
-    out[pos] = val / l if d_length_scale else val
-    return out
-
-
-def _cov_and_dcov_dl(
-    spec: KernelSpec, r: np.ndarray, d_length_scale: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The covariance over ``r`` and, if ``d_length_scale``, its derivative
-    in l (else None).
-
-    The closed forms take one ``exp`` for both: the likelihood gradient
-    needs K and dK/dl at every call, and at n <= 15 the exponential is a
-    visible share of the call.  The derivative multiplies the same array by
-    the same factors as a separate evaluation would, so both are bitwise
-    what each formula gives on its own.
-    """
-    if spec.family == MATERN and spec.nu not in FITTING_NUS:
-        k = _matern_general(spec, r, d_length_scale=False)
-        d_l = _matern_general(spec, r, d_length_scale=True) if d_length_scale else None
-        return k, d_l
-    return _closed_form(
-        spec.family, spec.nu, spec.signal_variance, spec.length_scale, r, d_length_scale
-    )
+def _cov_and_dcov_dl(spec: KernelSpec, r: np.ndarray, d_length_scale: bool = True):
+    """:func:`_evaluate` of ``spec``."""
+    return _evaluate(spec.family, spec.nu, spec.signal_variance, spec.length_scale,
+                     r, d_length_scale)
 
 
 def _power(l, k: int):
@@ -164,15 +126,17 @@ def _power(l, k: int):
     return l**k
 
 
-def _closed_form(
+def _evaluate(
     family: str, nu: float | None, sf2, l, r: np.ndarray, d_length_scale: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`_cov_and_dcov_dl` of the SE and half-integer Matern families,
-    from raw hyperparameters.
+    """The covariance over ``r`` and, if ``d_length_scale``, its derivative
+    in l (else None), from raw hyperparameters, in one pass: the closed forms
+    from one ``exp``, the general order from one u and log u.  Each is
+    bitwise what its formula gives on its own.
 
-    ``sf2`` and ``l`` are floats, or arrays of shape (B, 1, 1) that give one
-    (B, n, n) covariance per member; every element is bitwise what the float
-    call for its member gives.
+    ``sf2`` and ``l`` are floats or, for SE and the fitting orders, arrays of
+    shape (B, 1, 1) that give one (B, n, n) covariance per member; every
+    element is bitwise what the float call for its member gives.
     """
     d_l = None
     if family == SQUARED_EXPONENTIAL:
@@ -190,7 +154,7 @@ def _closed_form(
         k = _zero_where(sf2 * (1.0 + u) * decay, decayed)
         if d_length_scale:
             d_l = _zero_where(sf2 * 3.0 * r * r / _power(l, 3) * decay, decayed)
-    else:
+    elif nu == 2.5:
         u = (math.sqrt(5.0) / l) * r
         decay = np.exp(-u)
         decayed = decay == 0.0
@@ -199,20 +163,43 @@ def _closed_form(
             d_l = _zero_where(
                 sf2 * (5.0 * r * r / (3.0 * _power(l, 3))) * (1.0 + u) * decay, decayed
             )
+    else:
+        # k = c u^nu K_nu(u) with c = sf2 2^(1-nu) / Gamma(nu) and, from
+        # d/du [u^nu K_nu(u)] = -u^nu K_(nu-1)(u), dk/dl = c u^(nu+1)
+        # K_(nu-1)(u) / l; in log space, so that extreme intermediate
+        # magnitudes stay representable.  u = 0 (r = 0, or an r so small
+        # that u underflows) gives sf2 and 0; a NaN distance stays NaN.
+        u = (math.sqrt(2.0 * nu) / l) * r
+        pos = u != 0.0
+        u = u[pos]
+        log_u = np.log(u)
+        log_c = math.log(sf2) + (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
+        log_bessel = _log_bessel_k(nu, u)
+        decayed = np.isnan(log_bessel) & ~np.isnan(u)
+        k = np.full(r.shape, sf2, dtype=float)
+        k[pos] = _zero_where(np.exp(log_c + nu * log_u + log_bessel), decayed)
+        if d_length_scale:
+            d_l = np.zeros(r.shape)
+            d_l[pos] = _zero_where(
+                np.exp(log_c + (nu + 1.0) * log_u + _log_bessel_k(nu - 1.0, u)) / l,
+                decayed,
+            )
     return k, d_l
 
 
 def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    return _cov_and_dcov_dl(spec, r, d_length_scale=False)[0]
+    """The covariance alone, without the RuntimeWarnings of the entries that
+    :func:`_zero_where` zeroes (fits evaluate under their own errstate)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cov_and_dcov_dl(spec, r, d_length_scale=False)[0]
 
 
 def _zero_where(values: np.ndarray, decayed: np.ndarray) -> np.ndarray:
-    """``values`` (K or dK/dl) with 0 wherever the mask ``decayed`` says the
-    Matern decay exp(-u) underflowed to 0.
-
-    There a polynomial factor in u may have overflowed to inf, and
-    inf * 0 is NaN; every finite product there is already +0.0.
-    """
+    """``values`` (K or dK/dl) with 0 where the mask ``decayed`` says the
+    Matern decay underflowed: exp(-u) = 0 at orders 3/2 and 5/2, u beyond
+    kve's argument range 2^30 - 1/2 at any other order.  There a polynomial
+    in u may be inf (inf * 0 is NaN) or kve NaN, while the true value is
+    below the smallest float (K < 1e-400000000 for any order up to 1e6)."""
     values[decayed] = 0.0
     return values
 

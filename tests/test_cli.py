@@ -97,6 +97,7 @@ class TestBoundCommand:
         assert main(["bound"]) == 1
         assert main(["bound", "--times=0,1", "--delta-t", "1"]) == 1
         assert main(["bound", "--delta-t", "1", "--family", "matern"]) == 1
+        assert main(["bound", "--delta-t", "1", "--nu", "2.5"]) == 1
         assert main(["nonsense"]) == 1
 
 
@@ -200,6 +201,30 @@ class TestSynthCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 4  # flag overrode the config file
 
+    def test_nu_flag_overrides_config_file(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def record(config, n_grid, parallelism=1):
+            seen.append(config)
+            return harness.BatchReport(scenario_labels=[], n_values=[], rows=[])
+
+        monkeypatch.setattr(harness, "run_synthetic_experiment", record)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = matern\nnu = 1.5\nout_dir = %s\n" % (tmp_path / "r"))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert main(["synth", "--config", str(cfg), "--nu", "2.5"]) == 0
+        assert [(c.family, c.nu) for c in seen] == [("matern", 1.5), ("matern", 2.5)]
+
+    def test_nu_without_the_matern_family_is_usage_error(self, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path / "report")]
+        assert main(["synth", "--nu", "2.5", *out]) == 1
+        assert main(["synth", "--family", "se", "--nu", "2.5", *out]) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = matern\nnu = 1.5\n")
+        assert main(["synth", "--config", str(cfg), "--family", "se", *out]) == 1
+        assert "applies only to the matern family" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     def test_tuple_flags_override_config_file(self, tmp_path, monkeypatch, capsys):
         seen = []
 
@@ -278,6 +303,14 @@ class TestSynthCommand:
 
 
 class TestBatchCommand:
+    def test_nu_without_the_matern_family_is_usage_error(self, variance_csv, tmp_path, capsys):
+        # it once fitted SE, ignoring --nu
+        argv = ["batch", "--input", str(variance_csv), "--out-dir", str(tmp_path / "report")]
+        assert main([*argv, "--nu", "2.5"]) == 1
+        assert main(["fit", "--input", str(variance_csv), "--nu", "2.5"]) == 1
+        assert not (tmp_path / "report").exists()
+        assert main([*argv, "--family", "matern", "--nu", "2.5", "--restarts", "1"]) == 0
+
     def test_expression_batch(self, variance_csv, tmp_path, capsys):
         out_dir = tmp_path / "report"
         rc = main(

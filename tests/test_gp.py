@@ -305,6 +305,25 @@ class TestPosterior:
         p12 = posterior_at(TimeSeries(t, a * y1 + b * y2), spec, noise, q).mean
         assert np.max(np.abs(p12 - (a * p1 + b * p2))) <= 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.matern(0.75, 1.0, 1e-9), KernelSpec.matern(0.75, 1, 1e-100),
+         KernelSpec.matern(1.5, 1, 1e-100)],
+    )
+    def test_decayed_covariance_is_zero_and_warns_nothing(self, spec):
+        # every distance but 0 is past the decay (for order 0.75 and l = 1e-9,
+        # past kve's range), and u overflows at the far query time
+        s = TimeSeries([0.0, 1.0, 2.0], [0.5, -0.5, 0.25])
+        noise = NoiseModel.estimated(0.1)
+        q, y_q = [0.5, 1e210], [0.3, -0.3]
+        post = posterior_at(s, spec, noise, q)
+        assert post.mean.tolist() == [0.0, 0.0] and post.variance_latent.tolist() == [1.0, 1.0]
+        lml = log_marginal_likelihood(s, spec, noise)
+        independent = -0.5 * sum(y * y / 1.1 + math.log(2.0 * math.pi * 1.1) for y in s.values)
+        assert abs(lml - independent) <= 1e-12
+        assert math.isfinite(predictive_log_likelihood(s, spec, noise, q, y_q))
+        assert mse(s, spec, noise, q, y_q) == 0.09
 
     @pytest.mark.parametrize("query", [math.nan, -math.inf])
     def test_non_finite_cross_covariance_raises(self, query):

@@ -432,6 +432,15 @@ class TestRunBatch:
             run_batch(_toy_series_set(count=2), scenario_set=[])
         assert fits == []
 
+    def test_repeated_scenario_label_raises_before_any_fit(self, monkeypatch):
+        # the report's cells and structural flags are keyed by label, so two
+        # scenarios of one label would be aggregated together
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        repeated = [Scenario("a"), Scenario("a", length_scale_lower=2.0)]
+        with pytest.raises(ValueError, match="repeat a scenario label"):
+            run_batch(_toy_series_set(count=2), scenario_set=repeated)
+        assert fits == []
+
     def test_alpha_raises_before_any_fit_for_an_explicit_list(self, monkeypatch):
         # an explicit list builds no bound of its own, so only the run's
         # settings see alpha before the fits
@@ -919,6 +928,25 @@ class TestCsv:
         scenarios = make_expression_scenarios(series[0], "se")
         assert scenarios[2].noise_mode == "fixed"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["id,time,value,variance\ng1,0,0.1,0.01\ng1,1,0.2,0.02\ng2,0,0.3,\ng2,2,0.4,\n",
+         "id,t=0,t=1.5\ng1,0.5,0.25\ng2,-1,2\n"],
+    )
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, text):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected, got = ingest_csv(plain), ingest_csv(marked)
+        assert [s.id for s in got] == [s.id for s in expected] == ["g1", "g2"]
+        for a, b in zip(expected, got):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+            assert (a.noise_variances is None) == (b.noise_variances is None)
+            if a.noise_variances is not None:
+                assert np.array_equal(a.noise_variances, b.noise_variances)
+
     def test_round_trip(self, tmp_path):
         with_variances = [
             TimeSeries([0.0, 0.7, 2.0], [0.1, -0.2, 0.33], [0.01, 0.02, 0.03], id="a"),
@@ -1178,6 +1206,11 @@ class TestConfigFile:
         assert config.test_grid == (-5.0, 3.0, 8)
         assert config.restarts == 2
         assert mapping["n_grid"] == "5,7"
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("replicates = 12\nfamily = matern\n", encoding="utf-8-sig")
+        assert load_config(path) == {"replicates": 12, "family": "matern"}
 
     def test_every_field_settable(self, tmp_path):
         from dataclasses import fields

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import kv
+from scipy.special import kv, kve
 
 from shortgp.kernels import (
     FactorizationError,
     _cov_and_dcov_dl,
-    _matern_general,
     KernelSpec,
     covariance,
     covariance_matrix,
@@ -98,6 +97,26 @@ class TestCovariance:
             k, d_l = _cov_and_dcov_dl(spec, np.array([r]))
             assert covariance(spec, r) == 0.0
         assert k[0] == 0.0 and d_l[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.se(1.0, 1.0)]
+        + [KernelSpec.matern(nu, 1.0, 1.0) for nu in (0.5, 1.5, 2.5, 0.75, 3.3)],
+    )
+    def test_nan_distance_gives_nan(self, spec):
+        assert math.isnan(covariance(spec, np.nan))
+        k, d_l = _cov_and_dcov_dl(spec, np.array([np.nan, 0.0]))
+        assert math.isnan(k[0]) and math.isnan(d_l[0])
+        assert k[1] == 1.0 and d_l[1] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu, l, r", [(1.5, 1e-100, 1e210), (2.5, 1e-100, 1e60),
+                                          (0.75, 1e-300, 1e10), (0.75, 1.0, 1e300)])
+    def test_exact_zeros_warn_nothing(self, nu, l, r):
+        spec = KernelSpec.matern(nu, 1, l)
+        assert covariance(spec, r) == 0.0
+        k = covariance_matrix(spec, [0.0, r])
+        assert np.array_equal(k, np.eye(2))
 
     def test_large_nu_approaches_se(self):
         se = KernelSpec.se(1.0, 1.0)
@@ -214,6 +233,23 @@ class TestGeneralOrderMatern:
             ok, odk = self._oracle(nu, 1.0, l, float(r))
             assert abs(value - ok) <= 1e-10 * ok
             assert abs(dl - odk) <= 1e-10 * odk
+
+    def test_int_signal_variance_gives_floats(self):
+        r = np.array([0.0, 0.5, 2.0])
+        k = covariance(KernelSpec.matern(0.75, 1, 1), r)
+        assert k.dtype == np.float64 and abs(k[1] - 0.6845) <= 1e-4
+        assert np.array_equal(k, covariance(KernelSpec.matern(0.75, 1.0, 1.0), r))
+
+    @pytest.mark.parametrize("nu", [0.3, 0.75, 3.3, 10.0])
+    @pytest.mark.parametrize("l, r", [(1.0, 1.5e9), (1.0, 1e300), (1e-9, 1.5),
+                                      (1e-300, 1e10), (1.0, np.inf)])
+    def test_zero_beyond_the_bessel_range(self, nu, l, r):
+        # u = sqrt(2 nu) r / l exceeds kve's argument range, 2^30 - 1/2,
+        # where kve is NaN and the true value is below the smallest float
+        spec = KernelSpec.matern(nu, 1.0, l)
+        with np.errstate(over="ignore"):
+            k, d_l = _cov_and_dcov_dl(spec, np.array([0.0, r]))
+        assert k.tolist() == [1.0, 0.0] and d_l.tolist() == [0.0, 0.0]
 
 
 class TestCovarianceMatrix:
@@ -339,7 +375,8 @@ class TestSpectralDensity:
 
 def _standalone(spec, r):
     """K and dK/dl over ``r``, each formula written out on its own, with its
-    own exp; dK/dl is 0 where the Matern 3/2 and 5/2 decay underflows."""
+    own exp (the general order: its own log-space Bessel form); dK/dl is 0
+    where the Matern 3/2 and 5/2 decay underflows."""
     sf2, l, nu = spec.signal_variance, spec.length_scale, spec.nu
     if spec.family == "se":
         return (
@@ -358,7 +395,13 @@ def _standalone(spec, r):
             d_l = sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * np.exp(-u)
         d_l[np.exp(-u) == 0.0] = 0.0
         return k, d_l
-    return _matern_general(spec, r, False), _matern_general(spec, r, True)
+    pos = r > 0.0
+    u = (math.sqrt(2.0 * nu) / l) * r[pos]
+    log_c = math.log(sf2) + (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
+    k, d_l = np.full(r.shape, float(sf2)), np.zeros(r.shape)
+    k[pos] = np.exp(log_c + nu * np.log(u) + (np.log(kve(nu, u)) - u))
+    d_l[pos] = np.exp(log_c + (nu + 1.0) * np.log(u) + (np.log(kve(nu - 1.0, u)) - u)) / l
+    return k, d_l
 
 
 def _gram_distances():
