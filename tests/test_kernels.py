@@ -118,6 +118,28 @@ class TestCovariance:
         k = covariance_matrix(spec, [0.0, r])
         assert np.array_equal(k, np.eye(2))
 
+    # K and dK/dl (sf2 = l = 1) of orders where scipy's kve overflows at
+    # these distances, from mpmath.besselk at 50 digits; dK/dl at
+    # r = 1e-200 is about 1.5e-400, below the smallest float.
+    @pytest.mark.parametrize(
+        "nu, r, k, d_l",
+        [
+            (50.0, 1e-10, 1.0, 1.0204081632653061e-20),
+            (100.0, 1e-3, 0.99999949494962379, 1.0101004947434847e-6),
+            (170.0, 0.1, 0.99498311629630091, 0.010008406280875114),
+            (3.0, 1e-200, 1.0, 0.0),
+        ],
+    )
+    def test_large_orders_at_small_distances(self, nu, r, k, d_l):
+        # kve(nu, u) overflows before u^nu cancels it; the small-argument
+        # series of log K_nu takes over there
+        spec = KernelSpec.matern(nu, 1.0, 1.0)
+        got_k, got_d_l = _cov_and_dcov_dl(spec, np.array([r]))
+        assert abs(got_k[0] - k) <= 1e-12 * k
+        assert abs(got_d_l[0] - d_l) <= 1e-12 * d_l
+        assert abs(covariance(spec, r) - k) <= 1e-12 * k
+        assert np.isfinite(covariance_matrix(spec, [0.0, r, 2.0 * r])).all()
+
     def test_large_nu_approaches_se(self):
         se = KernelSpec.se(1.0, 1.0)
         mat = KernelSpec.matern(50.0, 1.0, 1.0)
