@@ -1,54 +1,72 @@
 """Bounded maximum-likelihood hyperparameter estimation.
 
 Each fit maximizes the log marginal likelihood over z = log(sf2, l[, sn2])
-from several seeded restarts, with a projected trust-region Newton method
-on the analytic gradient and Hessian (:func:`_newton`).  The scenario's box
-on each parameter is the log of that box (no bound where the box edge is 0
-or infinity), and a step that would leave it is projected onto a face, so
-an optimum on a face of the box is reached, not approached.  The
-likelihood's derivatives are already in log coordinates, so the objective
-needs no chain factor.  Mapped back to natural units, a z on a face (or
-within 1e-6 of it) gives exactly that bound and any other z its exp, so
-every returned parameter lies inside its box exactly, and one that sits on
-a bound sits on it exactly.  Restart initialization, the stop tests and
-tie-breaking are all deterministic given the seed; the stop tests are
-L-BFGS-B's (projected gradient at most 1e-6, relative fall at most 1e-10),
-with the same iteration cap.
+with L-BFGS-B from several seeded restarts.  The scenario's box on each
+parameter is handed to L-BFGS-B as the log of that box (no bound where the
+box edge is 0 or infinity), so an optimum on a face of the box is reached,
+not approached.  The likelihood gradient is already in log coordinates, so
+the objective needs no chain factor.  Mapped back to natural units, a z on
+a face (or within 1e-6 of it) gives exactly that bound and any other z its
+exp, so every returned parameter lies inside its box exactly, and one that
+sits on a bound sits on it exactly.  Restart
+initialization, convergence thresholds and tie-breaking are all
+deterministic given the seed.
 
-The restarts of a fit run in lockstep, and so do the fits of one scenario
-of many series of one length (:func:`_lockstep`): one (M, d) array of log
-parameters holds every restart of every problem.  Each round maps the
-running members' trial points to natural units at once and evaluates
-them in one :func:`shortgp.gp._lml_grad_hess_batch` call, whatever series
-they come from; then one batched eigendecomposition solves every member's
-trust-region subproblem.  Every step of the batch treats each member on
-its own, so a member's path does not depend on its batch-mates, and
-:func:`fit` is the one-problem case with the same bits.  The harness makes
-one call per stage, to :func:`_fit_problems`.
+Each restart drives L-BFGS-B's reverse-communication routine ``setulb``
+directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
+At n <= 15 the wrapper's per-call bookkeeping (its scalar-function object,
+gradient memo and array checks) cost more than the likelihood itself.  The
+loop mirrors scipy's ``_minimize_lbfgsb`` for this problem: the same memory,
+line-search limit, tolerances, bound encoding, start clipping and memo of
+the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
+``setulb`` is loaded from its extension file (:func:`_load_setulb`), so a
+fit never imports the ``scipy.optimize`` package and its solvers; only
+:func:`profile_signal_variance` does, lazily, for ``minimize_scalar``.
 
-Each problem runs one start more than its seeded restarts, at a
-length-scale of 100 spans: Newton's method stays in the basin of its
-start, and the long, near-constant fits that a restart can reach only by
-a long climb have no seeded start in their basin.  The restarts are ranked
-by the batched values; the winner's likelihood is then that of the
-per-call :func:`shortgp.gp.log_marginal_likelihood_and_gradient`, so that
-it equals :func:`shortgp.gp.log_marginal_likelihood` of the fit.
+The restarts of one fit run in lockstep (:func:`_minimize_lockstep`): one
+``setulb`` state per start, advanced together round by round.  Each round
+every running member goes on until it asks for a new point or stops, and
+the points asked for are evaluated by one objective.  It maps each point
+to natural units once and hands two or more of them to
+:func:`shortgp.gp._lml_and_grad_batch` as one parameter array, which shares
+the Python glue and the small-array work of a likelihood call among the
+members.  The batch gives each member the bits a call of its own gives, so
+every restart takes the path it takes alone.  A lone point, and a member
+whose K is not finite or needs jitter, go to
+:func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
+costs more than a call, and that function owns the jitter ladder and the
+errors.
+
+The lockstep runs over problems, not only over restarts: :func:`_lockstep`
+fits any number of (series, scenario, seed) problems at once, and a round's
+points from series of one length and one noise mode go to one batched call.
+:func:`fit` is its one-problem case, with the same bits.  The harness makes
+one call per stage, to :func:`_fit_problems`: one scenario of many series
+of one length.  An evaluation that overflows a float (a power of a huge
+length-scale) is a failed evaluation; a batched call that overflows leaves
+its members to the per-call path, so that only the members that overflow
+there fail.
 
 Three paths are kept for the benchmark's spans (``bench/spans.py``), which
 wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
-problem goes through :func:`fit`, the winner's likelihood through the
-per-call likelihood, and :func:`minimize`, which no fit calls, is the
-optimizer's one-member case.  They can go once the benchmark times the
-engine's stages.
+problem goes through :func:`fit`, a lone point through the per-call
+likelihood (cheaper, too, than a batch of one), and :func:`minimize`, which
+no fit calls, is the lockstep's one-member case.  They can go once the
+benchmark times the engine's stages.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-from dataclasses import dataclass, field, fields
+import os
+import sys
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy
 from numpy.random import Generator, Philox
 
 from . import bound, gp
@@ -84,17 +102,55 @@ _TIE_TOL = 1e-10
 _FAILED_OBJECTIVE = 1e25
 _ACTIVE_RTOL = 1e-6
 _FIT_STREAM = 0x464954  # "FIT": keeps restart draws apart from data streams
-# The trust region of _newton, in log units: the first radius, its cap and
-# the radius below which a run stops; a trial is accepted when the
-# objective falls by more than _ACCEPT of the model's prediction.
-_START_RADIUS = 1.0
-_MAX_RADIUS = 10.0
-_MIN_RADIUS = 1e-10
-_ACCEPT = 1e-4
-# The trust-region subproblem's shift is found to within a relative
-# _SECULAR_RTOL of the radius, in at most _SECULAR_ITER Newton steps.
-_SECULAR_RTOL = 0.1
-_SECULAR_ITER = 50
+_LBFGS_MEMORY = 10  # scipy's maxcor
+_MAX_LINE_SEARCH = 20  # scipy's maxls
+_MAX_FUN = 15000  # scipy's maxfun
+# setulb's bound type per (has lower, has upper)
+_NBD = {(False, False): 0, (True, False): 1, (True, True): 2, (False, True): 3}
+
+
+def _load_setulb():
+    """L-BFGS-B's reverse-communication routine, loaded from its extension
+    file ``scipy/optimize/_lbfgsb`` without running the ``scipy.optimize``
+    package, whose ``__init__`` imports every scipy solver (about 15 MB of
+    peak memory that a fit never uses).  The module entry its loading makes
+    is dropped, so a later ``import scipy.optimize`` imports it as usual.
+    Where no such file is found, the routine comes through the package.
+
+    The module is private; this is the setulb of scipy's C translation
+    (scipy >= 1.15: integer task and ln_task, no csave or iprint).
+    tests/test_fit.py::TestDriverMatchesScipyMinimize guards it: every fit's
+    runs must equal scipy.optimize.minimize's bitwise.
+    """
+    name = "scipy.optimize._lbfgsb"
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_lbfgsb" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
+            return module.setulb
+    from scipy.optimize._lbfgsb import setulb
+
+    return setulb
+
+
+_setulb = _load_setulb()
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One L-BFGS-B run's end, with the fields of scipy's OptimizeResult
+    that fits and the benchmark read."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
 
 
 class AllStartsFailedError(RuntimeError):
@@ -250,32 +306,29 @@ def fit(
 ) -> FitResult:
     """Constrained maximum-likelihood fit of (sf2, l[, sn2]) for one series.
 
-    Runs trust-region Newton ascents in the log box of ``scenario`` from
-    ``restarts`` seeded random initializations, one long-length-scale start
-    (sf2 at the sample variance, l at 100 spans, sn2 at half the sample
-    variance but at least 1e-3) when ``restarts`` is positive, and any
-    ``extra_starts``, given as (sf2, l, sn2) triples in natural space (sn2
-    ignored for fixed noise); each start is clipped into the box.  A length-scale or noise
-    variance within a relative 1e-6 of a bound is returned as exactly that
-    bound.  The best optimum wins; likelihood ties below 1e-10 go to the
-    smaller length-scale, then the smaller noise variance, so the result
-    does not depend on enumeration order.  The winner's
-    ``log_marginal_likelihood`` is
-    :func:`shortgp.gp.log_marginal_likelihood` at the returned parameters.
-    Deterministic given (series, scenario, seed).
+    Runs ``restarts`` L-BFGS-B ascents in the log box of ``scenario`` from
+    seeded random initializations (plus any ``extra_starts``, given as
+    (sf2, l, sn2) triples in natural space, sn2 ignored for fixed noise),
+    each start clipped into the box.  A length-scale or noise variance
+    within a relative 1e-6 of a bound is returned as exactly that bound.
+    The best optimum wins; likelihood ties below 1e-10 go to the smaller
+    length-scale, then the smaller noise variance, so the result does not
+    depend on enumeration order.  Deterministic given (series, scenario,
+    seed).
 
-    An evaluation whose factorization fails even with jitter, or whose
-    likelihood, gradient or Hessian is not finite, is a failed evaluation,
-    worse than any likelihood; a restart whose start fails is dropped, and
-    so is a winner that the per-call likelihood cannot evaluate (its
-    factorization fails, or l^3, or l^2 under Matern 1/2, overflows a
-    float: l of about 5.6e102, or 1.3e154, or more), in favour of the next
-    restart.  A z beyond 230 in size is evaluated at exp(+-230), or at the
-    box's bound where the box lies beyond.  So the parameters are not
-    unit-free: on values around 1e100 or larger, sf2 (at most e^230, about
-    7.7e99) cannot reach var(y), and every restart fails; so does every
-    restart of a scenario whose length-scale floor overflows, as the
-    Nyquist floor of times about 1e103 or more apart does.
+    An evaluation whose factorization fails, whose likelihood is not
+    finite, that overflows a float (l^3, or l^2 under Matern 1/2, beyond
+    the largest float: l of about 5.6e102, or 1.3e154, or more) or whose
+    point z is NaN (an L-BFGS-B step that overflowed) is a failed
+    evaluation, of a value worse than any likelihood, and a restart that
+    ends on such a point is dropped.
+    An infinite coordinate of z is no failure: like any other z beyond 230
+    in size, it is evaluated at exp(+-230), or at the box's bound where the
+    box lies beyond.  So the parameters are not unit-free: on values around
+    1e100 or larger, sf2 (at most e^230, about 7.7e99) cannot reach var(y),
+    and every restart fails; so does every restart of a scenario whose
+    length-scale floor overflows, as the Nyquist floor of times about 1e103
+    or more apart does.
     Raises AllStartsFailedError when no restart produces a usable optimum
     and ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, or estimated
@@ -287,15 +340,16 @@ def fit(
     result = _lockstep([(series, scenario, seed)], family, nu, restarts, extra_starts)[0]
     if result is None:
         raise AllStartsFailedError(
-            f"all {len(extra_starts) + max(restarts, 0) + (restarts > 0)} starts failed for "
-            f"scenario {scenario.label!r}"
+            f"all {len(extra_starts) + max(restarts, 0)} starts failed for scenario "
+            f"{scenario.label!r}"
         )
     return result
 
 
 class _Problem:
     """The set-up of one (series, scenario, seed) of :func:`_lockstep`:
-    the box in natural units and its log, and the starts."""
+    the box in natural units and its log, the starts, and the map of a
+    point z back into the box."""
 
     def __init__(self, series, family, scenario, seed, nu, restarts, extra_starts):
         reason = _no_fit_reason(series, scenario)
@@ -306,16 +360,16 @@ class _Problem:
             raise ValueError("need at least one start")
         self.series = series
         self.scenario = scenario
-        # The box of each optimized parameter in natural units, and its log
-        # (-inf and inf where there is no bound).
-        boxes = [(0.0, math.inf), *scenario.box]
-        self.lo, self.hi = np.array(boxes).T
-        with np.errstate(divide="ignore"):
-            self.zlo, self.zhi = np.log(self.lo), np.log(self.hi)
+        # The box of each optimized parameter in natural units, and its log.
+        self.boxes = boxes = [(0.0, math.inf), *scenario.box]
         self.estimate_noise = scenario.noise_mode != NOISE_FIXED
         self.fixed_noise = (
             None if self.estimate_noise else NoiseModel.fixed(series.noise_variances)
         )
+        self.log_box = [
+            (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
+            for lo, hi in boxes
+        ]
 
         # Initialization: sf2 at the sample variance; l log-uniform between a
         # tenth of the (reference) lower bound or sampling interval and the
@@ -340,79 +394,75 @@ class _Problem:
             l0 = math.exp(rng.uniform(math.log(init_lo), math.log(init_hi)))
             sn0 = math.exp(rng.uniform(math.log(1e-4), math.log(sn2_hi)))
             starts.append((sf2_init, l0, sn0))
-        if restarts > 0:
-            starts.append((sf2_init, 100.0 * series.span, max(var_y / 2.0, 1e-3)))
-        self.z0s = np.array([
-            [math.log(min(max(v, lo, 1e-300), hi, 1e300)) for v, (lo, hi) in zip(start, boxes)]
+        self.z0s = [
+            np.array([
+                math.log(min(max(v, lo, 1e-300), hi, 1e300))
+                for v, (lo, hi) in zip(start, boxes)
+            ])
             for start in starts
-        ])
-
-    def best(self, runs: "_Runs", family: str, nu: float | None) -> FitResult | None:
-        """The winning optimum of the problem's restarts (the rows of
-        ``runs``), or None when no restart ended on a usable point.
-
-        A restart whose final value is not finite, or -log p of half
-        _FAILED_OBJECTIVE or more (values around 1e100, beyond what sf2 can
-        reach), ended on no usable point.  Restarts are ranked by the
-        optimizer's values.  The winner's
-        likelihood is that of the per-call
-        :func:`shortgp.gp.log_marginal_likelihood_and_gradient` at the
-        returned parameters, so it is what :func:`shortgp.gp.log_marginal_likelihood`
-        gives for the fit; a winner that call cannot evaluate (its
-        factorization fails, or a power of l overflows) is dropped, and the
-        next restart wins.
-        """
-        params = _natural(runs.x, self.lo, self.hi, self.zlo, self.zhi)
-        candidates = [
-            (-fun, p[1], p[2] if self.estimate_noise else 0.0, p[0], success)
-            for fun, p, success in zip(runs.fun.tolist(), params.tolist(), runs.success)
-            if fun < _FAILED_OBJECTIVE * 0.5
         ]
-        restarts_used = len(candidates)
-        while candidates:
-            best = None
-            for cand in candidates:
-                if (
-                    best is None
-                    or cand[0] > best[0] + _TIE_TOL
-                    or (abs(cand[0] - best[0]) <= _TIE_TOL and cand[1:3] < best[1:3])
-                ):
-                    best = cand
-            _, l, sn2, sf2, converged = best
-            kernel = _make_kernel(family, nu, sf2, l)
-            noise = NoiseModel.estimated(sn2) if self.estimate_noise else self.fixed_noise
-            try:
-                value = gp.log_marginal_likelihood_and_gradient(self.series, kernel, noise)[0]
-            except (FactorizationError, OverflowError):
-                value = math.nan
-            if math.isfinite(value):
-                return FitResult(
-                    kernel=kernel,
-                    noise_variance=sn2 if self.estimate_noise else None,
-                    log_marginal_likelihood=value,
-                    bound_lower_active=lower_bounds_active(self.scenario, l, sn2),
-                    restarts_used=restarts_used,
-                    converged=bool(converged),
-                )
-            candidates.remove(best)
-            restarts_used -= 1
-        return None
+
+    def natural(self, z: np.ndarray) -> list[float] | None:
+        """(sf2, l[, sn2]) at z, or None for a NaN z: a failed evaluation.
+
+        A z on a face of the log box, or within _ACTIVE_RTOL of it, is
+        exactly that bound, not the exp of its log, which rounds to either
+        side of it.  L-BFGS-B's projected-gradient test can stop within gtol
+        of a face without reaching it; the band puts such a stop on the
+        face, so a fit that lower_bounds_active calls active is on it.  Any
+        other z lies more than the band inside the box, and so does its exp.
+        A z beyond 230 in size is taken as +-230, and a box beyond e^+-230
+        takes the bound nearest e^+-230, so that the point stays in the box.
+        """
+        out = []
+        for zi, (lo, hi), (zlo, zhi) in zip(z.tolist(), self.boxes, self.log_box):
+            if zlo is not None and zi <= zlo + _ACTIVE_RTOL:
+                out.append(lo)
+            elif zhi is not None and zi >= zhi - _ACTIVE_RTOL:
+                out.append(hi)
+            elif -230.0 <= zi <= 230.0:
+                out.append(math.exp(zi))
+            elif math.isnan(zi):
+                return None
+            else:
+                out.append(min(max(math.exp(math.copysign(230.0, zi)), lo), hi))
+        return out
+
+    def best(self, results, family: str, nu: float | None) -> FitResult | None:
+        """The winning optimum of the problem's restarts, or None when no
+        restart ended on a usable point."""
+        best = None
+        restarts_used = 0
+        for res in results:
+            params = self.natural(res.x)
+            if params is None or not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
+                continue
+            sf2, l, *sn2 = params
+            value = -float(res.fun)
+            restarts_used += 1
+            cand = (value, l, sn2[0] if self.estimate_noise else 0.0, sf2, bool(res.success))
+            if (
+                best is None
+                or cand[0] > best[0] + _TIE_TOL
+                or (abs(cand[0] - best[0]) <= _TIE_TOL and cand[1:3] < best[1:3])
+            ):
+                best = cand
+        if best is None:
+            return None
+        value, l, sn2, sf2, converged = best
+        return FitResult(
+            kernel=_make_kernel(family, nu, sf2, l),
+            noise_variance=sn2 if self.estimate_noise else None,
+            log_marginal_likelihood=value,
+            bound_lower_active=lower_bounds_active(self.scenario, l, sn2),
+            restarts_used=restarts_used,
+            converged=converged,
+        )
 
 
-def _natural(z: np.ndarray, lo, hi, zlo, zhi) -> np.ndarray:
-    """(sf2, l[, sn2]) at each row of z, in the box [lo, hi] whose log is
-    [zlo, zhi] (all broadcast against z).
-
-    A z on a face of the log box, or within _ACTIVE_RTOL of it, is exactly
-    that bound, not the exp of its log, which rounds to either side of it;
-    so a fit that lower_bounds_active calls active is on its bound.  Any
-    other z lies more than the band inside the box, and so does its exp.  A
-    z beyond 230 in size is taken as +-230, and a box beyond e^+-230 takes
-    the bound nearest e^+-230, so that the point stays in the box.
-    """
-    z = np.minimum(np.maximum(z, -230.0), 230.0)
-    out = np.where(z >= zhi - _ACTIVE_RTOL, hi, np.minimum(np.maximum(np.exp(z), lo), hi))
-    return np.where(z <= zlo + _ACTIVE_RTOL, lo, out)
+def _failed(size: int) -> tuple[float, np.ndarray]:
+    """The (value, gradient) of a failed evaluation."""
+    return _FAILED_OBJECTIVE, np.zeros(size)
 
 
 def _fit_problems(problems, family: str, nu: float | None, restarts: int) -> list:
@@ -434,16 +484,21 @@ def _lockstep(
     problems, family: str, nu: float | None, restarts: int, extra_starts=()
 ) -> list[FitResult | None]:
     """:func:`fit` of every (series, scenario, seed) in ``problems``, all of
-    their restarts in one :func:`_newton` run; None where :func:`fit` raises
+    their restarts in one lockstep; None where :func:`fit` raises
     AllStartsFailedError.  Raises ValueError where :func:`fit` does, before
     any restart runs.
 
     The problems' series have one length, and their scenarios one noise
     mode (fixed or estimated); else ValueError.  Each round, the points
-    asked for are mapped to natural units at once and go to one
-    :func:`shortgp.gp._lml_grad_hess_batch` call, whatever series they come
-    from.  That call and the optimizer treat each member on its own, so
-    each result is that of the problem's own :func:`fit`.
+    asked for are mapped to natural units once and go to the batched
+    likelihood as one call, whatever series they come from; a member gets
+    the bits of its own fit's evaluation, so each result is that of the
+    problem's own :func:`fit`.  A lone point, and a member that the batch
+    leaves (K not finite, or jitter needed), go to
+    :func:`shortgp.gp.log_marginal_likelihood_and_gradient`, which owns the
+    jitter ladder and the errors.  A batched call that overflows a float
+    leaves every member to it, so that only the members that overflow there
+    fail.
     """
     setups = [
         _Problem(series, family, scenario, seed, nu, restarts, extra_starts)
@@ -451,247 +506,174 @@ def _lockstep(
     ]
     if len({(len(setup.series), setup.estimate_noise) for setup in setups}) > 1:
         raise ValueError("problems of one lockstep need one series length and noise mode")
-    # The series data of the batched likelihood and the boxes, one row per
-    # member (restart).
-    owner = np.repeat(np.arange(len(setups)), [len(setup.z0s) for setup in setups])
-    distances = np.array([setup.series.distances for setup in setups])[owner]
-    ys = np.array([setup.series.values for setup in setups])[owner]
+    # The series data of the batched likelihood, one row per problem.
+    distances = np.array([setup.series.distances for setup in setups])
+    ys = np.array([setup.series.values for setup in setups])
     variances = (
         None
         if setups[0].estimate_noise
-        else np.array([setup.series.noise_variances for setup in setups])[owner]
+        else np.array([setup.series.noise_variances for setup in setups])
     )
-    lo, hi, zlo, zhi = (
-        np.array([getattr(setup, name) for setup in setups])[owner]
-        for name in ("lo", "hi", "zlo", "zhi")
-    )
+    owner = [p for p, setup in enumerate(setups) for _ in setup.z0s]
+    member_setup = [setups[p] for p in owner]
 
-    gathered = {}
-
-    def objective(members: np.ndarray, zs: np.ndarray):
-        # -log p and its derivatives at each member's z; inf, with zero
-        # derivatives, where the evaluation failed.  The members' data are
-        # gathered again only when the set of members changes.
-        if gathered.get("members") is not members:
-            gathered["members"] = members
-            gathered["data"] = [
-                None if x is None else x[members]
-                for x in (lo, hi, zlo, zhi, distances, ys, variances)
-            ]
-        m_lo, m_hi, m_zlo, m_zhi, m_distances, m_ys, m_variances = gathered["data"]
-        values, grads, hess, ok = gp._lml_grad_hess_batch(
-            family, nu, _natural(zs, m_lo, m_hi, m_zlo, m_zhi), m_distances, m_ys, m_variances
-        )
-        # A NaN or inf anywhere in a member's results shows in this sum.
-        ok &= np.isfinite(values + hess.reshape(len(hess), -1).sum(axis=1) + grads.sum(axis=1))
-        if not ok.all():
-            values[~ok] = -np.inf
-            grads[~ok] = 0.0
-            hess[~ok] = 0.0
-        return -values, -grads, -hess
+    def objective(members: list[int], zs: list[np.ndarray]) -> list:
+        # (-log p, -gradient) at each member's z, each z mapped once.
+        params = [member_setup[m].natural(z) for m, z in zip(members, zs)]
+        batched = [i for i, p in enumerate(params) if p is not None]
+        out = [None] * len(zs)
+        if len(batched) > 1:
+            rows = [owner[members[i]] for i in batched]
+            try:
+                values, grads, ok = gp._lml_and_grad_batch(
+                    family,
+                    nu,
+                    np.array([params[i] for i in batched]),
+                    distances.take(rows, 0),
+                    ys.take(rows, 0),
+                    None if variances is None else variances.take(rows, 0),
+                )
+            except OverflowError:
+                pass
+            else:
+                for i, value, grad, done in zip(batched, (-values).tolist(), -grads, ok):
+                    if done:
+                        out[i] = (value, grad) if math.isfinite(value) else _failed(len(grad))
+        # The rest go through the per-call entry, which owns the jitter
+        # ladder and the errors, and whose calls the benchmark's spans time.
+        for i, (m, p) in enumerate(zip(members, params)):
+            if out[i] is not None:
+                continue
+            setup = member_setup[m]
+            if p is not None:
+                noise = NoiseModel.estimated(p[2]) if setup.estimate_noise else setup.fixed_noise
+                try:
+                    value, grad = gp.log_marginal_likelihood_and_gradient(
+                        setup.series, _make_kernel(family, nu, p[0], p[1]), noise
+                    )
+                except (FactorizationError, OverflowError):
+                    pass
+                else:
+                    if math.isfinite(value):
+                        out[i] = (-value, -grad)
+                        continue
+            out[i] = _failed(len(setup.boxes))
+        return out
 
     # A Matern length-scale probed near e^-230 overflows in K and dK/dl; the
     # kernel masks those entries, so the warnings carry nothing.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        runs = _newton(objective, np.concatenate([setup.z0s for setup in setups]), zlo, zhi)
-        out = []
-        first = 0
-        for setup in setups:
-            last = first + len(setup.z0s)
-            out.append(setup.best(runs[first:last], family, nu))
-            first = last
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = _minimize_lockstep(
+            objective,
+            [z0 for setup in setups for z0 in setup.z0s],
+            [setup.log_box for setup in member_setup],
+        )
+    out = []
+    first = 0
+    for setup in setups:
+        last = first + len(setup.z0s)
+        out.append(setup.best(results[first:last], family, nu))
+        first = last
     return out
 
 
-@dataclass(frozen=True)
-class _Runs:
-    """The end of each of M optimizer runs: the point x (M, d), the
-    objective there, the rounds and evaluations it took, and whether it
-    stopped on a convergence test (else on the iteration cap, or on a
-    trust radius that collapsed).  Slicing takes a range of runs."""
+def minimize(fun, x0: np.ndarray, bounds) -> _Run:
+    """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` inside ``bounds``,
+    a (lower, upper) pair per coordinate with None for no bound.
 
-    x: np.ndarray
-    fun: np.ndarray
-    nit: np.ndarray
-    nfev: np.ndarray
-    success: np.ndarray
-
-    def __getitem__(self, index) -> "_Runs":
-        return _Runs(*(getattr(self, f.name)[index] for f in fields(self)))
-
-
-def minimize(fun, x0: np.ndarray, bounds) -> _Runs:
-    """Minimize ``fun(x) -> (value, gradient, Hessian)`` from ``x0`` inside
-    ``bounds``, a (lower, upper) pair per coordinate with None for no bound;
-    a value of inf is a failed evaluation.  The one-member case of
-    :func:`_newton`.  No fit calls it; it stays because the benchmark's
-    spans (``bench/spans.py``) wrap it by name.
+    The one-member case of :func:`_minimize_lockstep`, so iterates, ``nit``,
+    ``nfev`` and ``success`` are those of
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", ...)``
+    with maxiter=_MAX_ITER, ftol=_OBJ_REL_TOL and gtol=_GRAD_TOL.  No fit
+    calls it; it stays because the benchmark's spans (``bench/spans.py``)
+    wrap it by name.
     """
-    zlo = np.array([[-math.inf if lo is None else lo for lo, _ in bounds]])
-    zhi = np.array([[math.inf if hi is None else hi for _, hi in bounds]])
-
-    def each(members, xs):
-        values, grads, hessians = zip(*(fun(x) for x in xs))
-        return np.array(values, dtype=float), np.array(grads, dtype=float), np.array(
-            hessians, dtype=float
-        )
-
-    return _newton(each, np.asarray(x0, dtype=float)[None], zlo, zhi)[0]
+    return _minimize_lockstep(lambda _, xs: [fun(x) for x in xs], [x0], [bounds])[0]
 
 
-def _newton(fun, z0: np.ndarray, zlo: np.ndarray, zhi: np.ndarray) -> _Runs:
-    """Projected trust-region Newton minimization from each row of ``z0``
-    (M, d) inside its box [zlo, zhi] (M, d; -inf and inf for no bound), all
-    M runs in lockstep.
+def _minimize_lockstep(fun_batch, x0s, boxes) -> list[_Run]:
+    """:func:`minimize` from each start in ``x0s`` inside its box in
+    ``boxes``, all in lockstep.
 
-    ``fun(members, zs)`` evaluates the points ``zs`` (k, d) of the runs
-    ``members`` (k,) and returns their values (k,), gradients (k, d) and
-    Hessians (k, d, d); a failed evaluation is an inf value.  Each round
-    evaluates the running members' trial points at once, and no member's
-    path depends on another's.  Each run's evaluations are its rounds and
-    its start.
-
-    A coordinate within _ACTIVE_RTOL of a face whose gradient points out of
-    the box is held.  The step on the others solves the trust-region
-    subproblem (:func:`_trust_step`); a step that would leave the box is
-    solved again with the coordinates it pushes out held on their faces
-    (projected Newton, Bertsekas 1982; Nocedal & Wright 2006, section
-    16.7), so a run reaches a face exactly.  A trial is accepted when the
-    objective falls by more than _ACCEPT of what the quadratic model
-    predicts, and the radius follows Nocedal & Wright's Algorithm 4.1.
-
-    A run stops when its largest free gradient component is at most
-    _GRAD_TOL, or when an accepted step lowers the objective by at most a
-    relative _OBJ_REL_TOL (both a success, the tests of L-BFGS-B), after
-    _MAX_ITER rounds, or when its radius falls below _MIN_RADIUS; a run
-    whose start fails stops there.
+    Each round, every running member advances until it asks for a new point
+    or stops; ``fun_batch(members, xs)`` then evaluates the points ``xs``
+    asked for by the members ``members`` (indices into ``x0s``), in member
+    order, and returns their (value, gradient) pairs.  It must give each
+    point what it gives that point alone, so that each result is that of
+    the member's own :func:`minimize`.
     """
-    m = len(z0)
-    x = np.minimum(np.maximum(z0, zlo), zhi)
-    fun_x, g, h = fun(np.arange(m), x)
-    nit = np.zeros(m, dtype=int)
-    success = np.zeros(m, dtype=bool)
-    # The state of the running members a, in the order of a.
-    a = np.flatnonzero(np.isfinite(fun_x))
-    z, f, g, h, lo, hi = x[a], fun_x[a], g[a], h[a], zlo[a], zhi[a]
-    on_lo, on_hi = lo + _ACTIVE_RTOL, hi - _ACTIVE_RTOL
-    radius = np.full(a.size, _START_RADIUS)
-    flat = np.zeros(a.size, dtype=bool)
-    rounds = 0
-    while a.size:
-        held = np.where(g > 0.0, z <= on_lo, z >= on_hi)
-        free_g = np.where(held, 0.0, g)
-        converged = flat | (np.abs(free_g).max(axis=1) <= _GRAD_TOL)
-        stop = converged | (radius < _MIN_RADIUS) | (rounds == _MAX_ITER)
-        if stop.any():
-            done = a[stop]
-            x[done], fun_x[done], success[done] = z[stop], f[stop], converged[stop]
-            nit[done] = rounds
-            keep = ~stop
-            a, z, f, g, h, lo, hi, on_lo, on_hi, radius, held, free_g = (
-                v[keep] for v in (a, z, f, g, h, lo, hi, on_lo, on_hi, radius, held, free_g)
-            )
-            if not a.size:
-                break
-        rounds += 1
-
-        p, on_radius = _trust_step(h, free_g, held, radius)
-        trial = z + p
-        out = (trial < lo) | (trial > hi)
-        leaving = np.flatnonzero(out.any(axis=1))
-        if leaving.size:
-            # Hold the coordinates the step pushes out on their faces, move
-            # the model's gradient there with them, and solve again.
-            o, zo, ho = out[leaving], z[leaving], h[leaving]
-            face = np.minimum(np.maximum(trial[leaving], lo[leaving]), hi[leaving])
-            onto = np.where(o, face - zo, 0.0)
-            held_o = held[leaving] | o
-            g_o = np.where(held_o, 0.0, g[leaving] + (ho @ onto[:, :, None])[:, :, 0])
-            p_o, on_radius[leaving] = _trust_step(ho, g_o, held_o, radius[leaving])
-            trial[leaving] = zo + onto + p_o
-        trial = np.minimum(np.maximum(trial, lo), hi)
-        step = trial - z
-        predicted = -(step * (g + 0.5 * (h @ step[:, :, None])[:, :, 0])).sum(axis=1)
-
-        f_new, g_new, h_new = fun(a, trial)
-        fall = f - f_new
-        ratio = np.full(a.size, -np.inf)
-        np.divide(fall, predicted, out=ratio, where=predicted > 0.0)
-        # A rejected step shrinks the radius below the step's own length,
-        # so that the next trial differs.
-        length = np.sqrt((step * step).sum(axis=1))
-        radius = np.where(
-            ratio < 0.25,
-            0.25 * np.where(length > 0.0, np.minimum(length, radius), radius),
-            np.where((ratio > 0.75) & on_radius, np.minimum(2.0 * radius, _MAX_RADIUS), radius),
-        )
-        accept = ratio > _ACCEPT
-        flat = accept & (
-            fall <= _OBJ_REL_TOL * np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
-        )
-        if accept.all():
-            z, f, g, h = trial, f_new, g_new, h_new
-        elif accept.any():
-            z[accept], f[accept], g[accept], h[accept] = (
-                trial[accept], f_new[accept], g_new[accept], h_new[accept]
-            )
-    return _Runs(x, fun_x, nit, nit + 1, success)
+    runs = [_lbfgsb(x0, box) for x0, box in zip(x0s, boxes)]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        evaluated = fun_batch(list(pending), list(pending.values()))
+        asked, pending = pending, {}
+        for i, value in zip(asked, evaluated):
+            try:
+                pending[i] = runs[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+    return results
 
 
-def _trust_step(h: np.ndarray, g: np.ndarray, held: np.ndarray, radius: np.ndarray):
-    """The steps p (B, d) that minimize g.p + p.H.p / 2 subject to
-    ||p|| <= radius and p = 0 on the ``held`` coordinates, for B members
-    (``g`` is 0 on the held coordinates), and a mask (B,) of the steps on
-    the radius.
+def _lbfgsb(x0: np.ndarray, bounds):
+    """One L-BFGS-B run as a generator: it yields each point whose
+    (value, gradient) it needs, is sent that pair, and returns the
+    :class:`_Run`.
 
-    In the eigenbasis of H (More & Sorensen 1983; Nocedal & Wright 2006,
-    section 4.3), p(sigma) = -(H + sigma I)^-1 g: the Newton step sigma = 0
-    where H is positive definite and that step fits, else the sigma above
-    -lambda_min where ||p(sigma)|| is the radius (within _SECULAR_RTOL),
-    found by Newton's method on 1/||p(sigma)|| from the left, where it
-    converges monotonically.  It starts at the largest lower bound
-    max_i |gq_i| / radius - lambda_i, where gq is g in the eigenbasis.  In
-    the hard case no such sigma exists, and the rest of the way to the
-    radius goes along the eigenvector of lambda_min.
+    Drives ``setulb`` the way scipy's ``_minimize_lbfgsb`` does, with the
+    memo of the last evaluated point inside the run, so a repeated point is
+    not yielded and counts no evaluation.
     """
-    if held.any():
-        # A held coordinate is decoupled with unit curvature; np.where
-        # leaves every other entry's bits as they are (-0.0 included), so
-        # that no member's step depends on whether a batch-mate holds one.
-        free = ~held
-        h = np.where(free[:, :, None] & free[:, None, :], h, np.eye(len(h[0])))
-    lam, q = np.linalg.eigh(h)
-    gq = (g[:, None, :] @ q)[:, 0]
-    lam_min = lam[:, 0]
-    indefinite = lam_min <= 0.0
-    sigma = np.maximum((np.abs(gq) / radius[:, None] - lam).max(axis=1), 0.0)
-    if indefinite.any():
-        tiny = 1e-12 * np.maximum(np.abs(lam).max(axis=1), 1.0)
-        sigma = np.where(indefinite, np.maximum(sigma, tiny - lam_min), sigma)
-    limit = ((1.0 + _SECULAR_RTOL) * radius) ** 2
-    for step in range(_SECULAR_ITER):
-        den = lam + sigma[:, None]
-        w = gq / den
-        w2 = w * w
-        size2 = w2.sum(axis=1)
-        longer = size2 > limit
-        if not longer.any():
+    lb = np.array([-math.inf if lo is None else lo for lo, _ in bounds])
+    ub = np.array([math.inf if hi is None else hi for _, hi in bounds])
+    x = np.clip(np.asarray(x0, dtype=np.float64), lb, ub)
+    has_lo, has_hi = np.isfinite(lb), np.isfinite(ub)
+    nbd = np.array([_NBD[key] for key in zip(has_lo, has_hi)], np.int32)
+    low = np.where(has_lo, lb, 0.0)
+    up = np.where(has_hi, ub, 0.0)
+    n = len(x)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    m = _LBFGS_MEMORY
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = _OBJ_REL_TOL / np.finfo(float).eps
+    # scipy evaluates x0 once before the loop; the memo makes the first
+    # request for it (and any repeat of the last x) a lookup.  Comparing
+    # lists of floats is np.array_equal here (NaN never matches) at a tenth
+    # of its cost.
+    x_seen = x.tolist()
+    f_seen, g_seen = yield x.copy()
+    nfev, nit = 1, 0
+    while True:
+        # g is copied before every call, as scipy does, so setulb never
+        # writes into the memo.
+        g = np.array(g, dtype=np.float64)
+        _setulb(m, x, low, up, nbd, f, g, factr, _GRAD_TOL, wa, iwa, task,
+               lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
+        state = task[0]
+        if state == 3:
+            x_now = x.tolist()
+            if x_now != x_seen:
+                x_seen = x_now
+                f_seen, g_seen = yield x.copy()
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif state == 1:
+            nit += 1
+            if nit >= _MAX_ITER:
+                task[:] = 5, 504
+            elif nfev > _MAX_FUN:
+                task[:] = 5, 502
+        else:
             break
-        sigma = np.where(
-            longer, sigma + (np.sqrt(size2) / radius - 1.0) * size2 / (w2 / den).sum(axis=1), sigma
-        )
-    if indefinite.any():
-        hard = indefinite & (size2 < radius * radius)
-        # The hard case: the rest of the way to the radius along the
-        # eigenvector of lambda_min.
-        extra = np.sqrt(radius[hard] ** 2 - size2[hard])
-        w[hard, 0] += np.where(gq[hard, 0] > 0.0, extra, -extra)
-    bad = ~np.isfinite(size2)
-    if bad.any():
-        # Curvatures too small or too large for floats: a steepest-descent
-        # step to the radius.
-        w[bad] = (radius[bad] / np.sqrt((gq[bad] ** 2).sum(axis=1)))[:, None] * gq[bad]
-    return -(q @ w[:, :, None])[:, :, 0], sigma > 0.0
+    return _Run(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
 
 
 def lower_bounds_active(

@@ -7,35 +7,44 @@ through a Cholesky factorization with the kernels module jitter policy, and
 the log-determinant comes from the factor diagonal.  Series of a handful of
 points are the design target, so everything is dense.
 
-The per-call functions (:func:`log_marginal_likelihood`,
-:func:`log_marginal_likelihood_and_gradient`, :func:`posterior_at`) call
-LAPACK (``dpotrs``, ``dtrtrs``) directly on the factor rather than through
-``scipy.linalg.cho_solve`` and ``solve_triangular``: at n <= 15 the
-wrappers' finiteness checks and batch dispatch cost more than the
-arithmetic.  The routines and their arguments are the ones the wrappers
-pass, so every result is bitwise the same.  The factor comes from a finite
-matrix (:func:`~shortgp.kernels.factor_covariance` checks it), the
-observations are finite by construction, and the cross-covariance at query
-times is checked here (a general-order Matern covariance rounds past an sf2
-near the largest float to inf).  The distance
-matrix is the series' own, computed once per series
-(:attr:`~shortgp.series.TimeSeries.distances`); the identity that K^-1 is
-solved from is one cached read-only array per n; K and dK/dl come from one
-exponential; and :func:`log_marginal_likelihood` and the per-call gradient
-take their value from the same solve and reduction
-(:func:`_solve_and_value`), so the two agree bit for bit.
+The solves call LAPACK (``dpotrs``, ``dtrtrs``) directly on the factor
+rather than through ``scipy.linalg.cho_solve`` and ``solve_triangular``.
+At n <= 15 the wrappers' finiteness checks and batch dispatch cost more
+than the arithmetic, and a fit evaluates the likelihood a few hundred
+times.  The routines and their arguments are the ones the wrappers pass, so
+every result is bitwise the same.  The factor comes from a finite matrix
+(:func:`~shortgp.kernels.factor_covariance` checks it), the observations
+are finite by construction, and the cross-covariance at query times is
+checked here (a general-order Matern covariance at a tiny distance rounds an
+sf2 near the largest float past it, to inf).
 
-A fit evaluates its restarts, and the fits of one scenario of many series
-of one length, together (:mod:`~shortgp.fitting`), through
-:func:`_lml_grad_hess_batch`: the value, gradient and Hessian in log
-coordinates of B members at once, from one (B, 2 or 3) array of raw
-hyperparameters and the per-member series data, as (B, n, n) problems.
-K, dK/dlog l and d2K/dlog l^2 come from one exponential
-(:func:`~shortgp.kernels._log_l_terms`), the factor and the inverse from
-numpy's batched ``cholesky`` and ``inv``, and a member whose K the batched
-factorization rejects goes alone through the one jitter ladder,
-:func:`~shortgp.kernels.factor_covariance`.  Every batched routine works
-member by member, so no member's results depend on its batch-mates.
+For the same reason a likelihood call does only the work that depends on
+the hyperparameters.  The distance matrix is the series' own, computed once
+per series (:attr:`~shortgp.series.TimeSeries.distances`); the identity
+that K^-1 is solved from is one cached read-only array per n; K and dK/dl
+come from one exponential; estimated noise is added to the diagonal as a
+scalar; and without jitter the Gram matrix itself is dK/dlog sf2.  Each of
+these gives the bits the direct computation gives.
+
+A fit runs its restarts in lockstep (:mod:`~shortgp.fitting`), and so do
+the fits of one scenario of many series of one length.
+:func:`_lml_and_grad_batch` evaluates the points they ask for together, as
+one (B, n, n) problem, from one (B, 2 or 3) array of raw hyperparameters
+and the per-member series data (distances, values and fixed variances,
+each member's own): no :class:`~shortgp.kernels.KernelSpec` or
+:class:`NoiseModel` is built per point.  The kernel, the noise diagonal,
+the finiteness check and the reductions run batched; ``dpotrf``,
+``dpotrs`` and ``y @ alpha`` run per member, because their batched
+counterparts do not give the per-call bits, so no member's bits depend on
+its batch-mates.  Each member solves for alpha and K^-1 in one ``dpotrs``
+call on [y | I], whose columns each have the bits of their own solve.  A
+member whose K is not finite, or whose first factorization fails, is left
+to :func:`log_marginal_likelihood_and_gradient`, which owns the jitter
+ladder and the errors, so each of them exists once.  Both functions end in
+:func:`_value_and_gradient`, the per-call one as a batch of one, and
+:func:`log_marginal_likelihood` takes its value from the same solve and
+reduction (:func:`_solve_and_value`), so the formula of the value and the
+gradient exists once too.
 """
 
 from __future__ import annotations
@@ -47,14 +56,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .kernels import (
-    FactorizationError,
-    KernelSpec,
-    _cov_and_dcov_dl,
-    _cov_array,
-    _log_l_terms,
-    factor_covariance,
-)
+from .kernels import KernelSpec, _cov_and_dcov_dl, _cov_array, _evaluate, factor_covariance
 from .series import NoiseModel, TimeSeries
 
 __all__ = [
@@ -143,117 +145,50 @@ def log_marginal_likelihood_and_gradient(
     return float(values[0]), grads[0]
 
 
-def _lml_grad_hess_batch(
+def _lml_and_grad_batch(
     family: str,
     nu: float | None,
     params: np.ndarray,
     distances: np.ndarray,
     ys: np.ndarray,
     variances: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """log p(y), its gradient and its Hessian in log coordinates for B
-    members at once.
+) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """:func:`log_marginal_likelihood_and_gradient` of B members at once.
 
     ``params`` is a (B, 2 or 3) array of positive (sf2, l[, sn2]), the
     hyperparameters of an SE or half-integer Matern kernel.  Each member
     has its own series of n points, which may be another member's: its
     distance matrix (B, n, n), its values (B, n) and, for two columns (fixed
     noise), its per-point variances (B, n).  Returns the values (B,), the
-    gradients (B, d), the Hessians (B, d, d) and a boolean mask (B,) of the
-    members evaluated; a member outside it has a K that is not finite or
-    that the jitter ladder cannot factor, and its rows hold no result.
-
-    K is factored by numpy's batched ``cholesky``; when it cannot factor
-    them all, each member is factored alone (:func:`_factor_alone`), and one
-    that fails goes through :func:`~shortgp.kernels.factor_covariance`, the
-    one jitter ladder.  Every numpy routine used here works member by member, so a
-    member's rows do not depend on its batch-mates.
-
-    With alpha = K^-1 y, inner = alpha alpha^T - K^-1 and K_i = dK/dtheta_i,
-    d log p / dtheta_i = 1/2 tr(inner K_i) and d2 log p / dtheta_i dtheta_j
-    = 1/2 tr(inner K_ij) - alpha^T K_i K^-1 K_j alpha + 1/2 tr(K^-1 K_i K^-1
-    K_j) (Rasmussen & Williams 2006, section 5.4).  K_sf2 is the whole
-    sf2-scaled block, jitter included, and K_sn2 = sn2 I; the second
-    derivatives K_ij are K_sf2 for (sf2, sf2), dK/dlog l for (sf2, l),
-    d2K/dlog l^2 for (l, l), K_sn2 for (sn2, sn2), and 0 otherwise.
+    gradients (B, 2 or 3) and, as a list, a mask of the members evaluated
+    here.  A member outside the mask has a K that is not finite, or one that
+    needs jitter; its row holds no result, and the caller evaluates it
+    through :func:`log_marginal_likelihood_and_gradient`.  Every row inside
+    the mask is bitwise that function's result on the member's series.
+    Raises OverflowError, as that function does, when a member's l^3 or l^2
+    overflows a float.
     """
     b, n = ys.shape
     sf2, ls = params[:, :2].T.reshape(2, b, 1, 1)
-    d = params.shape[1]
-    gram, d_l, d2_l = _log_l_terms(family, nu, sf2, ls, distances)
+    sn2 = params[:, 2] if params.shape[1] == 3 else None
+    gram, d_l = _evaluate(family, nu, sf2, ls, distances)
     k = gram.copy()
-    k.reshape(b, n * n)[:, :: n + 1] += params[:, 2:] if d == 3 else variances
-    ok = np.isfinite(k.reshape(b, n * n)).all(axis=1)
-    if not ok.all():
-        # Neutral rows, so that the arithmetic below warns nothing.
-        k[~ok] = _identity(n)
-        for terms in (gram, d_l, d2_l):
-            terms[~ok] = 0.0
-    try:
-        chols = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        chols, jitters = _factor_alone(k, sf2.ravel(), ok)
-        jittered = jitters > 0.0
-        gram[jittered] += jitters[jittered, None, None] * _identity(n)
+    k.reshape(b, n * n)[:, :: n + 1] += variances if sn2 is None else sn2[:, None]
+    ok = np.isfinite(k).all(axis=(1, 2)).tolist()
 
-    # From L^-1, y^T K^-1 y = |L^-1 y|^2 and K^-1 = L^-T L^-1 keep their
-    # signs however ill-conditioned K is.
-    l_inv = np.linalg.inv(chols)
-    l_inv_t = l_inv.transpose(0, 2, 1)
-    w = l_inv @ ys[:, :, None]
-    alphas = l_inv_t @ w
-    k_invs = l_inv_t @ l_inv
-    values = (w.transpose(0, 2, 1) @ w)[:, 0, 0] + 2.0 * np.log(
-        chols.diagonal(axis1=1, axis2=2)
-    ).sum(axis=1)
-    values = -0.5 * (values + n * _LOG_2PI)
-
-    # K_i for each parameter, then d2K/dlog l^2: (B, d + 1, n, n).
-    d_k = np.empty((b, d + 1, n, n))
-    d_k[:, 0], d_k[:, 1], d_k[:, d] = gram, d_l, d2_l
-    if d == 3:
-        d_k[:, 2] = params[:, 2, None, None] * _identity(n)
-    inner = alphas * alphas.transpose(0, 2, 1) - k_invs
-    traces = 0.5 * (d_k.reshape(b, d + 1, n * n) @ inner.reshape(b, n * n, 1))[:, :, 0]
-    m = k_invs[:, None] @ d_k[:, :d]
-    v = (d_k[:, :d] @ alphas[:, None])[:, :, :, 0]
-    hess = 0.5 * (m.reshape(b, d, n * n) @ m.transpose(0, 3, 2, 1).reshape(b, n * n, d))
-    hess -= v @ k_invs @ v.transpose(0, 2, 1)
-    hess += (traces @ _HESSIAN_TRACE_TERMS[d]).reshape(b, d, d)
-    return values, traces[:, :d], hess, ok
-
-
-def _trace_terms(d: int) -> np.ndarray:
-    """Which 1/2 tr(inner K_ij) each Hessian entry takes, as a (d + 1, d, d)
-    map from the traces of K_sf2, K_l, [K_sn2,] d2K/dlog l^2."""
-    terms = np.zeros((d + 1, d, d))
-    terms[0, 0, 0] = terms[1, 0, 1] = terms[1, 1, 0] = terms[d, 1, 1] = 1.0
-    if d == 3:
-        terms[2, 2, 2] = 1.0
-    return terms
-
-
-_HESSIAN_TRACE_TERMS = {d: _trace_terms(d).reshape(d + 1, d * d) for d in (2, 3)}
-
-
-def _factor_alone(k: np.ndarray, sf2: np.ndarray, ok: np.ndarray):
-    """Lower Cholesky factors (B, n, n) of B matrices, each factored alone,
-    and the jitter (B,) each needed: a member that numpy's ``cholesky``
-    cannot factor goes through the jitter ladder.  A member the ladder
-    cannot factor is cleared from ``ok`` and gets the identity."""
-    b, n = k.shape[:2]
-    chols = np.empty_like(k)
-    jitters = np.zeros(b)
+    # K is exactly symmetric, so each member of the transpose is its own K
+    # in Fortran order, which dpotrf factors in place.
+    chols = k.transpose(0, 2, 1)
     for i in range(b):
-        try:
-            chols[i] = np.linalg.cholesky(k[i])
-        except np.linalg.LinAlgError:
-            try:
-                chols[i], jitters[i] = factor_covariance(k[i], sf2[i])
-            except FactorizationError:
-                ok[i] = False
-                chols[i] = _identity(n)
-    return chols, jitters
+        if ok[i]:
+            ok[i] = not dpotrf(chols[i], lower=1, clean=1, overwrite_a=1)[1]
+        if not ok[i]:
+            # Neutral rows, so that the arithmetic below warns nothing.
+            k[i] = _identity(n)
+            gram[i] = 0.0
+            d_l[i] = 0.0
+    values, grads = _value_and_gradient(ys, chols, gram, ls * d_l, sn2)
+    return values, grads, ok
 
 
 def _solve_and_value(ys: np.ndarray, chols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,11 +17,6 @@ Bessel function in log space (with its small-argument series where the
 Bessel function overflows).  Where a Matern decay underflows, K and dK/dl
 are exactly 0 (:func:`_zero_where`).
 
-The fits' batched likelihood needs dK/dlog l and d2K/dlog l^2 for every
-member of a batch at once; :func:`_log_l_terms` gives them with K, for SE
-and the fitting orders, from the same exponential, and with no power of l,
-which :func:`_evaluate`'s dK/dl keeps for the bits of the per-call route.
-
 Spectral densities are returned for unit signal variance (sf2 scales the
 covariance and the density by the same factor, so it cancels in every
 band-energy fraction).
@@ -152,32 +147,43 @@ def _cov_and_dcov_dl(spec: KernelSpec, r: np.ndarray, d_length_scale: bool = Tru
                      r, d_length_scale)
 
 
+def _power(l, k: int):
+    """``l ** k``, taken per element as Python floats when ``l`` is an array:
+    numpy's array power differs from the float power in the last bit for
+    about one l in twenty."""
+    if isinstance(l, np.ndarray):
+        return np.array([v**k for v in l.ravel().tolist()]).reshape(l.shape)
+    return l**k
+
+
 def _evaluate(
-    family: str, nu: float | None, sf2: float, l: float, r: np.ndarray,
-    d_length_scale: bool = True,
+    family: str, nu: float | None, sf2, l, r: np.ndarray, d_length_scale: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The covariance over ``r`` and, if ``d_length_scale``, its derivative
     in l (else None), from raw hyperparameters, in one pass: the closed forms
     from one ``exp``, the general order from one u and log u.  Each is
-    bitwise what its formula gives on its own.  A power of l that overflows
-    raises OverflowError.
+    bitwise what its formula gives on its own.
+
+    ``sf2`` and ``l`` are floats or, for SE and the fitting orders, arrays of
+    shape (B, 1, 1) that give one (B, n, n) covariance per member; every
+    element is bitwise what the float call for its member gives.
     """
     d_l = None
     if family == SQUARED_EXPONENTIAL:
         k = sf2 * np.exp(-0.5 * (r / l) ** 2)
         if d_length_scale:
-            d_l = k * r * r / l**3
+            d_l = k * r * r / _power(l, 3)
     elif nu == 0.5:
         k = sf2 * np.exp(-r / l)
         if d_length_scale:
-            d_l = k * r / l**2
+            d_l = k * r / _power(l, 2)
     elif nu == 1.5:
         u = (math.sqrt(3.0) / l) * r
         decay = np.exp(-u)
         decayed = decay == 0.0
         k = _zero_where(sf2 * (1.0 + u) * decay, decayed)
         if d_length_scale:
-            d_l = _zero_where(sf2 * 3.0 * r * r / l**3 * decay, decayed)
+            d_l = _zero_where(sf2 * 3.0 * r * r / _power(l, 3) * decay, decayed)
     elif nu == 2.5:
         u = (math.sqrt(5.0) / l) * r
         decay = np.exp(-u)
@@ -185,7 +191,7 @@ def _evaluate(
         k = _zero_where(sf2 * (1.0 + u + u * u / 3.0) * decay, decayed)
         if d_length_scale:
             d_l = _zero_where(
-                sf2 * (5.0 * r * r / (3.0 * l**3)) * (1.0 + u) * decay, decayed
+                sf2 * (5.0 * r * r / (3.0 * _power(l, 3))) * (1.0 + u) * decay, decayed
             )
     else:
         # k = c u^nu K_nu(u) with c = sf2 2^(1-nu) / Gamma(nu) and, from
@@ -209,49 +215,6 @@ def _evaluate(
                 decayed,
             )
     return k, d_l
-
-
-def _log_l_terms(family: str, nu: float | None, sf2, l, r: np.ndarray):
-    """K, dK/dlog l and d2K/dlog l^2 of an SE or half-integer Matern kernel
-    from one ``exp``, for (B, 1, 1) arrays ``sf2`` and ``l`` and (B, n, n)
-    distances: one covariance per member.
-
-    With s = (r/l)^2 (SE) or r/l (Matern 1/2), and u = sqrt(2 nu) r / l, the
-    derivatives are K s and K s (s - 2) (SE); K s and K s (s - 1) (1/2);
-    sf2 u^2 e^-u and that times u - 2 (3/2); sf2 u^2 (1 + u) e^-u / 3 and
-    that times (u^2 - 2u - 2) / (1 + u) (5/2).  No power of l appears, so
-    nothing overflows at a large l, and where the decay underflows all three
-    are 0 (:func:`_zero_where`).
-    """
-    if family == SQUARED_EXPONENTIAL:
-        s = (r / l) ** 2
-        decay = np.exp(-0.5 * s)
-        k = sf2 * decay
-        d1 = k * s
-        d2 = d1 * (s - 2.0)
-    elif nu == 0.5:
-        s = r / l
-        decay = np.exp(-s)
-        k = sf2 * decay
-        d1 = k * s
-        d2 = d1 * (s - 1.0)
-    elif nu == 1.5:
-        u = (math.sqrt(3.0) / l) * r
-        decay = np.exp(-u)
-        k = sf2 * (1.0 + u) * decay
-        d1 = sf2 * u * u * decay
-        d2 = d1 * (u - 2.0)
-    else:
-        u = (math.sqrt(5.0) / l) * r
-        decay = np.exp(-u)
-        k = sf2 * (1.0 + u + u * u / 3.0) * decay
-        d1 = sf2 * u * u * (1.0 + u) / 3.0 * decay
-        d2 = d1 * (u * u - 2.0 * u - 2.0) / (1.0 + u)
-    decayed = decay == 0.0
-    if decayed.any():
-        for terms in (k, d1, d2):
-            _zero_where(terms, decayed)
-    return k, d1, d2
 
 
 def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:

@@ -160,9 +160,7 @@ class TestRunSyntheticExperiment:
         series = generate_sinc_series(
             SyntheticConfig(replicates=4, seed=5, restarts=2, n_points=5), 2
         )
-        # the row reports the own fit of scenario shared_from: its own, or
-        # a looser scenario's whose optimum lies in its box and is higher
-        scenario = make_scenarios(series, "se")[row.shared_from]
+        scenario = make_scenarios(series, "se")[3]
         result = fit(series, "se", scenario, seed=_mix64(5, 5, 2), restarts=2)
         assert result.kernel.length_scale == row.length_scale
         assert result.log_marginal_likelihood == row.log_marginal_likelihood
@@ -527,9 +525,8 @@ class TestBatchContract:
     @pytest.mark.parametrize("scale", [1e140, 1e150])
     @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
     def test_extreme_scales_give_a_record_per_scenario(self, scale, scenario_set):
-        # at these scales every likelihood is beyond what sf2 can reach
-        # (values around -1e180), so every restart fails, and each
-        # scenario still gives its failed record
+        # the likelihood's gradient overflows at these scales, and L-BFGS-B
+        # steps to points that are not finite
         t = np.arange(7.0)
         series = TimeSeries(t, np.sin(t) * scale, np.full(7, 0.04), id="big")
         report = run_batch([series], scenario_set=scenario_set)
