@@ -64,6 +64,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -115,7 +116,8 @@ def _load_setulb():
     package, whose ``__init__`` imports every scipy solver (about 15 MB of
     peak memory that a fit never uses).  The module entry its loading makes
     is dropped, so a later ``import scipy.optimize`` imports it as usual.
-    Where no such file is found, the routine comes through the package.
+    Where the package is imported already, or no such file is found, the
+    routine comes through the package.
 
     The module is private; this is the setulb of scipy's C translation
     (scipy >= 1.15: integer task and ln_task, no csave or iprint).
@@ -126,12 +128,11 @@ def _load_setulb():
     folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_lbfgsb" + suffix)
-        if os.path.isfile(path):
+        if name not in sys.modules and os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            if sys.modules.get(name) is module:
-                del sys.modules[name]
+            sys.modules.pop(name, None)
             return module.setulb
     from scipy.optimize._lbfgsb import setulb
 
@@ -139,18 +140,6 @@ def _load_setulb():
 
 
 _setulb = _load_setulb()
-
-
-@dataclass(frozen=True)
-class _Run:
-    """One L-BFGS-B run's end, with the fields of scipy's OptimizeResult
-    that fits and the benchmark read."""
-
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    success: bool
 
 
 class AllStartsFailedError(RuntimeError):
@@ -577,7 +566,7 @@ def _lockstep(
     return out
 
 
-def minimize(fun, x0: np.ndarray, bounds) -> _Run:
+def minimize(fun, x0: np.ndarray, bounds) -> SimpleNamespace:
     """Minimize ``fun(x) -> (value, gradient)`` from ``x0`` inside ``bounds``,
     a (lower, upper) pair per coordinate with None for no bound.
 
@@ -591,7 +580,7 @@ def minimize(fun, x0: np.ndarray, bounds) -> _Run:
     return _minimize_lockstep(lambda _, xs: [fun(x) for x in xs], [x0], [bounds])[0]
 
 
-def _minimize_lockstep(fun_batch, x0s, boxes) -> list[_Run]:
+def _minimize_lockstep(fun_batch, x0s, boxes) -> list[SimpleNamespace]:
     """:func:`minimize` from each start in ``x0s`` inside its box in
     ``boxes``, all in lockstep.
 
@@ -619,7 +608,8 @@ def _minimize_lockstep(fun_batch, x0s, boxes) -> list[_Run]:
 def _lbfgsb(x0: np.ndarray, bounds):
     """One L-BFGS-B run as a generator: it yields each point whose
     (value, gradient) it needs, is sent that pair, and returns the
-    :class:`_Run`.
+    result: ``x``, ``fun``, ``nit``, ``nfev`` and ``success``, as in
+    scipy's OptimizeResult.
 
     Drives ``setulb`` the way scipy's ``_minimize_lbfgsb`` does, with the
     memo of the last evaluated point inside the run, so a repeated point is
@@ -673,7 +663,7 @@ def _lbfgsb(x0: np.ndarray, bounds):
                 task[:] = 5, 502
         else:
             break
-    return _Run(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
+    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, success=bool(task[0] == 4))
 
 
 def lower_bounds_active(
