@@ -646,7 +646,7 @@ def _lbfgsb(x0: np.ndarray, bounds):
         # writes into the memo.
         g = np.array(g, dtype=np.float64)
         _setulb(m, x, low, up, nbd, f, g, factr, _GRAD_TOL, wa, iwa, task,
-               lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
+                lsave, isave, dsave, _MAX_LINE_SEARCH, ln_task)
         state = task[0]
         if state == 3:
             x_now = x.tolist()
