@@ -32,6 +32,10 @@ form, with w = 2 nu / (2 nu + x^2):
 Here I is the regularized incomplete beta function.  (The paper's
 hypergeometric expression for the band energy is four times too large; the
 test suite pins that erratum.)
+
+``erfinv``, ``betainc`` and ``betaincinv`` are scipy's ufuncs, from the
+extension module that :func:`shortgp._compiled.extension` loads without the
+``scipy.special`` package.
 """
 
 from __future__ import annotations
@@ -40,10 +44,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, erfinv
 
 from . import kernels
+from ._compiled import extension
 from .series import _grid_gaps
+
+_ufuncs = extension("special", "_ufuncs")
+betainc, betaincinv, erfinv = _ufuncs.betainc, _ufuncs.betaincinv, _ufuncs.erfinv
 
 __all__ = [
     "SamplingInfo",

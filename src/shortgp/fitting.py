@@ -19,8 +19,9 @@ gradient memo and array checks) cost more than the likelihood itself.  The
 loop mirrors scipy's ``_minimize_lbfgsb`` for this problem: the same memory,
 line-search limit, tolerances, bound encoding, start clipping and memo of
 the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
-``setulb`` is loaded from its extension file (:func:`_load_setulb`), so a
-fit never imports the ``scipy.optimize`` package and its solvers; only
+``setulb`` is loaded from its extension file
+(:func:`shortgp._compiled.extension`), so a fit never imports the
+``scipy.optimize`` package and its solvers; only
 :func:`profile_signal_variance` does, lazily, for ``minimize_scalar``.
 
 The restarts of one fit run in lockstep (:func:`_minimize_lockstep`): one
@@ -57,20 +58,16 @@ benchmark times the engine's stages.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-import scipy
 from numpy.random import Generator, Philox
 
 from . import bound, gp
+from ._compiled import extension
 from .kernels import FITTING_NUS, FactorizationError, KernelSpec, MATERN, SQUARED_EXPONENTIAL
 from .series import NoiseModel, TimeSeries
 
@@ -110,36 +107,11 @@ _MAX_FUN = 15000  # scipy's maxfun
 _NBD = {(False, False): 0, (True, False): 1, (True, True): 2, (False, True): 3}
 
 
-def _load_setulb():
-    """L-BFGS-B's reverse-communication routine, loaded from its extension
-    file ``scipy/optimize/_lbfgsb`` without running the ``scipy.optimize``
-    package, whose ``__init__`` imports every scipy solver (about 15 MB of
-    peak memory that a fit never uses).  The module entry its loading makes
-    is dropped, so a later ``import scipy.optimize`` imports it as usual.
-    Where the package is imported already, or no such file is found, the
-    routine comes through the package.
-
-    The module is private; this is the setulb of scipy's C translation
-    (scipy >= 1.15: integer task and ln_task, no csave or iprint).
-    tests/test_fit.py::TestDriverMatchesScipyMinimize guards it: every fit's
-    runs must equal scipy.optimize.minimize's bitwise.
-    """
-    name = "scipy.optimize._lbfgsb"
-    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_lbfgsb" + suffix)
-        if name not in sys.modules and os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules.pop(name, None)
-            return module.setulb
-    from scipy.optimize._lbfgsb import setulb
-
-    return setulb
-
-
-_setulb = _load_setulb()
+# L-BFGS-B's reverse-communication routine, of scipy's C translation (scipy
+# >= 1.15: integer task and ln_task, no csave or iprint).  The module is
+# private; tests/test_fit.py::TestDriverMatchesScipyMinimize guards it: every
+# fit's runs must equal scipy.optimize.minimize's bitwise.
+_setulb = extension("optimize", "_lbfgsb").setulb
 
 
 class AllStartsFailedError(RuntimeError):
@@ -268,12 +240,16 @@ def _no_fit_reason(series: TimeSeries, scenario: Scenario) -> str | None:
     grows without bound as sn2 -> 0 and l -> inf (for y = 0, as sf2 and
     sn2 -> 0 at any l), and a fit would report wherever its ascent stalled.
     Bounded and fixed noise, and a finite length-scale box on a nonzero
-    constant, keep the likelihood bounded.
+    constant, keep the likelihood bounded.  Values whose sample variance
+    overflows a float (about 1e154 or larger) have no starting point: the
+    starts draw sf2 and sn2 from that variance.
     """
     if len(series) < 2:
         return "fitting needs at least two observations"
     if scenario.noise_mode == NOISE_FIXED and series.noise_variances is None:
         return "scenario fixes per-point noise but the series has no variances"
+    if series.sample_variance == math.inf:
+        return "the sample variance of the values overflows a float"
     y = series.values
     if (
         scenario.noise_mode == NOISE_ESTIMATED
@@ -320,8 +296,9 @@ def fit(
     or more apart does.
     Raises AllStartsFailedError when no restart produces a usable optimum
     and ValueError for a series the scenario cannot be fitted to: fewer
-    than two points, fixed noise without per-point variances, or estimated
-    noise on a constant series, whose likelihood has no maximum.
+    than two points, fixed noise without per-point variances, values whose
+    sample variance overflows a float, or estimated noise on a constant
+    series, whose likelihood has no maximum.
 
     This is the one-problem case of :func:`_lockstep`.
     """
@@ -371,7 +348,7 @@ class _Problem:
             a_ref = _reference_lower_bound(family, nu, scenario.alpha, info.delta_t)
         init_lo = max(a_ref / 10.0, info.delta_t / 10.0)
         init_hi = max(series.span, init_lo * 10.0)
-        var_y = float(np.var(series.values))
+        var_y = series.sample_variance
         sf2_init = var_y if var_y > 0.0 else 1e-8
         sn2_hi = max(var_y, 2e-4)
 

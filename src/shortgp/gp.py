@@ -16,7 +16,10 @@ every result is bitwise the same.  The factor comes from a finite matrix
 (:func:`~shortgp.kernels.factor_covariance` checks it), the observations
 are finite by construction, and the cross-covariance at query times is
 checked here (a general-order Matern covariance at a tiny distance rounds an
-sf2 near the largest float past it, to inf).
+sf2 near the largest float past it, to inf).  The routines, ``dpotrf``
+among them, come from scipy's LAPACK extension as
+:func:`shortgp._compiled.extension` loads it, without the ``scipy.linalg``
+package.
 
 For the same reason a likelihood call does only the work that depends on
 the hyperparameters.  The distance matrix is the series' own, computed once
@@ -54,10 +57,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+from ._compiled import extension
 from .kernels import KernelSpec, _cov_and_dcov_dl, _cov_array, _evaluate, factor_covariance
 from .series import NoiseModel, TimeSeries
+
+_flapack = extension("linalg", "_flapack")
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 __all__ = [
     "Posterior",

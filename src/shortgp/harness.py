@@ -40,6 +40,7 @@ from numpy.random import Generator, Philox
 
 from . import bound, gp
 from . import fitting as fitmod
+from ._compiled import extension
 from .series import TimeSeries, _grid_gaps
 
 __all__ = [
@@ -160,9 +161,10 @@ class ReplicateRecord:
     carries, and ``failed`` means no feasible fit exists (``shared_from`` is
     then None).  A scenario that cannot be fitted to the series is failed
     and takes no other scenario's fit: a series of fewer than two points,
-    fixed noise on a series without per-point variances, and estimated
-    noise on a constant series (var y = 0), whose likelihood grows without
-    bound as sn2 -> 0 and l -> inf (the one statement of the rule is
+    fixed noise on a series without per-point variances, values whose
+    sample variance overflows a float, and estimated noise on a constant
+    series (var y = 0), whose likelihood grows without bound as sn2 -> 0
+    and l -> inf (the one statement of the rule is
     ``fitting._no_fit_reason``).  ``win_loglik`` and ``win_mse`` mark the
     scenario with the best held-out score; scores within 1e-10 go to the
     highest-numbered (most constrained) scenario.
@@ -441,9 +443,14 @@ def _series_records(
 
 
 # The OpenBLAS thread-count getters and setters that the numpy and scipy
-# wheels export (the ones threadpoolctl calls), as (module of the shared
-# library, suffix of the symbol names).
-_BLAS_LIBRARIES = (("scipy.linalg._fblas", ""), ("numpy._core._multiarray_umath", "64_"))
+# wheels export (the ones threadpoolctl calls), as (the extension module
+# linked to the library, suffix of the symbol names).  scipy's library is
+# found through its LAPACK extension, which is loaded without the
+# scipy.linalg package (shortgp._compiled).
+_BLAS_LIBRARIES = (
+    (partial(extension, "linalg", "_flapack"), ""),
+    (partial(importlib.import_module, "numpy._core._multiarray_umath"), "64_"),
+)
 _load_library = ctypes.CDLL
 
 
@@ -456,7 +463,7 @@ def _blas_on_one_thread():
     restores = []
     for module, suffix in _BLAS_LIBRARIES:
         try:
-            library = _load_library(importlib.import_module(module).__file__)
+            library = _load_library(module().__file__)
             get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
             set_threads = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
         except (ImportError, OSError, AttributeError):

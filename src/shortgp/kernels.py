@@ -26,6 +26,9 @@ band-energy fraction).
 validation and batch dispatch cost more than the factorization itself.  The
 routine and its arguments are the ones the wrapper would pass, so the factor
 is bitwise the same; the square and finite checks are kept explicitly.
+``dpotrf`` and ``kve`` come from scipy's extension modules as
+:func:`shortgp._compiled.extension` loads them, without the ``scipy.linalg``
+and ``scipy.special`` packages.
 
 For the same reason every family evaluates the covariance and its
 length-scale derivative in one pass, and takes the distance matrix from the
@@ -39,10 +42,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.special import kve
 
+from ._compiled import extension
 from .series import NoiseModel
+
+dpotrf = extension("linalg", "_flapack").dpotrf
+kve = extension("special", "_ufuncs").kve
 
 __all__ = [
     "SQUARED_EXPONENTIAL",

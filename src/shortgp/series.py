@@ -5,7 +5,9 @@ what depends on the times alone: the matrix of pairwise distances
 |t_i - t_j| (:attr:`TimeSeries.distances`).  It is computed once per series,
 on first use, because a fit evaluates the likelihood a hundred or more
 times and at n <= 15 rebuilding the matrix costs about as much as a
-kernel evaluation.
+kernel evaluation.  The sample variance of the values, from which a fit
+draws its starts, is cached the same way
+(:attr:`TimeSeries.sample_variance`).
 """
 
 from __future__ import annotations
@@ -116,6 +118,14 @@ class TimeSeries:
         r = np.abs(t[:, None] - t[None, :])
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def sample_variance(self) -> float:
+        """Sample variance of the values (``np.var``), inf where it
+        overflows a float; computed on first use."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = float(np.var(self.values))
+        return var if math.isfinite(var) else math.inf
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled arrays come back writeable; the cached distances rely

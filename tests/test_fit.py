@@ -603,6 +603,16 @@ class TestDiagnose:
         assert isinstance(diag, Diagnostics)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_an_overflowing_sample_variance_is_a_value_error(scale):
+    t = np.arange(7.0)
+    series = TimeSeries(t, np.sin(t) * scale, np.full(7, 0.04))
+    assert series.sample_variance == math.inf
+    for scenario in make_scenarios(series, "se"):
+        with pytest.raises(ValueError, match="sample variance"):
+            fit(series, "se", scenario, seed=0)
+
+
 def test_a_fit_never_imports_scipy_optimize():
     # A fit loads L-BFGS-B's setulb from its extension file; the
     # scipy.optimize package (its import time and memory) is loaded only
@@ -632,3 +642,80 @@ def test_a_fit_never_imports_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+# The scipy packages whose __init__s a fit never runs, and scipy's
+# array-API layer that they import.
+_SCIPY_PACKAGES = ("scipy.linalg", "scipy.special", "scipy.optimize", "scipy._lib._array_api")
+
+# The eight compiled routines, as the package holds them and as scipy's
+# packages export them.
+_ROUTINES = (
+    "[kernels.dpotrf, gp.dpotrs, gp.dtrtrs, kernels.kve, bound.betainc,\n"
+    " bound.betaincinv, bound.erfinv, fitting._setulb]"
+)
+_EXPORTED = (
+    "[lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs, special.kve, special.betainc,\n"
+    " special.betaincinv, special.erfinv, _lbfgsb.setulb]"
+)
+_IMPORT_SCIPY = (
+    "import scipy.linalg.lapack as lapack, scipy.special as special\n"
+    "from scipy.optimize import _lbfgsb\n"
+)
+
+
+class TestCompiledRoutines:
+    """The routines come from scipy's extension files, without the scipy
+    package __init__s, and are the objects the packages export."""
+
+    def test_file_route_imports_no_scipy_package(self, fresh_python):
+        # bounds of both families, a fit of each, a posterior and the BLAS
+        # pin, then scipy's packages: the same routine objects
+        out = fresh_python(
+            "import sys, numpy as np, shortgp\n"
+            "from shortgp import bound, fitting, gp, harness, kernels\n"
+            "t = np.arange(7.0)\n"
+            "s = shortgp.TimeSeries(t, np.sin(t), np.full(7, 0.04))\n"
+            "shortgp.length_scale_bound('se', 0.99, 1.0)\n"
+            "shortgp.length_scale_bound('matern', 0.99, 1.0, 2.5)\n"
+            "for family, nu in (('se', None), ('matern', 1.5)):\n"
+            "    scenario = shortgp.make_scenarios(s, family, nu=nu)[3]\n"
+            "    r = shortgp.fit(s, family, scenario, seed=0, nu=nu)\n"
+            "noise = shortgp.result_noise_model(r, s)\n"
+            "shortgp.posterior_at(s, r.kernel, noise, np.array([0.5, 7.5]))\n"
+            "harness._blas_on_one_thread()()\n"
+            f"print([m for m in {_SCIPY_PACKAGES!r} if m in sys.modules])\n"
+            f"routines = {_ROUTINES}\n"
+            f"{_IMPORT_SCIPY}"
+            f"print([a is b for a, b in zip(routines, {_EXPORTED})])\n"
+        )
+        assert out[:2] == ["[]", str([True] * 8)]
+
+    def test_package_route_when_scipy_is_imported_first(self, fresh_python):
+        out = fresh_python(
+            f"{_IMPORT_SCIPY}"
+            "import sys, shortgp\n"
+            "from shortgp import _compiled, bound, fitting, gp, kernels\n"
+            f"print([a is b for a, b in zip({_ROUTINES}, {_EXPORTED})])\n"
+            "print(_compiled.extension('special', '_ufuncs')\n"
+            "      is sys.modules['scipy.special._ufuncs'])\n"
+        )
+        assert out[:2] == [str([True] * 8), "True"]
+
+    def test_package_route_when_the_file_is_missing(self, fresh_python, tmp_path):
+        # scipy's folder taken as an empty one: no extension file is found,
+        # and the load leaves no stand-in package or module behind
+        out = fresh_python(
+            "import sys, shortgp\n"
+            "from shortgp import _compiled, kernels\n"
+            f"_compiled._SCIPY_DIR = {str(tmp_path)!r}\n"
+            "_compiled.extension.cache_clear()\n"
+            "ufuncs = _compiled.extension('special', '_ufuncs')\n"
+            "import scipy.special\n"
+            "print(ufuncs is sys.modules['scipy.special._ufuncs'],\n"
+            "      ufuncs.kve is kernels.kve is scipy.special.kve,\n"
+            "      sys.modules['scipy.special'] is scipy.special)\n"
+            "print([name for name, m in sys.modules.items()\n"
+            "       if name.startswith('scipy.') and m.__spec__ is None])\n"
+        )
+        assert out[:2] == ["True True True", "[]"]

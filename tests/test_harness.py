@@ -522,17 +522,22 @@ class TestBatchContract:
                 assert row.failed or _in_box(row, scenario), (series.id, row.scenario)
 
 
-    @pytest.mark.parametrize("scale", [1e140, 1e150])
+    @pytest.mark.parametrize("scale", [1e140, 1e150, 1e155, 1e200, 1e300])
     @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
     def test_extreme_scales_give_a_record_per_scenario(self, scale, scenario_set):
-        # the likelihood's gradient overflows at these scales, and L-BFGS-B
-        # steps to points that are not finite
+        # the likelihood's gradient overflows at 1e140 and 1e150, and
+        # L-BFGS-B steps to points that are not finite; from 1e155 the
+        # sample variance, from which the starts are drawn, overflows too
         t = np.arange(7.0)
-        series = TimeSeries(t, np.sin(t) * scale, np.full(7, 0.04), id="big")
-        report = run_batch([series], scenario_set=scenario_set)
-        assert len(report.rows) == 4
-        assert [r.scenario for r in report.rows] == report.scenario_labels
-        assert [r.series_id for r in report.rows] == ["big"] * 4
+        big = TimeSeries(t, np.sin(t) * scale, np.full(7, 0.04), id="big")
+        near = TimeSeries(t, np.cos(t), np.full(7, 0.04), id="near")
+        alone = run_batch([near], scenario_set=scenario_set)
+        report = run_batch([near, big], scenario_set=scenario_set)
+        assert len(report.rows) == 8
+        assert [r.scenario for r in report.rows[4:]] == report.scenario_labels
+        assert [r.series_id for r in report.rows] == ["near"] * 4 + ["big"] * 4
+        assert all(r.failed for r in report.rows[4:])
+        assert repr(report.rows[:4]) == repr(alone.rows)
 
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -892,6 +897,37 @@ class TestPool:
         assert _blas_threads() == before
         restore()
         assert _blas_threads() == before
+
+
+    def test_pin_blas_without_the_scipy_linalg_package(self, fresh_python):
+        # the pin reads scipy's OpenBLAS from the LAPACK extension that the
+        # package loaded from its file, with no scipy.linalg package: both
+        # libraries go to one thread and back to the counts found
+        out = fresh_python(
+            "import ctypes, importlib, sys\n"
+            "from shortgp import _compiled, harness\n"
+            "try:\n"
+            "    libraries = [\n"
+            "        (getattr(library, f'scipy_openblas_get_num_threads{suffix}'),\n"
+            "         getattr(library, f'scipy_openblas_set_num_threads{suffix}'))\n"
+            "        for library, suffix in (\n"
+            "            (ctypes.CDLL(_compiled.extension('linalg', '_flapack').__file__), ''),\n"
+            "            (ctypes.CDLL(importlib.import_module(\n"
+            "                'numpy._core._multiarray_umath').__file__), '64_'),\n"
+            "        )\n"
+            "    ]\n"
+            "except (ImportError, AttributeError):\n"
+            "    sys.exit(print('no thread-count getters'))\n"
+            "for _, set_threads in libraries:\n"
+            "    set_threads(2)\n"
+            "restore = harness._blas_on_one_thread()\n"
+            "print([get() for get, _ in libraries], 'scipy.linalg' in sys.modules)\n"
+            "restore()\n"
+            "print([get() for get, _ in libraries])\n"
+        )
+        if out[0] == "no thread-count getters":
+            pytest.skip("this BLAS build has no thread-count getters")
+        assert out[:2] == ["[1, 1] False", "[2, 2]"]
 
 
 class TestCsv:
