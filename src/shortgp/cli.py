@@ -25,6 +25,11 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
+_RESTARTS_HELP = (
+    f"random starts of each fixed-noise fit (default {fitmod.DEFAULT_RESTARTS}); an "
+    "estimated- or bounded-noise fit starts from the argmax of its profile-likelihood grid"
+)
+
 
 class _UsageError(Exception):
     pass
@@ -64,7 +69,8 @@ def _add_single_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                         default="synthetic")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
+    parser.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS,
+                        help=_RESTARTS_HELP)
     parser.add_argument("--resolution", type=int, default=200)
     _add_family_flags(parser)
 
@@ -104,7 +110,7 @@ def _build_parser() -> _Parser:
                          help="test grid as 'lo,hi,count' (default -6,5,10)")
     p_synth.add_argument("--noise-bounds", type=str, default=None,
                          help="noise-variance box as 'lo,hi' (default 0.01,0.1)")
-    p_synth.add_argument("--restarts", type=int, default=None)
+    p_synth.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
     p_synth.add_argument("--out-dir", default=None, required=False)
     p_synth.add_argument("--parallelism", type=int, default=None)
     _add_family_flags(p_synth)
@@ -115,7 +121,8 @@ def _build_parser() -> _Parser:
     p_batch.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                          default="expression")
     p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS)
+    p_batch.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS,
+                         help=_RESTARTS_HELP)
     p_batch.add_argument("--noise-flag-threshold", type=float, default=1e-2)
     p_batch.add_argument("--out-dir", required=True)
     p_batch.add_argument("--parallelism", type=int, default=1)
@@ -194,8 +201,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_fit(args) -> int:
     series, scenario, result = _single_fit(args)
-    info = bound.delta_t_from_times(series.times)
-    diag = fitmod.diagnose(result, info, scenario.alpha)
+    diag = fitmod.diagnose(result, series.sampling, scenario.alpha)
     print(f"series              {series.id!r} (n={len(series)})")
     print(f"scenario            {scenario.label}")
     print(f"length_scale        {result.kernel.length_scale!r}")

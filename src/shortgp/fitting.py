@@ -1,18 +1,30 @@
 """Bounded maximum-likelihood hyperparameter estimation.
 
 Each fit maximizes the log marginal likelihood over z = log(sf2, l[, sn2])
-with L-BFGS-B from several seeded restarts.  The scenario's box on each
-parameter is handed to L-BFGS-B as the log of that box (no bound where the
-box edge is 0 or infinity), so an optimum on a face of the box is reached,
-not approached.  The likelihood gradient is already in log coordinates, so
-the objective needs no chain factor.  Mapped back to natural units, a z on
-a face (or within 1e-6 of it) gives exactly that bound and any other z its
-exp, so every returned parameter lies inside its box exactly, and one that
-sits on a bound sits on it exactly.  Restart
-initialization, convergence thresholds and tie-breaking are all
+with L-BFGS-B.  The scenario's box on each parameter is handed to L-BFGS-B
+as the log of that box (no bound where the box edge is 0 or infinity), so
+an optimum on a face of the box is reached, not approached.  The likelihood
+gradient is already in log coordinates, so the objective needs no chain
+factor.  Mapped back to natural units, a z on a face (or within 1e-6 of it)
+gives exactly that bound and any other z its exp, so every returned
+parameter lies inside its box exactly, and one that sits on a bound sits on
+it exactly.  Starts, convergence thresholds and tie-breaking are all
 deterministic given the seed.
 
-Each restart drives L-BFGS-B's reverse-communication routine ``setulb``
+The likelihood of a short series is multimodal, so the start decides which
+optimum a fit finds.  An estimated- or bounded-noise fit starts from one
+point: the argmax of the profile likelihood over a 64 x 64 grid of
+length-scale and noise-to-signal ratio lambda = sn2 / sf2
+(:func:`_grid_starts`), with sf2 in closed form per cell.  One ``eigh`` of
+the correlation matrix per grid length-scale serves every ratio and every
+series of one time grid; L-BFGS-B then polishes the grid's best cell.  A
+fixed-noise fit, whose per-point noise shares no eigenbasis with the
+kernel, starts from ``restarts`` seeded random points.  Either fit also
+starts from any ``extra_starts`` it is given.  The grid also gives
+:func:`likelihood_surface` its profiled signal variance, without
+``scipy.optimize``.
+
+Each run drives L-BFGS-B's reverse-communication routine ``setulb``
 directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
 At n <= 15 the wrapper's per-call bookkeeping (its scalar-function object,
 gradient memo and array checks) cost more than the likelihood itself.  The
@@ -20,30 +32,30 @@ loop mirrors scipy's ``_minimize_lbfgsb`` for this problem: the same memory,
 line-search limit, tolerances, bound encoding, start clipping and memo of
 the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
 ``setulb`` is loaded from its extension file
-(:func:`shortgp._compiled.extension`), so a fit never imports the
-``scipy.optimize`` package and its solvers; only
-:func:`profile_signal_variance` does, lazily, for ``minimize_scalar``.
+(:func:`shortgp._compiled.extension`), so no module imports the
+``scipy.optimize`` package and its solvers.
 
-The restarts of one fit run in lockstep (:func:`_minimize_lockstep`): one
-``setulb`` state per start, advanced together round by round.  Each round
-every running member goes on until it asks for a new point or stops, and
-the points asked for are evaluated by one objective.  It maps each point
-to natural units once and hands two or more of them to
-:func:`shortgp.gp._lml_and_grad_batch` as one parameter array, which shares
-the Python glue and the small-array work of a likelihood call among the
-members.  The batch gives each member the bits a call of its own gives, so
-every restart takes the path it takes alone.  A lone point, and a member
-whose K is not finite or needs jitter, go to
+The runs of one fit, one per start, go in lockstep
+(:func:`_minimize_lockstep`): one ``setulb`` state per start, advanced
+together round by round.  Each round every running member goes on until it
+asks for a new point or stops, and the points asked for are evaluated by
+one objective.  It maps each point to natural units once and hands two or
+more of them to :func:`shortgp.gp._lml_and_grad_batch` as one parameter
+array, which shares the Python glue and the small-array work of a
+likelihood call among the members.  The batch gives each member the bits a
+call of its own gives, so every run takes the path it takes alone.  A lone
+point, and a member whose K is not finite or needs jitter, go to
 :func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
 costs more than a call, and that function owns the jitter ladder and the
 errors.
 
-The lockstep runs over problems, not only over restarts: :func:`_lockstep`
-fits any number of (series, scenario, seed) problems at once, and a round's
-points from series of one length and one noise mode go to one batched call.
-:func:`fit` is its one-problem case, with the same bits.  The harness makes
-one call per stage, to :func:`_fit_problems`: one scenario of many series
-of one length.  An evaluation that overflows a float (a power of a huge
+The lockstep runs over problems, not only over the starts of one:
+:func:`_lockstep` fits any number of (series, scenario, seed) problems at
+once.  It builds the grids of its problems, one time grid at a time, and a
+round's points from series of one length and one noise mode go to one
+batched call.  :func:`fit` is its one-problem case, with the same bits.
+The harness makes one call per stage, to :func:`_fit_problems`: one
+scenario of many series of one length.  An evaluation that overflows a float (a power of a huge
 length-scale) is a failed evaluation; a batched call that overflows leaves
 its members to the per-call path, so that only the members that overflow
 there fail.
@@ -68,7 +80,14 @@ from numpy.random import Generator, Philox
 
 from . import bound, gp
 from ._compiled import extension
-from .kernels import FITTING_NUS, FactorizationError, KernelSpec, MATERN, SQUARED_EXPONENTIAL
+from .kernels import (
+    FITTING_NUS,
+    MATERN,
+    SQUARED_EXPONENTIAL,
+    FactorizationError,
+    KernelSpec,
+    _evaluate,
+)
 from .series import NoiseModel, TimeSeries
 
 __all__ = [
@@ -99,7 +118,7 @@ _OBJ_REL_TOL = 1e-10
 _TIE_TOL = 1e-10
 _FAILED_OBJECTIVE = 1e25
 _ACTIVE_RTOL = 1e-6
-_FIT_STREAM = 0x464954  # "FIT": keeps restart draws apart from data streams
+_FIT_STREAM = 0x464954  # "FIT": keeps random-start draws apart from data streams
 _LBFGS_MEMORY = 10  # scipy's maxcor
 _MAX_LINE_SEARCH = 20  # scipy's maxls
 _MAX_FUN = 15000  # scipy's maxfun
@@ -115,7 +134,7 @@ _setulb = extension("optimize", "_lbfgsb").setulb
 
 
 class AllStartsFailedError(RuntimeError):
-    """Every restart hit a factorization failure or returned no optimum."""
+    """Every start's run hit a factorization failure or returned no optimum."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +206,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best constrained maximum-likelihood solution found by multi-start."""
+    """Best constrained maximum-likelihood solution among a fit's starts.
+
+    ``restarts_used`` counts the starts whose run ended on a usable point:
+    at most 1 plus the extra starts for estimated or bounded noise, at most
+    ``restarts`` plus the extra starts for fixed noise."""
 
     kernel: KernelSpec
     noise_variance: float | None  # None when the scenario fixes per-point noise
@@ -271,42 +294,49 @@ def fit(
 ) -> FitResult:
     """Constrained maximum-likelihood fit of (sf2, l[, sn2]) for one series.
 
-    Runs ``restarts`` L-BFGS-B ascents in the log box of ``scenario`` from
-    seeded random initializations (plus any ``extra_starts``, given as
-    (sf2, l, sn2) triples in natural space, sn2 ignored for fixed noise),
-    each start clipped into the box.  A length-scale or noise variance
-    within a relative 1e-6 of a bound is returned as exactly that bound.
-    The best optimum wins; likelihood ties below 1e-10 go to the smaller
+    Runs L-BFGS-B ascents in the log box of ``scenario``, each from a start
+    clipped into the box.  Estimated or bounded noise starts from the
+    argmax of the profile likelihood over a grid of length-scale and
+    noise-to-signal ratio (:func:`_grid_starts`); fixed noise starts from
+    ``restarts`` seeded random points, so ``restarts`` counts the random
+    starts of fixed-noise fits only.  Any ``extra_starts``, given as
+    (sf2, l, sn2) triples in natural space (sn2 ignored for fixed noise),
+    are started from as well.  A length-scale or noise variance within a
+    relative 1e-6 of a bound is returned as exactly that bound.  The best
+    optimum wins; likelihood ties below 1e-10 go to the smaller
     length-scale, then the smaller noise variance, so the result does not
     depend on enumeration order.  Deterministic given (series, scenario,
-    seed).
+    seed); an estimated- or bounded-noise fit does not depend on the seed.
 
     An evaluation whose factorization fails, whose likelihood is not
     finite, that overflows a float (l^3, or l^2 under Matern 1/2, beyond
     the largest float: l of about 5.6e102, or 1.3e154, or more) or whose
     point z is NaN (an L-BFGS-B step that overflowed) is a failed
-    evaluation, of a value worse than any likelihood, and a restart that
+    evaluation, of a value worse than any likelihood, and a run that
     ends on such a point is dropped.
     An infinite coordinate of z is no failure: like any other z beyond 230
     in size, it is evaluated at exp(+-230), or at the box's bound where the
     box lies beyond.  So the parameters are not unit-free: on values around
     1e100 or larger, sf2 (at most e^230, about 7.7e99) cannot reach var(y),
-    and every restart fails; so does every restart of a scenario whose
+    and every run fails; so does every run of a scenario whose
     length-scale floor overflows, as the Nyquist floor of times about 1e103
     or more apart does.
-    Raises AllStartsFailedError when no restart produces a usable optimum
+    Raises AllStartsFailedError when no run produces a usable optimum
     and ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, values whose
     sample variance overflows a float, or estimated noise on a constant
-    series, whose likelihood has no maximum.
+    series, whose likelihood has no maximum; and for a fixed-noise fit with
+    no start (``restarts`` below 1 and no ``extra_starts``).  Each of these
+    is raised before any grid is built or run started.
 
     This is the one-problem case of :func:`_lockstep`.
     """
     extra_starts = tuple(extra_starts)
     result = _lockstep([(series, scenario, seed)], family, nu, restarts, extra_starts)[0]
     if result is None:
+        drawn = 1 if scenario.noise_mode != NOISE_FIXED else max(restarts, 0)
         raise AllStartsFailedError(
-            f"all {len(extra_starts) + max(restarts, 0)} starts failed for scenario "
+            f"all {len(extra_starts) + drawn} starts failed for scenario "
             f"{scenario.label!r}"
         )
     return result
@@ -322,50 +352,61 @@ class _Problem:
         if reason is not None:
             raise ValueError(reason)
         _check_family(family, nu)
-        if restarts < 1 and not extra_starts:
-            raise ValueError("need at least one start")
         self.series = series
         self.scenario = scenario
         # The box of each optimized parameter in natural units, and its log.
-        self.boxes = boxes = [(0.0, math.inf), *scenario.box]
+        self.boxes = [(0.0, math.inf), *scenario.box]
         self.estimate_noise = scenario.noise_mode != NOISE_FIXED
         self.fixed_noise = (
             None if self.estimate_noise else NoiseModel.fixed(series.noise_variances)
         )
         self.log_box = [
             (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
-            for lo, hi in boxes
+            for lo, hi in self.boxes
         ]
+        # (sf2, l, sn2) in natural units; an estimated- or bounded-noise
+        # problem gets its grid start in front of these (_grid_starts).
+        self.starts = [
+            (float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2)
+            for sf2, l, sn2 in extra_starts
+        ]
+        if not self.estimate_noise:
+            if restarts < 1 and not self.starts:
+                raise ValueError("need at least one start")
+            self.starts += self._random_starts(family, nu, seed, restarts)
 
-        # Initialization: sf2 at the sample variance; l log-uniform between a
-        # tenth of the (reference) lower bound or sampling interval and the
-        # observation span; sn2 log-uniform between 1e-4 and the sample
-        # variance.
-        info = bound.delta_t_from_times(series.times)
+    def _random_starts(self, family, nu, seed, restarts) -> list:
+        """The seeded random starts of a fixed-noise fit: sf2 at the sample
+        variance; l log-uniform between a tenth of the (reference) lower
+        bound or sampling interval and the observation span; sn2, which the
+        fit does not use, log-uniform between 1e-4 and the sample variance."""
+        series, scenario = self.series, self.scenario
+        delta_t = series.sampling.delta_t
         if scenario.length_scale_lower > 0.0:
             a_ref = scenario.length_scale_lower
         else:
-            a_ref = _reference_lower_bound(family, nu, scenario.alpha, info.delta_t)
-        init_lo = max(a_ref / 10.0, info.delta_t / 10.0)
+            a_ref = _reference_lower_bound(family, nu, scenario.alpha, delta_t)
+        init_lo = max(a_ref / 10.0, delta_t / 10.0)
         init_hi = max(series.span, init_lo * 10.0)
         var_y = series.sample_variance
         sf2_init = var_y if var_y > 0.0 else 1e-8
         sn2_hi = max(var_y, 2e-4)
-
         rng = Generator(Philox(key=[int(seed), _FIT_STREAM]))
-        starts: list[tuple[float, float, float]] = []
-        for sf2, l, sn2 in extra_starts:
-            starts.append((float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2))
+        starts = []
         for _ in range(max(restarts, 0)):
             l0 = math.exp(rng.uniform(math.log(init_lo), math.log(init_hi)))
             sn0 = math.exp(rng.uniform(math.log(1e-4), math.log(sn2_hi)))
             starts.append((sf2_init, l0, sn0))
-        self.z0s = [
+        return starts
+
+    def z0s(self) -> list[np.ndarray]:
+        """The starts as points z, each clipped into the box."""
+        return [
             np.array([
                 math.log(min(max(v, lo, 1e-300), hi, 1e300))
-                for v, (lo, hi) in zip(start, boxes)
+                for v, (lo, hi) in zip(start, self.boxes)
             ])
-            for start in starts
+            for start in self.starts
         ]
 
     def natural(self, z: np.ndarray) -> list[float] | None:
@@ -395,8 +436,8 @@ class _Problem:
         return out
 
     def best(self, results, family: str, nu: float | None) -> FitResult | None:
-        """The winning optimum of the problem's restarts, or None when no
-        restart ended on a usable point."""
+        """The winning optimum of the problem's runs, or None when no run
+        ended on a usable point."""
         best = None
         restarts_used = 0
         for res in results:
@@ -433,7 +474,7 @@ def _failed(size: int) -> tuple[float, np.ndarray]:
 
 def _fit_problems(problems, family: str, nu: float | None, restarts: int) -> list:
     """The own fit of every (series, scenario, seed) in ``problems``, None
-    where every restart failed, in one :func:`_lockstep`.  A lone problem
+    where every run failed, in one :func:`_lockstep`.  A lone problem
     goes through :func:`fit`, with the same bits: the benchmark's spans wrap
     ``fitting.fit``, and every stage of ``bench/test_bench.py``'s runs is a
     lone problem, as they hold one series per length."""
@@ -446,16 +487,93 @@ def _fit_problems(problems, family: str, nu: float | None, restarts: int) -> lis
         return [None]
 
 
+# The profile-likelihood grid of the start of an estimated- or bounded-noise
+# fit: _GRID_SIZE length-scales, log-spaced from the box's floor (a
+# twentieth of the smallest gap where the box has none) to _GRID_SPANS
+# spans, by _GRID_SIZE noise-to-signal ratios lambda = sn2 / sf2.
+_GRID_SIZE = 64
+_GRID_SPANS = 100.0
+_GRID_RATIOS = np.logspace(-8.0, 3.0, _GRID_SIZE)
+
+
+def _correlation_eigh(family: str, nu: float | None, distances, length_scales):
+    """The eigenvalues e, clipped at 0, and eigenvectors V of the
+    unit-variance correlation matrix C_l = V diag(e) V^T at each of L
+    length-scales, from one batched ``eigh``: (L, n) and (L, n, n)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = _evaluate(family, nu, 1.0, length_scales[:, None, None], distances, False)[0]
+    e, v = np.linalg.eigh(corr)
+    return np.maximum(e, 0.0), v
+
+
+def _grid_starts(setups: list[_Problem], family: str, nu: float | None) -> list[tuple]:
+    """The start (sf2, l, sn2) of each estimated- or bounded-noise problem,
+    with the log marginal likelihood there as a fourth element: the argmax
+    of the profile likelihood over the grid of length-scales by
+    ``_GRID_RATIOS``.
+
+    With lambda = sn2 / sf2, K = sf2 (C_l + lambda I).  With
+    C_l = V diag(e) V^T and p = V^T y, y^T (C_l + lambda I)^-1 y is
+    q = sum p_i^2 / (e_i + lambda) and log|C_l + lambda I| is
+    sum log(e_i + lambda).  At fixed (l, lambda) the likelihood is unimodal
+    in sf2, with its maximum at q / n, so in a noise box [a, b] (sn2 =
+    lambda sf2) the best sf2 is q / n clipped to [a / lambda, b / lambda].
+    One ``eigh`` per grid length-scale thus serves every ratio and every
+    series of one time grid.  Problems are grouped by their times and
+    length-scale box, and one group's arrays exist at a time.  A start
+    depends on its own series and scenario alone, not on its group-mates;
+    ties go to the smaller l, then the smaller lambda.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, setup in enumerate(setups):
+        scenario = setup.scenario
+        key = (setup.series.times.tobytes(), scenario.length_scale_lower,
+               scenario.length_scale_upper)
+        groups.setdefault(key, []).append(i)
+    starts: list = [None] * len(setups)
+    for members in groups.values():
+        series, scenario = setups[members[0]].series, setups[members[0]].scenario
+        n = len(series)
+        lo = scenario.length_scale_lower or series.sampling.delta_t / 20.0
+        hi = min(_GRID_SPANS * series.span, scenario.length_scale_upper, 1e300)
+        ls = np.geomspace(lo, max(hi, lo), _GRID_SIZE)
+        e, v = _correlation_eigh(family, nu, series.distances, ls)
+        # log|C_l + lambda I| one eigenvalue at a time, so that the grid's
+        # one (l, i, lambda) array is 1 / (e_i + lambda)
+        logdet = sum(np.log(e[:, i, None] + _GRID_RATIOS) for i in range(n))
+        inverse = e[:, :, None] + _GRID_RATIOS
+        np.reciprocal(inverse, out=inverse)
+        for i in members:
+            scenario = setups[i].scenario
+            # Per member, so that its bits do not depend on its group-mates.
+            # Values near the largest float overflow q; such cells lose.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                p2 = (setups[i].series.values @ v) ** 2
+                q = (p2[:, None, :] @ inverse)[:, 0]
+                sf2 = q / n
+                if scenario.noise_mode == NOISE_BOUNDED:
+                    sf2 = np.clip(sf2, scenario.noise_lower / _GRID_RATIOS,
+                                  scenario.noise_upper / _GRID_RATIOS)
+                lml = -0.5 * (q / sf2 + n * np.log(sf2) + logdet + n * gp._LOG_2PI)
+            lml[np.isnan(lml)] = -np.inf
+            j, k = divmod(int(np.argmax(lml)), _GRID_SIZE)
+            best = float(sf2[j, k])
+            starts[i] = (best, float(ls[j]), float(_GRID_RATIOS[k] * best), float(lml[j, k]))
+    return starts
+
+
 def _lockstep(
     problems, family: str, nu: float | None, restarts: int, extra_starts=()
 ) -> list[FitResult | None]:
-    """:func:`fit` of every (series, scenario, seed) in ``problems``, all of
-    their restarts in one lockstep; None where :func:`fit` raises
-    AllStartsFailedError.  Raises ValueError where :func:`fit` does, before
-    any restart runs.
+    """:func:`fit` of every (series, scenario, seed) in ``problems``, the
+    runs from all of their starts in one lockstep; None where :func:`fit`
+    raises AllStartsFailedError.  Raises ValueError where :func:`fit` does,
+    before any grid is built or run started.
 
     The problems' series have one length, and their scenarios one noise
-    mode (fixed or estimated); else ValueError.  Each round, the points
+    mode (fixed or estimated); else ValueError.  An estimated- or
+    bounded-noise problem's grid start (:func:`_grid_starts`) depends on its
+    own series and scenario alone.  Each round, the points
     asked for are mapped to natural units once and go to the batched
     likelihood as one call, whatever series they come from; a member gets
     the bits of its own fit's evaluation, so each result is that of the
@@ -472,6 +590,10 @@ def _lockstep(
     ]
     if len({(len(setup.series), setup.estimate_noise) for setup in setups}) > 1:
         raise ValueError("problems of one lockstep need one series length and noise mode")
+    if setups[0].estimate_noise:
+        for setup, start in zip(setups, _grid_starts(setups, family, nu)):
+            setup.starts.insert(0, start[:3])
+    z0s = [setup.z0s() for setup in setups]
     # The series data of the batched likelihood, one row per problem.
     distances = np.array([setup.series.distances for setup in setups])
     ys = np.array([setup.series.values for setup in setups])
@@ -480,7 +602,7 @@ def _lockstep(
         if setups[0].estimate_noise
         else np.array([setup.series.noise_variances for setup in setups])
     )
-    owner = [p for p, setup in enumerate(setups) for _ in setup.z0s]
+    owner = [p for p, starts in enumerate(z0s) for _ in starts]
     member_setup = [setups[p] for p in owner]
 
     def objective(members: list[int], zs: list[np.ndarray]) -> list:
@@ -531,13 +653,13 @@ def _lockstep(
     with np.errstate(over="ignore", invalid="ignore"):
         results = _minimize_lockstep(
             objective,
-            [z0 for setup in setups for z0 in setup.z0s],
+            [z0 for starts in z0s for z0 in starts],
             [setup.log_box for setup in member_setup],
         )
     out = []
     first = 0
     for setup in setups:
-        last = first + len(setup.z0s)
+        last = first + len(setup.starts)
         out.append(setup.best(results[first:last], family, nu))
         first = last
     return out
@@ -718,8 +840,7 @@ def make_scenarios(
     1. no bounds; 2. length-scale bounded below by a_l(alpha);
     3. noise variance bounded in ``noise_bounds``; 4. both.
     """
-    info = bound.delta_t_from_times(series.times)
-    a_l = _reference_lower_bound(family, nu, alpha, info.delta_t)
+    a_l = _reference_lower_bound(family, nu, alpha, series.sampling.delta_t)
     return _four_scenarios(a_l, alpha, (NOISE_BOUNDED, noise_bounds[0], noise_bounds[1]))
 
 
@@ -731,13 +852,75 @@ def make_expression_scenarios(
 ) -> list[Scenario]:
     """Variant of :func:`make_scenarios` with fixed per-point noise (taken
     from the series) in place of the bounded noise interval."""
-    info = bound.delta_t_from_times(series.times)
-    a_l = _reference_lower_bound(family, nu, alpha, info.delta_t)
+    a_l = _reference_lower_bound(family, nu, alpha, series.sampling.delta_t)
     return _four_scenarios(a_l, alpha, (NOISE_FIXED, None, None))
 
 
 # Preset scenario sets by name: ``builder(series, family, alpha, nu)``.
 SCENARIO_SETS = {"synthetic": make_scenarios, "expression": make_expression_scenarios}
+
+
+# The scan of log sf2 behind the profiled signal variance of a likelihood
+# surface, and the Newton steps that polish each of its local maxima.
+_SCAN_LOG_SF2 = np.linspace(-25.0, 25.0, 401)
+_NEWTON_STEPS = 30
+
+
+def _profile_log_sf2(e: np.ndarray, p2: np.ndarray, sn2: np.ndarray) -> np.ndarray:
+    """log sf2 maximizing f(sf2) = -1/2 sum p2_i / (sf2 e_i + sn2)
+    - 1/2 sum log(sf2 e_i + sn2), the likelihood at one length-scale in the
+    eigenbasis of its correlation matrix (eigenvalues ``e``, squared
+    projections ``p2`` of y), for each noise variance of ``sn2``.
+
+    At a fixed absolute sn2, f can have several maxima in log sf2, about one
+    per scale of the eigenvalues.  So f is scanned over ``_SCAN_LOG_SF2`` in
+    O(n) per point, and Newton's method on the analytic first and second
+    derivatives in z = log sf2, with w_i = sf2 e_i / (sf2 e_i + sn2) and
+    a_i = p2_i / (sf2 e_i + sn2),
+
+        f' = 1/2 sum w_i (a_i - 1),  f'' = 1/2 sum w_i (a_i (1 - 2 w_i) - 1 + w_i),
+
+    polishes every local maximum of the scan, inside the scan's range; the
+    best polished point wins.
+    """
+    sf2 = np.exp(_SCAN_LOG_SF2)
+    shifted = sf2[None, :, None] * e + sn2[:, None, None]  # (sn2, z, i)
+    f = -0.5 * (p2 / shifted + np.log(shifted)).sum(axis=2)
+    padded = np.pad(f, ((0, 0), (1, 1)), constant_values=-np.inf)
+    rows, cols = np.nonzero((f >= padded[:, :-2]) & (f > padded[:, 2:]))
+    z = _SCAN_LOG_SF2[cols]
+    noise = sn2[rows, None]
+    for _ in range(_NEWTON_STEPS):
+        scaled = np.exp(z)[:, None] * e
+        w = scaled / (scaled + noise)
+        a = p2 / (scaled + noise)
+        grad = 0.5 * (w * (a - 1.0)).sum(axis=1)
+        if not np.any(np.abs(grad) > 1e-10):
+            break
+        curv = 0.5 * (w * (a * (1.0 - 2.0 * w) - 1.0 + w)).sum(axis=1)
+        step = np.divide(grad, curv, out=np.zeros_like(grad), where=curv < 0.0)
+        z = np.clip(z - step, _SCAN_LOG_SF2[0], _SCAN_LOG_SF2[-1])
+    shifted = np.exp(z)[:, None] * e + noise
+    value = -0.5 * (p2 / shifted + np.log(shifted)).sum(axis=1)
+    # the best polished maximum of each row: rows ascend, values descend
+    order = np.lexsort((-value, rows))
+    first = np.unique(rows[order], return_index=True)[1]
+    return z[order[first]]
+
+
+def _profiled_signal_variances(
+    series: TimeSeries, family: str, length_scales, noise_variances, nu: float | None
+) -> np.ndarray:
+    """The signal variance maximizing the likelihood at each (l, sn2) of the
+    grid, one ``eigh`` per length-scale: rows follow ``length_scales``.
+    ValueError unless every l and sn2 is > 0."""
+    ls = np.asarray(length_scales, dtype=float)
+    ns = np.asarray(noise_variances, dtype=float)
+    if not (np.all(ls > 0.0) and np.all(ns > 0.0)):
+        raise ValueError("length-scales and noise variances must be > 0")
+    e, v = _correlation_eigh(family, nu, series.distances, ls)
+    p2 = (series.values @ v) ** 2
+    return np.exp([_profile_log_sf2(e[i], p2[i], ns) for i in range(len(ls))])
 
 
 def profile_signal_variance(
@@ -747,38 +930,14 @@ def profile_signal_variance(
     noise: NoiseModel,
     nu: float | None = None,
 ) -> float:
-    """Signal variance maximizing the marginal likelihood with the other
-    parameters held fixed (for likelihood-surface slices)."""
-    from scipy.optimize import minimize_scalar
-
-    def neg(log_sf2: float) -> float:
-        spec = _make_kernel(family, nu, math.exp(log_sf2), length_scale)
-        try:
-            return -gp.log_marginal_likelihood(series, spec, noise)
-        except FactorizationError:
-            return _FAILED_OBJECTIVE
-
-    res = minimize_scalar(
-        neg, bounds=(-25.0, 25.0), method="bounded", options={"xatol": 1e-10}
+    """Signal variance maximizing the marginal likelihood with the
+    length-scale and an estimated noise variance held fixed: one cell of
+    :func:`likelihood_surface`.  ValueError for fixed noise."""
+    if not noise.is_estimated:
+        raise ValueError("the profiled signal variance needs an estimated noise variance")
+    return float(
+        _profiled_signal_variances(series, family, [length_scale], [noise.variance], nu)[0, 0]
     )
-    z = float(res.x)
-
-    def grad(log_sf2: float) -> float:
-        spec = _make_kernel(family, nu, math.exp(log_sf2), length_scale)
-        return gp.log_marginal_likelihood_and_gradient(series, spec, noise)[1][0]
-
-    # Newton polish on the analytic stationarity condition; the scalar
-    # minimizer alone leaves the gradient around 1e-5.
-    h = 1e-5
-    for _ in range(8):
-        g = grad(z)
-        if abs(g) <= 1e-10:
-            break
-        curvature = (grad(z + h) - grad(z - h)) / (2.0 * h)
-        if not curvature < 0.0:
-            break
-        z -= g / curvature
-    return math.exp(z)
 
 
 def likelihood_surface(
@@ -789,17 +948,19 @@ def likelihood_surface(
     nu: float | None = None,
 ) -> np.ndarray:
     """Log marginal likelihood over a (l, sn2) grid with sf2 profiled out
-    per cell; rows follow ``length_scales``, columns ``noise_variances``."""
+    per cell; rows follow ``length_scales``, columns ``noise_variances``.
+    The profiled sf2 of each cell is :func:`_profile_log_sf2`'s, from one
+    ``eigh`` per length-scale; the likelihood there is
+    :func:`shortgp.gp.log_marginal_likelihood`."""
     ls = np.asarray(length_scales, dtype=float)
     ns = np.asarray(noise_variances, dtype=float)
+    sf2 = _profiled_signal_variances(series, family, ls, ns, nu)
     out = np.empty((ls.shape[0], ns.shape[0]))
-    for i, l in enumerate(ls):
-        for j, sn2 in enumerate(ns):
-            noise = NoiseModel.estimated(float(sn2))
-            sf2 = profile_signal_variance(series, family, float(l), noise, nu)
-            spec = _make_kernel(family, nu, sf2, float(l))
+    for i, l in enumerate(ls.tolist()):
+        for j, sn2 in enumerate(ns.tolist()):
+            spec = _make_kernel(family, nu, float(sf2[i, j]), l)
             try:
-                out[i, j] = gp.log_marginal_likelihood(series, spec, noise)
+                out[i, j] = gp.log_marginal_likelihood(series, spec, NoiseModel.estimated(sn2))
             except FactorizationError:
                 out[i, j] = -np.inf
     return out

@@ -363,7 +363,7 @@ def _series_records(
     # points.  Because the choice is one total order over all fits, nested
     # marginal likelihoods are monotone and a looser scenario's fit that lies
     # inside a tighter box is the tighter scenario's fit too, bitwise.
-    sampling = bound.delta_t_from_times(series.times) if len(series) >= 2 else None
+    sampling = series.sampling if len(series) >= 2 else None
     scored = settings.test_times is not None
     metrics: dict[int, tuple[float, float]] = {}
     records: list[dict] = []
@@ -545,10 +545,7 @@ def _structural_flags(
         if len(series) < 2:
             continue
         a_l = fitmod._reference_lower_bound(
-            settings.family,
-            settings.nu,
-            settings.alpha,
-            bound.delta_t_from_times(series.times).delta_t,
+            settings.family, settings.nu, settings.alpha, series.sampling.delta_t
         )
         for sc in scenarios:
             lengthscale[sc.label] = lengthscale[sc.label] and sc.length_scale_lower >= a_l

@@ -7,7 +7,10 @@ on first use, because a fit evaluates the likelihood a hundred or more
 times and at n <= 15 rebuilding the matrix costs about as much as a
 kernel evaluation.  The sample variance of the values, from which a fit
 draws its starts, is cached the same way
-(:attr:`TimeSeries.sample_variance`).
+(:attr:`TimeSeries.sample_variance`), and so are the sampling facts of the
+times, which the bound, the starts, the scenarios and the reports all read:
+the sampling interval (the smallest gap, :attr:`TimeSeries.sampling`) and
+the span (:attr:`TimeSeries.span`).
 """
 
 from __future__ import annotations
@@ -106,10 +109,19 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.times.shape[0])
 
-    @property
+    @cached_property
     def span(self) -> float:
         """Observation window length t_last - t_first."""
         return float(self.times[-1] - self.times[0])
+
+    @cached_property
+    def sampling(self):
+        """:func:`shortgp.bound.delta_t_from_times` of the times (the
+        smallest gap as the sampling interval), computed on first use;
+        ValueError for fewer than two points."""
+        from .bound import delta_t_from_times  # bound imports this module
+
+        return delta_t_from_times(self.times)
 
     @cached_property
     def distances(self) -> np.ndarray:

@@ -243,11 +243,24 @@ class TestFit:
                 )
 
     def test_more_restarts_never_lose(self):
-        series = _sinc_series(n=7, rep=4)
-        scenario = make_scenarios(series, "se")[0]
+        # restarts count the random starts of a fixed-noise fit, and the
+        # first two of five draws are the two of two
+        base = _sinc_series(n=7, rep=4)
+        series = TimeSeries(base.times, base.values, np.full(7, 0.09))
+        scenario = make_expression_scenarios(series, "se")[2]
         few = fit(series, "se", scenario, seed=1, restarts=2)
         many = fit(series, "se", scenario, seed=1, restarts=5)
+        assert (few.restarts_used, many.restarts_used) == (2, 5)
         assert many.log_marginal_likelihood >= few.log_marginal_likelihood - 1e-12
+
+    def test_restarts_and_seed_leave_grid_started_fits_alone(self):
+        # an estimated- or bounded-noise fit starts from its grid argmax
+        series = _sinc_series(n=7, rep=4)
+        for scenario in make_scenarios(series, "se"):
+            one = fit(series, "se", scenario, seed=1, restarts=1)
+            assert one.restarts_used == 1
+            assert fit(series, "se", scenario, seed=2, restarts=5) == one
+            assert fit(series, "se", scenario, seed=3, restarts=0) == one
 
     def test_box_exactness_random_scenarios(self):
         rng = np.random.default_rng(17)
@@ -360,9 +373,11 @@ class TestFit:
             assert value == fitting._FAILED_OBJECTIVE and not grad.any()
 
         # An infinite coordinate is no failure: it is evaluated at
-        # exp(+-230), as any z beyond 230 in size is, alone and in a batch.
+        # exp(+-230), as any z beyond 230 in size is, alone and in a batch
+        # (an extra start beside the grid start gives the fit two members).
         series = _sinc_series(n=5)
-        fit(series, "se", make_scenarios(series, "se")[0], seed=0)
+        fit(series, "se", make_scenarios(series, "se")[0], seed=0,
+            extra_starts=[(1.0, 1.0, 0.1)])
         objective = objectives[-1]
         for far in (-math.inf, math.inf):
             z = np.array([far, 0.0, -2.0])
@@ -440,6 +455,12 @@ def _force_factorization_errors(monkeypatch):
     monkeypatch.setattr(gp_module, "dpotrf", not_positive_definite)
 
 
+def _starts(scenario, restarts):
+    """The runs of a fit without extra starts: the grid start alone for
+    estimated or bounded noise, ``restarts`` random starts for fixed noise."""
+    return restarts if scenario.noise_mode == "fixed" else 1
+
+
 class TestDriverMatchesScipyMinimize:
     """``fit`` drives L-BFGS-B's ``setulb`` itself, with its restarts in
     lockstep over a batched objective; every run must equal
@@ -493,7 +514,7 @@ class TestDriverMatchesScipyMinimize:
         scenarios += make_expression_scenarios(series, family, nu=nu)
         for scenario in scenarios:
             fit(series, family, scenario, seed=n, nu=nu)
-        assert len(runs) == len(scenarios) * 5
+        assert len(runs) == sum(_starts(scenario, 5) for scenario in scenarios)
         self._assert_same(runs)
 
     @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
@@ -505,7 +526,7 @@ class TestDriverMatchesScipyMinimize:
         series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
         problems = [(s, build(s, family, nu=nu)[k], seed) for seed, s in enumerate(series)]
         results = fitting._fit_problems(problems, family, nu, 5)
-        assert len(runs) == len(problems) * 5
+        assert len(runs) == sum(_starts(scenario, 5) for _, scenario, _ in problems)
         self._assert_same(runs)
         for (s, scenario, seed), result in zip(problems, results):
             assert result == fit(s, family, scenario, seed=seed, nu=nu)
@@ -513,9 +534,12 @@ class TestDriverMatchesScipyMinimize:
     def test_every_evaluation_failed(self, runs, monkeypatch):
         _force_factorization_errors(monkeypatch)
         series = _sinc_series(n=5)
-        with pytest.raises(AllStartsFailedError):
+        with pytest.raises(AllStartsFailedError, match="all 1 starts failed"):
             fit(series, "se", make_scenarios(series, "se")[0], seed=0)
-        assert len(runs) == 5
+        with pytest.raises(AllStartsFailedError, match="all 5 starts failed"):
+            fit(TimeSeries(series.times, series.values, np.full(5, 0.09)), "se",
+                make_expression_scenarios(series, "se")[2], seed=0)
+        assert len(runs) == 1 + 5
         assert all(ours.fun == fitting._FAILED_OBJECTIVE for ours, _, _ in runs)
         self._assert_same(runs)
 
@@ -537,6 +561,155 @@ class TestDriverMatchesScipyMinimize:
         fit(series, "se", make_scenarios(series, "se")[0], seed=2)
         assert all(not ours.success and ours.nit == 3 for ours, _, _ in runs)
         self._assert_same(runs)
+
+
+def _grid_starts_of(problems, family="se", nu=None):
+    """The grid starts of (series, scenario, seed) problems, as one group."""
+    setups = [fitting._Problem(s, family, sc, seed, nu, 5, ()) for s, sc, seed in problems]
+    return fitting._grid_starts(setups, family, nu)
+
+
+def _grid_start_of(problem, family="se", nu=None):
+    """The grid start of one problem, alone."""
+    return _grid_starts_of([problem], family, nu)[0]
+
+
+class TestGridStarts:
+    """An estimated- or bounded-noise fit starts from the argmax of its
+    profile likelihood over (l, lambda = sn2 / sf2)."""
+
+    @pytest.mark.parametrize(
+        "family, nu", [("se", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5)]
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_eigen_form_matches_the_likelihood(self, family, nu, k):
+        # scenarios 0 and 1 estimate the noise, 2 and 3 bound it
+        from shortgp.gp import log_marginal_likelihood
+        from shortgp.kernels import KernelSpec
+        from shortgp.series import NoiseModel
+
+        for n, rep in ((5, 0), (9, 3), (15, 7)):
+            series = _sinc_series(n=n, rep=rep)
+            scenario = make_scenarios(series, family, nu=nu)[k]
+            sf2, l, sn2, value = _grid_start_of((series, scenario, 0), family, nu)
+            kernel = KernelSpec.se(sf2, l) if nu is None else KernelSpec.matern(nu, sf2, l)
+            exact = log_marginal_likelihood(series, kernel, NoiseModel.estimated(sn2))
+            assert value == pytest.approx(exact, rel=1e-9)
+            assert scenario.length_scale_lower <= l
+            if scenario.noise_mode == "bounded":
+                assert scenario.noise_lower * (1 - 1e-12) <= sn2
+                assert sn2 <= scenario.noise_upper * (1 + 1e-12)
+
+    def test_start_alone_in_a_group_and_in_a_pool(self):
+        # the same bits alone, among series of the same and of other time
+        # grids, and in a 2-worker pool with BLAS on one thread
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from shortgp.harness import _blas_on_one_thread
+
+        series = [_sinc_series(n=7, rep=rep) for rep in range(3)]
+        series.append(TimeSeries(series[0].times * 1.5, series[1].values))
+        problems = [
+            (s, make_scenarios(s, "se")[k], seed) for seed, s in enumerate(series) for k in (0, 3)
+        ]
+        alone = [_grid_start_of(problem) for problem in problems]
+        assert _grid_starts_of(problems) == alone
+        assert _grid_starts_of(problems[::-1]) == alone[::-1]
+        context = (
+            multiprocessing.get_context("fork")
+            if "fork" in multiprocessing.get_all_start_methods()
+            else None
+        )
+        with ProcessPoolExecutor(2, mp_context=context, initializer=_blas_on_one_thread) as pool:
+            pooled = list(pool.map(_grid_start_of, problems))
+        assert pooled == alone
+        # and the fits of the group are the fits alone
+        for (s, scenario, seed), result in zip(
+            problems[::2], fitting._fit_problems(problems[::2], "se", None, 5)
+        ):
+            assert result == fit(s, "se", scenario, seed=seed)
+
+    def test_input_checks_raise_before_the_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(fitting, "_grid_starts", no_grid)
+        series = _sinc_series(n=5)
+        scenario = make_scenarios(series, "se")[0]
+        flat = TimeSeries(series.times, np.full(5, 0.3))
+        for problems, family, nu in (
+            ([(series, scenario, 0), (TimeSeries([0.0], [1.0]), scenario, 1)], "se", None),
+            ([(series, scenario, 0), (flat, scenario, 1)], "se", None),
+            ([(series, scenario, 0)], "matern", 3.7),
+            ([(series, scenario, 0)], "cubic", None),
+        ):
+            with pytest.raises(ValueError):
+                fitting._lockstep(problems, family, nu, 5)
+        with pytest.raises(ValueError, match="one series length"):
+            fitting._lockstep(
+                [(series, scenario, 0), (_sinc_series(n=7), scenario, 1)], "se", None, 5
+            )
+
+    def test_length_to_infinity_optimum(self):
+        # five random restarts all stopped at l = 2.15 (LML -4.3112); the
+        # grid's edge leads to the near-constant fit at l of about 2.7e5
+        series = _sinc_series(n=5, rep=14)
+        scenario = make_scenarios(series, "se")[2]
+        result = fit(series, "se", scenario, seed=5014)
+        assert result.log_marginal_likelihood == pytest.approx(-3.6828, abs=1e-4)
+        assert result.kernel.length_scale > 1e5
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_finite_length_scale_optimum(self, k):
+        # five random restarts all stopped at l = 0.94 (LML -8.4830)
+        series = _sinc_series(n=11, rep=174)
+        result = fit(series, "se", make_scenarios(series, "se")[k], seed=0)
+        assert result.log_marginal_likelihood == pytest.approx(-8.1392, abs=1e-4)
+        assert result.kernel.length_scale == pytest.approx(2.356, abs=1e-3)
+
+
+class TestLikelihoodSurface:
+    def test_profiled_signal_variance_takes_the_best_mode(self):
+        # demo 03's series: at l = 17.73, sn2 = 2.04e-3 the likelihood in
+        # log sf2 has two maxima; a bounded scalar search returned
+        # sf2 = 7.48e4, 2.38 nats below the one at sf2 = 9.82e6
+        from shortgp.gp import log_marginal_likelihood
+        from shortgp.kernels import KernelSpec
+        from shortgp.series import NoiseModel
+
+        series = _sinc_series(n=7, rep=0, seed=5)
+        l, sn2 = 17.730376127960206, 0.0020429437558131115
+        noise = NoiseModel.estimated(sn2)
+        [[value]] = fitting.likelihood_surface(series, "se", [l], [sn2])
+        for sf2 in (7.48e4, 9.82e6):
+            assert value >= log_marginal_likelihood(series, KernelSpec.se(sf2, l), noise) - 1e-6
+        assert fitting.profile_signal_variance(series, "se", l, noise) > 1e6
+
+    def test_each_cell_is_a_maximum_in_sf2(self):
+        from shortgp.gp import log_marginal_likelihood
+        from shortgp.kernels import KernelSpec
+        from shortgp.series import NoiseModel
+
+        series = _sinc_series(n=7, rep=0, seed=5)
+        ls, ns = np.logspace(-0.5, 1.2, 6), np.logspace(-3, 0, 5)
+        surface = fitting.likelihood_surface(series, "matern", ls, ns, nu=1.5)
+        for i, l in enumerate(ls):
+            for j, sn2 in enumerate(ns):
+                scan = [
+                    log_marginal_likelihood(
+                        series, KernelSpec.matern(1.5, sf2, l), NoiseModel.estimated(sn2)
+                    )
+                    for sf2 in np.logspace(-6, 6, 121)
+                ]
+                assert surface[i, j] >= max(scan) - 1e-9
+
+    def test_fixed_noise_has_no_profile(self):
+        from shortgp.series import NoiseModel
+
+        series = _sinc_series(n=7)
+        with pytest.raises(ValueError, match="estimated noise"):
+            fitting.profile_signal_variance(series, "se", 1.0, NoiseModel.fixed(np.ones(7)))
 
 
 class TestDiagnose:
@@ -614,10 +787,11 @@ def test_an_overflowing_sample_variance_is_a_value_error(scale):
 
 
 def test_a_fit_never_imports_scipy_optimize():
-    # A fit loads L-BFGS-B's setulb from its extension file; the
-    # scipy.optimize package (its import time and memory) is loaded only
-    # for profile_signal_variance.  Imported afterwards, scipy.optimize
-    # works as usual, with the same setulb.
+    # A fit loads L-BFGS-B's setulb from its extension file, and a
+    # likelihood surface profiles sf2 without a scalar optimizer, so neither
+    # loads the scipy.optimize package (its import time and memory).
+    # Imported afterwards, scipy.optimize works as usual, with the same
+    # setulb.
     import os
     import subprocess
     import sys
@@ -630,6 +804,7 @@ def test_a_fit_never_imports_scipy_optimize():
         "t = np.arange(7.0)\n"
         "s = shortgp.TimeSeries(t, np.sin(t))\n"
         "shortgp.fit(s, 'se', shortgp.make_scenarios(s, 'se')[3], seed=0)\n"
+        "shortgp.likelihood_surface(s, 'se', [0.5, 2.0], [0.01, 0.1])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
         "from scipy.optimize import _lbfgsb, minimize\n"
         "res = minimize(lambda x: (float(x @ x), 2 * x), np.ones(2), jac=True,\n"
