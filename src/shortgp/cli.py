@@ -26,8 +26,8 @@ DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
 _RESTARTS_HELP = (
-    f"random starts of each fixed-noise fit (default {fitmod.DEFAULT_RESTARTS}); an "
-    "estimated- or bounded-noise fit starts from the argmax of its profile-likelihood grid"
+    f"kept for compatibility (default {fitmod.DEFAULT_RESTARTS}); it changes no fit: every "
+    "fit starts from the argmax of its likelihood grid"
 )
 
 

@@ -9,20 +9,22 @@ factor.  Mapped back to natural units, a z on a face (or within 1e-6 of it)
 gives exactly that bound and any other z its exp, so every returned
 parameter lies inside its box exactly, and one that sits on a bound sits on
 it exactly.  Starts, convergence thresholds and tie-breaking are all
-deterministic given the seed.
+deterministic: no fit draws a random number.
 
 The likelihood of a short series is multimodal, so the start decides which
-optimum a fit finds.  An estimated- or bounded-noise fit starts from one
-point: the argmax of the profile likelihood over a 64 x 64 grid of
-length-scale and noise-to-signal ratio lambda = sn2 / sf2
-(:func:`_grid_starts`), with sf2 in closed form per cell.  One ``eigh`` of
-the correlation matrix per grid length-scale serves every ratio and every
-series of one time grid; L-BFGS-B then polishes the grid's best cell.  A
-fixed-noise fit, whose per-point noise shares no eigenbasis with the
-kernel, starts from ``restarts`` seeded random points.  Either fit also
-starts from any ``extra_starts`` it is given.  The grid also gives
-:func:`likelihood_surface` its profiled signal variance, without
-``scipy.optimize``.
+optimum a fit finds.  Every fit starts from one point: the argmax of a
+64 x 64 grid of length-scale and noise-to-signal ratio lambda = sn2 / sf2
+(:func:`_grid_starts`).  One ``eigh`` of the correlation matrix per grid
+length-scale serves every ratio and every series of one time grid.  With
+estimated or bounded noise the grid profiles sf2 in closed form per cell;
+with fixed per-point noise it stands their mean d for the noise, so sf2 =
+d / lambda, which is exact when every variance is d.  L-BFGS-B then
+polishes the grid's best cell on the exact likelihood.  A fit also starts
+from any ``extra_starts`` it is given.  The eigendecompositions, and each
+series' quadratic forms over the grid, can be kept in a dict (``spectra``)
+that later fits of the same time grid and length-scale box reuse; the
+harness keeps one per group of series.  The grid also gives
+:func:`likelihood_surface` its profiled signal variance.
 
 Each run drives L-BFGS-B's reverse-communication routine ``setulb``
 directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
@@ -50,15 +52,16 @@ costs more than a call, and that function owns the jitter ladder and the
 errors.
 
 The lockstep runs over problems, not only over the starts of one:
-:func:`_lockstep` fits any number of (series, scenario, seed) problems at
-once.  It builds the grids of its problems, one time grid at a time, and a
-round's points from series of one length and one noise mode go to one
-batched call.  :func:`fit` is its one-problem case, with the same bits.
-The harness makes one call per stage, to :func:`_fit_problems`: one
-scenario of many series of one length.  An evaluation that overflows a float (a power of a huge
-length-scale) is a failed evaluation; a batched call that overflows leaves
-its members to the per-call path, so that only the members that overflow
-there fail.
+:func:`_lockstep` fits any number of (series, scenario) problems at once.
+It takes each problem's grid start from the spectrum of its time grid and
+length-scale box, and a round's points from series of one length and one
+noise mode go to one batched call.  :func:`fit` is its one-problem case,
+with the same bits.  The harness makes one call per stage, to
+:func:`_fit_problems`: one scenario of many series of one length, with one
+dict of spectra for all the stages of a group.  An evaluation that
+overflows a float (a power of a huge length-scale) is a failed evaluation;
+a batched call that overflows leaves its members to the per-call path, so
+that only the members that overflow there fail.
 
 Three paths are kept for the benchmark's spans (``bench/spans.py``), which
 wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
@@ -76,7 +79,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import bound, gp
 from ._compiled import extension
@@ -118,7 +120,6 @@ _OBJ_REL_TOL = 1e-10
 _TIE_TOL = 1e-10
 _FAILED_OBJECTIVE = 1e25
 _ACTIVE_RTOL = 1e-6
-_FIT_STREAM = 0x464954  # "FIT": keeps random-start draws apart from data streams
 _LBFGS_MEMORY = 10  # scipy's maxcor
 _MAX_LINE_SEARCH = 20  # scipy's maxls
 _MAX_FUN = 15000  # scipy's maxfun
@@ -209,8 +210,7 @@ class FitResult:
     """Best constrained maximum-likelihood solution among a fit's starts.
 
     ``restarts_used`` counts the starts whose run ended on a usable point:
-    at most 1 plus the extra starts for estimated or bounded noise, at most
-    ``restarts`` plus the extra starts for fixed noise."""
+    at most 1, the grid start, plus the extra starts."""
 
     kernel: KernelSpec
     noise_variance: float | None  # None when the scenario fixes per-point noise
@@ -264,8 +264,8 @@ def _no_fit_reason(series: TimeSeries, scenario: Scenario) -> str | None:
     sn2 -> 0 at any l), and a fit would report wherever its ascent stalled.
     Bounded and fixed noise, and a finite length-scale box on a nonzero
     constant, keep the likelihood bounded.  Values whose sample variance
-    overflows a float (about 1e154 or larger) have no starting point: the
-    starts draw sf2 and sn2 from that variance.
+    overflows a float (about 1e154 or larger) have no starting point: their
+    squares, and so the quadratic forms of the start's grid, overflow.
     """
     if len(series) < 2:
         return "fitting needs at least two observations"
@@ -287,26 +287,28 @@ def fit(
     series: TimeSeries,
     family: str,
     scenario: Scenario,
-    seed: int,
+    seed: int = 0,
     nu: float | None = None,
     restarts: int = DEFAULT_RESTARTS,
     extra_starts=(),
+    *,
+    spectra: dict | None = None,
 ) -> FitResult:
     """Constrained maximum-likelihood fit of (sf2, l[, sn2]) for one series.
 
     Runs L-BFGS-B ascents in the log box of ``scenario``, each from a start
-    clipped into the box.  Estimated or bounded noise starts from the
-    argmax of the profile likelihood over a grid of length-scale and
-    noise-to-signal ratio (:func:`_grid_starts`); fixed noise starts from
-    ``restarts`` seeded random points, so ``restarts`` counts the random
-    starts of fixed-noise fits only.  Any ``extra_starts``, given as
-    (sf2, l, sn2) triples in natural space (sn2 ignored for fixed noise),
-    are started from as well.  A length-scale or noise variance within a
+    clipped into the box: the argmax of the likelihood over a grid of
+    length-scale and noise-to-signal ratio (:func:`_grid_starts`), and any
+    ``extra_starts``, given as (sf2, l, sn2) triples in natural space (sn2
+    ignored for fixed noise).  ``spectra``, a dict, keeps the grid's
+    eigendecompositions for later fits of the same time grid (see
+    :func:`_grid_starts`); it changes no bit of the fit.  ``seed`` and
+    ``restarts`` are accepted for compatibility and change nothing: no fit
+    draws a random start.  A length-scale or noise variance within a
     relative 1e-6 of a bound is returned as exactly that bound.  The best
     optimum wins; likelihood ties below 1e-10 go to the smaller
     length-scale, then the smaller noise variance, so the result does not
-    depend on enumeration order.  Deterministic given (series, scenario,
-    seed); an estimated- or bounded-noise fit does not depend on the seed.
+    depend on enumeration order.  Deterministic given (series, scenario).
 
     An evaluation whose factorization fails, whose likelihood is not
     finite, that overflows a float (l^3, or l^2 under Matern 1/2, beyond
@@ -325,29 +327,26 @@ def fit(
     and ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, values whose
     sample variance overflows a float, or estimated noise on a constant
-    series, whose likelihood has no maximum; and for a fixed-noise fit with
-    no start (``restarts`` below 1 and no ``extra_starts``).  Each of these
-    is raised before any grid is built or run started.
+    series, whose likelihood has no maximum.  Each of these is raised
+    before any grid is built or run started.
 
     This is the one-problem case of :func:`_lockstep`.
     """
     extra_starts = tuple(extra_starts)
-    result = _lockstep([(series, scenario, seed)], family, nu, restarts, extra_starts)[0]
+    result = _lockstep([(series, scenario)], family, nu, extra_starts, spectra)[0]
     if result is None:
-        drawn = 1 if scenario.noise_mode != NOISE_FIXED else max(restarts, 0)
         raise AllStartsFailedError(
-            f"all {len(extra_starts) + drawn} starts failed for scenario "
-            f"{scenario.label!r}"
+            f"all {1 + len(extra_starts)} starts failed for scenario {scenario.label!r}"
         )
     return result
 
 
 class _Problem:
-    """The set-up of one (series, scenario, seed) of :func:`_lockstep`:
-    the box in natural units and its log, the starts, and the map of a
-    point z back into the box."""
+    """The set-up of one (series, scenario) of :func:`_lockstep`: the box
+    in natural units and its log, the starts, and the map of a point z back
+    into the box."""
 
-    def __init__(self, series, family, scenario, seed, nu, restarts, extra_starts):
+    def __init__(self, series, family, scenario, nu, extra_starts):
         reason = _no_fit_reason(series, scenario)
         if reason is not None:
             raise ValueError(reason)
@@ -364,40 +363,12 @@ class _Problem:
             (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
             for lo, hi in self.boxes
         ]
-        # (sf2, l, sn2) in natural units; an estimated- or bounded-noise
-        # problem gets its grid start in front of these (_grid_starts).
+        # (sf2, l, sn2) in natural units; the grid start goes in front of
+        # these (_grid_starts).
         self.starts = [
             (float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2)
             for sf2, l, sn2 in extra_starts
         ]
-        if not self.estimate_noise:
-            if restarts < 1 and not self.starts:
-                raise ValueError("need at least one start")
-            self.starts += self._random_starts(family, nu, seed, restarts)
-
-    def _random_starts(self, family, nu, seed, restarts) -> list:
-        """The seeded random starts of a fixed-noise fit: sf2 at the sample
-        variance; l log-uniform between a tenth of the (reference) lower
-        bound or sampling interval and the observation span; sn2, which the
-        fit does not use, log-uniform between 1e-4 and the sample variance."""
-        series, scenario = self.series, self.scenario
-        delta_t = series.sampling.delta_t
-        if scenario.length_scale_lower > 0.0:
-            a_ref = scenario.length_scale_lower
-        else:
-            a_ref = _reference_lower_bound(family, nu, scenario.alpha, delta_t)
-        init_lo = max(a_ref / 10.0, delta_t / 10.0)
-        init_hi = max(series.span, init_lo * 10.0)
-        var_y = series.sample_variance
-        sf2_init = var_y if var_y > 0.0 else 1e-8
-        sn2_hi = max(var_y, 2e-4)
-        rng = Generator(Philox(key=[int(seed), _FIT_STREAM]))
-        starts = []
-        for _ in range(max(restarts, 0)):
-            l0 = math.exp(rng.uniform(math.log(init_lo), math.log(init_hi)))
-            sn0 = math.exp(rng.uniform(math.log(1e-4), math.log(sn2_hi)))
-            starts.append((sf2_init, l0, sn0))
-        return starts
 
     def z0s(self) -> list[np.ndarray]:
         """The starts as points z, each clipped into the box."""
@@ -472,25 +443,28 @@ def _failed(size: int) -> tuple[float, np.ndarray]:
     return _FAILED_OBJECTIVE, np.zeros(size)
 
 
-def _fit_problems(problems, family: str, nu: float | None, restarts: int) -> list:
-    """The own fit of every (series, scenario, seed) in ``problems``, None
-    where every run failed, in one :func:`_lockstep`.  A lone problem
-    goes through :func:`fit`, with the same bits: the benchmark's spans wrap
-    ``fitting.fit``, and every stage of ``bench/test_bench.py``'s runs is a
-    lone problem, as they hold one series per length."""
+def _fit_problems(
+    problems, family: str, nu: float | None, spectra: dict | None = None
+) -> list:
+    """The own fit of every (series, scenario) in ``problems``, None where
+    every run failed, in one :func:`_lockstep` that reads and fills
+    ``spectra``.  A lone problem goes through :func:`fit`, with the same
+    bits: the benchmark's spans wrap ``fitting.fit``, and every stage of
+    ``bench/test_bench.py``'s runs is a lone problem, as they hold one
+    series per length."""
     if len(problems) > 1:
-        return _lockstep(problems, family, nu, restarts)
-    [(series, scenario, seed)] = problems
+        return _lockstep(problems, family, nu, spectra=spectra)
+    [(series, scenario)] = problems
     try:
-        return [fit(series, family, scenario, seed=seed, nu=nu, restarts=restarts)]
+        return [fit(series, family, scenario, nu=nu, spectra=spectra)]
     except AllStartsFailedError:
         return [None]
 
 
-# The profile-likelihood grid of the start of an estimated- or bounded-noise
-# fit: _GRID_SIZE length-scales, log-spaced from the box's floor (a
-# twentieth of the smallest gap where the box has none) to _GRID_SPANS
-# spans, by _GRID_SIZE noise-to-signal ratios lambda = sn2 / sf2.
+# The likelihood grid of a fit's start: _GRID_SIZE length-scales,
+# log-spaced from the box's floor (a twentieth of the smallest gap where
+# the box has none) to _GRID_SPANS spans, by _GRID_SIZE noise-to-signal
+# ratios lambda = sn2 / sf2.
 _GRID_SIZE = 64
 _GRID_SPANS = 100.0
 _GRID_RATIOS = np.logspace(-8.0, 3.0, _GRID_SIZE)
@@ -506,11 +480,59 @@ def _correlation_eigh(family: str, nu: float | None, distances, length_scales):
     return np.maximum(e, 0.0), v
 
 
-def _grid_starts(setups: list[_Problem], family: str, nu: float | None) -> list[tuple]:
-    """The start (sf2, l, sn2) of each estimated- or bounded-noise problem,
-    with the log marginal likelihood there as a fourth element: the argmax
-    of the profile likelihood over the grid of length-scales by
-    ``_GRID_RATIOS``.
+@dataclass
+class _Spectrum:
+    """What the start grid of one time grid and length-scale box needs: the
+    grid length-scales (L,), the eigenvalues e (L, n) and eigenvectors V
+    (L, n, n) of C_l, log|C_l + lambda I| (L, lambda), and each series'
+    q = y^T (C_l + lambda I)^-1 y (L, lambda), keyed by the bytes of its
+    values."""
+
+    length_scales: np.ndarray
+    e: np.ndarray
+    v: np.ndarray
+    logdet: np.ndarray
+    q: dict = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, family: str, nu: float | None, series: TimeSeries, lower: float,
+              upper: float) -> "_Spectrum":
+        """The spectrum of ``series``' time grid in the length-scale box
+        [lower, upper]; q is filled later."""
+        lo = lower or series.sampling.delta_t / 20.0
+        hi = min(_GRID_SPANS * series.span, upper, 1e300)
+        ls = np.geomspace(lo, max(hi, lo), _GRID_SIZE)
+        e, v = _correlation_eigh(family, nu, series.distances, ls)
+        # log|C_l + lambda I| one eigenvalue at a time, so that the grid's
+        # one (l, i, lambda) array is 1 / (e_i + lambda)
+        logdet = sum(np.log(e[:, i, None] + _GRID_RATIOS) for i in range(len(series)))
+        return cls(ls, e, v, logdet)
+
+    def fill(self, series_set) -> None:
+        """q of every series of ``series_set`` that has none yet.  The
+        (l, i, lambda) array of 1 / (e_i + lambda) is built only here, and
+        not kept.  Per series, so that its bits do not depend on the other
+        series; values near the largest float overflow q, and such cells
+        lose."""
+        missing = {
+            key: s.values for s in series_set if (key := s.values.tobytes()) not in self.q
+        }
+        if not missing:
+            return
+        inverse = self.e[:, :, None] + _GRID_RATIOS
+        np.reciprocal(inverse, out=inverse)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, y in missing.items():
+                p2 = (y @ self.v) ** 2
+                self.q[key] = (p2[:, None, :] @ inverse)[:, 0]
+
+
+def _grid_starts(
+    setups: list[_Problem], family: str, nu: float | None, spectra: dict | None = None
+) -> list[tuple]:
+    """The start (sf2, l, sn2) of each problem, with the grid's log
+    marginal likelihood there as a fourth element: the argmax over the grid
+    of length-scales by ``_GRID_RATIOS``.
 
     With lambda = sn2 / sf2, K = sf2 (C_l + lambda I).  With
     C_l = V diag(e) V^T and p = V^T y, y^T (C_l + lambda I)^-1 y is
@@ -518,61 +540,67 @@ def _grid_starts(setups: list[_Problem], family: str, nu: float | None) -> list[
     sum log(e_i + lambda).  At fixed (l, lambda) the likelihood is unimodal
     in sf2, with its maximum at q / n, so in a noise box [a, b] (sn2 =
     lambda sf2) the best sf2 is q / n clipped to [a / lambda, b / lambda].
+    Fixed per-point noise D shares no eigenbasis with C_l, so its cells
+    stand the mean variance d for D: sf2 = d / lambda, exact when every
+    variance is d.  Where d is 0 they take the estimated-noise profile
+    sf2 = q / n.
+
     One ``eigh`` per grid length-scale thus serves every ratio and every
-    series of one time grid.  Problems are grouped by their times and
-    length-scale box, and one group's arrays exist at a time.  A start
-    depends on its own series and scenario alone, not on its group-mates;
-    ties go to the smaller l, then the smaller lambda.
+    series of one time grid.  The :class:`_Spectrum` of each (time grid,
+    length-scale box) is kept in ``spectra`` (a dict, or a new one), so a
+    later call reuses it, and each series' q in it.  A start depends on its
+    own series and scenario alone, not on its group-mates or on what
+    ``spectra`` held; ties go to the smaller l, then the smaller lambda.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, setup in enumerate(setups):
-        scenario = setup.scenario
-        key = (setup.series.times.tobytes(), scenario.length_scale_lower,
-               scenario.length_scale_upper)
-        groups.setdefault(key, []).append(i)
-    starts: list = [None] * len(setups)
-    for members in groups.values():
-        series, scenario = setups[members[0]].series, setups[members[0]].scenario
+    if spectra is None:
+        spectra = {}
+    keys = [
+        (family, nu, setup.series.times.tobytes(), *setup.scenario.box[0]) for setup in setups
+    ]
+    groups: dict[tuple, list[_Problem]] = {}
+    for key, setup in zip(keys, setups):
+        groups.setdefault(key, []).append(setup)
+    for key, members in groups.items():
+        if key not in spectra:
+            first = members[0]
+            spectra[key] = _Spectrum.build(family, nu, first.series, *first.scenario.box[0])
+        spectra[key].fill([setup.series for setup in members])
+    starts = []
+    for key, setup in zip(keys, setups):
+        series, scenario, spectrum = setup.series, setup.scenario, spectra[key]
         n = len(series)
-        lo = scenario.length_scale_lower or series.sampling.delta_t / 20.0
-        hi = min(_GRID_SPANS * series.span, scenario.length_scale_upper, 1e300)
-        ls = np.geomspace(lo, max(hi, lo), _GRID_SIZE)
-        e, v = _correlation_eigh(family, nu, series.distances, ls)
-        # log|C_l + lambda I| one eigenvalue at a time, so that the grid's
-        # one (l, i, lambda) array is 1 / (e_i + lambda)
-        logdet = sum(np.log(e[:, i, None] + _GRID_RATIOS) for i in range(n))
-        inverse = e[:, :, None] + _GRID_RATIOS
-        np.reciprocal(inverse, out=inverse)
-        for i in members:
-            scenario = setups[i].scenario
-            # Per member, so that its bits do not depend on its group-mates.
-            # Values near the largest float overflow q; such cells lose.
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                p2 = (setups[i].series.values @ v) ** 2
-                q = (p2[:, None, :] @ inverse)[:, 0]
+        q = spectrum.q[series.values.tobytes()]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mean_noise = 0.0 if setup.estimate_noise else float(np.mean(series.noise_variances))
+            if mean_noise > 0.0:
+                sf2 = np.broadcast_to(mean_noise / _GRID_RATIOS, q.shape)
+            else:
                 sf2 = q / n
-                if scenario.noise_mode == NOISE_BOUNDED:
-                    sf2 = np.clip(sf2, scenario.noise_lower / _GRID_RATIOS,
-                                  scenario.noise_upper / _GRID_RATIOS)
-                lml = -0.5 * (q / sf2 + n * np.log(sf2) + logdet + n * gp._LOG_2PI)
-            lml[np.isnan(lml)] = -np.inf
-            j, k = divmod(int(np.argmax(lml)), _GRID_SIZE)
-            best = float(sf2[j, k])
-            starts[i] = (best, float(ls[j]), float(_GRID_RATIOS[k] * best), float(lml[j, k]))
+            if scenario.noise_mode == NOISE_BOUNDED:
+                sf2 = np.clip(sf2, scenario.noise_lower / _GRID_RATIOS,
+                              scenario.noise_upper / _GRID_RATIOS)
+            lml = -0.5 * (q / sf2 + n * np.log(sf2) + spectrum.logdet + n * gp._LOG_2PI)
+        lml[np.isnan(lml)] = -np.inf
+        j, k = divmod(int(np.argmax(lml)), _GRID_SIZE)
+        best = float(sf2[j, k])
+        starts.append(
+            (best, float(spectrum.length_scales[j]), float(_GRID_RATIOS[k] * best),
+             float(lml[j, k]))
+        )
     return starts
 
 
 def _lockstep(
-    problems, family: str, nu: float | None, restarts: int, extra_starts=()
+    problems, family: str, nu: float | None, extra_starts=(), spectra: dict | None = None
 ) -> list[FitResult | None]:
-    """:func:`fit` of every (series, scenario, seed) in ``problems``, the
-    runs from all of their starts in one lockstep; None where :func:`fit`
-    raises AllStartsFailedError.  Raises ValueError where :func:`fit` does,
-    before any grid is built or run started.
+    """:func:`fit` of every (series, scenario) in ``problems``, the runs
+    from all of their starts in one lockstep; None where :func:`fit` raises
+    AllStartsFailedError.  Raises ValueError where :func:`fit` does, before
+    any grid is built or run started.
 
     The problems' series have one length, and their scenarios one noise
-    mode (fixed or estimated); else ValueError.  An estimated- or
-    bounded-noise problem's grid start (:func:`_grid_starts`) depends on its
+    mode (fixed or estimated); else ValueError.  A problem's grid start
+    (:func:`_grid_starts`, which reads and fills ``spectra``) depends on its
     own series and scenario alone.  Each round, the points
     asked for are mapped to natural units once and go to the batched
     likelihood as one call, whatever series they come from; a member gets
@@ -585,14 +613,12 @@ def _lockstep(
     fail.
     """
     setups = [
-        _Problem(series, family, scenario, seed, nu, restarts, extra_starts)
-        for series, scenario, seed in problems
+        _Problem(series, family, scenario, nu, extra_starts) for series, scenario in problems
     ]
     if len({(len(setup.series), setup.estimate_noise) for setup in setups}) > 1:
         raise ValueError("problems of one lockstep need one series length and noise mode")
-    if setups[0].estimate_noise:
-        for setup, start in zip(setups, _grid_starts(setups, family, nu)):
-            setup.starts.insert(0, start[:3])
+    for setup, start in zip(setups, _grid_starts(setups, family, nu, spectra)):
+        setup.starts.insert(0, start[:3])
     z0s = [setup.z0s() for setup in setups]
     # The series data of the batched likelihood, one row per problem.
     distances = np.array([setup.series.distances for setup in setups])

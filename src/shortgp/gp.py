@@ -29,7 +29,7 @@ come from one exponential; estimated noise is added to the diagonal as a
 scalar; and without jitter the Gram matrix itself is dK/dlog sf2.  Each of
 these gives the bits the direct computation gives.
 
-A fit runs its restarts in lockstep (:mod:`~shortgp.fitting`), and so do
+A fit runs its starts in lockstep (:mod:`~shortgp.fitting`), and so do
 the fits of one scenario of many series of one length.
 :func:`_lml_and_grad_batch` evaluates the points they ask for together, as
 one (B, n, n) problem, from one (B, 2 or 3) array of raw hyperparameters

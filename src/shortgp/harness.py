@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 _DATA_STREAM = 0x44415441  # "DATA": noise draws for synthetic series
-_MASK64 = (1 << 64) - 1
 
 
 class CsvFormatError(ValueError):
@@ -109,18 +108,6 @@ class SyntheticConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _mix64(*parts: int) -> int:
-    """Deterministic splitmix64-style hash of integer tuples (seed derivation)."""
-    acc = 0x243F6A8885A308D3
-    for p in parts:
-        acc = (acc + (int(p) & _MASK64)) & _MASK64
-        z = acc
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        acc = z ^ (z >> 31)
-    return acc
-
-
 def generate_sinc_series(config: SyntheticConfig, replicate_index: int) -> TimeSeries:
     """One synthetic replicate: sinc(t) plus Gaussian noise on an equally
     spaced grid.
@@ -155,8 +142,8 @@ class ReplicateRecord:
     a tighter one.  The nested-skip rule: a scenario has no own fit when an
     earlier scenario whose box contains its box (``Scenario.contains``)
     already found an optimum inside its box (``Scenario.holds``) and off its
-    lower bounds (``fitting.lower_bounds_active``): its restarts are not
-    run, and it reports that optimum (or a better feasible one).
+    lower bounds (``fitting.lower_bounds_active``): its fit is not run,
+    and it reports that optimum (or a better feasible one).
     ``shared_from`` is the index of the scenario whose own fit the row
     carries, and ``failed`` means no feasible fit exists (``shared_from`` is
     then None).  A scenario that cannot be fitted to the series is failed
@@ -267,9 +254,10 @@ class BatchReport:
 @dataclass(frozen=True)
 class _RunSettings:
     """Per-run constants of :func:`_fit_group`, bound once into the mapped
-    function.  ``test_times`` is None for runs without held-out scoring.
-    Built before any draw or fit, it owns the run's checks; the bound at
-    Δt = 1 checks ``alpha`` for every Δt, as the bound is linear in Δt."""
+    function.  ``test_times`` is None for runs without held-out scoring, and
+    ``restarts`` is only checked: it changes no fit.  Built before any draw
+    or fit, it owns the run's checks; the bound at Δt = 1 checks ``alpha``
+    for every Δt, as the bound is linear in Δt."""
 
     family: str
     nu: float | None
@@ -289,15 +277,18 @@ class _RunSettings:
 def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord]]:
     """The records of each task of a group whose series have one length.
 
-    A task is ``(series, scenarios, fit_seed, n_label, replicate)``.  Each
-    series' scenarios are fitted in list order, and scenario k of every
-    series together: their problems go to one stage.  A scenario has no fit
-    of its own when all of its restarts fail, when the series cannot be
-    fitted under it (``fitting._no_fit_reason``; its record is then
-    failed), or when it is skipped (the rule is on :class:`ReplicateRecord`,
-    and reads only the series' earlier scenarios).  A skipped scenario
-    reports the containing scenario's optimum through the sharing of optima
-    in :func:`_series_records`.
+    A task is ``(series, scenarios, n_label, replicate)``.  Each series'
+    scenarios are fitted in list order, and scenario k of every series
+    together: their problems go to one stage.  The stages share one dict of
+    spectra (``fitting._grid_starts``), so a time grid's eigendecomposition
+    in one length-scale box, and each series' quadratic forms on it, are
+    computed once per group.  A scenario has no fit of its own when all of
+    its starts fail, when the series cannot be fitted under it
+    (``fitting._no_fit_reason``; its record is then failed), or when it is
+    skipped (the rule is on :class:`ReplicateRecord`, and reads only the
+    series' earlier scenarios).  A skipped scenario reports the containing
+    scenario's optimum through the sharing of optima in
+    :func:`_series_records`.
     """
     unfittable = [
         [fitmod._no_fit_reason(series, sc) is not None for sc in scenarios]
@@ -305,6 +296,7 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
     ]
     count = len(tasks[0][1])  # every task of a run has as many scenarios
     own: list[list[fitmod.FitResult | None]] = [[None] * count for _ in tasks]
+    spectra: dict = {}
     for k in range(count):
         stage = [
             i
@@ -313,10 +305,10 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
         ]
         if stage:
             results = fitmod._fit_problems(
-                [(tasks[i][0], tasks[i][1][k], tasks[i][2]) for i in stage],
+                [(tasks[i][0], tasks[i][1][k]) for i in stage],
                 settings.family,
                 settings.nu,
-                settings.restarts,
+                spectra,
             )
             for i, result in zip(stage, results):
                 own[i][k] = result
@@ -353,7 +345,7 @@ def _series_records(
 ) -> list[ReplicateRecord]:
     """One series' records from the own fits of its scenarios: the sharing
     of optima, the diagnostics, the held-out scores and the winners."""
-    series, scenarios, _, n_label, replicate = task
+    series, scenarios, n_label, replicate = task
     # Share optima: every scenario takes the best fit, by marginal
     # likelihood, among its own and the other scenarios' fits that lie inside
     # its box, equal likelihoods going to the lowest-numbered fit.  This is
@@ -573,8 +565,8 @@ def run_synthetic_experiment(
     The replicate series are drawn here, in the calling process, and the
     same data is shared by all four scenarios (required for the winner
     comparison to mean anything).  A row's fit, and when a scenario's own
-    fit is skipped, follow :class:`ReplicateRecord`.  A replicate's fits are
-    seeded by (seed, n, replicate) alone.
+    fit is skipped, follow :class:`ReplicateRecord`.  A replicate's fits
+    depend on its own series alone; ``config.restarts`` changes none.
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
     still reported.  A repeated n, a family and nu that fitting does not
@@ -609,8 +601,7 @@ def run_synthetic_experiment(
             series[0], config.family, config.alpha, config.nu, config.noise_bounds
         )
         tasks += [
-            (s, scenarios, _mix64(config.seed, n, rep), n, rep)
-            for rep, s in enumerate(series)
+            (s, scenarios, n, rep) for rep, s in enumerate(series)
         ]
 
     return BatchReport(
@@ -663,8 +654,9 @@ def run_batch(
     (var y = 0) fails under the estimated-noise scenarios, where the
     likelihood has no maximum, while its bounded- and fixed-noise scenarios
     are fitted as usual.  Such a series leaves the other series' records
-    unchanged.  A series' fits are seeded by (seed, its index in
-    ``series_set``), so results do not depend on the degree of parallelism.
+    unchanged.  A series' fits depend on that series alone, and ``seed`` and
+    ``restarts`` change none, so results do not depend on the order of
+    ``series_set`` or on the degree of parallelism.
     """
     series_set = list(series_set)
     if not series_set:
@@ -691,7 +683,7 @@ def run_batch(
     if not labels or len(set(labels)) < len(labels):
         raise ValueError("scenario_set must not be empty or repeat a scenario label")
     tasks = [
-        (s, build(s) if len(s) >= 2 else template, _mix64(seed, i), len(s), i)
+        (s, build(s) if len(s) >= 2 else template, len(s), i)
         for i, s in enumerate(series_set)
     ]
     return BatchReport(

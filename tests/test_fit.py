@@ -242,25 +242,17 @@ class TestFit:
                     >= con.log_marginal_likelihood - 1e-8
                 )
 
-    def test_more_restarts_never_lose(self):
-        # restarts count the random starts of a fixed-noise fit, and the
-        # first two of five draws are the two of two
+    def test_restarts_and_seed_leave_every_fit_alone(self):
+        # every fit starts from its grid argmax alone, whatever the noise
         base = _sinc_series(n=7, rep=4)
         series = TimeSeries(base.times, base.values, np.full(7, 0.09))
-        scenario = make_expression_scenarios(series, "se")[2]
-        few = fit(series, "se", scenario, seed=1, restarts=2)
-        many = fit(series, "se", scenario, seed=1, restarts=5)
-        assert (few.restarts_used, many.restarts_used) == (2, 5)
-        assert many.log_marginal_likelihood >= few.log_marginal_likelihood - 1e-12
-
-    def test_restarts_and_seed_leave_grid_started_fits_alone(self):
-        # an estimated- or bounded-noise fit starts from its grid argmax
-        series = _sinc_series(n=7, rep=4)
-        for scenario in make_scenarios(series, "se"):
+        scenarios = make_scenarios(series, "se") + make_expression_scenarios(series, "se")
+        for scenario in scenarios:
             one = fit(series, "se", scenario, seed=1, restarts=1)
             assert one.restarts_used == 1
             assert fit(series, "se", scenario, seed=2, restarts=5) == one
             assert fit(series, "se", scenario, seed=3, restarts=0) == one
+            assert fit(series, "se", scenario) == one
 
     def test_box_exactness_random_scenarios(self):
         rng = np.random.default_rng(17)
@@ -455,14 +447,8 @@ def _force_factorization_errors(monkeypatch):
     monkeypatch.setattr(gp_module, "dpotrf", not_positive_definite)
 
 
-def _starts(scenario, restarts):
-    """The runs of a fit without extra starts: the grid start alone for
-    estimated or bounded noise, ``restarts`` random starts for fixed noise."""
-    return restarts if scenario.noise_mode == "fixed" else 1
-
-
 class TestDriverMatchesScipyMinimize:
-    """``fit`` drives L-BFGS-B's ``setulb`` itself, with its restarts in
+    """``fit`` drives L-BFGS-B's ``setulb`` itself, with its starts in
     lockstep over a batched objective; every run must equal
     scipy.optimize.minimize's L-BFGS-B run from the same start in the same
     box on the one-point objective, bit for bit."""
@@ -514,32 +500,33 @@ class TestDriverMatchesScipyMinimize:
         scenarios += make_expression_scenarios(series, family, nu=nu)
         for scenario in scenarios:
             fit(series, family, scenario, seed=n, nu=nu)
-        assert len(runs) == sum(_starts(scenario, 5) for scenario in scenarios)
+        # one run per fit: its grid start, whatever the noise
+        assert len(runs) == len(scenarios)
         self._assert_same(runs)
 
     @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
     @pytest.mark.parametrize("build, k", [(make_scenarios, 1), (make_expression_scenarios, 2)])
     def test_members_from_several_series(self, runs, family, nu, build, k):
-        # one lockstep over the restarts of four series of 7 points, under
-        # one scenario each
+        # one lockstep over the grid starts of four series of 7 points,
+        # under one scenario each
         series = [_sinc_series(n=7, rep=rep) for rep in range(4)]
         series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
-        problems = [(s, build(s, family, nu=nu)[k], seed) for seed, s in enumerate(series)]
-        results = fitting._fit_problems(problems, family, nu, 5)
-        assert len(runs) == sum(_starts(scenario, 5) for _, scenario, _ in problems)
+        problems = [(s, build(s, family, nu=nu)[k]) for s in series]
+        results = fitting._fit_problems(problems, family, nu)
+        assert len(runs) == len(problems)
         self._assert_same(runs)
-        for (s, scenario, seed), result in zip(problems, results):
-            assert result == fit(s, family, scenario, seed=seed, nu=nu)
+        for (s, scenario), result in zip(problems, results):
+            assert result == fit(s, family, scenario, nu=nu)
 
     def test_every_evaluation_failed(self, runs, monkeypatch):
         _force_factorization_errors(monkeypatch)
         series = _sinc_series(n=5)
         with pytest.raises(AllStartsFailedError, match="all 1 starts failed"):
             fit(series, "se", make_scenarios(series, "se")[0], seed=0)
-        with pytest.raises(AllStartsFailedError, match="all 5 starts failed"):
+        with pytest.raises(AllStartsFailedError, match="all 1 starts failed"):
             fit(TimeSeries(series.times, series.values, np.full(5, 0.09)), "se",
                 make_expression_scenarios(series, "se")[2], seed=0)
-        assert len(runs) == 1 + 5
+        assert len(runs) == 1 + 1
         assert all(ours.fun == fitting._FAILED_OBJECTIVE for ours, _, _ in runs)
         self._assert_same(runs)
 
@@ -563,10 +550,10 @@ class TestDriverMatchesScipyMinimize:
         self._assert_same(runs)
 
 
-def _grid_starts_of(problems, family="se", nu=None):
-    """The grid starts of (series, scenario, seed) problems, as one group."""
-    setups = [fitting._Problem(s, family, sc, seed, nu, 5, ()) for s, sc, seed in problems]
-    return fitting._grid_starts(setups, family, nu)
+def _grid_starts_of(problems, family="se", nu=None, spectra=None):
+    """The grid starts of (series, scenario) problems, as one group."""
+    setups = [fitting._Problem(s, family, sc, nu, ()) for s, sc in problems]
+    return fitting._grid_starts(setups, family, nu, spectra)
 
 
 def _grid_start_of(problem, family="se", nu=None):
@@ -575,8 +562,9 @@ def _grid_start_of(problem, family="se", nu=None):
 
 
 class TestGridStarts:
-    """An estimated- or bounded-noise fit starts from the argmax of its
-    profile likelihood over (l, lambda = sn2 / sf2)."""
+    """A fit starts from the argmax of its likelihood over a grid of
+    (l, lambda = sn2 / sf2): profiled in sf2 for estimated or bounded noise,
+    at sf2 = mean variance / lambda for fixed noise."""
 
     @pytest.mark.parametrize(
         "family, nu", [("se", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5)]
@@ -591,7 +579,7 @@ class TestGridStarts:
         for n, rep in ((5, 0), (9, 3), (15, 7)):
             series = _sinc_series(n=n, rep=rep)
             scenario = make_scenarios(series, family, nu=nu)[k]
-            sf2, l, sn2, value = _grid_start_of((series, scenario, 0), family, nu)
+            sf2, l, sn2, value = _grid_start_of((series, scenario), family, nu)
             kernel = KernelSpec.se(sf2, l) if nu is None else KernelSpec.matern(nu, sf2, l)
             exact = log_marginal_likelihood(series, kernel, NoiseModel.estimated(sn2))
             assert value == pytest.approx(exact, rel=1e-9)
@@ -602,20 +590,29 @@ class TestGridStarts:
 
     def test_start_alone_in_a_group_and_in_a_pool(self):
         # the same bits alone, among series of the same and of other time
-        # grids, and in a 2-worker pool with BLAS on one thread
+        # grids, in any order, after other stages filled the spectra, and in
+        # a 2-worker pool with BLAS on one thread, for every noise mode
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         from shortgp.harness import _blas_on_one_thread
 
+        rng = np.random.default_rng(3)
         series = [_sinc_series(n=7, rep=rep) for rep in range(3)]
         series.append(TimeSeries(series[0].times * 1.5, series[1].values))
-        problems = [
-            (s, make_scenarios(s, "se")[k], seed) for seed, s in enumerate(series) for k in (0, 3)
+        series = [TimeSeries(s.times, s.values, rng.uniform(0.01, 0.2, 7)) for s in series]
+        stages = [
+            [(s, build(s, "se")[k]) for s in series]
+            for build, k in ((make_scenarios, 0), (make_scenarios, 3),
+                             (make_expression_scenarios, 2), (make_expression_scenarios, 3))
         ]
+        problems = [problem for stage in stages for problem in stage]
         alone = [_grid_start_of(problem) for problem in problems]
         assert _grid_starts_of(problems) == alone
         assert _grid_starts_of(problems[::-1]) == alone[::-1]
+        spectra = {}
+        shared = [start for stage in stages for start in _grid_starts_of(stage, spectra=spectra)]
+        assert shared == alone
         context = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -624,11 +621,13 @@ class TestGridStarts:
         with ProcessPoolExecutor(2, mp_context=context, initializer=_blas_on_one_thread) as pool:
             pooled = list(pool.map(_grid_start_of, problems))
         assert pooled == alone
-        # and the fits of the group are the fits alone
-        for (s, scenario, seed), result in zip(
-            problems[::2], fitting._fit_problems(problems[::2], "se", None, 5)
-        ):
-            assert result == fit(s, "se", scenario, seed=seed)
+        # and the fits of each stage, with or without the filled spectra,
+        # are the fits alone
+        for stage in stages:
+            for spectra_in in (None, spectra):
+                results = fitting._fit_problems(stage, "se", None, spectra_in)
+                for (s, scenario), result in zip(stage, results):
+                    assert result == fit(s, "se", scenario)
 
     def test_input_checks_raise_before_the_grid(self, monkeypatch):
         def no_grid(*args):
@@ -639,17 +638,15 @@ class TestGridStarts:
         scenario = make_scenarios(series, "se")[0]
         flat = TimeSeries(series.times, np.full(5, 0.3))
         for problems, family, nu in (
-            ([(series, scenario, 0), (TimeSeries([0.0], [1.0]), scenario, 1)], "se", None),
-            ([(series, scenario, 0), (flat, scenario, 1)], "se", None),
-            ([(series, scenario, 0)], "matern", 3.7),
-            ([(series, scenario, 0)], "cubic", None),
+            ([(series, scenario), (TimeSeries([0.0], [1.0]), scenario)], "se", None),
+            ([(series, scenario), (flat, scenario)], "se", None),
+            ([(series, scenario)], "matern", 3.7),
+            ([(series, scenario)], "cubic", None),
         ):
             with pytest.raises(ValueError):
-                fitting._lockstep(problems, family, nu, 5)
+                fitting._lockstep(problems, family, nu)
         with pytest.raises(ValueError, match="one series length"):
-            fitting._lockstep(
-                [(series, scenario, 0), (_sinc_series(n=7), scenario, 1)], "se", None, 5
-            )
+            fitting._lockstep([(series, scenario), (_sinc_series(n=7), scenario)], "se", None)
 
     def test_length_to_infinity_optimum(self):
         # five random restarts all stopped at l = 2.15 (LML -4.3112); the
@@ -667,6 +664,76 @@ class TestGridStarts:
         result = fit(series, "se", make_scenarios(series, "se")[k], seed=0)
         assert result.log_marginal_likelihood == pytest.approx(-8.1392, abs=1e-4)
         assert result.kernel.length_scale == pytest.approx(2.356, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "family, nu", [("se", None), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5)]
+    )
+    def test_fixed_noise_score_matches_the_likelihood(self, family, nu):
+        # with equal variances d, the cell sf2 = d / lambda is the fixed-noise
+        # likelihood itself
+        from shortgp.gp import log_marginal_likelihood
+        from shortgp.kernels import KernelSpec
+        from shortgp.series import NoiseModel
+
+        for n, rep, variance in ((5, 0, 0.09), (9, 3, 0.01), (15, 7, 0.3)):
+            base = _sinc_series(n=n, rep=rep)
+            series = TimeSeries(base.times, base.values, np.full(n, variance))
+            for scenario in make_expression_scenarios(series, family, nu=nu)[2:]:
+                sf2, l, _, value = _grid_start_of((series, scenario), family, nu)
+                kernel = KernelSpec.se(sf2, l) if nu is None else KernelSpec.matern(nu, sf2, l)
+                noise = NoiseModel.fixed(series.noise_variances)
+                exact = log_marginal_likelihood(series, kernel, noise)
+                assert value == pytest.approx(exact, rel=1e-9)
+                assert scenario.length_scale_lower <= l
+
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_one_eigh_per_time_grid_and_box(self, monkeypatch, scenario_set):
+        # the stages of a group share their spectra: a group on one time
+        # grid, whose scenarios have two length-scale boxes, makes at most
+        # two eigendecompositions, one per box
+        from shortgp.harness import run_batch
+
+        eigh = fitting._correlation_eigh
+        floors = []
+
+        def counting(family, nu, distances, length_scales):
+            floors.append(float(length_scales[0]))
+            return eigh(family, nu, distances, length_scales)
+
+        monkeypatch.setattr(fitting, "_correlation_eigh", counting)
+        series = [_sinc_series(n=7, rep=rep) for rep in range(6)]
+        series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
+        report = run_batch(series, scenario_set)
+        assert not any(r.failed for r in report.rows)
+        assert 1 <= len(floors) <= 2
+        assert len(set(floors)) == len(floors)
+
+    @pytest.mark.parametrize(
+        "variances, optima",
+        [
+            # the optima of five seeded random restarts, which fitted fixed
+            # noise before the grid did: SE, then Matern 3/2, each under
+            # noise_fixed and both_bounded
+            (np.r_[0.0, np.full(8, 0.09)],
+             (-5.754172442256859, -5.754172442256744, -6.203474219364035, -6.358247114952132)),
+            (np.zeros(9),
+             (-4.2040762791124875, -4.204076279112249, -5.517994705624466, -5.679023050975991)),
+            (np.geomspace(1e-6, 1.0, 9),
+             (-5.90799423647675, -5.9079942364767515, -6.8253086935885445, -7.017382957217445)),
+        ],
+        ids=["one-zero", "all-zero", "spanning"],
+    )
+    def test_degenerate_variances(self, variances, optima):
+        # a zero mean variance starts from the estimated-noise profile
+        # sf2 = q / n, as sf2 = 0 / lambda would fail every start
+        base = _sinc_series(n=9, rep=2)
+        series = TimeSeries(base.times, base.values, variances)
+        lmls = [
+            fit(series, family, scenario, nu=nu).log_marginal_likelihood
+            for family, nu in (("se", None), ("matern", 1.5))
+            for scenario in make_expression_scenarios(series, family, nu=nu)[2:]
+        ]
+        assert lmls == pytest.approx(optima, abs=1e-9)
 
 
 class TestLikelihoodSurface:

@@ -149,10 +149,9 @@ class TestRunSyntheticExperiment:
         assert abs(total_mse - 1.0) <= 1e-12
 
     def test_replicate_rows_recomputable(self):
-        # each row must be reproducible in isolation from (seed, n, replicate)
+        # each row must be reproducible in isolation from its own series
         from shortgp.bound import delta_t_from_times
         from shortgp.fitting import diagnose, make_scenarios
-        from shortgp.harness import _mix64
 
         cfg = SyntheticConfig(replicates=4, seed=5, restarts=2)
         report = run_synthetic_experiment(cfg, [5])
@@ -161,7 +160,7 @@ class TestRunSyntheticExperiment:
             SyntheticConfig(replicates=4, seed=5, restarts=2, n_points=5), 2
         )
         scenario = make_scenarios(series, "se")[3]
-        result = fit(series, "se", scenario, seed=_mix64(5, 5, 2), restarts=2)
+        result = fit(series, "se", scenario)
         assert result.kernel.length_scale == row.length_scale
         assert result.log_marginal_likelihood == row.log_marginal_likelihood
 
@@ -280,16 +279,12 @@ class TestSharedOptima:
 
 class TestRunBatch:
     def test_batch_of_one_equals_direct_fit(self):
-        from shortgp.harness import _mix64
-
         series = _toy_series_set(count=1)[0]
         report = run_batch([series], scenario_set="synthetic", seed=7, restarts=2)
         row = next(r for r in report.rows if r.scenario == "no_bounds")
         from shortgp.fitting import make_scenarios
 
-        direct = fit(
-            series, "se", make_scenarios(series, "se")[0], seed=_mix64(7, 0), restarts=2
-        )
+        direct = fit(series, "se", make_scenarios(series, "se")[0])
         assert row.length_scale == direct.kernel.length_scale
         assert row.log_marginal_likelihood == direct.log_marginal_likelihood
 
@@ -581,25 +576,25 @@ def _point(result):
     )
 
 
-def _own_fit(series, scenario, seed, restarts):
+def _own_fit(series, scenario):
     """``fit``, or None where the series cannot be fitted under the scenario
-    or every restart fails."""
+    or every start fails."""
     if fitmod._no_fit_reason(series, scenario) is not None:
         return None
     try:
-        return fit(series, "se", scenario, seed=seed, restarts=restarts)
+        return fit(series, "se", scenario)
     except fitmod.AllStartsFailedError:
         return None
 
 
-def _oracle(series, scenarios, nesting, seed, restarts):
+def _oracle(series, scenarios, nesting):
     """Every scenario fitted on its own; a fit skipped when a nesting
     scenario's kept fit lies in its box off its lower bounds; then every
     scenario that the series can be fitted under takes the first best
     feasible kept fit, and the others, and those with none, are failed
     (None in every field).  Returns (shared_from, l, sf2, sn2, lml) per
     scenario and the number of kept fits."""
-    fits = [_own_fit(series, sc, seed, restarts) for sc in scenarios]
+    fits = [_own_fit(series, sc) for sc in scenarios]
     kept = []
     for k, sc in enumerate(scenarios):
         skip = any(
@@ -643,7 +638,7 @@ def _count_fits(monkeypatch):
     original = fitmod._fit_problems
 
     def counting(problems, *args, **kwargs):
-        calls.extend(scenario.label for _, scenario, _ in problems)
+        calls.extend(scenario.label for _, scenario in problems)
         return original(problems, *args, **kwargs)
 
     monkeypatch.setattr(fitmod, "_fit_problems", counting)
@@ -689,8 +684,7 @@ class TestNestedSkip:
             for rep in range(6):
                 series = generate_sinc_series(replace(cfg, n_points=n), rep)
                 expected, count = _oracle(
-                    series, make_scenarios(series, "se"), _NESTING["synthetic"],
-                    harness._mix64(3, n, rep), 2,
+                    series, make_scenarios(series, "se"), _NESTING["synthetic"]
                 )
                 kept += count
                 start = (i * 6 + rep) * 4
@@ -710,8 +704,7 @@ class TestNestedSkip:
         kept = 0
         for i, series in enumerate(series_set):
             expected, count = _oracle(
-                series, make_expression_scenarios(series, "se"), _NESTING["expression"],
-                harness._mix64(3, i), 2,
+                series, make_expression_scenarios(series, "se"), _NESTING["expression"]
             )
             kept += count
             assert _row_fits(report.rows[4 * i : 4 * i + 4]) == expected, series.id
@@ -727,7 +720,7 @@ class TestNestedSkip:
     def test_no_skip_on_an_active_lower_bound(self, monkeypatch):
         series = _toy_series_set(count=1, n=7)[0]
         free = Scenario("free")
-        l_free = fit(series, "se", free, seed=harness._mix64(0, 0), restarts=2).kernel.length_scale
+        l_free = fit(series, "se", free).kernel.length_scale
         on_bound = Scenario("on_bound", length_scale_lower=l_free * (1.0 - 1e-7))
         below = Scenario("below", length_scale_lower=l_free * 0.5)
         calls = _count_fits(monkeypatch)
@@ -768,14 +761,11 @@ class TestFitsAcrossSeries:
         series_set = _mixed_lengths()
         build = make_scenarios if scenario_set == "synthetic" else make_expression_scenarios
         expected = []
-        for i, series in enumerate(series_set):
+        for series in series_set:
             if len(series) < 2:
                 expected += [(None,) * 5] * 4
                 continue
-            rows, _ = _oracle(
-                series, build(series, "se"), _NESTING[scenario_set],
-                harness._mix64(4, i), 2,
-            )
+            rows, _ = _oracle(series, build(series, "se"), _NESTING[scenario_set])
             expected += rows
         ids = [s.id for s in series_set for _ in range(4)]
         for parallelism in (1, 2):
@@ -795,7 +785,7 @@ def _record_stages(monkeypatch):
     fit_problems, fit_one = fitmod._fit_problems, fitmod.fit
 
     def on_stage(problems, *args):
-        stages.append([(len(series), scenario.label) for series, scenario, _ in problems])
+        stages.append([(len(series), scenario.label) for series, scenario in problems])
         return fit_problems(problems, *args)
 
     def on_fit(series, family, scenario, *args, **kwargs):
@@ -827,9 +817,9 @@ class TestStageRouting:
             s for n in (5, 7, 9) for s in _toy_series_set(count=per_length, n=n, seed=n)
         ]
         expected, fitted = [], 0
-        for i, series in enumerate(series_set):
+        for series in series_set:
             scenarios = _APART if scenario_set is _APART else make_scenarios(series, "se")
-            rows, count = _oracle(series, scenarios, nesting, harness._mix64(2, i), 2)
+            rows, count = _oracle(series, scenarios, nesting)
             expected += rows
             fitted += count
         stages, fits = _record_stages(monkeypatch)
