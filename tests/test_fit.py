@@ -242,7 +242,18 @@ class TestFit:
                     >= con.log_marginal_likelihood - 1e-8
                 )
 
-    def test_restarts_and_seed_leave_every_fit_alone(self):
+    def test_more_restarts_never_lose(self):
+        # a fixed-noise fit starts from its grid argmax too, so more
+        # restarts add no start and cannot lose
+        base = _sinc_series(n=7, rep=4)
+        series = TimeSeries(base.times, base.values, np.full(7, 0.09))
+        scenario = make_expression_scenarios(series, "se")[2]
+        few = fit(series, "se", scenario, seed=1, restarts=2)
+        many = fit(series, "se", scenario, seed=1, restarts=5)
+        assert (few.restarts_used, many.restarts_used) == (1, 1)
+        assert many.log_marginal_likelihood >= few.log_marginal_likelihood - 1e-12
+
+    def test_restarts_and_seed_leave_grid_started_fits_alone(self):
         # every fit starts from its grid argmax alone, whatever the noise
         base = _sinc_series(n=7, rep=4)
         series = TimeSeries(base.times, base.values, np.full(7, 0.09))
