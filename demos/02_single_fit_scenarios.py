@@ -33,7 +33,7 @@ print(f"\nlength-scale bound a_l = {scenarios[1].length_scale_lower:.4f}, "
 header = f"{'scenario':22s} {'l':>9s} {'sf2':>9s} {'sn2':>11s} {'loglik':>9s}"
 print(header)
 for scenario in scenarios:
-    result = fit(series, "se", scenario, seed=0)
+    result = fit(series, "se", scenario)
     sn2 = "fixed" if result.noise_variance is None else f"{result.noise_variance:.2e}"
     print(
         f"{scenario.label:22s} {result.kernel.length_scale:9.4f} "

@@ -40,7 +40,7 @@ with open(CSV_PATH, "w", newline="") as fh:
 series_set = ingest_csv(CSV_PATH)
 print(f"ingested {len(series_set)} series of {len(series_set[0])} points each")
 
-report = run_batch(series_set, scenario_set="expression", seed=0, noise_flag_threshold=1e-2)
+report = run_batch(series_set, scenario_set="expression", noise_flag_threshold=1e-2)
 files = emit_report(report, OUT_DIR)
 
 print("\nover-fit flags per scenario ('.' = impossible under the constraints):")

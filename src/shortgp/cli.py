@@ -25,12 +25,6 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
-_RESTARTS_HELP = (
-    f"kept for compatibility (default {fitmod.DEFAULT_RESTARTS}); it changes no fit: every "
-    "fit starts from the argmax of its likelihood grid"
-)
-
-
 class _UsageError(Exception):
     pass
 
@@ -68,9 +62,6 @@ def _add_single_fit_flags(parser: argparse.ArgumentParser) -> None:
                         help="constraint scenario 1..4 (default 4: both bounds)")
     parser.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                         default="synthetic")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS,
-                        help=_RESTARTS_HELP)
     parser.add_argument("--resolution", type=int, default=200)
     _add_family_flags(parser)
 
@@ -110,7 +101,6 @@ def _build_parser() -> _Parser:
                          help="test grid as 'lo,hi,count' (default -6,5,10)")
     p_synth.add_argument("--noise-bounds", type=str, default=None,
                          help="noise-variance box as 'lo,hi' (default 0.01,0.1)")
-    p_synth.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
     p_synth.add_argument("--out-dir", default=None, required=False)
     p_synth.add_argument("--parallelism", type=int, default=None)
     _add_family_flags(p_synth)
@@ -120,9 +110,6 @@ def _build_parser() -> _Parser:
     p_batch.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     p_batch.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                          default="expression")
-    p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--restarts", type=int, default=fitmod.DEFAULT_RESTARTS,
-                         help=_RESTARTS_HELP)
     p_batch.add_argument("--noise-flag-threshold", type=float, default=1e-2)
     p_batch.add_argument("--out-dir", required=True)
     p_batch.add_argument("--parallelism", type=int, default=1)
@@ -165,9 +152,7 @@ def _single_fit(args):
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
     scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
     scenario = scenarios[args.scenario - 1]
-    result = fitmod.fit(
-        series, family, scenario, seed=args.seed, nu=nu, restarts=args.restarts
-    )
+    result = fitmod.fit(series, family, scenario, nu=nu)
     return series, scenario, result
 
 
@@ -210,7 +195,6 @@ def _cmd_fit(args) -> int:
     print(f"noise_variance      {noise}")
     print(f"log_marginal_lik    {result.log_marginal_likelihood!r}")
     print(f"converged           {result.converged}")
-    print(f"restarts_used       {result.restarts_used}")
     print(f"bound_lower_active  {result.bound_lower_active}")
     print(f"flag_short_length   {diag.length_scale_below_bound}")
     print(f"flag_tiny_noise     {diag.tiny_noise}")
@@ -224,8 +208,8 @@ def _cmd_synth(args) -> int:
     # Flags are written over the config file's flat mapping, which is then
     # parsed once.
     mapping = harness.load_config(args.config) if args.config else {}
-    for key in ("replicates", "seed", "noise_variance", "restarts", "alpha",
-                "n_grid", "out_dir", "parallelism", "family", "nu"):
+    for key in ("replicates", "seed", "noise_variance", "alpha", "n_grid",
+                "out_dir", "parallelism", "family", "nu"):
         if getattr(args, key) is not None:
             mapping[key] = getattr(args, key)
     # --interval, --test-grid and --noise-bounds set a tuple field's keys
@@ -263,8 +247,6 @@ def _cmd_batch(args) -> int:
         family=family,
         nu=nu,
         parallelism=args.parallelism,
-        seed=args.seed,
-        restarts=args.restarts,
         alpha=alpha,
         noise_flag_threshold=args.noise_flag_threshold,
     )

@@ -112,7 +112,7 @@ NOISE_BOUNDED = "bounded"
 NOISE_FIXED = "fixed"
 
 SYNTHETIC_NOISE_BOUNDS = (0.01, 0.1)
-DEFAULT_RESTARTS = 5
+DEFAULT_RESTARTS = 1
 
 _MAX_ITER = 500
 _GRAD_TOL = 1e-6
@@ -287,7 +287,6 @@ def fit(
     series: TimeSeries,
     family: str,
     scenario: Scenario,
-    seed: int = 0,
     nu: float | None = None,
     restarts: int = DEFAULT_RESTARTS,
     extra_starts=(),
@@ -302,13 +301,13 @@ def fit(
     ``extra_starts``, given as (sf2, l, sn2) triples in natural space (sn2
     ignored for fixed noise).  ``spectra``, a dict, keeps the grid's
     eigendecompositions for later fits of the same time grid (see
-    :func:`_grid_starts`); it changes no bit of the fit.  ``seed`` and
-    ``restarts`` are accepted for compatibility and change nothing: no fit
-    draws a random start.  A length-scale or noise variance within a
-    relative 1e-6 of a bound is returned as exactly that bound.  The best
-    optimum wins; likelihood ties below 1e-10 go to the smaller
-    length-scale, then the smaller noise variance, so the result does not
-    depend on enumeration order.  Deterministic given (series, scenario).
+    :func:`_grid_starts`); it changes no bit of the fit.  ``restarts`` is
+    accepted only for the benchmark's spans, which read it; it changes no
+    fit.  A length-scale or noise variance within a relative 1e-6 of a
+    bound is returned as exactly that bound.  The best optimum wins;
+    likelihood ties below 1e-10 go to the smaller length-scale, then the
+    smaller noise variance, so the result does not depend on enumeration
+    order.  Deterministic given (series, scenario).
 
     An evaluation whose factorization fails, whose likelihood is not
     finite, that overflows a float (l^3, or l^2 under Matern 1/2, beyond

@@ -75,7 +75,10 @@ def sinc(x):
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Protocol parameters for the synthetic sinc benchmark."""
+    """Protocol parameters for the synthetic sinc benchmark.
+
+    ``restarts`` is accepted only for the benchmark's callers and changes no
+    fit."""
 
     n_points: int = 7
     interval: tuple[float, float] = (-5.0, 6.0)
@@ -254,10 +257,10 @@ class BatchReport:
 @dataclass(frozen=True)
 class _RunSettings:
     """Per-run constants of :func:`_fit_group`, bound once into the mapped
-    function.  ``test_times`` is None for runs without held-out scoring, and
-    ``restarts`` is only checked: it changes no fit.  Built before any draw
-    or fit, it owns the run's checks; the bound at Δt = 1 checks ``alpha``
-    for every Δt, as the bound is linear in Δt."""
+    function.  ``test_times`` is None for runs without held-out scoring.
+    Built before any draw or fit, it owns the run's checks: ``restarts``,
+    which changes no fit, must be at least 1, and the bound at Δt = 1 checks
+    ``alpha`` for every Δt, as the bound is linear in Δt."""
 
     family: str
     nu: float | None
@@ -322,11 +325,11 @@ def _skipped(scenarios: list, k: int, own: list) -> bool:
     """Whether scenario k goes without a fit of its own, given the own fits
     of the scenarios before it.
 
-    Skip the fit when a looser scenario's optimum lies inside this box: as
-    far as the looser multi-start could tell, nothing in this smaller box is
-    better.  Not when that optimum sits on one of this box's lower bounds
-    (within fitting's relative 1e-6): the looser fit stopped just short of
-    the bound, and this scenario's own fit reaches the bound exactly.
+    Skip the fit when a looser scenario's optimum lies inside this box: the
+    best point that fit found in the larger box is this box's best too.  Not
+    when that optimum sits on one of this box's lower bounds (within
+    fitting's relative 1e-6): the looser fit stopped just short of the
+    bound, and this scenario's own fit reaches the bound exactly.
     """
     scenario = scenarios[k]
     return any(
@@ -349,8 +352,8 @@ def _series_records(
     # Share optima: every scenario takes the best fit, by marginal
     # likelihood, among its own and the other scenarios' fits that lie inside
     # its box, equal likelihoods going to the lowest-numbered fit.  This is
-    # how a skipped scenario gets the looser optimum.  A multi-start fit of a
-    # looser scenario can miss an optimum that a tighter one found, and two
+    # how a skipped scenario gets the looser optimum.  A fit of a looser
+    # scenario can stop on a lower optimum than a tighter one found, and two
     # scenarios that reach the same optimum stop at slightly different
     # points.  Because the choice is one total order over all fits, nested
     # marginal likelihoods are monotone and a looser scenario's fit that lies
@@ -566,7 +569,7 @@ def run_synthetic_experiment(
     same data is shared by all four scenarios (required for the winner
     comparison to mean anything).  A row's fit, and when a scenario's own
     fit is skipped, follow :class:`ReplicateRecord`.  A replicate's fits
-    depend on its own series alone; ``config.restarts`` changes none.
+    depend on its own series alone.
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
     still reported.  A repeated n, a family and nu that fitting does not
@@ -625,7 +628,6 @@ def run_batch(
     family: str = "se",
     nu: float | None = None,
     parallelism: int = 1,
-    seed: int = 0,
     restarts: int = fitmod.DEFAULT_RESTARTS,
     alpha: float = bound.DEFAULT_ALPHA,
     noise_flag_threshold: float = 1e-2,
@@ -654,9 +656,10 @@ def run_batch(
     (var y = 0) fails under the estimated-noise scenarios, where the
     likelihood has no maximum, while its bounded- and fixed-noise scenarios
     are fitted as usual.  Such a series leaves the other series' records
-    unchanged.  A series' fits depend on that series alone, and ``seed`` and
-    ``restarts`` change none, so results do not depend on the order of
-    ``series_set`` or on the degree of parallelism.
+    unchanged.  A series' fits depend on that series alone, so results do
+    not depend on the order of ``series_set`` or on the degree of
+    parallelism.  ``restarts`` is accepted only for the benchmark's callers
+    and changes no fit.
     """
     series_set = list(series_set)
     if not series_set:

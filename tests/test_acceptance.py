@@ -276,12 +276,11 @@ def test_criterion_7_property_checklist():
     # monotone nesting of constrained optima (warm-started comparison)
     sinc_series = generate_sinc_series(SyntheticConfig(n_points=7, seed=3), 1)
     scenarios = make_scenarios(sinc_series, "se")
-    con = fit(sinc_series, "se", scenarios[3], seed=0)
+    con = fit(sinc_series, "se", scenarios[3])
     free = fit(
         sinc_series,
         "se",
         scenarios[0],
-        seed=0,
         extra_starts=[(con.kernel.signal_variance, con.kernel.length_scale, con.noise_variance)],
     )
     checks.append(

@@ -167,8 +167,6 @@ class TestSynthCommand:
                 "5",
                 "--replicates",
                 "3",
-                "--restarts",
-                "2",
                 "--seed",
                 "1",
                 "--out-dir",
@@ -292,7 +290,7 @@ class TestSynthCommand:
     def test_matern_sweep(self, tmp_path, capsys):
         out_dir = tmp_path / "report"
         argv = ["synth", "--family", "matern", "--nu", "1.5", "--n-grid", "5",
-                "--replicates", "2", "--restarts", "1", "--out-dir", str(out_dir)]
+                "--replicates", "2", "--out-dir", str(out_dir)]
         assert main(argv) == 0
         with open(out_dir / "replicates.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -309,7 +307,7 @@ class TestBatchCommand:
         assert main([*argv, "--nu", "2.5"]) == 1
         assert main(["fit", "--input", str(variance_csv), "--nu", "2.5"]) == 1
         assert not (tmp_path / "report").exists()
-        assert main([*argv, "--family", "matern", "--nu", "2.5", "--restarts", "1"]) == 0
+        assert main([*argv, "--family", "matern", "--nu", "2.5"]) == 0
 
     def test_expression_batch(self, variance_csv, tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -320,8 +318,6 @@ class TestBatchCommand:
                 str(variance_csv),
                 "--scenario-set",
                 "expression",
-                "--restarts",
-                "2",
                 "--out-dir",
                 str(out_dir),
             ]
@@ -348,13 +344,32 @@ class TestBatchCommand:
         assert main(["batch", "--input", str(path), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
 
-    def test_zero_restarts_is_data_error(self, variance_csv, tmp_path, capsys):
-        out_dir = tmp_path / "report"
-        argv = ["batch", "--input", str(variance_csv), "--restarts", "0",
-                "--out-dir", str(out_dir)]
-        assert main(argv) == 2
-        assert "restarts must be >= 1" in capsys.readouterr().err
-        assert not out_dir.exists()
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("fit", "--seed"),
+        ("fit", "--restarts"),
+        ("plotdata", "--seed"),
+        ("plotdata", "--restarts"),
+        ("synth", "--restarts"),
+        ("batch", "--seed"),
+        ("batch", "--restarts"),
+    ],
+)
+def test_fit_seed_and_restarts_flags_are_usage_errors(command, flag, variance_csv, tmp_path, capsys):
+    # every fit starts from its likelihood grid alone: no command takes a
+    # fit seed or a restart count (synth --seed seeds the data)
+    out_dir = tmp_path / "report"
+    argv = {
+        "fit": ["--input", str(variance_csv), "--plot-out", str(out_dir / "curves.csv")],
+        "plotdata": ["--input", str(variance_csv), "--out", str(out_dir / "curves.csv")],
+        "synth": ["--n-grid", "5", "--replicates", "2", "--out-dir", str(out_dir)],
+        "batch": ["--input", str(variance_csv), "--out-dir", str(out_dir)],
+    }[command]
+    assert main([command, *argv, flag, "1"]) == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 class TestPlotdataCommand:

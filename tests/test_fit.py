@@ -148,14 +148,13 @@ class TestFit:
     def test_lengthscale_bound_respected(self):
         series = _sinc_series(n=7, rep=1)
         scenarios = make_scenarios(series, "se")
-        for rep_seed in range(5):
-            result = fit(series, "se", scenarios[1], seed=rep_seed)
-            assert result.kernel.length_scale >= scenarios[1].length_scale_lower
+        result = fit(series, "se", scenarios[1])
+        assert result.kernel.length_scale >= scenarios[1].length_scale_lower
 
     def test_noise_box_respected(self):
         series = _sinc_series(n=7, rep=2)
         scenarios = make_scenarios(series, "se")
-        result = fit(series, "se", scenarios[2], seed=0)
+        result = fit(series, "se", scenarios[2])
         assert 0.01 <= result.noise_variance <= 0.1
 
     def test_overfit_regime_reproduced(self):
@@ -168,7 +167,7 @@ class TestFit:
             short = tiny = 0
             for rep in range(40):
                 series = _sinc_series(n=n, rep=rep)
-                result = fit(series, "se", make_scenarios(series, "se")[0], seed=rep)
+                result = fit(series, "se", make_scenarios(series, "se")[0])
                 if result.kernel.length_scale < a_l:
                     short += 1
                 if result.noise_variance < 1e-4:
@@ -188,12 +187,11 @@ class TestFit:
         scenario = Scenario(
             "tight", noise_mode="bounded", noise_lower=1e-4, noise_upper=1e-3
         )
-        first = fit(series, "se", scenario, seed=0)
+        first = fit(series, "se", scenario)
         again = fit(
             series,
             "se",
             scenario,
-            seed=0,
             restarts=0,
             extra_starts=[
                 (
@@ -208,8 +206,8 @@ class TestFit:
     def test_determinism(self):
         series = _sinc_series(n=9, rep=3)
         scenario = make_scenarios(series, "se")[3]
-        a = fit(series, "se", scenario, seed=42)
-        b = fit(series, "se", scenario, seed=42)
+        a = fit(series, "se", scenario)
+        b = fit(series, "se", scenario)
         assert a.kernel == b.kernel
         assert a.noise_variance == b.noise_variance
         assert a.log_marginal_likelihood == b.log_marginal_likelihood
@@ -218,17 +216,16 @@ class TestFit:
     def test_monotone_nesting_of_constrained_optima(self):
         # the unconstrained feasible set contains the constrained one;
         # warm-start the free fit with the constrained optimum so the
-        # comparison tests the sets, not multi-start luck
+        # comparison tests the sets, not where one ascent stops
         for rep in range(10):
             series = _sinc_series(n=7, rep=rep)
             scenarios = make_scenarios(series, "se")
             for constrained in scenarios[1:]:
-                con = fit(series, "se", constrained, seed=rep)
+                con = fit(series, "se", constrained)
                 free = fit(
                     series,
                     "se",
                     scenarios[0],
-                    seed=rep,
                     extra_starts=[
                         (
                             con.kernel.signal_variance,
@@ -248,8 +245,8 @@ class TestFit:
         base = _sinc_series(n=7, rep=4)
         series = TimeSeries(base.times, base.values, np.full(7, 0.09))
         scenario = make_expression_scenarios(series, "se")[2]
-        few = fit(series, "se", scenario, seed=1, restarts=2)
-        many = fit(series, "se", scenario, seed=1, restarts=5)
+        few = fit(series, "se", scenario, restarts=2)
+        many = fit(series, "se", scenario, restarts=5)
         assert (few.restarts_used, many.restarts_used) == (1, 1)
         assert many.log_marginal_likelihood >= few.log_marginal_likelihood - 1e-12
 
@@ -259,10 +256,10 @@ class TestFit:
         series = TimeSeries(base.times, base.values, np.full(7, 0.09))
         scenarios = make_scenarios(series, "se") + make_expression_scenarios(series, "se")
         for scenario in scenarios:
-            one = fit(series, "se", scenario, seed=1, restarts=1)
+            one = fit(series, "se", scenario, restarts=1)
             assert one.restarts_used == 1
-            assert fit(series, "se", scenario, seed=2, restarts=5) == one
-            assert fit(series, "se", scenario, seed=3, restarts=0) == one
+            assert fit(series, "se", scenario, restarts=5) == one
+            assert fit(series, "se", scenario, restarts=0) == one
             assert fit(series, "se", scenario) == one
 
     def test_box_exactness_random_scenarios(self):
@@ -278,7 +275,8 @@ class TestFit:
                 noise_lower=0.005,
                 noise_upper=0.5,
             )
-            result = fit(series, "se", scenario, seed=int(rng.integers(0, 100)))
+            rng.integers(0, 100)  # one more draw per box, so the boxes stay as drawn
+            result = fit(series, "se", scenario)
             assert scenario.length_scale_lower <= result.kernel.length_scale
             assert result.kernel.length_scale <= scenario.length_scale_upper
             assert scenario.noise_lower <= result.noise_variance <= scenario.noise_upper
@@ -286,7 +284,7 @@ class TestFit:
     def test_matern_families(self):
         series = _sinc_series(n=9, rep=6)
         scenario = make_scenarios(series, "matern", nu=1.5)[3]
-        result = fit(series, "matern", scenario, seed=0, nu=1.5)
+        result = fit(series, "matern", scenario, nu=1.5)
         assert result.kernel.family == "matern"
         assert result.kernel.nu == 1.5
         assert math.isfinite(result.log_marginal_likelihood)
@@ -295,14 +293,14 @@ class TestFit:
         series = _sinc_series(n=5)
         scenario = make_scenarios(series, "se")[0]
         with pytest.raises(ValueError):
-            fit(TimeSeries([0.0], [1.0]), "se", scenario, seed=0)
+            fit(TimeSeries([0.0], [1.0]), "se", scenario)
         with pytest.raises(ValueError):
-            fit(series, "matern", scenario, seed=0, nu=3.7)  # unsupported order
+            fit(series, "matern", scenario, nu=3.7)  # unsupported order
         with pytest.raises(ValueError):
-            fit(series, "cubic", scenario, seed=0)
+            fit(series, "cubic", scenario)
         fixed = Scenario("fx", noise_mode="fixed")
         with pytest.raises(ValueError):
-            fit(series, "se", fixed, seed=0)  # series has no variances
+            fit(series, "se", fixed)  # series has no variances
 
     @pytest.mark.parametrize(
         "value, upper, unbounded",
@@ -316,9 +314,9 @@ class TestFit:
         scenario = Scenario("x", 0.0, upper)
         if unbounded:
             with pytest.raises(ValueError, match="constant series"):
-                fit(series, "se", scenario, seed=0)
+                fit(series, "se", scenario)
         else:
-            assert math.isfinite(fit(series, "se", scenario, seed=0).log_marginal_likelihood)
+            assert math.isfinite(fit(series, "se", scenario).log_marginal_likelihood)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_matern_length_scales_warn_nothing(self):
@@ -329,7 +327,7 @@ class TestFit:
         scenarios = make_scenarios(series, "matern", nu=2.5)
         scenarios += make_expression_scenarios(series, "matern", nu=2.5)
         for scenario in scenarios:
-            fit(series, "matern", scenario, seed=15, nu=2.5)
+            fit(series, "matern", scenario, nu=2.5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_sampled_matern_fits(self):
@@ -339,7 +337,7 @@ class TestFit:
         base = _sinc_series(n=15, rep=3)
         series = TimeSeries(base.times * 1e60, base.values, np.full(15, 0.09))
         scenario = make_scenarios(series, "matern", nu=2.5)[2]
-        result = fit(series, "matern", scenario, seed=15, nu=2.5)
+        result = fit(series, "matern", scenario, nu=2.5)
         assert scenario.holds(result.kernel.length_scale, result.noise_variance)
         assert math.isfinite(result.log_marginal_likelihood)
 
@@ -348,7 +346,7 @@ class TestFit:
         series = _sinc_series(n=5)
         scenario = make_scenarios(series, "se")[0]
         with pytest.raises(AllStartsFailedError):
-            fit(series, "se", scenario, seed=0)
+            fit(series, "se", scenario)
 
     def test_non_finite_steps_are_failed_evaluations(self, monkeypatch):
         # At this scale the likelihood's gradient overflows, and L-BFGS-B
@@ -369,7 +367,7 @@ class TestFit:
         t = np.arange(7.0)
         series = TimeSeries(t, np.sin(t) * 1e140)
         with pytest.raises(AllStartsFailedError):
-            fit(series, "se", make_scenarios(series, "se")[0], seed=0)
+            fit(series, "se", make_scenarios(series, "se")[0])
         nan = [out for x, out in asked if np.isnan(x).any()]
         assert nan
         for value, grad in nan:
@@ -379,8 +377,7 @@ class TestFit:
         # exp(+-230), as any z beyond 230 in size is, alone and in a batch
         # (an extra start beside the grid start gives the fit two members).
         series = _sinc_series(n=5)
-        fit(series, "se", make_scenarios(series, "se")[0], seed=0,
-            extra_starts=[(1.0, 1.0, 0.1)])
+        fit(series, "se", make_scenarios(series, "se")[0], extra_starts=[(1.0, 1.0, 0.1)])
         objective = objectives[-1]
         for far in (-math.inf, math.inf):
             z = np.array([far, 0.0, -2.0])
@@ -402,20 +399,20 @@ class TestFit:
         free, floored, noise_bounded, both = make_scenarios(series, "se")
         for scenario in (floored, both):
             with pytest.raises(AllStartsFailedError):
-                fit(series, "se", scenario, seed=0)
+                fit(series, "se", scenario)
         for scenario in (free, noise_bounded):
-            assert fit(series, "se", scenario, seed=0).kernel.length_scale == math.exp(230.0)
+            assert fit(series, "se", scenario).kernel.length_scale == math.exp(230.0)
         # Under Matern 1/2, whose l^2 overflows only beyond about 1.3e154,
         # the floored scenarios fit: a z beyond 230 inside a box that lies
         # beyond e^230 maps onto the box, not to e^230 below its floor.
         for scenario in make_scenarios(series, "matern", nu=0.5):
-            result = fit(series, "matern", scenario, seed=0, nu=0.5)
+            result = fit(series, "matern", scenario, nu=0.5)
             assert scenario.holds(result.kernel.length_scale, result.noise_variance)
 
     def test_bound_activity_flag(self):
         series = _sinc_series(n=5, rep=7)
         scenarios = make_scenarios(series, "se")
-        result = fit(series, "se", scenarios[3], seed=0)
+        result = fit(series, "se", scenarios[3])
         active = result.bound_lower_active["length_scale"]
         at_bound = (
             result.kernel.length_scale - scenarios[3].length_scale_lower
@@ -430,7 +427,7 @@ class TestFit:
             for rep in range(10):
                 series = _sinc_series(n=n, rep=rep)
                 for scenario in make_scenarios(series, "se")[1:]:
-                    result = fit(series, "se", scenario, seed=rep)
+                    result = fit(series, "se", scenario)
                     pairs = [(result.kernel.length_scale, scenario.length_scale_lower)]
                     if scenario.noise_mode == "bounded":
                         pairs.append((result.noise_variance, scenario.noise_lower))
@@ -510,7 +507,7 @@ class TestDriverMatchesScipyMinimize:
         scenarios = make_scenarios(series, family, nu=nu)
         scenarios += make_expression_scenarios(series, family, nu=nu)
         for scenario in scenarios:
-            fit(series, family, scenario, seed=n, nu=nu)
+            fit(series, family, scenario, nu=nu)
         # one run per fit: its grid start, whatever the noise
         assert len(runs) == len(scenarios)
         self._assert_same(runs)
@@ -533,10 +530,10 @@ class TestDriverMatchesScipyMinimize:
         _force_factorization_errors(monkeypatch)
         series = _sinc_series(n=5)
         with pytest.raises(AllStartsFailedError, match="all 1 starts failed"):
-            fit(series, "se", make_scenarios(series, "se")[0], seed=0)
+            fit(series, "se", make_scenarios(series, "se")[0])
         with pytest.raises(AllStartsFailedError, match="all 1 starts failed"):
             fit(TimeSeries(series.times, series.values, np.full(5, 0.09)), "se",
-                make_expression_scenarios(series, "se")[2], seed=0)
+                make_expression_scenarios(series, "se")[2])
         assert len(runs) == 1 + 1
         assert all(ours.fun == fitting._FAILED_OBJECTIVE for ours, _, _ in runs)
         self._assert_same(runs)
@@ -549,14 +546,14 @@ class TestDriverMatchesScipyMinimize:
             (scenarios[2], "noise_variance", 2),
         ):
             runs.clear()
-            assert fit(series, "se", scenario, seed=0).bound_lower_active[name]
+            assert fit(series, "se", scenario).bound_lower_active[name]
             assert any(ours.x[i] == bounds[i][0] for ours, _, bounds in runs)
             self._assert_same(runs)
 
     def test_iteration_cap(self, runs, monkeypatch):
         monkeypatch.setattr(fitting, "_MAX_ITER", 3)
         series = _sinc_series(n=9, rep=2)
-        fit(series, "se", make_scenarios(series, "se")[0], seed=2)
+        fit(series, "se", make_scenarios(series, "se")[0])
         assert all(not ours.success and ours.nit == 3 for ours, _, _ in runs)
         self._assert_same(runs)
 
@@ -664,7 +661,7 @@ class TestGridStarts:
         # grid's edge leads to the near-constant fit at l of about 2.7e5
         series = _sinc_series(n=5, rep=14)
         scenario = make_scenarios(series, "se")[2]
-        result = fit(series, "se", scenario, seed=5014)
+        result = fit(series, "se", scenario)
         assert result.log_marginal_likelihood == pytest.approx(-3.6828, abs=1e-4)
         assert result.kernel.length_scale > 1e5
 
@@ -672,7 +669,7 @@ class TestGridStarts:
     def test_finite_length_scale_optimum(self, k):
         # five random restarts all stopped at l = 0.94 (LML -8.4830)
         series = _sinc_series(n=11, rep=174)
-        result = fit(series, "se", make_scenarios(series, "se")[k], seed=0)
+        result = fit(series, "se", make_scenarios(series, "se")[k])
         assert result.log_marginal_likelihood == pytest.approx(-8.1392, abs=1e-4)
         assert result.kernel.length_scale == pytest.approx(2.356, abs=1e-3)
 
@@ -796,7 +793,7 @@ class TestDiagnose:
         sampling = delta_t_from_times(series.times)
         a_l = length_scale_bound("se", 0.99, sampling.delta_t)
         scenario = make_scenarios(series, "se")[0]
-        result = fit(series, "se", scenario, seed=0)
+        result = fit(series, "se", scenario)
         forced = replace(result.kernel, length_scale=0.5 * a_l)
         diag = diagnose(
             type(result)(
@@ -816,7 +813,7 @@ class TestDiagnose:
         series = _sinc_series(n=7)
         sampling = delta_t_from_times(series.times)
         scenario = make_scenarios(series, "se")[2]
-        result = fit(series, "se", scenario, seed=0)
+        result = fit(series, "se", scenario)
         fudged = type(result)(
             kernel=result.kernel,
             noise_variance=0.005,
@@ -833,11 +830,10 @@ class TestDiagnose:
         series = _sinc_series(n=7, rep=8)
         sampling = delta_t_from_times(series.times)
         scenario = make_scenarios(series, "se")[3]
-        for seed in range(5):
-            result = fit(series, "se", scenario, seed=seed)
-            diag = diagnose(result, sampling, noise_threshold=1e-4)
-            assert not diag.length_scale_below_bound
-            assert not diag.tiny_noise
+        result = fit(series, "se", scenario)
+        diag = diagnose(result, sampling, noise_threshold=1e-4)
+        assert not diag.length_scale_below_bound
+        assert not diag.tiny_noise
 
     def test_fixed_noise_never_tiny(self):
         series = TimeSeries(
@@ -847,7 +843,7 @@ class TestDiagnose:
         )
         sampling = delta_t_from_times(series.times)
         scenario = make_expression_scenarios(series, "se")[3]
-        result = fit(series, "se", scenario, seed=0)
+        result = fit(series, "se", scenario)
         assert result.noise_variance is None
         diag = diagnose(result, sampling, noise_threshold=1e-2)
         assert not diag.tiny_noise
@@ -861,7 +857,7 @@ def test_an_overflowing_sample_variance_is_a_value_error(scale):
     assert series.sample_variance == math.inf
     for scenario in make_scenarios(series, "se"):
         with pytest.raises(ValueError, match="sample variance"):
-            fit(series, "se", scenario, seed=0)
+            fit(series, "se", scenario)
 
 
 def test_a_fit_never_imports_scipy_optimize():
@@ -881,7 +877,7 @@ def test_a_fit_never_imports_scipy_optimize():
         "from shortgp import fitting\n"
         "t = np.arange(7.0)\n"
         "s = shortgp.TimeSeries(t, np.sin(t))\n"
-        "shortgp.fit(s, 'se', shortgp.make_scenarios(s, 'se')[3], seed=0)\n"
+        "shortgp.fit(s, 'se', shortgp.make_scenarios(s, 'se')[3])\n"
         "shortgp.likelihood_surface(s, 'se', [0.5, 2.0], [0.01, 0.1])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
         "from scipy.optimize import _lbfgsb, minimize\n"
@@ -933,7 +929,7 @@ class TestCompiledRoutines:
             "shortgp.length_scale_bound('matern', 0.99, 1.0, 2.5)\n"
             "for family, nu in (('se', None), ('matern', 1.5)):\n"
             "    scenario = shortgp.make_scenarios(s, family, nu=nu)[3]\n"
-            "    r = shortgp.fit(s, family, scenario, seed=0, nu=nu)\n"
+            "    r = shortgp.fit(s, family, scenario, nu=nu)\n"
             "noise = shortgp.result_noise_model(r, s)\n"
             "shortgp.posterior_at(s, r.kernel, noise, np.array([0.5, 7.5]))\n"
             "harness._blas_on_one_thread()()\n"

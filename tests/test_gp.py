@@ -204,7 +204,7 @@ class TestGradient:
         t = np.linspace(0.0, 10.0, 12)
         y = np.sin(t) + rng.normal(0.0, 0.2, 12)
         s = TimeSeries(t, y)
-        result = fit(s, "se", Scenario("free"), seed=0)
+        result = fit(s, "se", Scenario("free"))
 
         # polish the located optimum to the gradient tolerance being checked
         def neg(z):

@@ -280,7 +280,7 @@ class TestSharedOptima:
 class TestRunBatch:
     def test_batch_of_one_equals_direct_fit(self):
         series = _toy_series_set(count=1)[0]
-        report = run_batch([series], scenario_set="synthetic", seed=7, restarts=2)
+        report = run_batch([series], scenario_set="synthetic", restarts=2)
         row = next(r for r in report.rows if r.scenario == "no_bounds")
         from shortgp.fitting import make_scenarios
 
@@ -290,9 +290,9 @@ class TestRunBatch:
 
     def test_order_independence(self):
         series_set = _toy_series_set(count=4)
-        fwd = run_batch(series_set, scenario_set="synthetic", seed=0, restarts=2)
-        # per-series seeds follow the set order, so compare by series id
-        rev = run_batch(series_set[::-1], scenario_set="synthetic", seed=0, restarts=2)
+        fwd = run_batch(series_set, scenario_set="synthetic", restarts=2)
+        # records come out in input order, so compare by series id
+        rev = run_batch(series_set[::-1], scenario_set="synthetic", restarts=2)
 
         def key(report):
             return {
@@ -300,10 +300,10 @@ class TestRunBatch:
                 for r in report.rows
             }
 
-        # identical per-series results require identical per-series seeds;
-        # reversal changes indices, so rerun with explicit index-stable check
-        again = run_batch(series_set, scenario_set="synthetic", seed=0, restarts=2)
+        # a rerun in the same order gives the same per-series results
+        again = run_batch(series_set, scenario_set="synthetic", restarts=2)
         assert key(fwd) == key(again)
+        assert key(rev) == key(fwd)
         assert rev.scenario_labels == fwd.scenario_labels
 
     def test_parallel_determinism_bitwise(self):
@@ -334,7 +334,7 @@ class TestRunBatch:
         t = np.linspace(0.0, 6.0, 7)
         ok = TimeSeries(t, sinc(t), noise_variances=np.full(7, 0.04), id="ok")
         bad = TimeSeries([1.0], [0.3], noise_variances=[0.04], id="bad")
-        # per-series seeds follow the set order: "ok" is second in both runs
+        # "ok" is second in both runs
         pair = run_batch([ok, ok], scenario_set=scenario_set, restarts=2)
         report = run_batch(
             [bad, ok], scenario_set=scenario_set, restarts=2, parallelism=parallelism
@@ -391,7 +391,7 @@ class TestRunBatch:
         assert all(math.isfinite(r.log_marginal_likelihood) for r in flat_rows[2:])
         for scenario in fitmod.SCENARIO_SETS[scenario_set](flat, "se")[:2]:
             with pytest.raises(ValueError, match="constant series"):
-                fit(flat, "se", scenario, seed=0)
+                fit(flat, "se", scenario)
 
     def test_all_short_series_labels_and_structure(self):
         # with no series long enough to fit, the labels and structural flags
@@ -700,7 +700,7 @@ class TestNestedSkip:
             )
             for k in range(8)
         ]
-        report = run_batch(series_set, scenario_set="expression", seed=3, restarts=2)
+        report = run_batch(series_set, scenario_set="expression", restarts=2)
         kept = 0
         for i, series in enumerate(series_set):
             expected, count = _oracle(
@@ -724,10 +724,10 @@ class TestNestedSkip:
         on_bound = Scenario("on_bound", length_scale_lower=l_free * (1.0 - 1e-7))
         below = Scenario("below", length_scale_lower=l_free * 0.5)
         calls = _count_fits(monkeypatch)
-        run_batch([series], scenario_set=[free, on_bound], seed=0, restarts=2)
+        run_batch([series], scenario_set=[free, on_bound], restarts=2)
         assert calls == ["free", "on_bound"]
         calls.clear()
-        report = run_batch([series], scenario_set=[free, below], seed=0, restarts=2)
+        report = run_batch([series], scenario_set=[free, below], restarts=2)
         assert calls == ["free"]
         assert [r.shared_from for r in report.rows] == [0, 0]
 
@@ -770,7 +770,7 @@ class TestFitsAcrossSeries:
         ids = [s.id for s in series_set for _ in range(4)]
         for parallelism in (1, 2):
             report = run_batch(
-                series_set, scenario_set, seed=4, restarts=2, parallelism=parallelism
+                series_set, scenario_set, restarts=2, parallelism=parallelism
             )
             assert [r.series_id for r in report.rows] == ids
             assert _row_fits(report.rows) == expected, parallelism
@@ -823,7 +823,7 @@ class TestStageRouting:
             expected += rows
             fitted += count
         stages, fits = _record_stages(monkeypatch)
-        report = run_batch(series_set, scenario_set, seed=2, restarts=2)
+        report = run_batch(series_set, scenario_set, restarts=2)
         assert _row_fits(report.rows) == expected
         # every call is one stage: one length and one scenario, and no stage
         # is split over two calls
@@ -1173,7 +1173,7 @@ class TestEmitPlotdata:
         t = np.linspace(0.0, 4.0, 5)
         series = TimeSeries(t, np.sin(t), noise_variances=np.zeros(5), id="s")
         scenario = Scenario("fx", noise_mode="fixed")
-        result = fit(series, "se", scenario, seed=0, restarts=2)
+        result = fit(series, "se", scenario, restarts=2)
         path = tmp_path / "plot.csv"
         emit_fit_plotdata(series, result, path, resolution=50)
         with open(path) as fh:
@@ -1193,7 +1193,7 @@ class TestEmitPlotdata:
         t = np.linspace(0.0, 4.0, 6)
         series = TimeSeries(t, np.cos(t), id="s")
         scenario = Scenario("free")
-        result = fit(series, "se", scenario, seed=1, restarts=2)
+        result = fit(series, "se", scenario, restarts=2)
         path = tmp_path / "plot.csv"
         emit_fit_plotdata(series, result, path, resolution=20, pad_fraction=0.0)
         with open(path) as fh:
