@@ -26,7 +26,6 @@ from .fitting import (
     likelihood_surface,
     make_expression_scenarios,
     make_scenarios,
-    profile_signal_variance,
     result_noise_model,
 )
 from .gp import (
@@ -103,7 +102,6 @@ __all__ = [
     "mse",
     "posterior_at",
     "predictive_log_likelihood",
-    "profile_signal_variance",
     "result_noise_model",
     "run_batch",
     "run_synthetic_experiment",

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``bound`` (length-scale lower bound for a sampling grid),
-``fit`` (single series from a CSV), ``synth`` (the synthetic benchmark
-sweep), ``batch`` (fit every series in a CSV) and ``plotdata`` (posterior
-curves for one fit).  A flat ``key = value`` config file can preset the
-synthetic protocol; command-line flags override it.
+``fit`` (single series from a CSV, and its posterior curves with
+``--plot-out``), ``synth`` (the synthetic benchmark sweep) and ``batch``
+(fit every series in a CSV).  A flat ``key = value`` config file can
+preset the synthetic protocol; command-line flags override it.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -52,20 +52,6 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
                         help="spectral energy fraction for the bound (default 0.99)")
 
 
-def _add_single_fit_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of ``fit`` and ``plotdata``: which series, which scenario,
-    how to fit it and the plot resolution."""
-    parser.add_argument("--input", required=True, help="input CSV path")
-    parser.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
-    parser.add_argument("--id", default=None, help="series id (default: first series)")
-    parser.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4,
-                        help="constraint scenario 1..4 (default 4: both bounds)")
-    parser.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
-                        default="synthetic")
-    parser.add_argument("--resolution", type=int, default=200)
-    _add_family_flags(parser)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="shortgp",
@@ -84,7 +70,15 @@ def _build_parser() -> _Parser:
     _add_family_flags(p_bound)
 
     p_fit = sub.add_parser("fit", help="fit one series from a CSV file")
-    _add_single_fit_flags(p_fit)
+    p_fit.add_argument("--input", required=True, help="input CSV path")
+    p_fit.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
+    p_fit.add_argument("--id", default=None, help="series id (default: first series)")
+    p_fit.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4,
+                       help="constraint scenario 1..4 (default 4: both bounds)")
+    p_fit.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
+                       default="synthetic")
+    p_fit.add_argument("--resolution", type=int, default=200)
+    _add_family_flags(p_fit)
     p_fit.add_argument("--plot-out", default=None,
                        help="also write posterior plot data to this CSV")
 
@@ -115,10 +109,6 @@ def _build_parser() -> _Parser:
     p_batch.add_argument("--parallelism", type=int, default=1)
     _add_family_flags(p_batch)
 
-    p_plot = sub.add_parser("plotdata", help="emit posterior curves for one fit")
-    _add_single_fit_flags(p_plot)
-    p_plot.add_argument("--out", required=True)
-
     return parser
 
 
@@ -142,18 +132,6 @@ def _select_series(args):
         if s.id == args.id:
             return s
     raise harness.CsvFormatError(f"series id {args.id!r} not found in input")
-
-
-def _single_fit(args):
-    """The ``fit``/``plotdata`` step: the selected series, its scenario and
-    the fit of that scenario."""
-    family, nu = _family(args.family, args.nu)
-    series = _select_series(args)
-    alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
-    scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
-    scenario = scenarios[args.scenario - 1]
-    result = fitmod.fit(series, family, scenario, nu=nu)
-    return series, scenario, result
 
 
 def _cmd_bound(args) -> int:
@@ -185,8 +163,13 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    series, scenario, result = _single_fit(args)
-    diag = fitmod.diagnose(result, series.sampling, scenario.alpha)
+    family, nu = _family(args.family, args.nu)
+    series = _select_series(args)
+    alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
+    scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
+    scenario = scenarios[args.scenario - 1]
+    result = fitmod.fit(series, family, scenario, nu=nu)
+    diag = fitmod.diagnose(result, series.sampling, alpha)
     print(f"series              {series.id!r} (n={len(series)})")
     print(f"scenario            {scenario.label}")
     print(f"length_scale        {result.kernel.length_scale!r}")
@@ -256,19 +239,11 @@ def _cmd_batch(args) -> int:
     return 0
 
 
-def _cmd_plotdata(args) -> int:
-    series, _, result = _single_fit(args)
-    harness.emit_fit_plotdata(series, result, args.out, args.resolution)
-    print(args.out)
-    return 0
-
-
 _COMMANDS = {
     "bound": _cmd_bound,
     "fit": _cmd_fit,
     "synth": _cmd_synth,
     "batch": _cmd_batch,
-    "plotdata": _cmd_plotdata,
 }
 
 

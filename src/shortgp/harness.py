@@ -950,19 +950,18 @@ def emit_fit_plotdata(
     result: fitmod.FitResult,
     out_path,
     resolution: int = 200,
-    pad_fraction: float = 0.1,
 ) -> None:
     """Write posterior curves for external plotting.
 
     Columns: time, mean, latent_sd, observed_sd, is_training_point,
-    training_value.  The grid spans the observation window padded by
-    ``pad_fraction`` on each side, with every training time included as its
-    own row.
+    training_value.  The grid spans the observation window padded by a
+    tenth of its span on each side, with every training time included as
+    its own row.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     noise = fitmod.result_noise_model(result, series)
-    pad = pad_fraction * series.span
+    pad = 0.1 * series.span
     grid = np.linspace(series.times[0] - pad, series.times[-1] + pad, int(resolution))
     train = series.times
     all_times = np.concatenate([grid, train])

@@ -5,8 +5,8 @@ what depends on the times alone: the matrix of pairwise distances
 |t_i - t_j| (:attr:`TimeSeries.distances`).  It is computed once per series,
 on first use, because a fit evaluates the likelihood a hundred or more
 times and at n <= 15 rebuilding the matrix costs about as much as a
-kernel evaluation.  The sample variance of the values, from which a fit
-draws its starts, is cached the same way
+kernel evaluation.  The sample variance of the values, whose overflow
+marks a series no fit can start on, is cached the same way
 (:attr:`TimeSeries.sample_variance`), and so are the sampling facts of the
 times, which the bound, the starts, the scenarios and the reports all read:
 the sampling interval (the smallest gap, :attr:`TimeSeries.sampling`) and

@@ -7,6 +7,7 @@ import pytest
 from shortgp import harness
 from shortgp.bound import length_scale_bound
 from shortgp.cli import main
+from shortgp.fitting import fit, make_scenarios
 from shortgp.harness import SyntheticConfig, export_csv, generate_sinc_series
 
 
@@ -350,8 +351,6 @@ class TestBatchCommand:
     [
         ("fit", "--seed"),
         ("fit", "--restarts"),
-        ("plotdata", "--seed"),
-        ("plotdata", "--restarts"),
         ("synth", "--restarts"),
         ("batch", "--seed"),
         ("batch", "--restarts"),
@@ -363,7 +362,6 @@ def test_fit_seed_and_restarts_flags_are_usage_errors(command, flag, variance_cs
     out_dir = tmp_path / "report"
     argv = {
         "fit": ["--input", str(variance_csv), "--plot-out", str(out_dir / "curves.csv")],
-        "plotdata": ["--input", str(variance_csv), "--out", str(out_dir / "curves.csv")],
         "synth": ["--n-grid", "5", "--replicates", "2", "--out-dir", str(out_dir)],
         "batch": ["--input", str(variance_csv), "--out-dir", str(out_dir)],
     }[command]
@@ -374,17 +372,18 @@ def test_fit_seed_and_restarts_flags_are_usage_errors(command, flag, variance_cs
 
 class TestPlotdataCommand:
     def test_writes_curves(self, sinc_csv, tmp_path, capsys):
+        # fit --plot-out writes the curves of the fit it prints
         out = tmp_path / "curves.csv"
         rc = main(
             [
-                "plotdata",
+                "fit",
                 "--input",
                 str(sinc_csv),
                 "--scenario",
                 "2",
                 "--resolution",
                 "40",
-                "--out",
+                "--plot-out",
                 str(out),
             ]
         )
@@ -392,6 +391,17 @@ class TestPlotdataCommand:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 47
+        series = harness.ingest_csv(sinc_csv)[0]
+        result = fit(series, "se", make_scenarios(series, "se")[1])
+        expected = tmp_path / "expected.csv"
+        harness.emit_fit_plotdata(series, result, expected, 40)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_the_removed_command_is_a_usage_error(self, sinc_csv, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        assert main(["plotdata", "--input", str(sinc_csv), "--out", str(out)]) == 1
+        assert "invalid choice: 'plotdata'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -39,8 +39,6 @@ class TestScenario:
             Scenario("bad", noise_mode="bounded", noise_lower=0.1, noise_upper=0.01)
         with pytest.raises(ValueError):
             Scenario("bad", noise_mode="sometimes")
-        with pytest.raises(ValueError):
-            Scenario("bad", alpha=1.5)
 
 
 _ESTIMATED = Scenario("estimated", 1.0, 5.0)
@@ -650,6 +648,7 @@ class TestGridStarts:
             ([(series, scenario), (flat, scenario)], "se", None),
             ([(series, scenario)], "matern", 3.7),
             ([(series, scenario)], "cubic", None),
+            ([(series, scenario)], "se", 1.5),
         ):
             with pytest.raises(ValueError):
                 fitting._lockstep(problems, family, nu)
@@ -759,7 +758,7 @@ class TestLikelihoodSurface:
         [[value]] = fitting.likelihood_surface(series, "se", [l], [sn2])
         for sf2 in (7.48e4, 9.82e6):
             assert value >= log_marginal_likelihood(series, KernelSpec.se(sf2, l), noise) - 1e-6
-        assert fitting.profile_signal_variance(series, "se", l, noise) > 1e6
+        assert fitting._profiled_signal_variances(series, "se", [l], [sn2], None)[0, 0] > 1e6
 
     def test_each_cell_is_a_maximum_in_sf2(self):
         from shortgp.gp import log_marginal_likelihood
@@ -778,13 +777,6 @@ class TestLikelihoodSurface:
                     for sf2 in np.logspace(-6, 6, 121)
                 ]
                 assert surface[i, j] >= max(scan) - 1e-9
-
-    def test_fixed_noise_has_no_profile(self):
-        from shortgp.series import NoiseModel
-
-        series = _sinc_series(n=7)
-        with pytest.raises(ValueError, match="estimated noise"):
-            fitting.profile_signal_variance(series, "se", 1.0, NoiseModel.fixed(np.ones(7)))
 
 
 class TestDiagnose:

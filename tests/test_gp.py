@@ -233,14 +233,14 @@ class TestGradient:
         assert abs(-res.fun - result.log_marginal_likelihood) < 1e-4
 
     def test_signal_variance_gradient_zero_at_profile_optimum(self):
-        from shortgp.fitting import profile_signal_variance
+        from shortgp.fitting import _profiled_signal_variances
 
         rng = np.random.default_rng(3)
         t = np.sort(rng.uniform(0.0, 6.0, 8))
         y = rng.normal(size=8)
         s = TimeSeries(t, y)
         noise = NoiseModel.estimated(0.05)
-        sf2 = profile_signal_variance(s, "se", 1.2, noise)
+        sf2 = _profiled_signal_variances(s, "se", [1.2], [noise.variance], None)[0, 0]
         grad = log_marginal_likelihood_and_gradient(s, _se(sf2, 1.2), noise)[1]
         assert abs(grad[0]) <= 1e-6
 

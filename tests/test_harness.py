@@ -101,7 +101,8 @@ def _record_calls(monkeypatch, module, *names):
 
 class TestRunSyntheticExperiment:
     @pytest.mark.parametrize(
-        "kwargs", [{"restarts": 0}, {"family": "matern", "nu": 0.7}, {"alpha": 1.5}]
+        "kwargs",
+        [{"restarts": 0}, {"family": "matern", "nu": 0.7}, {"alpha": 1.5}, {"nu": 1.5}],
     )
     def test_settings_fitting_rejects_raise_before_any_draw(self, monkeypatch, kwargs):
         fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
@@ -442,6 +443,12 @@ class TestRunBatch:
         fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
         with pytest.raises(ValueError, match="alpha"):
             run_batch(_toy_series_set(count=2), scenario_set=[Scenario("free")], alpha=1.5)
+        assert fits == []
+
+    def test_nu_with_the_se_family_raises_before_any_fit(self, monkeypatch):
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        with pytest.raises(ValueError, match="nu applies only to the Matern family"):
+            run_batch(_toy_series_set(count=2), family="se", nu=2.5)
         assert fits == []
 
     @pytest.mark.parametrize(
@@ -1195,7 +1202,7 @@ class TestEmitPlotdata:
         scenario = Scenario("free")
         result = fit(series, "se", scenario, restarts=2)
         path = tmp_path / "plot.csv"
-        emit_fit_plotdata(series, result, path, resolution=20, pad_fraction=0.0)
+        emit_fit_plotdata(series, result, path, resolution=20)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         grid_rows = [r for r in rows if r["is_training_point"] == "0"]
