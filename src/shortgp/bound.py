@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,7 +150,11 @@ def matern_energy_fraction(nu: float, length_scale: float, delta_t: float) -> fl
     return _clamp_unit(float(betainc(0.5, nu, x2 / (x2 + 2.0 * nu))))
 
 
-def _matern_bound(nu: float, alpha: float, delta_t: float) -> float:
+@lru_cache(maxsize=256)
+def _matern_tail_point(nu: float, alpha: float) -> float:
+    """w = I^-1(1 - alpha; nu, 1/2), which does not depend on dt: cached,
+    so series of many sampling intervals invert the tail once per
+    (nu, alpha).  A BoundError is raised, and not cached, on every call."""
     tail = 1.0 - alpha
     w = float(betaincinv(nu, 0.5, tail))
     # betaincinv saturates silently (at the smallest normal double) when the
@@ -160,6 +165,11 @@ def _matern_bound(nu: float, alpha: float, delta_t: float) -> float:
             f"Matern(nu={nu!r}) bound at alpha={alpha!r} is beyond double "
             "precision"
         )
+    return w
+
+
+def _matern_bound(nu: float, alpha: float, delta_t: float) -> float:
+    w = _matern_tail_point(nu, alpha)
     return delta_t / math.pi * math.sqrt(2.0 * nu * (1.0 - w) / w)
 
 

@@ -77,7 +77,8 @@ def _build_parser() -> _Parser:
                        help="constraint scenario 1..4 (default 4: both bounds)")
     p_fit.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                        default="synthetic")
-    p_fit.add_argument("--resolution", type=int, default=200)
+    p_fit.add_argument("--resolution", type=int, default=None,
+                       help="rows of the --plot-out time grid, >= 2 (default 200)")
     _add_family_flags(p_fit)
     p_fit.add_argument("--plot-out", default=None,
                        help="also write posterior plot data to this CSV")
@@ -164,6 +165,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_fit(args) -> int:
     family, nu = _family(args.family, args.nu)
+    if args.resolution is not None:
+        if not args.plot_out:
+            raise _UsageError("--resolution applies only with --plot-out")
+        if args.resolution < 2:
+            raise _UsageError("--resolution must be >= 2")
     series = _select_series(args)
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
     scenarios = fitmod.SCENARIO_SETS[args.scenario_set](series, family, alpha, nu)
@@ -182,7 +188,8 @@ def _cmd_fit(args) -> int:
     print(f"flag_short_length   {diag.length_scale_below_bound}")
     print(f"flag_tiny_noise     {diag.tiny_noise}")
     if args.plot_out:
-        harness.emit_fit_plotdata(series, result, args.plot_out, args.resolution)
+        resolution = () if args.resolution is None else (args.resolution,)
+        harness.emit_fit_plotdata(series, result, args.plot_out, *resolution)
         print(f"plot_data           {args.plot_out}")
     return 0
 

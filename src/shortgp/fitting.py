@@ -15,16 +15,18 @@ The likelihood of a short series is multimodal, so the start decides which
 optimum a fit finds.  Every fit starts from one point: the argmax of a
 64 x 64 grid of length-scale and noise-to-signal ratio lambda = sn2 / sf2
 (:func:`_grid_starts`).  One ``eigh`` of the correlation matrix per grid
-length-scale serves every ratio and every series of one time grid.  With
+length-scale serves every ratio, every series and every length-scale box
+of one time grid: a box reads the grid's length-scales inside it, plus one
+length-scale at each finite, nonzero edge (the Nyquist floor a_l).  With
 estimated or bounded noise the grid profiles sf2 in closed form per cell;
 with fixed per-point noise it stands their mean d for the noise, so sf2 =
 d / lambda, which is exact when every variance is d.  L-BFGS-B then
 polishes the grid's best cell on the exact likelihood.  A fit also starts
 from any ``extra_starts`` it is given.  The eigendecompositions, and each
 series' quadratic forms over the grid, can be kept in a dict (``spectra``)
-that later fits of the same time grid and length-scale box reuse; the
-harness keeps one per group of series.  The grid also gives
-:func:`likelihood_surface` its profiled signal variance.
+that later fits of the same time grid reuse; the harness keeps one per
+group of series.  The grid also gives :func:`likelihood_surface` its
+profiled signal variance.
 
 Each run drives L-BFGS-B's reverse-communication routine ``setulb``
 directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
@@ -53,8 +55,8 @@ errors.
 
 The lockstep runs over problems, not only over the starts of one:
 :func:`_lockstep` fits any number of (series, scenario) problems at once.
-It takes each problem's grid start from the spectrum of its time grid and
-length-scale box, and a round's points from series of one length and one
+It takes each problem's grid start from the spectra of its time grid and
+box edges, and a round's points from series of one length and one
 noise mode go to one batched call.  :func:`fit` is its one-problem case,
 with the same bits.  The harness makes one call per stage, to
 :func:`_fit_problems`: one scenario of many series of one length, with one
@@ -458,13 +460,19 @@ def _fit_problems(
         return [None]
 
 
-# The likelihood grid of a fit's start: _GRID_SIZE length-scales,
-# log-spaced from the box's floor (a twentieth of the smallest gap where
-# the box has none) to _GRID_SPANS spans, by _GRID_SIZE noise-to-signal
-# ratios lambda = sn2 / sf2.
+# The likelihood grid of a fit's start: _GRID_SIZE length-scales of the
+# time grid, log-spaced from a twentieth of its smallest gap to _GRID_SPANS
+# spans, by _GRID_SIZE noise-to-signal ratios lambda = sn2 / sf2.
 _GRID_SIZE = 64
 _GRID_SPANS = 100.0
 _GRID_RATIOS = np.logspace(-8.0, 3.0, _GRID_SIZE)
+
+
+def _grid_length_scales(series: TimeSeries) -> np.ndarray:
+    """The start grid's length-scales on ``series``' time grid."""
+    lo = series.sampling.delta_t / 20.0
+    hi = min(_GRID_SPANS * series.span, 1e300)
+    return np.geomspace(lo, max(hi, lo), _GRID_SIZE)
 
 
 def _correlation_eigh(family: str, nu: float | None, distances, length_scales):
@@ -479,18 +487,22 @@ def _correlation_eigh(family: str, nu: float | None, distances, length_scales):
 
 @dataclass
 class _Spectrum:
-    """What the start grid of one time grid and length-scale box needs: the
-    grid length-scales (L,), the eigenvalues e (L, n) and eigenvectors V
+    """What the start grid needs of one time grid at L length-scales: the
+    length-scales (L,), the eigenvalues e (L, n) and eigenvectors V
     (L, n, n) of C_l, log|C_l + lambda I| (L, lambda), and each series'
     q = y^T (C_l + lambda I)^-1 y (L, lambda), keyed by the bytes of its
-    values.
+    values.  A time grid has one at the grid's 64 length-scales, and one at
+    each length-scale box edge that its problems read (see
+    :func:`_grid_starts`).
 
-    q is cached per series because every scenario of the series on this
-    box reads it.  Computing q per problem, from a reciprocal array kept
-    here or rebuilt per call, gives the same bits but lost about 7 % of
-    ``batch`` fits/s (2-core VM).  The cache costs 64 x 64 floats per series
-    and box for a group's life: 256 series of one grid peak at 63 MB RSS,
-    against 56 MB without it."""
+    q is cached per series because every scenario of the series reads it.
+    Computing q per problem, from a reciprocal array kept here or rebuilt
+    per call, gives the same bits but lost about 7 % of ``batch`` fits/s
+    (2-core VM).  The cache costs 64 x 64 floats per series, and 64 per
+    series and box edge, for a group's life: ``run_batch`` of 256 series of
+    15 points on one time grid (the ``synthetic`` set, one group) peaks at
+    62.2 MB RSS, against 63.5 MB when q was kept per series and
+    length-scale box (``resource.getrusage`` in a fresh interpreter)."""
 
     length_scales: np.ndarray
     e: np.ndarray
@@ -499,18 +511,19 @@ class _Spectrum:
     q: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, family: str, nu: float | None, series: TimeSeries, lower: float,
-              upper: float) -> "_Spectrum":
-        """The spectrum of ``series``' time grid in the length-scale box
-        [lower, upper]; q is filled later."""
-        lo = lower or series.sampling.delta_t / 20.0
-        hi = min(_GRID_SPANS * series.span, upper, 1e300)
-        ls = np.geomspace(lo, max(hi, lo), _GRID_SIZE)
-        e, v = _correlation_eigh(family, nu, series.distances, ls)
+    def build(cls, family: str, nu: float | None, series: TimeSeries,
+              length_scales: np.ndarray) -> "_Spectrum":
+        """The spectrum of ``series``' time grid at ``length_scales``; q is
+        filled later."""
+        e, v = _correlation_eigh(family, nu, series.distances, length_scales)
         # log|C_l + lambda I| one eigenvalue at a time, so that the grid's
         # one (l, i, lambda) array is 1 / (e_i + lambda)
-        logdet = sum(np.log(e[:, i, None] + _GRID_RATIOS) for i in range(len(series)))
-        return cls(ls, e, v, logdet)
+        logdet = np.log(e[:, 0, None] + _GRID_RATIOS)
+        term = np.empty_like(logdet)
+        for i in range(1, len(series)):
+            np.add(e[:, i, None], _GRID_RATIOS, out=term)
+            logdet += np.log(term, out=term)
+        return cls(length_scales, e, v, logdet)
 
     def fill(self, series_set) -> None:
         """q of every series of ``series_set`` that has none yet.  The
@@ -535,8 +548,8 @@ def _grid_starts(
     setups: list[_Problem], family: str, nu: float | None, spectra: dict | None = None
 ) -> list[tuple]:
     """The start (sf2, l, sn2) of each problem, with the grid's log
-    marginal likelihood there as a fourth element: the argmax over the grid
-    of length-scales by ``_GRID_RATIOS``.
+    marginal likelihood there as a fourth element: the argmax over the
+    length-scales of its box by ``_GRID_RATIOS``.
 
     With lambda = sn2 / sf2, K = sf2 (C_l + lambda I).  With
     C_l = V diag(e) V^T and p = V^T y, y^T (C_l + lambda I)^-1 y is
@@ -549,31 +562,52 @@ def _grid_starts(
     variance is d.  Where d is 0 they take the estimated-noise profile
     sf2 = q / n.
 
-    One ``eigh`` per grid length-scale thus serves every ratio and every
-    series of one time grid.  The :class:`_Spectrum` of each (time grid,
-    length-scale box) is kept in ``spectra`` (a dict, or a new one), so a
-    later call reuses it, and each series' q in it.  A start depends on its
-    own series and scenario alone, not on its group-mates or on what
-    ``spectra`` held; ties go to the smaller l, then the smaller lambda.
+    One ``eigh`` per grid length-scale thus serves every ratio, every
+    series and every length-scale box of one time grid.  A box [lo, hi]
+    reads the grid's length-scales that lie in it, and one length-scale at
+    each of its edges that is finite and nonzero (the floor a_l, and the
+    ceiling of a box with a finite upper edge), in ascending order.  The
+    :class:`_Spectrum` of each time grid, and of each (time grid, edge), is
+    kept in ``spectra`` (a dict, or a new one), so a later call reuses it,
+    and each series' q in it.  A start depends on its own series and
+    scenario alone, not on its group-mates or on what ``spectra`` held;
+    ties go to the smaller l, then the smaller lambda.
     """
     if spectra is None:
         spectra = {}
-    keys = [
-        (family, nu, setup.series.times.tobytes(), *setup.scenario.box[0]) for setup in setups
-    ]
-    groups: dict[tuple, list[_Problem]] = {}
-    for key, setup in zip(keys, setups):
-        groups.setdefault(key, []).append(setup)
-    for key, members in groups.items():
+    # The keys of the spectra each problem reads, in ascending l: its
+    # floor's (when the box has one), its time grid's, its ceiling's (when
+    # the box has one).  An edge's key ends with its length-scale.
+    keys = []
+    members: dict[tuple, list[TimeSeries]] = {}
+    for setup in setups:
+        grid = (family, nu, setup.series.times.tobytes())
+        lo, hi = setup.scenario.box[0]
+        floor = [(*grid, lo)] if lo > 0.0 else []
+        ceiling = [(*grid, hi)] if hi < math.inf else []
+        keys.append([*floor, grid, *ceiling])
+        for key in keys[-1]:
+            members.setdefault(key, []).append(setup.series)
+    for key, series_set in members.items():
         if key not in spectra:
-            first = members[0]
-            spectra[key] = _Spectrum.build(family, nu, first.series, *first.scenario.box[0])
-        spectra[key].fill([setup.series for setup in members])
+            first = series_set[0]
+            ls = np.array(key[3:]) if key[3:] else _grid_length_scales(first)
+            spectra[key] = _Spectrum.build(family, nu, first, ls)
+        spectra[key].fill(series_set)
     starts = []
-    for key, setup in zip(keys, setups):
-        series, scenario, spectrum = setup.series, setup.scenario, spectra[key]
+    for own, setup in zip(keys, setups):
+        series, scenario = setup.series, setup.scenario
         n = len(series)
-        q = spectrum.q[series.values.tobytes()]
+        lo, hi = scenario.box[0]
+        y = series.values.tobytes()
+        parts = []
+        for key in own:
+            spectrum = spectra[key]
+            ls = spectrum.length_scales
+            # the rows in [lo, hi], as ls ascends
+            rows = slice(np.searchsorted(ls, lo), np.searchsorted(ls, hi, "right"))
+            parts.append((ls[rows], spectrum.logdet[rows], spectrum.q[y][rows]))
+        ls, logdet, q = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             mean_noise = 0.0 if setup.estimate_noise else float(np.mean(series.noise_variances))
             if mean_noise > 0.0:
@@ -583,13 +617,12 @@ def _grid_starts(
             if scenario.noise_mode == NOISE_BOUNDED:
                 sf2 = np.clip(sf2, scenario.noise_lower / _GRID_RATIOS,
                               scenario.noise_upper / _GRID_RATIOS)
-            lml = -0.5 * (q / sf2 + n * np.log(sf2) + spectrum.logdet + n * gp._LOG_2PI)
+            lml = -0.5 * (q / sf2 + n * np.log(sf2) + logdet + n * gp._LOG_2PI)
         lml[np.isnan(lml)] = -np.inf
         j, k = divmod(int(np.argmax(lml)), _GRID_SIZE)
         best = float(sf2[j, k])
         starts.append(
-            (best, float(spectrum.length_scales[j]), float(_GRID_RATIOS[k] * best),
-             float(lml[j, k]))
+            (best, float(ls[j]), float(_GRID_RATIOS[k] * best), float(lml[j, k]))
         )
     return starts
 

@@ -286,13 +286,7 @@ def predictive_log_likelihood(
     ``PREDICTIVE_VARIANCE_FLOOR`` before the log.
     """
     post = posterior_at(series, kernel, noise, test_times)
-    y = np.atleast_1d(np.asarray(test_values, dtype=float))
-    if y.shape != post.mean.shape:
-        raise ValueError("test_times and test_values must have equal length")
-    var = np.maximum(post.variance_latent, PREDICTIVE_VARIANCE_FLOOR)
-    return float(
-        np.sum(-0.5 * np.log(2.0 * math.pi * var) - (y - post.mean) ** 2 / (2.0 * var))
-    )
+    return _held_out_scores(post, test_values, "test_values")[0]
 
 
 def mse(
@@ -304,7 +298,18 @@ def mse(
 ) -> float:
     """Mean squared difference between posterior mean and true values."""
     post = posterior_at(series, kernel, noise, test_times)
-    y = np.atleast_1d(np.asarray(true_values, dtype=float))
+    return _held_out_scores(post, true_values, "true_values")[1]
+
+
+def _held_out_scores(post: Posterior, values, name: str) -> tuple[float, float]:
+    """(:func:`predictive_log_likelihood`, :func:`mse`) of ``values`` under
+    the posterior ``post`` at the test times; ValueError, naming the
+    argument ``name``, unless ``values`` has one value per test time."""
+    y = np.atleast_1d(np.asarray(values, dtype=float))
     if y.shape != post.mean.shape:
-        raise ValueError("test_times and true_values must have equal length")
-    return float(np.mean((post.mean - y) ** 2))
+        raise ValueError(f"test_times and {name} must have equal length")
+    var = np.maximum(post.variance_latent, PREDICTIVE_VARIANCE_FLOOR)
+    log_density = float(
+        np.sum(-0.5 * np.log(2.0 * math.pi * var) - (y - post.mean) ** 2 / (2.0 * var))
+    )
+    return log_density, float(np.mean((post.mean - y) ** 2))

@@ -29,9 +29,7 @@ import csv
 import ctypes
 import importlib
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -283,8 +281,9 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
     A task is ``(series, scenarios, n_label, replicate)``.  Each series'
     scenarios are fitted in list order, and scenario k of every series
     together: their problems go to one stage.  The stages share one dict of
-    spectra (``fitting._grid_starts``), so a time grid's eigendecomposition
-    in one length-scale box, and each series' quadratic forms on it, are
+    spectra (``fitting._grid_starts``), so a time grid's eigendecompositions
+    (at the start grid's length-scales, shared by every length-scale box,
+    and at each box edge), and each series' quadratic forms on them, are
     computed once per group.  A scenario has no fit of its own when all of
     its starts fail, when the series cannot be fitted under it
     (``fitting._no_fit_reason``; its record is then failed), or when it is
@@ -401,14 +400,8 @@ def _series_records(
         if scored:
             if source not in metrics:
                 noise = fitmod.result_noise_model(result, series)
-                args = (
-                    series,
-                    result.kernel,
-                    noise,
-                    settings.test_times,
-                    settings.test_values,
-                )
-                metrics[source] = (gp.predictive_log_likelihood(*args), gp.mse(*args))
+                post = gp.posterior_at(series, result.kernel, noise, settings.test_times)
+                metrics[source] = gp._held_out_scores(post, settings.test_values, "test_values")
             rec["predictive_log_likelihood"], rec["mse"] = metrics[source]
         records.append(rec)
 
@@ -509,6 +502,10 @@ def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[Repl
         finally:
             restore()
     else:
+        # imported here: a serial run never pays for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = max(1, len(groups) // (parallelism * 4))
         context = (
             multiprocessing.get_context("fork")

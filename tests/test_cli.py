@@ -397,6 +397,26 @@ class TestPlotdataCommand:
         harness.emit_fit_plotdata(series, result, expected, 40)
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--resolution", "1", "--plot-out", "curves.csv"], "--resolution must be >= 2"),
+            (["--resolution", "40"], "--resolution applies only with --plot-out"),
+        ],
+        ids=["below-two", "without-plot-out"],
+    )
+    def test_resolution_usage_errors_come_before_the_fit(
+        self, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        # raised before the CSV is read: the input does not exist, nothing is
+        # printed, and no file is written
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--input", str(tmp_path / "missing.csv"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_the_removed_command_is_a_usage_error(self, sinc_csv, tmp_path, capsys):
         out = tmp_path / "curves.csv"
         assert main(["plotdata", "--input", str(sinc_csv), "--out", str(out)]) == 1

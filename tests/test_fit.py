@@ -695,25 +695,100 @@ class TestGridStarts:
 
     @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
     def test_one_eigh_per_time_grid_and_box(self, monkeypatch, scenario_set):
-        # the stages of a group share their spectra: a group on one time
-        # grid, whose scenarios have two length-scale boxes, makes at most
-        # two eigendecompositions, one per box
+        # the stages of a group share their spectra: a group on two time
+        # grids decomposes one stack of the grid's 64 length-scales per time
+        # grid and one matrix per distinct box edge (here a grid's floor
+        # a_l), and its spectra hold all of them after the four stages
         from shortgp.harness import run_batch
 
-        eigh = fitting._correlation_eigh
-        floors = []
+        eigh, fit_problems = fitting._correlation_eigh, fitting._fit_problems
+        stacks, held = [], []
 
         def counting(family, nu, distances, length_scales):
-            floors.append(float(length_scales[0]))
+            stacks.append(length_scales.tolist())
             return eigh(family, nu, distances, length_scales)
 
+        def capturing(problems, family, nu, spectra=None):
+            held.append(spectra)
+            return fit_problems(problems, family, nu, spectra)
+
         monkeypatch.setattr(fitting, "_correlation_eigh", counting)
-        series = [_sinc_series(n=7, rep=rep) for rep in range(6)]
-        series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
+        monkeypatch.setattr(fitting, "_fit_problems", capturing)
+        base = [_sinc_series(n=7, rep=rep) for rep in range(3)]
+        series = [
+            TimeSeries(s.times * scale, s.values, np.full(7, 0.09), id=f"{scale}-{i}")
+            for scale in (1.0, 1.5)
+            for i, s in enumerate(base)
+        ]
         report = run_batch(series, scenario_set)
         assert not any(r.failed for r in report.rows)
-        assert 1 <= len(floors) <= 2
-        assert len(set(floors)) == len(floors)
+        grids = {s.times.tobytes(): s for s in series}
+        floors = {make_scenarios(s, "se")[1].length_scale_lower for s in grids.values()}
+        full = [ls for ls in stacks if len(ls) == fitting._GRID_SIZE]
+        rows = [ls[0] for ls in stacks if len(ls) == 1]
+        assert len(full) + len(rows) == len(stacks)
+        assert sorted(ls[0] for ls in full) == sorted(
+            s.sampling.delta_t / 20.0 for s in grids.values()
+        )
+        assert len(set(rows)) == len(rows) and set(rows) <= floors
+        assert sum(map(len, stacks)) == fitting._GRID_SIZE * len(grids) + len(rows)
+        # one dict for the group, which holds what was decomposed
+        assert len({id(spectra) for spectra in held}) == 1
+        spectra = held[0]
+        kept = sorted(spectrum.length_scales.tolist() for spectrum in spectra.values())
+        assert kept == sorted(stacks)
+        for s in series:
+            key = ("se", None, s.times.tobytes())
+            assert spectra[key].q[s.values.tobytes()].shape == (
+                fitting._GRID_SIZE, fitting._GRID_SIZE
+            )
+
+    def test_logdet_summed_in_eigenvalue_order(self):
+        # log|C_l + lambda I| is summed in place, one eigenvalue at a time:
+        # the bits of the plain sum in that order
+        for n in (2, 7, 15):
+            series = _sinc_series(n=n)
+            spectrum = fitting._Spectrum.build(
+                "se", None, series, fitting._grid_length_scales(series)
+            )
+            expected = sum(
+                np.log(spectrum.e[:, i, None] + fitting._GRID_RATIOS) for i in range(n)
+            )
+            assert spectrum.logdet.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (0.5, 3.0),  # inside the grid's range, both edges finite
+            (0.0, 2.0),  # a ceiling and no floor
+            (1e-4, 1e-3),  # wholly below the grid's range
+            (0.0, 1e-3),
+            (1e4, 1e5),  # wholly above it
+            (1e4, math.inf),
+        ],
+    )
+    @pytest.mark.parametrize("noise", ["estimated", "bounded"])
+    def test_explicit_boxes_start_inside(self, family, nu, lower, upper, noise):
+        # every box takes its start from the grid's length-scales inside it
+        # and a length-scale at each finite, nonzero edge, so the start lies
+        # in the box, and its value is the likelihood there
+        from shortgp.gp import log_marginal_likelihood
+        from shortgp.kernels import KernelSpec
+        from shortgp.series import NoiseModel
+
+        bounds = (0.01, 0.1) if noise == "bounded" else (None, None)
+        scenario = Scenario("box", lower, upper, noise, *bounds)
+        for n, rep in ((5, 0), (9, 3)):
+            series = _sinc_series(n=n, rep=rep)
+            sf2, l, sn2, value = _grid_start_of((series, scenario), family, nu)
+            assert lower <= l <= upper
+            grid = fitting._grid_length_scales(series)
+            if not np.any((lower <= grid) & (grid <= upper)):
+                assert l in (lower, upper)
+            kernel = KernelSpec.se(sf2, l) if nu is None else KernelSpec.matern(nu, sf2, l)
+            exact = log_marginal_likelihood(series, kernel, NoiseModel.estimated(sn2))
+            assert value == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize(
         "variances, optima",
