@@ -12,8 +12,8 @@ it exactly.  Starts, convergence thresholds and tie-breaking are all
 deterministic: no fit draws a random number.
 
 The likelihood of a short series is multimodal, so the start decides which
-optimum a fit finds.  Every fit starts from one point: the argmax of a
-64 x 64 grid of length-scale and noise-to-signal ratio lambda = sn2 / sf2
+optimum a fit finds.  A fit starts from the argmax of a 64 x 64 grid of
+length-scale and noise-to-signal ratio lambda = sn2 / sf2
 (:func:`_grid_starts`).  One ``eigh`` of the correlation matrix per grid
 length-scale serves every ratio, every series and every length-scale box
 of one time grid: a box reads the grid's length-scales inside it, plus one
@@ -21,12 +21,12 @@ length-scale at each finite, nonzero edge (the Nyquist floor a_l).  With
 estimated or bounded noise the grid profiles sf2 in closed form per cell;
 with fixed per-point noise it stands their mean d for the noise, so sf2 =
 d / lambda, which is exact when every variance is d.  L-BFGS-B then
-polishes the grid's best cell on the exact likelihood.  A fit also starts
-from any ``extra_starts`` it is given.  The eigendecompositions, and each
-series' quadratic forms over the grid, can be kept in a dict (``spectra``)
-that later fits of the same time grid reuse; the harness keeps one per
-group of series.  The grid also gives :func:`likelihood_surface` its
-profiled signal variance.
+polishes the grid's best cell on the exact likelihood.  A fit can be
+given ``extra_starts`` too; each runs as a problem of its own (see below).
+The eigendecompositions, and each series' quadratic forms over the grid,
+can be kept in a dict (``spectra``) that later fits of the same time grid
+reuse; the harness keeps one per group of series.  The grid also gives
+:func:`likelihood_surface` its profiled signal variance.
 
 Each run drives L-BFGS-B's reverse-communication routine ``setulb``
 directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
@@ -39,26 +39,28 @@ the last evaluated point, so iterates, ``nit`` and ``nfev`` are scipy's.
 (:func:`shortgp._compiled.extension`), so no module imports the
 ``scipy.optimize`` package and its solvers.
 
-The runs of one fit, one per start, go in lockstep
-(:func:`_minimize_lockstep`): one ``setulb`` state per start, advanced
-together round by round.  Each round every running member goes on until it
-asks for a new point or stops, and the points asked for are evaluated by
-one objective.  It maps each point to natural units once and hands two or
-more of them to :func:`shortgp.gp._lml_and_grad_batch` as one parameter
-array, which shares the Python glue and the small-array work of a
-likelihood call among the members.  The batch gives each member the bits a
+Runs go in lockstep (:func:`_minimize_lockstep`): one ``setulb`` state
+per run, advanced together round by round.  Each round every running
+member goes on until it asks for a new point or stops, and the points
+asked for are evaluated by one objective.  It maps each point to natural
+units once and hands two or more of them to
+:func:`shortgp.gp._lml_and_grad_batch` as one parameter array, which
+shares the Python glue and the small-array work of a likelihood call among
+the members.  The batch gives each member the bits a
 call of its own gives, so every run takes the path it takes alone.  A lone
 point, and a member whose K is not finite or needs jitter, go to
 :func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
 costs more than a call, and that function owns the jitter ladder and the
 errors.
 
-The lockstep runs over problems, not only over the starts of one:
-:func:`_lockstep` fits any number of (series, scenario) problems at once.
-It takes each problem's grid start from the spectra of its time grid and
-box edges, and a round's points from series of one length and one
-noise mode go to one batched call.  :func:`fit` is its one-problem case,
-with the same bits.  The harness makes one call per stage, to
+The lockstep runs over problems: :func:`_lockstep` fits any number of
+(series, scenario) problems at once, one start and one L-BFGS-B run per
+problem.  A problem starts from its grid argmax, taken from the spectra of
+its time grid and box edges, or from a start the caller gives, and a
+round's points from series of one length and one noise mode go to one
+batched call.  :func:`fit` makes one problem for its grid start and one
+sibling problem (same series and scenario) per extra start, in one
+lockstep, and keeps the best run.  The harness makes one call per stage, to
 :func:`_fit_problems`: one scenario of many series of one length, with one
 dict of spectra for all the stages of a group.  An evaluation that
 overflows a float (a power of a huge length-scale) is a failed evaluation;
@@ -76,8 +78,7 @@ benchmark times the engine's stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,10 +206,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best constrained maximum-likelihood solution among a fit's starts.
+    """Best constrained maximum-likelihood solution among a fit's runs.
 
-    ``restarts_used`` counts the starts whose run ended on a usable point:
-    at most 1, the grid start, plus the extra starts."""
+    ``restarts_used`` counts the runs that ended on a usable point: at most
+    1, the grid start's, plus one per extra start."""
 
     kernel: KernelSpec
     noise_variance: float | None  # None when the scenario fixes per-point noise
@@ -225,13 +226,6 @@ class Diagnostics:
     length_scale_below_bound: bool
     tiny_noise: bool
     thresholds: dict[str, float] = field(default_factory=dict)
-
-
-@lru_cache(maxsize=4096)
-def _reference_lower_bound(
-    family: str, nu: float | None, alpha: float, delta_t: float
-) -> float:
-    return bound.length_scale_bound(family, alpha, delta_t, nu)
 
 
 def _make_kernel(family: str, nu: float | None, sf2: float, l: float) -> KernelSpec:
@@ -299,12 +293,14 @@ def fit(
     clipped into the box: the argmax of the likelihood over a grid of
     length-scale and noise-to-signal ratio (:func:`_grid_starts`), and any
     ``extra_starts``, given as (sf2, l, sn2) triples in natural space (sn2
-    ignored for fixed noise).  ``spectra``, a dict, keeps the grid's
-    eigendecompositions for later fits of the same time grid (see
-    :func:`_grid_starts`); it changes no bit of the fit.  ``restarts`` is
-    accepted only for the benchmark's spans, which read it; it changes no
-    fit.  A length-scale or noise variance within a relative 1e-6 of a
-    bound is returned as exactly that bound.  The best optimum wins;
+    ignored for fixed noise).  Each start is one problem of one
+    :func:`_lockstep`, with one run: the grid start's, and a sibling
+    problem of the same series and scenario per extra start.  ``spectra``,
+    a dict, keeps the grid's eigendecompositions for later fits of the same
+    time grid (see :func:`_grid_starts`); it changes no bit of the fit.
+    ``restarts`` is accepted only for the benchmark's spans, which read it;
+    it changes no fit.  A length-scale or noise variance within a relative
+    1e-6 of a bound is returned as exactly that bound.  The best run wins;
     likelihood ties below 1e-10 go to the smaller length-scale, then the
     smaller noise variance, so the result does not depend on enumeration
     order.  Deterministic given (series, scenario).
@@ -322,30 +318,44 @@ def fit(
     and every run fails; so does every run of a scenario whose
     length-scale floor overflows, as the Nyquist floor of times about 1e103
     or more apart does.
-    Raises AllStartsFailedError when no run produces a usable optimum
-    and ValueError for a series the scenario cannot be fitted to: fewer
+    Raises AllStartsFailedError when no run ends on a usable point, and
+    ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, values whose
     sample variance overflows a float, or estimated noise on a constant
     series, whose likelihood has no maximum.  Each of these is raised
     before any grid is built or run started.
-
-    This is the one-problem case of :func:`_lockstep`.
     """
-    extra_starts = tuple(extra_starts)
-    result = _lockstep([(series, scenario)], family, nu, extra_starts, spectra)[0]
-    if result is None:
+    starts = [None, *extra_starts]
+    runs = _lockstep([(series, scenario)] * len(starts), family, nu, spectra, starts)
+    usable = [run for run in runs if run is not None]
+    if not usable:
         raise AllStartsFailedError(
-            f"all {1 + len(extra_starts)} starts failed for scenario {scenario.label!r}"
+            f"all {len(starts)} starts failed for scenario {scenario.label!r}"
         )
-    return result
+    best = usable[0]
+    for run in usable[1:]:
+        if _beats(run, best):
+            best = run
+    return replace(best, restarts_used=len(usable))
+
+
+def _beats(a: FitResult, b: FitResult) -> bool:
+    """Whether fit ``a`` wins over ``b``, of the same problem: a higher
+    likelihood by more than 1e-10, or within 1e-10 a smaller length-scale,
+    then a smaller noise variance."""
+    if abs(a.log_marginal_likelihood - b.log_marginal_likelihood) > _TIE_TOL:
+        return a.log_marginal_likelihood > b.log_marginal_likelihood
+    return (a.kernel.length_scale, a.noise_variance or 0.0) < (
+        b.kernel.length_scale, b.noise_variance or 0.0
+    )
 
 
 class _Problem:
     """The set-up of one (series, scenario) of :func:`_lockstep`: the box
-    in natural units and its log, the starts, and the map of a point z back
-    into the box."""
+    in natural units and its log, the one start, and the map of a point z
+    back into the box."""
 
-    def __init__(self, series, family, scenario, nu, extra_starts):
+    def __init__(self, series, family, scenario, nu, start=None):
         reason = _no_fit_reason(series, scenario)
         if reason is not None:
             raise ValueError(reason)
@@ -362,22 +372,19 @@ class _Problem:
             (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
             for lo, hi in self.boxes
         ]
-        # (sf2, l, sn2) in natural units; the grid start goes in front of
-        # these (_grid_starts).
-        self.starts = [
-            (float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2)
-            for sf2, l, sn2 in extra_starts
-        ]
+        # (sf2, l, sn2) in natural units, or None until _lockstep puts the
+        # grid start here (_grid_starts).
+        if start is not None:
+            sf2, l, sn2 = start
+            start = (float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2)
+        self.start = start
 
-    def z0s(self) -> list[np.ndarray]:
-        """The starts as points z, each clipped into the box."""
-        return [
-            np.array([
-                math.log(min(max(v, lo, 1e-300), hi, 1e300))
-                for v, (lo, hi) in zip(start, self.boxes)
-            ])
-            for start in self.starts
-        ]
+    def z0(self) -> np.ndarray:
+        """The start as a point z, clipped into the box."""
+        return np.array([
+            math.log(min(max(v, lo, 1e-300), hi, 1e300))
+            for v, (lo, hi) in zip(self.start, self.boxes)
+        ])
 
     def natural(self, z: np.ndarray) -> list[float] | None:
         """(sf2, l[, sn2]) at z, or None for a NaN z: a failed evaluation.
@@ -405,35 +412,21 @@ class _Problem:
                 out.append(min(max(math.exp(math.copysign(230.0, zi)), lo), hi))
         return out
 
-    def best(self, results, family: str, nu: float | None) -> FitResult | None:
-        """The winning optimum of the problem's runs, or None when no run
-        ended on a usable point."""
-        best = None
-        restarts_used = 0
-        for res in results:
-            params = self.natural(res.x)
-            if params is None or not math.isfinite(res.fun) or res.fun >= _FAILED_OBJECTIVE * 0.5:
-                continue
-            sf2, l, *sn2 = params
-            value = -float(res.fun)
-            restarts_used += 1
-            cand = (value, l, sn2[0] if self.estimate_noise else 0.0, sf2, bool(res.success))
-            if (
-                best is None
-                or cand[0] > best[0] + _TIE_TOL
-                or (abs(cand[0] - best[0]) <= _TIE_TOL and cand[1:3] < best[1:3])
-            ):
-                best = cand
-        if best is None:
+    def result(self, run, family: str, nu: float | None) -> FitResult | None:
+        """The fit that the problem's run ended on, or None when that point
+        is not usable."""
+        params = self.natural(run.x)
+        if params is None or not math.isfinite(run.fun) or run.fun >= _FAILED_OBJECTIVE * 0.5:
             return None
-        value, l, sn2, sf2, converged = best
+        sf2, l, *sn2 = params
+        sn2 = sn2[0] if self.estimate_noise else None
         return FitResult(
             kernel=_make_kernel(family, nu, sf2, l),
-            noise_variance=sn2 if self.estimate_noise else None,
-            log_marginal_likelihood=value,
+            noise_variance=sn2,
+            log_marginal_likelihood=-float(run.fun),
             bound_lower_active=lower_bounds_active(self.scenario, l, sn2),
-            restarts_used=restarts_used,
-            converged=converged,
+            restarts_used=1,
+            converged=bool(run.success),
         )
 
 
@@ -628,35 +621,38 @@ def _grid_starts(
 
 
 def _lockstep(
-    problems, family: str, nu: float | None, extra_starts=(), spectra: dict | None = None
+    problems, family: str, nu: float | None, spectra: dict | None = None, starts=None
 ) -> list[FitResult | None]:
-    """:func:`fit` of every (series, scenario) in ``problems``, the runs
-    from all of their starts in one lockstep; None where :func:`fit` raises
-    AllStartsFailedError.  Raises ValueError where :func:`fit` does, before
-    any grid is built or run started.
+    """The fit of every (series, scenario) in ``problems``, one L-BFGS-B run
+    each, all in one lockstep; None where the run ended on no usable point.
+    Raises ValueError where :func:`fit` does, before any grid is built or
+    run started.
 
-    The problems' series have one length, and their scenarios one noise
-    mode (fixed or estimated); else ValueError.  A problem's grid start
-    (:func:`_grid_starts`, which reads and fills ``spectra``) depends on its
-    own series and scenario alone.  Each round, the points
-    asked for are mapped to natural units once and go to the batched
-    likelihood as one call, whatever series they come from; a member gets
-    the bits of its own fit's evaluation, so each result is that of the
-    problem's own :func:`fit`.  A lone point, and a member that the batch
-    leaves (K not finite, or jitter needed), go to
-    :func:`shortgp.gp.log_marginal_likelihood_and_gradient`, which owns the
-    jitter ladder and the errors.  A batched call that overflows a float
-    leaves every member to it, so that only the members that overflow there
-    fail.
+    ``starts`` holds one start per problem, an (sf2, l, sn2) triple in
+    natural space (sn2 ignored for fixed noise), or None for the problem's
+    grid start (:func:`_grid_starts`, which reads and fills ``spectra``);
+    without ``starts`` every problem starts from its grid.  The problems'
+    series have one length, and their scenarios one noise mode (fixed or
+    estimated); else ValueError.  A problem's start depends on its own
+    series and scenario alone.  Each round, the points asked for are mapped
+    to natural units once and go to the batched likelihood as one call,
+    whatever problem they come from; a member gets the bits of its own
+    evaluation, so each result is that of the problem's run alone.  A lone
+    point, and a member that the batch leaves (K not finite, or jitter
+    needed), go to :func:`shortgp.gp.log_marginal_likelihood_and_gradient`,
+    which owns the jitter ladder and the errors.  A batched call that
+    overflows a float leaves every member to it, so that only the members
+    that overflow there fail.
     """
     setups = [
-        _Problem(series, family, scenario, nu, extra_starts) for series, scenario in problems
+        _Problem(series, family, scenario, nu, start)
+        for (series, scenario), start in zip(problems, starts or [None] * len(problems))
     ]
     if len({(len(setup.series), setup.estimate_noise) for setup in setups}) > 1:
         raise ValueError("problems of one lockstep need one series length and noise mode")
-    for setup, start in zip(setups, _grid_starts(setups, family, nu, spectra)):
-        setup.starts.insert(0, start[:3])
-    z0s = [setup.z0s() for setup in setups]
+    gridded = [setup for setup in setups if setup.start is None]
+    for setup, start in zip(gridded, _grid_starts(gridded, family, nu, spectra)):
+        setup.start = start[:3]
     # The series data of the batched likelihood, one row per problem.
     distances = np.array([setup.series.distances for setup in setups])
     ys = np.array([setup.series.values for setup in setups])
@@ -665,16 +661,14 @@ def _lockstep(
         if setups[0].estimate_noise
         else np.array([setup.series.noise_variances for setup in setups])
     )
-    owner = [p for p, starts in enumerate(z0s) for _ in starts]
-    member_setup = [setups[p] for p in owner]
 
     def objective(members: list[int], zs: list[np.ndarray]) -> list:
         # (-log p, -gradient) at each member's z, each z mapped once.
-        params = [member_setup[m].natural(z) for m, z in zip(members, zs)]
+        params = [setups[m].natural(z) for m, z in zip(members, zs)]
         batched = [i for i, p in enumerate(params) if p is not None]
         out = [None] * len(zs)
         if len(batched) > 1:
-            rows = [owner[members[i]] for i in batched]
+            rows = [members[i] for i in batched]
             try:
                 values, grads, ok = gp._lml_and_grad_batch(
                     family,
@@ -695,7 +689,7 @@ def _lockstep(
         for i, (m, p) in enumerate(zip(members, params)):
             if out[i] is not None:
                 continue
-            setup = member_setup[m]
+            setup = setups[m]
             if p is not None:
                 noise = NoiseModel.estimated(p[2]) if setup.estimate_noise else setup.fixed_noise
                 try:
@@ -714,18 +708,10 @@ def _lockstep(
     # A Matern length-scale probed near e^-230 overflows in K and dK/dl; the
     # kernel masks those entries, so the warnings carry nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        results = _minimize_lockstep(
-            objective,
-            [z0 for starts in z0s for z0 in starts],
-            [setup.log_box for setup in member_setup],
+        runs = _minimize_lockstep(
+            objective, [setup.z0() for setup in setups], [setup.log_box for setup in setups]
         )
-    out = []
-    first = 0
-    for setup in setups:
-        last = first + len(setup.starts)
-        out.append(setup.best(results[first:last], family, nu))
-        first = last
-    return out
+    return [setup.result(run, family, nu) for setup, run in zip(setups, runs)]
 
 
 def minimize(fun, x0: np.ndarray, bounds) -> SimpleNamespace:
@@ -866,8 +852,8 @@ def diagnose(
     expression-style data conventionally uses 1e-2.  Fixed-noise fits can
     never raise the noise flag.
     """
-    a_l = _reference_lower_bound(
-        result.kernel.family, result.kernel.nu, alpha, sampling.delta_t
+    a_l = bound.length_scale_bound(
+        result.kernel.family, alpha, sampling.delta_t, result.kernel.nu
     )
     below = result.kernel.length_scale < a_l
     tiny = result.noise_variance is not None and result.noise_variance < noise_threshold
@@ -903,7 +889,7 @@ def make_scenarios(
     1. no bounds; 2. length-scale bounded below by a_l(alpha);
     3. noise variance bounded in ``noise_bounds``; 4. both.
     """
-    a_l = _reference_lower_bound(family, nu, alpha, series.sampling.delta_t)
+    a_l = bound.length_scale_bound(family, alpha, series.sampling.delta_t, nu)
     return _four_scenarios(a_l, (NOISE_BOUNDED, noise_bounds[0], noise_bounds[1]))
 
 
@@ -915,7 +901,7 @@ def make_expression_scenarios(
 ) -> list[Scenario]:
     """Variant of :func:`make_scenarios` with fixed per-point noise (taken
     from the series) in place of the bounded noise interval."""
-    a_l = _reference_lower_bound(family, nu, alpha, series.sampling.delta_t)
+    a_l = bound.length_scale_bound(family, alpha, series.sampling.delta_t, nu)
     return _four_scenarios(a_l, (NOISE_FIXED, None, None))
 
 
@@ -997,7 +983,9 @@ def likelihood_surface(
     per cell; rows follow ``length_scales``, columns ``noise_variances``.
     The profiled sf2 of each cell is :func:`_profile_log_sf2`'s, from one
     ``eigh`` per length-scale; the likelihood there is
-    :func:`shortgp.gp.log_marginal_likelihood`."""
+    :func:`shortgp.gp.log_marginal_likelihood`.  ValueError, before any
+    ``eigh``, unless :func:`fit` supports the kernel family and nu."""
+    _check_family(family, nu)
     ls = np.asarray(length_scales, dtype=float)
     ns = np.asarray(noise_variances, dtype=float)
     sf2 = _profiled_signal_variances(series, family, ls, ns, nu)

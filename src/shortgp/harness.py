@@ -272,7 +272,7 @@ class _RunSettings:
         fitmod._check_family(self.family, self.nu)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        fitmod._reference_lower_bound(self.family, self.nu, self.alpha, 1.0)
+        bound.length_scale_bound(self.family, self.alpha, 1.0, self.nu)
 
 
 def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord]]:
@@ -284,11 +284,11 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
     spectra (``fitting._grid_starts``), so a time grid's eigendecompositions
     (at the start grid's length-scales, shared by every length-scale box,
     and at each box edge), and each series' quadratic forms on them, are
-    computed once per group.  A scenario has no fit of its own when all of
-    its starts fail, when the series cannot be fitted under it
-    (``fitting._no_fit_reason``; its record is then failed), or when it is
-    skipped (the rule is on :class:`ReplicateRecord`, and reads only the
-    series' earlier scenarios).  A skipped scenario reports the containing
+    computed once per group.  A scenario has no fit of its own when its
+    one run (from its grid start) fails, when the series cannot be fitted
+    under it (``fitting._no_fit_reason``; its record is then failed), or
+    when it is skipped (the rule is on :class:`ReplicateRecord`, and reads
+    only the series' earlier scenarios).  A skipped scenario reports the containing
     scenario's optimum through the sharing of optima in
     :func:`_series_records`.
     """
@@ -536,8 +536,8 @@ def _structural_flags(
     for series, scenarios, *_ in tasks:
         if len(series) < 2:
             continue
-        a_l = fitmod._reference_lower_bound(
-            settings.family, settings.nu, settings.alpha, series.sampling.delta_t
+        a_l = bound.length_scale_bound(
+            settings.family, settings.alpha, series.sampling.delta_t, settings.nu
         )
         for sc in scenarios:
             lengthscale[sc.label] = lengthscale[sc.label] and sc.length_scale_lower >= a_l

@@ -556,9 +556,73 @@ class TestDriverMatchesScipyMinimize:
         self._assert_same(runs)
 
 
+def _same_run(a, b) -> bool:
+    return (a.x.tobytes(), a.fun, a.nit, a.nfev, a.success) == (
+        b.x.tobytes(), b.fun, b.nit, b.nfev, b.success
+    )
+
+
+class TestExtraStarts:
+    """Each extra start of ``fit`` is a sibling problem of the grid start's
+    (same series and scenario) in one lockstep.  Each run takes the bits it
+    takes alone, and the best run wins: within 1e-10 nats the smaller
+    length-scale, then the smaller noise variance."""
+
+    @pytest.fixture
+    def lockstep_runs(self, monkeypatch):
+        lockstep = fitting._minimize_lockstep
+        recorded = []
+
+        def recorder(fun_batch, x0s, boxes):
+            recorded.append(lockstep(fun_batch, x0s, boxes))
+            return recorded[-1]
+
+        monkeypatch.setattr(fitting, "_minimize_lockstep", recorder)
+        return recorded
+
+    @staticmethod
+    def _better(a, b):
+        # the tie rule, spelled out: b wins only by more than 1e-10 nats,
+        # or within them by a smaller (l, sn2)
+        gap = b.log_marginal_likelihood - a.log_marginal_likelihood
+        if abs(gap) > 1e-10:
+            return b if gap > 0.0 else a
+        a_key = (a.kernel.length_scale, a.noise_variance or 0.0)
+        b_key = (b.kernel.length_scale, b.noise_variance or 0.0)
+        return b if b_key < a_key else a
+
+    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+    @pytest.mark.parametrize("k", range(8))
+    def test_a_start_at_the_optimum(self, lockstep_runs, family, nu, k):
+        base = _sinc_series(n=9, rep=3)
+        series = TimeSeries(base.times, base.values, np.full(9, 0.09))
+        scenarios = make_scenarios(series, family, nu=nu)
+        scenarios += make_expression_scenarios(series, family, nu=nu)
+        problem = [(series, scenarios[k])]
+        own = fit(series, family, scenarios[k], nu=nu)
+        start = (own.kernel.signal_variance, own.kernel.length_scale, own.noise_variance)
+        [grid_alone] = fitting._lockstep(problem, family, nu)
+        [extra_alone] = fitting._lockstep(problem, family, nu, starts=[start])
+        both = fit(series, family, scenarios[k], nu=nu, extra_starts=[start])
+        assert grid_alone == own
+        assert both.restarts_used == 2
+        assert both == replace(self._better(grid_alone, extra_alone), restarts_used=2)
+        # one run per problem: the grid start's run is the same beside its
+        # sibling as alone, and so is the sibling's
+        [[own_run], [grid_run], [extra_run], pair] = lockstep_runs
+        assert _same_run(own_run, grid_run) and _same_run(pair[0], grid_run)
+        assert _same_run(pair[1], extra_run)
+
+    def test_every_start_failed(self, monkeypatch):
+        _force_factorization_errors(monkeypatch)
+        series = _sinc_series(n=5)
+        with pytest.raises(AllStartsFailedError, match="^all 3 starts failed for scenario 'no_bounds'$"):
+            fit(series, "se", make_scenarios(series, "se")[0], extra_starts=[(1.0, 1.0, 0.1)] * 2)
+
+
 def _grid_starts_of(problems, family="se", nu=None, spectra=None):
     """The grid starts of (series, scenario) problems, as one group."""
-    setups = [fitting._Problem(s, family, sc, nu, ()) for s, sc in problems]
+    setups = [fitting._Problem(s, family, sc, nu) for s, sc in problems]
     return fitting._grid_starts(setups, family, nu, spectra)
 
 
@@ -852,6 +916,23 @@ class TestLikelihoodSurface:
                     for sf2 in np.logspace(-6, 6, 121)
                 ]
                 assert surface[i, j] >= max(scan) - 1e-9
+
+    @pytest.mark.parametrize(
+        "family, nu",
+        [("matern", 0.75), ("matern", None), ("foo", None), ("se", 1.5)],
+        ids=["matern-0.75", "matern-no-nu", "unknown-family", "se-with-nu"],
+    )
+    def test_unsupported_family_or_nu_is_a_value_error(self, monkeypatch, family, nu):
+        # checked as fit checks it, before any eigendecomposition: nu = 0.75
+        # used to reach the kernel's general-order branch (IndexError),
+        # Matern without nu and an unknown family a TypeError, and SE
+        # silently dropped nu
+        eighs = []
+        monkeypatch.setattr(fitting, "_correlation_eigh", lambda *args: eighs.append(args))
+        series = _sinc_series(n=7)
+        with pytest.raises(ValueError):
+            fitting.likelihood_surface(series, family, [0.5, 2.0], [0.01, 0.1], nu=nu)
+        assert eighs == []
 
 
 class TestDiagnose:
