@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="fit one series from a CSV file")
     p_fit.add_argument("--input", required=True, help="input CSV path")
-    p_fit.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     p_fit.add_argument("--id", default=None, help="series id (default: first series)")
     p_fit.add_argument("--scenario", type=int, choices=[1, 2, 3, 4], default=4,
                        help="constraint scenario 1..4 (default 4: both bounds)")
@@ -102,7 +101,6 @@ def _build_parser() -> _Parser:
 
     p_batch = sub.add_parser("batch", help="fit every series in a CSV file")
     p_batch.add_argument("--input", required=True)
-    p_batch.add_argument("--format", choices=["auto", "long", "wide"], default="auto")
     p_batch.add_argument("--scenario-set", choices=fitmod.SCENARIO_SETS,
                          default="expression")
     p_batch.add_argument("--noise-flag-threshold", type=float, default=1e-2)
@@ -124,7 +122,7 @@ def _family(family: str | None, nu: float | None) -> tuple[str, float | None]:
 
 
 def _select_series(args):
-    series_list = harness.ingest_csv(args.input, format=args.format)
+    series_list = harness.ingest_csv(args.input)
     if not series_list:
         raise harness.CsvFormatError("no series found in input")
     if args.id is None:
@@ -228,7 +226,7 @@ def _cmd_synth(args) -> int:
 def _cmd_batch(args) -> int:
     family, nu = _family(args.family, args.nu)
     alpha = args.alpha if args.alpha is not None else bound.DEFAULT_ALPHA
-    series_list = harness.ingest_csv(args.input, format=args.format)
+    series_list = harness.ingest_csv(args.input)
     if not series_list:
         raise harness.CsvFormatError("no series found in input")
     report = harness.run_batch(

@@ -322,8 +322,10 @@ def fit(
     ValueError for a series the scenario cannot be fitted to: fewer
     than two points, fixed noise without per-point variances, values whose
     sample variance overflows a float, or estimated noise on a constant
-    series, whose likelihood has no maximum.  Each of these is raised
-    before any grid is built or run started.
+    series, whose likelihood has no maximum; and for an extra start whose
+    sf2 or l, or whose sn2 where the noise is estimated, is not finite and
+    > 0 (such a start could only fail, or be clipped into the box).  Each
+    of these is raised before any grid is built or run started.
     """
     starts = [None, *extra_starts]
     runs = _lockstep([(series, scenario)] * len(starts), family, nu, spectra, starts)
@@ -376,6 +378,11 @@ class _Problem:
         # grid start here (_grid_starts).
         if start is not None:
             sf2, l, sn2 = start
+            given = [sf2, l] + ([sn2] if self.estimate_noise and sn2 is not None else [])
+            if not all(0.0 < float(v) < math.inf for v in given):
+                raise ValueError(
+                    f"start {tuple(start)!r}: sf2, l and an estimated sn2 must be finite and > 0"
+                )
             start = (float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2)
         self.start = start
 

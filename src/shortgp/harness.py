@@ -569,10 +569,11 @@ def run_synthetic_experiment(
     depend on its own series alone.
     Diagnostics use the thresholds from ``config``, and a replicate whose
     fit fails in any scenario is excluded from the winner accounting but
-    still reported.  A repeated n, a family and nu that fitting does not
-    support, fewer than one restart and an ``alpha`` outside (0, 1) raise
-    ValueError before any draw.  Deterministic for a given config regardless
-    of ``parallelism``.
+    still reported.  A repeated n, an n below 2, ``noise_bounds`` other
+    than 0 < lower < upper, a family and nu that fitting does not support,
+    fewer than one restart and an ``alpha`` outside (0, 1) raise ValueError
+    before any draw.  Deterministic for a given config regardless of
+    ``parallelism``.
     """
     n_grid = [int(n) for n in n_grid]
     if len(set(n_grid)) < len(n_grid):
@@ -591,18 +592,22 @@ def run_synthetic_experiment(
         sinc(test_times),
     )
 
+    # All replicates of one n share the time grid, hence the scenarios: each
+    # n's config and scenarios are built, and so checked, before any draw.
     scenarios: list[fitmod.Scenario] = []
-    tasks = []
+    per_n = []
     for n in n_grid:
         cfg_n = replace(config, n_points=n)
-        series = [generate_sinc_series(cfg_n, rep) for rep in range(config.replicates)]
-        # All replicates of one n share the time grid, hence the scenarios.
+        grid = TimeSeries(np.linspace(*cfg_n.interval, n), np.zeros(n))
         scenarios = fitmod.make_scenarios(
-            series[0], config.family, config.alpha, config.nu, config.noise_bounds
+            grid, config.family, config.alpha, config.nu, config.noise_bounds
         )
-        tasks += [
-            (s, scenarios, n, rep) for rep, s in enumerate(series)
-        ]
+        per_n.append((cfg_n, scenarios))
+    tasks = [
+        (generate_sinc_series(cfg_n, rep), scenarios, cfg_n.n_points, rep)
+        for cfg_n, scenarios in per_n
+        for rep in range(config.replicates)
+    ]
 
     return BatchReport(
         scenario_labels=[s.label for s in scenarios],
@@ -716,16 +721,16 @@ def _parse_wide_time(cell: str, line_no: int) -> float:
     return _parse_float(text, line_no, "time from header")
 
 
-def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
-    """Read time series from a CSV file.
+def ingest_csv(path) -> list[TimeSeries]:
+    """Read time series from a CSV file whose header decides its layout.
 
-    Long format has columns ``id,time,value`` plus an optional ``variance``
-    column that populates per-point noise variances for fixed-noise fitting;
-    one series per distinct id, rows in time order; a series whose variance
-    cells are all empty has none (``noise_variances`` is None).  Wide format
-    has an ``id`` column followed by one column per time point whose header
-    cells parse as times (a ``t=`` prefix is allowed).  ``format`` may be "long",
-    "wide" or "auto" (sniffed from the header).
+    A header with a ``time`` or a ``value`` cell (case-insensitive) is long
+    format: columns ``id,time,value`` plus an optional ``variance`` column
+    that populates per-point noise variances for fixed-noise fitting; one
+    series per distinct id, rows in time order; a series whose variance
+    cells are all empty has none (``noise_variances`` is None).  Any other
+    header is wide format: an ``id`` column followed by one column per time
+    point whose header cells parse as times (a ``t=`` prefix is allowed).
 
     Raises CsvFormatError (with a line number) for malformed cells or
     missing columns, and for a series that mixes empty and numeric variance
@@ -744,10 +749,7 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
         header = [h.strip() for h in header]
         lowered = [h.lower() for h in header]
 
-        if format == "auto":
-            format = "long" if ("time" in lowered and "value" in lowered) else "wide"
-
-        if format == "long":
+        if "time" in lowered or "value" in lowered:
             required = ("id", "time", "value")
             missing = [c for c in required if c not in lowered]
             if missing:
@@ -783,36 +785,31 @@ def ingest_csv(path, format: str = "auto") -> list[TimeSeries]:
                     raise CsvFormatError(f"series {sid!r}: {exc}") from None
             return out
 
-        if format == "wide":
-            if len(header) < 3 or lowered[0] != "id":
+        if len(header) < 3 or lowered[0] != "id":
+            raise CsvFormatError(
+                "line 1: wide format needs an 'id' column plus at least "
+                "two time columns"
+            )
+        times = np.array([_parse_wide_time(c, 1) for c in header[1:]])
+        try:
+            _grid_gaps(times)
+        except ValueError as exc:
+            raise CsvFormatError(f"line 1: wide-format header {exc}") from None
+        out = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
                 raise CsvFormatError(
-                    "line 1: wide format needs an 'id' column plus at least "
-                    "two time columns"
+                    f"line {line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            times = np.array([_parse_wide_time(c, 1) for c in header[1:]])
+            values = np.array([_parse_float(c, line_no, "value") for c in row[1:]])
+            sid = row[0].strip()
             try:
-                _grid_gaps(times)
+                out.append(TimeSeries(times, values, id=sid))
             except ValueError as exc:
-                raise CsvFormatError(f"line 1: wide-format header {exc}") from None
-            out = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(header):
-                    raise CsvFormatError(
-                        f"line {line_no}: expected {len(header)} cells, got {len(row)}"
-                    )
-                values = np.array(
-                    [_parse_float(c, line_no, "value") for c in row[1:]]
-                )
-                sid = row[0].strip()
-                try:
-                    out.append(TimeSeries(times, values, id=sid))
-                except ValueError as exc:
-                    raise CsvFormatError(f"line {line_no}: series {sid!r}: {exc}") from None
-            return out
-
-    raise ValueError(f"unknown format {format!r}")
+                raise CsvFormatError(f"line {line_no}: series {sid!r}: {exc}") from None
+        return out
 
 
 def export_csv(series_list, path) -> None:

@@ -354,11 +354,14 @@ class TestBatchCommand:
         ("synth", "--restarts"),
         ("batch", "--seed"),
         ("batch", "--restarts"),
+        ("fit", "--format"),
+        ("batch", "--format"),
     ],
 )
 def test_fit_seed_and_restarts_flags_are_usage_errors(command, flag, variance_csv, tmp_path, capsys):
     # every fit starts from its likelihood grid alone: no command takes a
-    # fit seed or a restart count (synth --seed seeds the data)
+    # fit seed or a restart count (synth --seed seeds the data); and the
+    # CSV header alone decides its layout, so no command takes a format
     out_dir = tmp_path / "report"
     argv = {
         "fit": ["--input", str(variance_csv), "--plot-out", str(out_dir / "curves.csv")],
@@ -366,7 +369,8 @@ def test_fit_seed_and_restarts_flags_are_usage_errors(command, flag, variance_cs
         "batch": ["--input", str(variance_csv), "--out-dir", str(out_dir)],
     }[command]
     assert main([command, *argv, flag, "1"]) == 1
-    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} 1" in err
     assert not out_dir.exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from shortgp import fitting
+from shortgp import fitting, gp
 from shortgp.bound import delta_t_from_times, length_scale_bound
 from shortgp.fitting import (
     AllStartsFailedError,
@@ -619,6 +619,31 @@ class TestExtraStarts:
         with pytest.raises(AllStartsFailedError, match="^all 3 starts failed for scenario 'no_bounds'$"):
             fit(series, "se", make_scenarios(series, "se")[0], extra_starts=[(1.0, 1.0, 0.1)] * 2)
 
+    @pytest.mark.parametrize(
+        "start",
+        [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1), (-1.0, -1.0, -1.0), (0.0, 1.0, 0.1), (1.0, 1.0, math.inf)],
+        ids=["nan-sf2", "nan-l", "negative", "zero-sf2", "infinite-sn2"],
+    )
+    def test_a_start_that_can_only_fail_is_a_value_error(self, monkeypatch, start):
+        # checked before any eigendecomposition: a NaN start used to run to
+        # a failed point and a value <= 0 or inf to be clipped into the box,
+        # each silently
+        eighs = []
+        monkeypatch.setattr(fitting, "_correlation_eigh", lambda *args: eighs.append(args))
+        t = np.arange(7.0)
+        series = TimeSeries(t, np.sin(t))
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            fit(series, "se", make_scenarios(series, "se")[0], extra_starts=[start])
+        assert eighs == []
+
+    def test_fixed_noise_ignores_sn2(self):
+        t = np.arange(7.0)
+        series = TimeSeries(t, np.sin(t), np.full(7, 0.05))
+        scenario = make_expression_scenarios(series, "se")[2]
+        assert scenario.noise_mode == "fixed"
+        result = fit(series, "se", scenario, extra_starts=[(1.0, 1.0, math.nan), (1.0, 1.0, -1.0)])
+        assert result.restarts_used == 3
+
 
 def _grid_starts_of(problems, family="se", nu=None, spectra=None):
     """The grid starts of (series, scenario) problems, as one group."""
@@ -996,6 +1021,33 @@ class TestDiagnose:
         diag = diagnose(result, sampling, noise_threshold=1e-2)
         assert not diag.tiny_noise
         assert isinstance(diag, Diagnostics)
+
+
+@pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+@pytest.mark.parametrize("k", [1, 3], ids=["lengthscale_bounded", "both_bounded"])
+def test_an_overflowing_batch_leaves_its_members_to_the_per_call_path(monkeypatch, family, nu, k):
+    # the Nyquist floor of a series sampled 1e120 apart overflows a power of
+    # l in the batched call; its members then go one by one, so the near
+    # series fits as it does alone and only the far series fails
+    values = [0.1, 0.5, -0.2, 0.3, 0.0]
+    near = TimeSeries(np.arange(5.0), values)
+    far = TimeSeries(np.arange(5.0) * 1e120, values)
+    problems = [(s, make_scenarios(s, family, nu=nu)[k]) for s in (near, far)]
+    [alone] = fitting._lockstep(problems[:1], family, nu)
+    batch, overflows = gp._lml_and_grad_batch, []
+
+    def counting(*args):
+        try:
+            return batch(*args)
+        except OverflowError:
+            overflows.append(args)
+            raise
+
+    monkeypatch.setattr(gp, "_lml_and_grad_batch", counting)
+    near_fit, far_fit = fitting._lockstep(problems, family, nu)
+    assert overflows
+    assert repr(near_fit) == repr(alone)
+    assert far_fit is None
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])

@@ -3,6 +3,7 @@ import ctypes
 import importlib
 import math
 import os
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -102,7 +103,14 @@ def _record_calls(monkeypatch, module, *names):
 class TestRunSyntheticExperiment:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"restarts": 0}, {"family": "matern", "nu": 0.7}, {"alpha": 1.5}, {"nu": 1.5}],
+        [
+            {"restarts": 0},
+            {"family": "matern", "nu": 0.7},
+            {"alpha": 1.5},
+            {"nu": 1.5},
+            {"noise_bounds": (0.1, 0.01)},
+            {"noise_bounds": (0.0, 0.1)},
+        ],
     )
     def test_settings_fitting_rejects_raise_before_any_draw(self, monkeypatch, kwargs):
         fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
@@ -116,6 +124,14 @@ class TestRunSyntheticExperiment:
         draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
         with pytest.raises(ValueError, match="n_grid"):
             run_synthetic_experiment(SyntheticConfig(replicates=2), [5, 7, 5])
+        assert fits == [] and draws == []
+
+    def test_n_below_2_raises_before_any_draw(self, monkeypatch):
+        # each n's config is built before the first draw
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
+        with pytest.raises(ValueError, match="n_points must be >= 2"):
+            run_synthetic_experiment(SyntheticConfig(replicates=3), [5, 1])
         assert fits == [] and draws == []
 
     def test_small_sweep_structure(self):
@@ -941,7 +957,7 @@ class TestCsv:
     def test_wide_plain_numeric_header(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("id,0.0,1.5,3.0\na,1,2,3\nb,4,5,6\n")
-        series = ingest_csv(path, format="wide")
+        series = ingest_csv(path)
         assert [s.id for s in series] == ["a", "b"]
         assert np.array_equal(series[0].times, [0.0, 1.5, 3.0])
 
@@ -1019,10 +1035,27 @@ class TestCsv:
             ingest_csv(path)
 
     def test_missing_column(self, tmp_path):
+        # a header naming time or value is long format, so a long header
+        # without value says so rather than failing as a wide header
         path = tmp_path / "bad.csv"
         path.write_text("id,time\ng1,0\n")
-        with pytest.raises(CsvFormatError, match="missing"):
-            ingest_csv(path, format="long")
+        with pytest.raises(CsvFormatError, match=r"^line 1: long format .*, missing \['value'\]$"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("id,Value\ng1,0.5\n", "['time']"),
+            ("ID,TIME,variance\ng1,0,0.1\n", "['value']"),
+            ("name,time,value\ng1,0,0.5\n", "['id']"),
+        ],
+    )
+    def test_header_with_time_or_value_is_long(self, tmp_path, text, missing):
+        # either name, in any case, makes the header long
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"^line 1: long format .*, missing {re.escape(missing)}$"):
+            ingest_csv(path)
 
     @pytest.mark.parametrize(
         "text, match",
@@ -1036,27 +1069,26 @@ class TestCsv:
         path = tmp_path / "wide.csv"
         path.write_text(text)
         with pytest.raises(CsvFormatError, match=match):
-            ingest_csv(path, format="wide")
+            ingest_csv(path)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "format, text, match",
+        "text, match",
         [
-            ("long", "id,time,value\ng1,0,0.1\ng1,1,nan\n", "series 'g1': values must be finite"),
-            ("long", "id,time,value\ng1,0,0.1\ng1,1,inf\n", "series 'g1': values must be finite"),
+            ("id,time,value\ng1,0,0.1\ng1,1,nan\n", "series 'g1': values must be finite"),
+            ("id,time,value\ng1,0,0.1\ng1,1,inf\n", "series 'g1': values must be finite"),
             (
-                "long",
                 "id,time,value,variance\ng1,0,0.1,0.05\ng1,1,0.2,-0.05\n",
                 "series 'g1': noise_variances must be finite and >= 0",
             ),
-            ("long", "id,time,value\ng1,-1e308,0.1\ng1,1e308,0.2\n", "series 'g1': times must span"),
-            ("long", "id,time,value\ng1,1,0.1\ng1,0,0.2\n", "series 'g1': times must be strictly increasing"),
-            ("wide", "id,t=0,t=1\ng1,0.5,0.25\ng2,nan,0.25\n", "line 3: series 'g2': values must be finite"),
-            ("wide", "id,t=0,t=1\ng1,0.5,0.25\ng2,0.5,inf\n", "line 3: series 'g2': values must be finite"),
-            ("wide", "id,t=-1e308,t=1e308\ng1,0.5,0.25\n", "line 1: wide-format header times must span"),
-            ("wide", "id,t=1,t=0\ng1,0.5,0.25\n", "line 1: wide-format header times must be strictly increasing"),
-            ("long", "id,time,value\ng1,0,0.1\ng1,1e-320,0.2\n", "series 'g1': times must be at least"),
-            ("wide", "id,t=0,t=1e-320\ng1,0.5,0.25\n", "line 1: wide-format header times must be at least"),
+            ("id,time,value\ng1,-1e308,0.1\ng1,1e308,0.2\n", "series 'g1': times must span"),
+            ("id,time,value\ng1,1,0.1\ng1,0,0.2\n", "series 'g1': times must be strictly increasing"),
+            ("id,t=0,t=1\ng1,0.5,0.25\ng2,nan,0.25\n", "line 3: series 'g2': values must be finite"),
+            ("id,t=0,t=1\ng1,0.5,0.25\ng2,0.5,inf\n", "line 3: series 'g2': values must be finite"),
+            ("id,t=-1e308,t=1e308\ng1,0.5,0.25\n", "line 1: wide-format header times must span"),
+            ("id,t=1,t=0\ng1,0.5,0.25\n", "line 1: wide-format header times must be strictly increasing"),
+            ("id,time,value\ng1,0,0.1\ng1,1e-320,0.2\n", "series 'g1': times must be at least"),
+            ("id,t=0,t=1e-320\ng1,0.5,0.25\n", "line 1: wide-format header times must be at least"),
         ],
         ids=[
             "long-nan", "long-inf", "long-negative-variance", "long-span", "long-decreasing",
@@ -1064,13 +1096,13 @@ class TestCsv:
             "wide-subnormal-gap",
         ],
     )
-    def test_series_rule_broken_names_series_or_line(self, tmp_path, format, text, match):
+    def test_series_rule_broken_names_series_or_line(self, tmp_path, text, match):
         # a TimeSeries rule is a CsvFormatError naming where it broke, with
         # no overflow warning on the way
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(CsvFormatError, match=f"^{match}"):
-            ingest_csv(path, format=format)
+            ingest_csv(path)
 
     @pytest.mark.parametrize(
         "text",
