@@ -17,15 +17,17 @@ length-scale and noise-to-signal ratio lambda = sn2 / sf2
 (:func:`_grid_starts`).  One ``eigh`` of the correlation matrix per grid
 length-scale serves every ratio, every series and every length-scale box
 of one time grid: a box reads the grid's length-scales inside it, plus one
-length-scale at each finite, nonzero edge (the Nyquist floor a_l).  With
-estimated or bounded noise the grid profiles sf2 in closed form per cell;
-with fixed per-point noise it stands their mean d for the noise, so sf2 =
-d / lambda, which is exact when every variance is d.  L-BFGS-B then
-polishes the grid's best cell on the exact likelihood.  A fit can be
-given ``extra_starts`` too; each runs as a problem of its own (see below).
-The eigendecompositions, and each series' quadratic forms over the grid,
-can be kept in a dict (``spectra``) that later fits of the same time grid
-reuse; the harness keeps one per group of series.  The grid also gives
+length-scale at each finite, nonzero edge (the Nyquist floor a_l), which
+is a row of the same ``eigh``.  With estimated or bounded noise the grid
+profiles sf2 in closed form per cell; with fixed per-point noise it stands
+their mean d for the noise, so sf2 = d / lambda, which is exact when every
+variance is d.  L-BFGS-B then polishes the grid's best cell on the exact
+likelihood.  A fit can be given ``extra_starts`` too; each runs as a
+problem of its own (see below).  The eigendecompositions, and each series'
+quadratic forms over the grid, can be kept in a dict (``spectra``) that
+later fits of the same time grid reuse.  The harness instead finds the
+starts of a whole group in one pass, one time grid at a time, and keeps no
+grid's spectra past its turn.  The grid also gives
 :func:`likelihood_surface` its profiled signal variance.
 
 Each run drives L-BFGS-B's reverse-communication routine ``setulb``
@@ -44,9 +46,9 @@ per run, advanced together round by round.  Each round every running
 member goes on until it asks for a new point or stops, and the points
 asked for are evaluated by one objective.  It maps each point to natural
 units once and hands two or more of them to
-:func:`shortgp.gp._lml_and_grad_batch` as one parameter array, which
-shares the Python glue and the small-array work of a likelihood call among
-the members.  The batch gives each member the bits a
+:func:`shortgp.gp._lml_and_grad_batch` as one call, which shares the Python
+glue and the small-array work of a likelihood call among the members,
+whatever their series lengths.  The batch gives each member the bits a
 call of its own gives, so every run takes the path it takes alone.  A lone
 point, and a member whose K is not finite or needs jitter, go to
 :func:`shortgp.gp.log_marginal_likelihood_and_gradient`: a batch of one
@@ -54,25 +56,35 @@ costs more than a call, and that function owns the jitter ladder and the
 errors.
 
 The lockstep runs over problems: :func:`_lockstep` fits any number of
-(series, scenario) problems at once, one start and one L-BFGS-B run per
-problem.  A problem starts from its grid argmax, taken from the spectra of
-its time grid and box edges, or from a start the caller gives, and a
-round's points from series of one length and one noise mode go to one
-batched call.  :func:`fit` makes one problem for its grid start and one
-sibling problem (same series and scenario) per extra start, in one
-lockstep, and keeps the best run.  The harness makes one call per stage, to
-:func:`_fit_problems`: one scenario of many series of one length, with one
-dict of spectra for all the stages of a group.  An evaluation that
-overflows a float (a power of a huge length-scale) is a failed evaluation;
-a batched call that overflows leaves its members to the per-call path, so
-that only the members that overflow there fail.
+(series, scenario) problems of one noise mode (fixed or estimated) at
+once, one start and one L-BFGS-B run per problem, whatever the series
+lengths.  A problem starts from its grid argmax, from a start the caller
+gives, or from a :class:`_GridStart` found earlier.  The problems are laid
+out once as a ragged batch (:class:`shortgp.gp._Batch`): ordered by n,
+their n x n blocks end to end in one flat array, so that the kernel, the
+noise diagonal and the elementwise products of a round run once over all
+of them, whatever their lengths.  The reductions run once per run of equal
+n, as row sums of a (b_n, n^2) view: that is the row sum of one member's
+own call, so each member keeps its bits, which a segmented sum
+(``np.add.reduceat``) does not.  When half of the problems laid out are
+done, the rest are laid out again.  :func:`fit` makes one problem for its
+grid start and one sibling problem (same series and scenario) per extra
+start, in one lockstep, and keeps the best run.  The harness makes one call
+per stage, to :func:`_fit_problems`: one scenario of every series of a
+group, of any lengths, from the starts of the group's start pass.  An
+evaluation that overflows a float (a power of a huge length-scale) is a
+failed evaluation; a batched call that overflows leaves its members to the
+per-call path, so that only the members that overflow there fail.
 
-Three paths are kept for the benchmark's spans (``bench/spans.py``), which
-wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
-problem goes through :func:`fit`, a lone point through the per-call
-likelihood (cheaper, too, than a batch of one), and :func:`minimize`, which
-no fit calls, is the lockstep's one-member case.  They can go once the
-benchmark times the engine's stages.
+Four paths are kept for the benchmark's spans (``bench/spans.py``), which
+wrap ``fit``, ``minimize`` and the per-call likelihood by name: a series
+whose length no other series of its run shares is a group of its own, whose
+lone problems go through :func:`fit` (the benchmark's tiny runs hold one
+series per length, and need its spans); a lone problem of
+:func:`_fit_problems` without starts goes through :func:`fit`; a lone point
+goes through the per-call likelihood (cheaper, too, than a batch of one);
+and :func:`minimize`, which no fit calls, is the lockstep's one-member
+case.  They can go once the benchmark times the engine's stages.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,12 +162,14 @@ class Scenario:
     [noise_lower, noise_upper]) or "fixed" (per-point variances taken from
     the series).
 
-    The scenario's box (:attr:`box`) is the (lower, upper) interval of the
+    The scenario's box (``box``) is the (lower, upper) interval of the
     length-scale, then of the noise variance unless the series fixes the
     noise: (0, inf) for estimated noise, (noise_lower, noise_upper) for
     bounded noise.  A lower edge of 0 and an upper edge of inf are no bound.
     Fitting optimizes inside this box, and a fit of one scenario serves
-    another exactly when it lies in that scenario's box.
+    another exactly when it lies in that scenario's box.  It is built once,
+    with the scenario (fitting and the harness read it often), and is no
+    field: it takes no part in equality, hashing or ``repr``.
     """
 
     label: str
@@ -176,16 +191,13 @@ class Scenario:
                 raise ValueError("bounded noise needs both bounds")
             if not 0.0 < self.noise_lower < self.noise_upper:
                 raise ValueError("bounded noise needs 0 < lower < upper")
-
-    @property
-    def box(self) -> tuple[tuple[float, float], ...]:
-        """The (lower, upper) interval of l, then of sn2 unless it is fixed."""
         length_scale = (self.length_scale_lower, self.length_scale_upper)
-        if self.noise_mode == NOISE_FIXED:
-            return (length_scale,)
-        if self.noise_mode == NOISE_BOUNDED:
-            return (length_scale, (self.noise_lower, self.noise_upper))
-        return (length_scale, (0.0, math.inf))
+        noise = {
+            NOISE_FIXED: (),
+            NOISE_BOUNDED: ((self.noise_lower, self.noise_upper),),
+            NOISE_ESTIMATED: ((0.0, math.inf),),
+        }[self.noise_mode]
+        object.__setattr__(self, "box", (length_scale, *noise))
 
     def holds(self, length_scale: float, noise_variance: float | None) -> bool:
         """Whether a fit of the same series, with ``noise_variance`` None
@@ -375,8 +387,10 @@ class _Problem:
             for lo, hi in self.boxes
         ]
         # (sf2, l, sn2) in natural units, or None until _lockstep puts the
-        # grid start here (_grid_starts).
-        if start is not None:
+        # grid start here.  A grid start (_grid_starts) is taken as it is.
+        if isinstance(start, _GridStart):
+            start = start[:3]
+        elif start is not None:
             sf2, l, sn2 = start
             given = [sf2, l] + ([sn2] if self.estimate_noise and sn2 is not None else [])
             if not all(0.0 < float(v) < math.inf for v in given):
@@ -443,21 +457,22 @@ def _failed(size: int) -> tuple[float, np.ndarray]:
 
 
 def _fit_problems(
-    problems, family: str, nu: float | None, spectra: dict | None = None
+    problems, family: str, nu: float | None, spectra: dict | None = None, starts=None
 ) -> list:
     """The own fit of every (series, scenario) in ``problems``, None where
-    every run failed, in one :func:`_lockstep` that reads and fills
-    ``spectra``.  A lone problem goes through :func:`fit`, with the same
-    bits: the benchmark's spans wrap ``fitting.fit``, and every stage of
-    ``bench/test_bench.py``'s runs is a lone problem, as they hold one
-    series per length."""
-    if len(problems) > 1:
-        return _lockstep(problems, family, nu, spectra=spectra)
-    [(series, scenario)] = problems
-    try:
-        return [fit(series, family, scenario, nu=nu, spectra=spectra)]
-    except AllStartsFailedError:
-        return [None]
+    every run failed, in one :func:`_lockstep`: from ``starts``, one
+    :class:`_GridStart` per problem, or else from grid starts that read and
+    fill ``spectra``.  A lone problem without starts goes through
+    :func:`fit`, with the same bits: the benchmark's spans wrap
+    ``fitting.fit``, and the harness keeps this route for a group of one
+    series (see the module docstring)."""
+    if starts is None and len(problems) == 1:
+        [(series, scenario)] = problems
+        try:
+            return [fit(series, family, scenario, nu=nu, spectra=spectra)]
+        except AllStartsFailedError:
+            return [None]
+    return _lockstep(problems, family, nu, spectra, starts)
 
 
 # The likelihood grid of a fit's start: _GRID_SIZE length-scales of the
@@ -485,30 +500,39 @@ def _correlation_eigh(family: str, nu: float | None, distances, length_scales):
     return np.maximum(e, 0.0), v
 
 
+class _GridStart(NamedTuple):
+    """A start (sf2, l, sn2) from the likelihood grid, with the grid's log
+    marginal likelihood there.  :func:`_lockstep` takes it as it is, where
+    a start given by a caller must be finite and > 0."""
+
+    signal_variance: float
+    length_scale: float
+    noise_variance: float
+    log_marginal_likelihood: float
+
+
 @dataclass
 class _Spectrum:
-    """What the start grid needs of one time grid at L length-scales: the
-    length-scales (L,), the eigenvalues e (L, n) and eigenvectors V
-    (L, n, n) of C_l, log|C_l + lambda I| (L, lambda), and each series'
-    q = y^T (C_l + lambda I)^-1 y (L, lambda), keyed by the bytes of its
-    values.  A time grid has one at the grid's 64 length-scales, and one at
-    each length-scale box edge that its problems read (see
-    :func:`_grid_starts`).
+    """What the start grid needs of one time grid, at R length-scales: the
+    grid's 64, then one per box edge that its problems read (see
+    :func:`_grid_starts`), all from one batched ``eigh``.  It holds the
+    length-scales (R,), the eigenvalues e (R, n) and eigenvectors V
+    (R, n, n) of C_l, log|C_l + lambda I| (R, lambda), and each series'
+    q = y^T (C_l + lambda I)^-1 y (R, lambda), keyed by the bytes of its
+    values.
 
-    q is cached per series because every scenario of the series reads it.
-    Computing q per problem, from a reciprocal array kept here or rebuilt
-    per call, gives the same bits but lost about 7 % of ``batch`` fits/s
-    (2-core VM).  The cache costs 64 x 64 floats per series, and 64 per
-    series and box edge, for a group's life: ``run_batch`` of 256 series of
-    15 points on one time grid (the ``synthetic`` set, one group) peaks at
-    62.2 MB RSS, against 63.5 MB when q was kept per series and
-    length-scale box (``resource.getrusage`` in a fresh interpreter)."""
+    q is cached per series because every scenario of the series reads it,
+    and a later :func:`_grid_starts` call with the same dict of spectra may
+    read it again.  Computing q per problem, from a reciprocal array kept
+    here or rebuilt per call, gives the same bits but lost about 7 % of
+    ``batch`` fits/s (2-core VM)."""
 
     length_scales: np.ndarray
     e: np.ndarray
     v: np.ndarray
     logdet: np.ndarray
     q: dict = field(default_factory=dict)
+    boxes: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, family: str, nu: float | None, series: TimeSeries,
@@ -525,31 +549,58 @@ class _Spectrum:
             logdet += np.log(term, out=term)
         return cls(length_scales, e, v, logdet)
 
+    def extend(self, family: str, nu: float | None, series: TimeSeries,
+               length_scales: np.ndarray) -> None:
+        """Rows at more box edges, from one more ``eigh``.  The cached q
+        lacks them, so it is dropped, to be filled anew."""
+        more = _Spectrum.build(family, nu, series, length_scales)
+        for name in ("length_scales", "e", "v", "logdet"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(more, name)]))
+        self.q.clear()
+        self.boxes.clear()
+
+    def rows(self, lo: float, hi: float) -> np.ndarray:
+        """The rows of the length-scale box [lo, hi], as l ascends: its
+        floor's row (when lo > 0), the grid's rows inside it, its ceiling's
+        row (when hi < inf); kept per box."""
+        if (lo, hi) not in self.boxes:
+            grid = self.length_scales[:_GRID_SIZE]
+            edges = self.length_scales[_GRID_SIZE:].tolist()
+            self.boxes[lo, hi] = np.array([
+                *([_GRID_SIZE + edges.index(lo)] if lo > 0.0 else []),
+                *range(np.searchsorted(grid, lo), np.searchsorted(grid, hi, "right")),
+                *([_GRID_SIZE + edges.index(hi)] if hi < math.inf else []),
+            ])
+        return self.boxes[lo, hi]
+
     def fill(self, series_set) -> None:
         """q of every series of ``series_set`` that has none yet.  The
-        (l, i, lambda) array of 1 / (e_i + lambda) is built only here, and
-        not kept.  Per series, so that its bits do not depend on the other
-        series; values near the largest float overflow q, and such cells
-        lose."""
+        (l, i, lambda) array of 1 / (e_i + lambda) is built only here, 8
+        rows at a time, and not kept; each product of a series' row with
+        it is its own, so q has the bits of one whole array and of one
+        series alone, and values near the largest float overflow q, where
+        such cells lose."""
         missing = {
             key: s.values for s in series_set if (key := s.values.tobytes()) not in self.q
         }
         if not missing:
             return
-        inverse = self.e[:, :, None] + _GRID_RATIOS
-        np.reciprocal(inverse, out=inverse)
+        q = np.empty((len(missing), len(self.e), _GRID_SIZE))
         with np.errstate(over="ignore", invalid="ignore"):
-            for key, y in missing.items():
-                p2 = (y @ self.v) ** 2
-                self.q[key] = (p2[:, None, :] @ inverse)[:, 0]
+            p2 = (np.array(list(missing.values()))[:, None, None, :] @ self.v) ** 2
+            for lo in range(0, len(self.e), 8):
+                inverse = self.e[lo : lo + 8, :, None] + _GRID_RATIOS
+                np.reciprocal(inverse, out=inverse)
+                q[:, lo : lo + 8] = (p2[:, lo : lo + 8] @ inverse)[:, :, 0]
+        self.q.update(zip(missing, q))
 
 
 def _grid_starts(
-    setups: list[_Problem], family: str, nu: float | None, spectra: dict | None = None
-) -> list[tuple]:
-    """The start (sf2, l, sn2) of each problem, with the grid's log
-    marginal likelihood there as a fourth element: the argmax over the
-    length-scales of its box by ``_GRID_RATIOS``.
+    problems, family: str, nu: float | None, spectra: dict | None = None
+) -> list[_GridStart]:
+    """The start of each (series, scenario) of ``problems``: the argmax of
+    the log marginal likelihood over the length-scales of its box by
+    ``_GRID_RATIOS``.
 
     With lambda = sn2 / sf2, K = sf2 (C_l + lambda I).  With
     C_l = V diag(e) V^T and p = V^T y, y^T (C_l + lambda I)^-1 y is
@@ -566,65 +617,83 @@ def _grid_starts(
     series and every length-scale box of one time grid.  A box [lo, hi]
     reads the grid's length-scales that lie in it, and one length-scale at
     each of its edges that is finite and nonzero (the floor a_l, and the
-    ceiling of a box with a finite upper edge), in ascending order.  The
-    :class:`_Spectrum` of each time grid, and of each (time grid, edge), is
-    kept in ``spectra`` (a dict, or a new one), so a later call reuses it,
-    and each series' q in it.  A start depends on its own series and
-    scenario alone, not on its group-mates or on what ``spectra`` held;
-    ties go to the smaller l, then the smaller lambda.
+    ceiling of a box with a finite upper edge), in ascending order; the
+    edges of a time grid's problems are rows of its grid's ``eigh``
+    (:class:`_Spectrum`).  A series' likelihood table is computed once per
+    noise setting over all of these rows, and each of its boxes takes the
+    argmax of its own rows.  Time grids go one at a time; the
+    :class:`_Spectrum` of each is kept in ``spectra``, when a dict is given,
+    so that a later call reuses it, and each series' q in it; without one,
+    a grid's spectrum is dropped before the next grid's is built.  A start
+    depends on its own series and scenario alone, not on the other problems
+    or on what ``spectra`` held; ties go to the smaller l, then the smaller
+    lambda.
     """
-    if spectra is None:
-        spectra = {}
-    # The keys of the spectra each problem reads, in ascending l: its
-    # floor's (when the box has one), its time grid's, its ceiling's (when
-    # the box has one).  An edge's key ends with its length-scale.
-    keys = []
-    members: dict[tuple, list[TimeSeries]] = {}
-    for setup in setups:
-        grid = (family, nu, setup.series.times.tobytes())
-        lo, hi = setup.scenario.box[0]
-        floor = [(*grid, lo)] if lo > 0.0 else []
-        ceiling = [(*grid, hi)] if hi < math.inf else []
-        keys.append([*floor, grid, *ceiling])
-        for key in keys[-1]:
-            members.setdefault(key, []).append(setup.series)
-    for key, series_set in members.items():
-        if key not in spectra:
-            first = series_set[0]
-            ls = np.array(key[3:]) if key[3:] else _grid_length_scales(first)
-            spectra[key] = _Spectrum.build(family, nu, first, ls)
-        spectra[key].fill(series_set)
-    starts = []
-    for own, setup in zip(keys, setups):
-        series, scenario = setup.series, setup.scenario
-        n = len(series)
-        lo, hi = scenario.box[0]
-        y = series.values.tobytes()
-        parts = []
-        for key in own:
-            spectrum = spectra[key]
-            ls = spectrum.length_scales
-            # the rows in [lo, hi], as ls ascends
-            rows = slice(np.searchsorted(ls, lo), np.searchsorted(ls, hi, "right"))
-            parts.append((ls[rows], spectrum.logdet[rows], spectrum.q[y][rows]))
-        ls, logdet, q = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            mean_noise = 0.0 if setup.estimate_noise else float(np.mean(series.noise_variances))
-            if mean_noise > 0.0:
-                sf2 = np.broadcast_to(mean_noise / _GRID_RATIOS, q.shape)
-            else:
-                sf2 = q / n
-            if scenario.noise_mode == NOISE_BOUNDED:
-                sf2 = np.clip(sf2, scenario.noise_lower / _GRID_RATIOS,
-                              scenario.noise_upper / _GRID_RATIOS)
-            lml = -0.5 * (q / sf2 + n * np.log(sf2) + logdet + n * gp._LOG_2PI)
-        lml[np.isnan(lml)] = -np.inf
-        j, k = divmod(int(np.argmax(lml)), _GRID_SIZE)
-        best = float(sf2[j, k])
-        starts.append(
-            (best, float(ls[j]), float(_GRID_RATIOS[k] * best), float(lml[j, k]))
-        )
+    grids: dict[tuple, list[int]] = {}
+    for i, (series, _) in enumerate(problems):
+        grids.setdefault((family, nu, series.times.tobytes()), []).append(i)
+    starts = [None] * len(problems)
+    for key, members in grids.items():
+        first = problems[members[0]][0]
+        edges = {e for i in members for e in problems[i][1].box[0] if 0.0 < e < math.inf}
+        spectrum = None if spectra is None else spectra.get(key)
+        if spectrum is None:
+            spectrum = _Spectrum.build(
+                family, nu, first, np.concatenate([_grid_length_scales(first), sorted(edges)])
+            )
+            if spectra is not None:
+                spectra[key] = spectrum
+        elif missing := edges.difference(spectrum.length_scales[_GRID_SIZE:].tolist()):
+            spectrum.extend(family, nu, first, np.array(sorted(missing)))
+        by_series: dict[bytes, list[int]] = {}
+        for i in members:
+            by_series.setdefault(problems[i][0].values.tobytes(), []).append(i)
+        spectrum.fill(problems[own[0]][0] for own in by_series.values())
+        for y, own in by_series.items():
+            tables = {}
+            for i in own:
+                series, scenario = problems[i]
+                noise = (
+                    0.0 if scenario.noise_mode != NOISE_FIXED
+                    else float(np.mean(series.noise_variances)),
+                    scenario.box[1:],
+                )
+                if noise not in tables:
+                    tables[noise] = _likelihood_table(
+                        spectrum.q[y], spectrum.logdet, len(series), scenario, noise[0]
+                    )
+                sf2, lml = tables[noise]
+                rows = spectrum.rows(*scenario.box[0])
+                j, k = divmod(int(np.argmax(lml[rows])), _GRID_SIZE)
+                row = int(rows[j])
+                best = float(sf2[row, k])
+                starts[i] = _GridStart(
+                    best,
+                    float(spectrum.length_scales[row]),
+                    float(_GRID_RATIOS[k] * best),
+                    float(lml[row, k]),
+                )
     return starts
+
+
+def _likelihood_table(
+    q: np.ndarray, logdet: np.ndarray, n: int, scenario: Scenario, mean_noise: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The start grid's sf2 and log marginal likelihood, -inf where NaN,
+    at every (row, lambda) of a series' spectrum under the noise setting of
+    ``scenario`` (see :func:`_grid_starts`); ``mean_noise`` is the mean
+    fixed variance, or 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if mean_noise > 0.0:
+            sf2 = np.broadcast_to(mean_noise / _GRID_RATIOS, q.shape)
+        else:
+            sf2 = q / n
+        if scenario.noise_mode == NOISE_BOUNDED:
+            sf2 = np.clip(sf2, scenario.noise_lower / _GRID_RATIOS,
+                          scenario.noise_upper / _GRID_RATIOS)
+        lml = -0.5 * (q / sf2 + n * np.log(sf2) + logdet + n * gp._LOG_2PI)
+    lml[np.isnan(lml)] = -np.inf
+    return sf2, lml
 
 
 def _lockstep(
@@ -635,16 +704,19 @@ def _lockstep(
     Raises ValueError where :func:`fit` does, before any grid is built or
     run started.
 
-    ``starts`` holds one start per problem, an (sf2, l, sn2) triple in
-    natural space (sn2 ignored for fixed noise), or None for the problem's
-    grid start (:func:`_grid_starts`, which reads and fills ``spectra``);
-    without ``starts`` every problem starts from its grid.  The problems'
-    series have one length, and their scenarios one noise mode (fixed or
-    estimated); else ValueError.  A problem's start depends on its own
-    series and scenario alone.  Each round, the points asked for are mapped
-    to natural units once and go to the batched likelihood as one call,
-    whatever problem they come from; a member gets the bits of its own
-    evaluation, so each result is that of the problem's run alone.  A lone
+    ``starts`` holds one start per problem: an (sf2, l, sn2) triple in
+    natural space (sn2 ignored for fixed noise), which must be finite and
+    > 0; a :class:`_GridStart`, taken as it is; or None for the problem's
+    grid start (:func:`_grid_starts`, which reads and fills ``spectra``).
+    Without ``starts`` every problem starts from its grid.  The problems'
+    series may have any lengths, and their scenarios have one noise mode
+    (fixed or estimated); else ValueError.  A problem's start depends on its
+    own series and scenario alone.  The problems are laid out once as a
+    ragged batch (:class:`shortgp.gp._Batch`), and again, without those
+    done, when half of them are done.  Each round, the points asked for are
+    mapped to natural units once and go to the batched likelihood as one
+    call, whatever problem they come from; a member gets the bits of its
+    own evaluation, so each result is that of the problem's run alone.  A lone
     point, and a member that the batch leaves (K not finite, or jitter
     needed), go to :func:`shortgp.gp.log_marginal_likelihood_and_gradient`,
     which owns the jitter ladder and the errors.  A batched call that
@@ -655,35 +727,45 @@ def _lockstep(
         _Problem(series, family, scenario, nu, start)
         for (series, scenario), start in zip(problems, starts or [None] * len(problems))
     ]
-    if len({(len(setup.series), setup.estimate_noise) for setup in setups}) > 1:
-        raise ValueError("problems of one lockstep need one series length and noise mode")
+    if len({setup.estimate_noise for setup in setups}) > 1:
+        raise ValueError("problems of one lockstep need one noise mode")
     gridded = [setup for setup in setups if setup.start is None]
-    for setup, start in zip(gridded, _grid_starts(gridded, family, nu, spectra)):
+    found = _grid_starts([(setup.series, setup.scenario) for setup in gridded], family, nu, spectra)
+    for setup, start in zip(gridded, found):
         setup.start = start[:3]
-    # The series data of the batched likelihood, one row per problem.
-    distances = np.array([setup.series.distances for setup in setups])
-    ys = np.array([setup.series.values for setup in setups])
+    # The series data of the batched likelihood, one entry per problem.
+    distances = [setup.series.distances for setup in setups]
+    ys = [setup.series.values for setup in setups]
     variances = (
-        None
-        if setups[0].estimate_noise
-        else np.array([setup.series.noise_variances for setup in setups])
+        None if setups[0].estimate_noise else [setup.series.noise_variances for setup in setups]
     )
+    # The problems laid out as one ragged batch, and the position of each
+    # in it: laid out again, without those done, when half of them are
+    # done (or when one left out asks again, after a NaN point).
+    batch, slots = None, {}
 
     def objective(members: list[int], zs: list[np.ndarray]) -> list:
         # (-log p, -gradient) at each member's z, each z mapped once.
+        nonlocal batch, slots
         params = [setups[m].natural(z) for m, z in zip(members, zs)]
         batched = [i for i, p in enumerate(params) if p is not None]
         out = [None] * len(zs)
         if len(batched) > 1:
             rows = [members[i] for i in batched]
+            if 2 * len(rows) <= len(slots) or not all(m in slots for m in rows):
+                slots = {m: j for j, m in enumerate(rows)}
+                batch = gp._Batch(
+                    [distances[m] for m in rows],
+                    [ys[m] for m in rows],
+                    None if variances is None else [variances[m] for m in rows],
+                )
             try:
                 values, grads, ok = gp._lml_and_grad_batch(
                     family,
                     nu,
                     np.array([params[i] for i in batched]),
-                    distances.take(rows, 0),
-                    ys.take(rows, 0),
-                    None if variances is None else variances.take(rows, 0),
+                    batch,
+                    [slots[m] for m in rows],
                 )
             except OverflowError:
                 pass

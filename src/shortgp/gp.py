@@ -30,29 +30,36 @@ scalar; and without jitter the Gram matrix itself is dK/dlog sf2.  Each of
 these gives the bits the direct computation gives.
 
 A fit runs its starts in lockstep (:mod:`~shortgp.fitting`), and so do
-the fits of one scenario of many series of one length.
-:func:`_lml_and_grad_batch` evaluates the points they ask for together, as
-one (B, n, n) problem, from one (B, 2 or 3) array of raw hyperparameters
-and the per-member series data (distances, values and fixed variances,
-each member's own): no :class:`~shortgp.kernels.KernelSpec` or
-:class:`NoiseModel` is built per point.  The kernel, the noise diagonal,
-the finiteness check and the reductions run batched; ``dpotrf``,
-``dpotrs`` and ``y @ alpha`` run per member, because their batched
-counterparts do not give the per-call bits, so no member's bits depend on
-its batch-mates.  Each member solves for alpha and K^-1 in one ``dpotrs``
-call on [y | I], whose columns each have the bits of their own solve.  A
-member whose K is not finite, or whose first factorization fails, is left
-to :func:`log_marginal_likelihood_and_gradient`, which owns the jitter
-ladder and the errors, so each of them exists once.  Both functions end in
-:func:`_value_and_gradient`, the per-call one as a batch of one, and
-:func:`log_marginal_likelihood` takes its value from the same solve and
-reduction (:func:`_solve_and_value`), so the formula of the value and the
-gradient exists once too.
+the fits of one scenario of many series, of any lengths.
+:func:`_lml_and_grad_batch` evaluates the points they ask for together,
+from one (B, 2 or 3) array of raw hyperparameters and a ragged batch
+(:class:`_Batch`) that holds the members' series data (distances, values
+and fixed variances, each member's own), laid out once per lockstep: no
+:class:`~shortgp.kernels.KernelSpec` or :class:`NoiseModel` is built per
+point.  The members are ordered by n, and their n x n blocks lie end to
+end in one flat array (:class:`_Ragged`), so the kernel, the noise
+diagonal, the finiteness check, alpha alpha^T - K^-1 and the elementwise
+products run once over all of them.  Each reduction runs once per run of
+members of equal n, as the row sum of a (b_n, n^2) or (b_n, n) view, which
+is the row sum of one member's own call; a segmented sum over the flat
+array (``np.add.reduceat``) adds in another order and changes bits.
+``dpotrf``, ``dpotrs`` and ``y @ alpha`` run per member, because their
+batched counterparts do not give the per-call bits, so no member's bits
+depend on its batch-mates.  Each member solves for alpha and K^-1 in one
+``dpotrs`` call on [y | I], whose columns each have the bits of their own
+solve.  A member whose K is not finite, or whose first factorization
+fails, is left to :func:`log_marginal_likelihood_and_gradient`, which owns
+the jitter ladder and the errors, so each of them exists once.  Both
+functions end in :func:`_value_and_gradient`, the per-call one as a batch
+of one, and :func:`log_marginal_likelihood` takes its value from the same
+solve (:func:`_solve`) and reduction (:func:`_value`), so the formula of
+the value and the gradient exists once too.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,8 +131,16 @@ def log_marginal_likelihood(
     series: TimeSeries, kernel: KernelSpec, noise: NoiseModel
 ) -> float:
     """log p(y) = -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
-    chol = _factorize(series, kernel, noise)[2]
-    return float(_solve_and_value(series.values[None], chol[None])[1][0])
+    layout, chol = _ragged((len(series),)), _flat(_factorize(series, kernel, noise)[2])
+    y_alpha = _solve(layout, series.values, chol)[1]
+    log_diagonal = layout.sums(np.log(chol[layout.diagonal])[None], layout.runs, vectors=True)
+    return float(_value(layout, y_alpha, log_diagonal[0])[0])
+
+
+def _flat(chol: np.ndarray) -> np.ndarray:
+    """A lower Cholesky factor as the flat block of a ragged batch: its
+    transpose in C order, which is the factor itself in Fortran order."""
+    return chol.T.ravel()
 
 
 def log_marginal_likelihood_and_gradient(
@@ -142,109 +157,247 @@ def log_marginal_likelihood_and_gradient(
     # has no -0.0 entries, so gram + 0 * eye would be gram bit for bit.
     d_sf2 = gram + jitter * _identity(len(series)) if jitter else gram
     values, grads = _value_and_gradient(
-        series.values[None],
-        chol[None],
-        d_sf2[None],
-        (kernel.length_scale * d_l)[None],
+        _ragged((len(series),)),
+        series.values,
+        _flat(chol),
+        d_sf2.ravel(),
+        (kernel.length_scale * d_l).ravel(),
         [noise.variance] if noise.is_estimated else None,
     )
     return float(values[0]), grads[0]
+
+
+class _Ragged:
+    """Where the arrays of B members, of n_1 <= ... <= n_B points, lie in a
+    ragged batch.
+
+    Each member's n x n blocks (K and its factor, the Gram matrix, dK/dl,
+    the gradient's products) lie end to end in one flat array, each in C
+    order; so do its n-vectors (y, alpha, the diagonals), and its
+    (n + 1) x n solve of [y | I]: alpha, then K^-1 by columns.  The index
+    arrays map one layout to another, so that the kernel, the noise
+    diagonal, alpha alpha^T - K^-1 and the products run once on the flat
+    arrays.  A reduction runs per run of members of equal n, as a row sum of
+    a (b_n, n^2) or (b_n, n) view: the row sum of the call of one member,
+    so each member keeps its own bits (``np.add.reduceat`` sums in another
+    order).
+    """
+
+    def __init__(self, sizes: tuple[int, ...]):
+        ns = np.array(sizes)
+        b = len(ns)
+        sizes = list(sizes)
+        self.n = ns
+        # entries per member of a block, and the n of each vector entry's
+        # member: the repeat counts that spread a member's value over them
+        self.squares = ns * ns
+        self.vector_n = np.repeat(ns, ns)
+        # offsets of each member's block, vector and solve, and one past
+        self.blocks = np.concatenate([[0], np.cumsum(self.squares)])
+        self.vectors = np.concatenate([[0], np.cumsum(ns)])
+        solves = self.blocks + self.vectors
+        # per entry of a block: row a and column c; alpha[a] is the
+        # vector entry repeated n times, alpha[c] and K^-1[a, c] gathers
+        member = np.repeat(np.arange(b), self.squares)
+        n_of = ns[member]
+        a, c = np.divmod(np.arange(self.blocks[-1]) - self.blocks[member], n_of)
+        self.cols = self.vectors[member] + c
+        self.k_inv = solves[member] + (c + 1) * n_of + a
+        # per entry of a vector: its index i
+        i = np.arange(self.vectors[-1]) - np.repeat(self.vectors[:-1], ns)
+        self.diagonal = np.repeat(self.blocks[:-1], ns) + i * (self.vector_n + 1)
+        self.alpha = np.repeat(solves[:-1], ns) + i
+        self.eye = self.alpha + (i + 1) * self.vector_n
+        self.solves = solves
+        # each member's n and offsets, as Python ints
+        self.offsets = list(zip(sizes, self.blocks.tolist(), self.vectors.tolist(), solves.tolist()))
+        # each run of equal n: its members [first, end), n, and its span of
+        # the blocks and of the vectors
+        firsts = [j for j in range(b) if j == 0 or sizes[j] != sizes[j - 1]]
+        blocks, vectors = self.blocks.tolist(), self.vectors.tolist()
+        self.runs = [
+            (first, end, sizes[first], blocks[first], blocks[end], vectors[first], vectors[end])
+            for first, end in zip(firsts, [*firsts[1:], b])
+        ]
+
+    def sums(self, flat: np.ndarray, runs: list, vectors: bool = False) -> np.ndarray:
+        """The row sums (m, B) of ``flat`` (m, total), whose rows hold one
+        block per member, or one vector with ``vectors``, over the members
+        of ``runs`` (0 elsewhere): per run of equal n, the sum of a
+        (m, b_n, width) view over its last axis."""
+        out = np.zeros((flat.shape[0], len(self.n)))
+        for first, end, n, lo, hi, vector_lo, vector_hi in runs:
+            if vectors:
+                lo, hi, width = vector_lo, vector_hi, n
+            else:
+                width = n * n
+            np.add.reduce(
+                flat[:, lo:hi].reshape(-1, end - first, width), axis=2, out=out[:, first:end]
+            )
+        return out
+
+
+@lru_cache(maxsize=32)
+def _ragged(sizes: tuple[int, ...]) -> _Ragged:
+    """The layout of one member of n points, for the per-call likelihood."""
+    return _Ragged(sizes)
+
+
+class _Batch:
+    """The series of B members of a ragged batch, laid out once
+    (:class:`_Ragged`, in the order of n): their distance matrices, values
+    and fixed variances, flat.  A lockstep lays out the problems whose
+    points it evaluates together, and hands :func:`_lml_and_grad_batch`
+    any of them each round."""
+
+    def __init__(self, distances, ys, variances=None):
+        sizes = [len(y) for y in ys]
+        order = sorted(range(len(ys)), key=sizes.__getitem__)
+        # the layout position of each member, in the order given
+        self.slot = np.argsort(order).tolist()
+        self.layout = _Ragged(tuple(sizes[i] for i in order))
+        self.distances = np.concatenate([np.ravel(distances[i]) for i in order])
+        self.ys = np.concatenate([ys[i] for i in order])
+        self.variances = (
+            None if variances is None else np.concatenate([variances[i] for i in order])
+        )
 
 
 def _lml_and_grad_batch(
     family: str,
     nu: float | None,
     params: np.ndarray,
-    distances: np.ndarray,
-    ys: np.ndarray,
-    variances: np.ndarray | None = None,
+    batch: _Batch,
+    members: list[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[bool]]:
     """:func:`log_marginal_likelihood_and_gradient` of B members at once.
 
-    ``params`` is a (B, 2 or 3) array of positive (sf2, l[, sn2]), the
-    hyperparameters of an SE or half-integer Matern kernel.  Each member
-    has its own series of n points, which may be another member's: its
-    distance matrix (B, n, n), its values (B, n) and, for two columns (fixed
-    noise), its per-point variances (B, n).  Returns the values (B,), the
+    ``members`` names B members of ``batch`` (all of them by default, in
+    the order it was built from), which may have any lengths; each has its
+    own series, which may be another member's.  ``params`` is a
+    (B, 2 or 3) array of positive (sf2, l[, sn2]), one row per member, the
+    hyperparameters of an SE or half-integer Matern kernel; two columns
+    mean fixed noise, the batch's variances.  Returns the values (B,), the
     gradients (B, 2 or 3) and, as a list, a mask of the members evaluated
-    here.  A member outside the mask has a K that is not finite, or one that
-    needs jitter; its row holds no result, and the caller evaluates it
+    here.  A member outside the mask has a K that is not finite, or one
+    that needs jitter; its row holds no result, and the caller evaluates it
     through :func:`log_marginal_likelihood_and_gradient`.  Every row inside
     the mask is bitwise that function's result on the member's series.
-    Raises OverflowError, as that function does, when a member's l^3 or l^2
-    overflows a float.
+    Raises OverflowError, as that function does, when a member's l^3 or
+    l^2 overflows a float.
+
+    The kernel, the noise diagonal, the finiteness check, alpha alpha^T -
+    K^-1 and the products run once over the whole batch, the reductions
+    once per run of equal n (:class:`_Ragged`); ``dpotrf``, ``dpotrs`` and
+    ``y @ alpha`` run per member named, because their batched counterparts
+    do not give the per-call bits.  The batch's other members take sf2 = l
+    (= sn2) = 1 in the arithmetic that runs over all of them, and no
+    factorization or solve.
     """
-    b, n = ys.shape
-    sf2, ls = params[:, :2].T.reshape(2, b, 1, 1)
-    sn2 = params[:, 2] if params.shape[1] == 3 else None
-    gram, d_l = _evaluate(family, nu, sf2, ls, distances)
+    layout = batch.layout
+    sizes = layout.n.tolist()
+    slots = batch.slot if members is None else [batch.slot[m] for m in members]
+    full = np.ones((len(sizes), params.shape[1]))
+    full[slots] = params
+    sf2, ls = full[:, 0], full[:, 1]
+    sn2 = full[:, 2] if params.shape[1] == 3 else None
+    gram, d_l = _evaluate(family, nu, sf2, ls, batch.distances, spread=layout.squares)
     k = gram.copy()
-    k.reshape(b, n * n)[:, :: n + 1] += variances if sn2 is None else sn2[:, None]
-    ok = np.isfinite(k).all(axis=(1, 2)).tolist()
+    k[layout.diagonal] += batch.variances if sn2 is None else np.repeat(sn2, layout.n)
+    # K >= 0, so a finite sum means every entry is finite; otherwise each
+    # member is checked (a sum of finite entries may overflow, too)
+    finite = (
+        None if math.isfinite(np.add.reduce(k))
+        else np.logical_and.reduceat(np.isfinite(k), layout.blocks[:-1]).tolist()
+    )
 
-    # K is exactly symmetric, so each member of the transpose is its own K
-    # in Fortran order, which dpotrf factors in place.
-    chols = k.transpose(0, 2, 1)
-    for i in range(b):
-        if ok[i]:
-            ok[i] = not dpotrf(chols[i], lower=1, clean=1, overwrite_a=1)[1]
-        if not ok[i]:
-            # Neutral rows, so that the arithmetic below warns nothing.
-            k[i] = _identity(n)
-            gram[i] = 0.0
-            d_l[i] = 0.0
-    values, grads = _value_and_gradient(ys, chols, gram, ls * d_l, sn2)
-    return values, grads, ok
+    # K is exactly symmetric, so each member's block, in C order, is its
+    # own K in Fortran order, which dpotrf factors in place.
+    ok = [False] * len(sizes)
+    for j in sorted(slots):
+        n, lo, _, _ = layout.offsets[j]
+        block = slice(lo, lo + n * n)
+        if finite is None or finite[j]:
+            ok[j] = not dpotrf(k[block].reshape(n, n).T, lower=1, clean=1, overwrite_a=1)[1]
+        if not ok[j]:
+            # Neutral blocks, so that the arithmetic below warns nothing.
+            k[block] = _identity(n).ravel()
+            gram[block] = 0.0
+            d_l[block] = 0.0
+    values, grads = _value_and_gradient(
+        layout, batch.ys, k, gram, np.repeat(ls, layout.squares) * d_l, sn2,
+        [j for j, done in enumerate(ok) if done],
+    )
+    return values[slots], grads[slots], [ok[j] for j in slots]
 
 
-def _solve_and_value(ys: np.ndarray, chols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[y | I] solved for each of B members (B, n + 1, n), and log p(y) (B,),
-    from their values (B, n) and the lower Cholesky factors of their K
-    (B, n, n).
+def _solve(
+    layout: _Ragged, ys: np.ndarray, chols: np.ndarray, solve=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """[y | I] solved for each of B members (flat, in ``layout``'s solve
+    blocks), and -1/2 y^T alpha (B,), from their values and the lower
+    Cholesky factors of their K, flat in ``layout``.  Only the members
+    ``solve`` (ascending; all by default) are solved; the others keep
+    [y | I] and 0.
 
     ``dpotrs`` and ``y @ alpha`` run per member, because their batched
-    counterparts do not give the bits of one member's call; the rest runs
-    batched.  Each member solves [y | I] in one ``dpotrs`` call, in place,
-    in a Fortran-ordered block filled with them beforehand (the assignment
-    then copies nothing): alpha = K^-1 y is row 0 of its solution and K^-1
-    the rest, transposed.  Each column of a multi-column solve has the bits
-    of its own solve.
+    counterparts do not give the bits of one member's call.  Each member
+    solves [y | I] in one ``dpotrs`` call, in place, in a Fortran-ordered
+    block filled with them beforehand: alpha = K^-1 y is its first column
+    and K^-1 the rest.  Each column of a multi-column solve has the bits of
+    its own solve.
     """
-    b, n = chols.shape[:2]
+    solved = np.zeros(layout.solves[-1])
+    solved[layout.alpha] = ys
+    solved[layout.eye] = 1.0
     half_ys = -0.5 * ys
-    solved = np.empty((b, n + 1, n))
-    solved[:, 0] = ys
-    solved[:, 1:] = _identity(n)
-    blocks = solved.transpose(0, 2, 1)
-    y_alpha = np.empty(b)
-    for i in range(b):
-        blocks[i] = dpotrs(chols[i], blocks[i], lower=1, overwrite_b=1)[0]
-        y_alpha[i] = half_ys[i] @ solved[i, 0]
-    logdet = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    return solved, y_alpha - 0.5 * logdet - 0.5 * n * _LOG_2PI
+    y_alpha = np.zeros(len(layout.n))
+    for j in range(len(layout.n)) if solve is None else solve:
+        n, lo, v, s = layout.offsets[j]
+        block = solved[s : s + (n + 1) * n]
+        dpotrs(chols[lo : lo + n * n].reshape(n, n).T, block.reshape(n + 1, n).T,
+               lower=1, overwrite_b=1)
+        y_alpha[j] = half_ys[v : v + n] @ block[:n]
+    return solved, y_alpha
+
+
+def _value(layout: _Ragged, y_alpha: np.ndarray, log_diagonal: np.ndarray) -> np.ndarray:
+    """log p(y) (B,) from -1/2 y^T alpha and the sums of the log of each
+    factor's diagonal: log|K| is twice that sum."""
+    return y_alpha - 0.5 * (2.0 * log_diagonal) - 0.5 * layout.n * _LOG_2PI
 
 
 def _value_and_gradient(
-    ys: np.ndarray, chols: np.ndarray, d_sf2: np.ndarray, d_l: np.ndarray, sn2
+    layout: _Ragged, ys: np.ndarray, chols: np.ndarray, d_sf2: np.ndarray,
+    d_l: np.ndarray, sn2, solve=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """log p(y) (B,) and its gradient in log coordinates (B, 2 or 3) for B
-    members, from their values (B, n), the lower Cholesky factors of their
-    K (B, n, n), dK/dlog sf2 and dK/dlog l; ``sn2`` is the B estimated noise
-    variances, or None for fixed noise.  The solves and the value are
-    :func:`_solve_and_value`'s.
+    members, from their values, the lower Cholesky factors of their K,
+    dK/dlog sf2 and dK/dlog l, all flat in ``layout``; ``sn2`` is the B
+    estimated noise variances, or None for fixed noise.  The solves are
+    :func:`_solve`'s, of the members ``solve``; the reductions run over the
+    runs of equal n that hold one of them.
     """
-    b, n = chols.shape[:2]
-    solved, values = _solve_and_value(ys, chols)
-    alphas = solved[:, 0]
-    k_invs = solved.transpose(0, 2, 1)[:, :, 1:]
+    solved, y_alpha = _solve(layout, ys, chols, solve)
+    runs = layout.runs
+    if solve is not None:
+        runs = [run for run in runs if bisect_left(solve, run[1]) > bisect_left(solve, run[0])]
+    alphas = solved[layout.alpha]
     # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
-    inner = alphas[:, :, None] * alphas[:, None, :] - k_invs
-    grads = np.empty((b, 2 if sn2 is None else 3))
-    grads[:, 0] = 0.5 * (inner * d_sf2).reshape(b, n * n).sum(axis=1)
-    grads[:, 1] = 0.5 * (inner * d_l).reshape(b, n * n).sum(axis=1)
+    inner = np.repeat(alphas, layout.vector_n) * alphas[layout.cols] - solved[layout.k_inv]
+    products = np.empty((2, len(inner)))
+    np.multiply(inner, d_sf2, out=products[0])
+    np.multiply(inner, d_l, out=products[1])
+    diagonals = np.empty((1 if sn2 is None else 2, len(ys)))
+    np.log(chols[layout.diagonal], out=diagonals[0])
     if sn2 is not None:
-        grads[:, 2] = 0.5 * np.asarray(sn2) * inner.diagonal(axis1=1, axis2=2).sum(axis=1)
-    return values, grads
+        diagonals[1] = inner[layout.diagonal]
+    diagonal_sums = layout.sums(diagonals, runs, vectors=True)
+    grads = np.empty((len(layout.n), 2 if sn2 is None else 3))
+    grads[:, :2] = (0.5 * layout.sums(products, runs)).T
+    if sn2 is not None:
+        grads[:, 2] = 0.5 * np.asarray(sn2) * diagonal_sums[1]
+    return _value(layout, y_alpha, diagonal_sums[0]), grads
 
 
 def posterior_at(

@@ -9,10 +9,11 @@ counter-based Philox streams keyed by (seed, n, replicate), so any
 replicate is reproducible in isolation and results do not depend on the
 degree of parallelism.
 
-Series of one length are fitted together (:func:`_fit_all`): within a
+Series of any lengths are fitted together (:func:`_fit_all`): within a
 group, scenario k of every series that needs its own fit goes to one stage,
 once the series' earlier scenarios have been fitted, because the nested-skip
-rule reads them.  A stage is one call of ``fitting._fit_problems``.  The
+rule reads them.  A stage is one call of ``fitting._fit_problems``, from
+grid starts found for the whole group one time grid at a time.  The
 sharing of optima, the scoring and the winners stay per series, and records
 come out in input order.  No fit depends on its group-mates, so the records
 are those of fitting each series alone.
@@ -30,6 +31,7 @@ import ctypes
 import importlib
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -276,29 +278,42 @@ class _RunSettings:
 
 
 def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord]]:
-    """The records of each task of a group whose series have one length.
+    """The records of each task of a group, whatever its series' lengths.
 
     A task is ``(series, scenarios, n_label, replicate)``.  Each series'
     scenarios are fitted in list order, and scenario k of every series
-    together: their problems go to one stage.  The stages share one dict of
-    spectra (``fitting._grid_starts``), so a time grid's eigendecompositions
-    (at the start grid's length-scales, shared by every length-scale box,
-    and at each box edge), and each series' quadratic forms on them, are
-    computed once per group.  A scenario has no fit of its own when its
-    one run (from its grid start) fails, when the series cannot be fitted
-    under it (``fitting._no_fit_reason``; its record is then failed), or
-    when it is skipped (the rule is on :class:`ReplicateRecord`, and reads
-    only the series' earlier scenarios).  A skipped scenario reports the containing
+    together: their problems go to one stage, one ``fitting._lockstep``.
+    Before the stages, one pass over the group's time grids finds the grid
+    start of every problem that can be fitted (``fitting._grid_starts``):
+    each time grid's eigendecompositions (at the start grid's length-scales
+    and at its box edges, in one ``eigh``) and its series' quadratic forms
+    are built, read and dropped before the next grid's, so at most one
+    grid's spectra are alive at a time, and the stages run from the starts
+    found.  A group of one task keeps the route of a lone problem: each
+    stage goes through ``fitting.fit``, with one dict of spectra for the
+    group (the benchmark's spans time that route; see the ``fitting``
+    module docstring).  A scenario has no fit of its own when its one run
+    fails, when the series cannot be fitted under it
+    (``fitting._no_fit_reason``; its record is then failed), or when it is
+    skipped (the rule is on :class:`ReplicateRecord`, and reads only the
+    series' earlier scenarios).  A skipped scenario reports the containing
     scenario's optimum through the sharing of optima in
-    :func:`_series_records`.
+    :func:`_series_records`; its grid start goes unused.
     """
+    family, nu = settings.family, settings.nu
     unfittable = [
         [fitmod._no_fit_reason(series, sc) is not None for sc in scenarios]
         for series, scenarios, *_ in tasks
     ]
     count = len(tasks[0][1])  # every task of a run has as many scenarios
     own: list[list[fitmod.FitResult | None]] = [[None] * count for _ in tasks]
-    spectra: dict = {}
+    spectra, starts = {}, None
+    if len(tasks) > 1:
+        spectra, starts = None, [[None] * count for _ in tasks]
+        keys = [(i, k) for i, flags in enumerate(unfittable) for k in range(count) if not flags[k]]
+        found = fitmod._grid_starts([(tasks[i][0], tasks[i][1][k]) for i, k in keys], family, nu)
+        for (i, k), start in zip(keys, found):
+            starts[i][k] = start
     for k in range(count):
         stage = [
             i
@@ -308,9 +323,10 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
         if stage:
             results = fitmod._fit_problems(
                 [(tasks[i][0], tasks[i][1][k]) for i in stage],
-                settings.family,
-                settings.nu,
+                family,
+                nu,
                 spectra,
+                None if starts is None else [starts[i][k] for i in stage],
             )
             for i, result in zip(stage, results):
                 own[i][k] = result
@@ -466,7 +482,7 @@ def _blas_on_one_thread():
     return restore
 
 
-# The most series one group holds, so that a group's stacked arrays stay
+# The most series one group holds, so that a group's ragged arrays stay
 # small on large inputs.
 _GROUP_SERIES = 256
 
@@ -475,24 +491,25 @@ def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[Repl
     """The records of every task, in task order, from ``parallelism``
     worker processes (or this one), with BLAS on one thread.
 
-    Tasks whose series have one length are fitted together
-    (:func:`_fit_group`), in groups of at most ``_GROUP_SERIES`` and of at
-    most a worker's share of the tasks, so that every worker gets a group.
-    A worker takes whole groups.  A fit does not depend on its group-mates,
-    so neither do the records.  Each worker sets BLAS to one thread once; a
-    serial run sets it here, so that no idle OpenBLAS thread spins beside
-    the fits, and restores the caller's counts after.  Workers are forked
-    where the platform can, so that a script without a ``__main__`` guard
-    still runs."""
-    by_length: dict[int, list[int]] = {}
-    for i, task in enumerate(tasks):
-        by_length.setdefault(len(task[0]), []).append(i)
-    size = min(_GROUP_SERIES, math.ceil(len(tasks) / max(parallelism, 1)))
+    Tasks are fitted in groups (:func:`_fit_group`) of any series lengths,
+    ordered by length, of at most ``_GROUP_SERIES`` tasks and of at most a
+    worker's share of them, so that every worker gets a group.  A task
+    whose series length no other task of the run shares is a group of its
+    own, the route of a lone problem.  A worker takes whole groups.  A fit
+    does not depend on its group-mates, so neither do the records.  Each
+    worker sets BLAS to one thread once; a serial run sets it here, so that
+    no idle OpenBLAS thread spins beside the fits, and restores the
+    caller's counts after.  Workers are forked where the platform can, so
+    that a script without a ``__main__`` guard still runs."""
+    lengths = Counter(len(task[0]) for task in tasks)
+    shared = sorted(
+        (i for i, task in enumerate(tasks) if lengths[len(task[0])] > 1),
+        key=lambda i: len(tasks[i][0]),
+    )
+    size = max(1, min(_GROUP_SERIES, math.ceil(len(shared) / max(parallelism, 1))))
     groups = [
-        indices[first : first + size]
-        for indices in by_length.values()
-        for first in range(0, len(indices), size)
-    ]
+        [i] for i, task in enumerate(tasks) if lengths[len(task[0])] == 1
+    ] + [shared[first : first + size] for first in range(0, len(shared), size)]
     group_tasks = [[tasks[i] for i in group] for group in groups]
     group_fn = partial(_fit_group, settings)
     if parallelism <= 1 or len(groups) <= 1:
@@ -732,12 +749,14 @@ def ingest_csv(path) -> list[TimeSeries]:
     header is wide format: an ``id`` column followed by one column per time
     point whose header cells parse as times (a ``t=`` prefix is allowed).
 
-    Raises CsvFormatError (with a line number) for malformed cells or
-    missing columns, and for a series that mixes empty and numeric variance
-    cells.  A series that breaks a :class:`TimeSeries` rule (a non-finite
-    cell, a negative variance, unordered times, a subnormal gap, a span
-    t[-1] - t[0] that overflows) raises CsvFormatError naming the series
-    (long format) or its line (wide format; line 1 for the header times).
+    Raises CsvFormatError (with a line number) for malformed cells, missing
+    columns, a long-format header that repeats a column it reads, a row
+    whose cell count is not the header's, and a series that mixes empty and
+    numeric variance cells.  A series that breaks a :class:`TimeSeries`
+    rule (a non-finite cell, a negative variance, unordered times, a
+    subnormal gap, a span t[-1] - t[0] that overflows) raises
+    CsvFormatError naming the series (long format) or its line (wide
+    format; line 1 for the header times).
     A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -756,14 +775,21 @@ def ingest_csv(path) -> list[TimeSeries]:
                 raise CsvFormatError(
                     f"line 1: long format needs columns {required}, missing {missing}"
                 )
+            repeated = [
+                name for name in (*required, "variance") if lowered.count(name) > 1
+            ]
+            if repeated:
+                raise CsvFormatError(f"line 1: long format repeats column {repeated[0]!r}")
             col = {name: lowered.index(name) for name in required}
             var_col = lowered.index("variance") if "variance" in lowered else None
             groups: dict[str, dict[str, list[float]]] = {}
             for line_no, row in enumerate(reader, start=2):
                 if not row or all(not c.strip() for c in row):
                     continue
-                if len(row) < len(header):
-                    raise CsvFormatError(f"line {line_no}: expected {len(header)} cells")
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"line {line_no}: expected {len(header)} cells, got {len(row)}"
+                    )
                 sid = row[col["id"]].strip()
                 var_cell = row[var_col].strip() if var_col is not None else ""
                 g = groups.setdefault(sid, {"t": [], "y": [], "v": [] if var_cell else None})

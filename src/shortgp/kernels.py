@@ -162,41 +162,57 @@ def _power(l, k: int):
 
 
 def _evaluate(
-    family: str, nu: float | None, sf2, l, r: np.ndarray, d_length_scale: bool = True
+    family: str,
+    nu: float | None,
+    sf2,
+    l,
+    r: np.ndarray,
+    d_length_scale: bool = True,
+    spread: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The covariance over ``r`` and, if ``d_length_scale``, its derivative
     in l (else None), from raw hyperparameters, in one pass: the closed forms
     from one ``exp``, the general order from one u and log u.  Each is
     bitwise what its formula gives on its own.
 
-    ``sf2`` and ``l`` are floats or, for SE and the fitting orders, arrays of
-    shape (B, 1, 1) that give one (B, n, n) covariance per member; every
+    ``sf2`` and ``l`` are floats or, for SE and the fitting orders, arrays:
+    of shape (B, 1, 1), which give one (B, n, n) covariance per member, or
+    of shape (B,) with ``spread``, the number of entries of a flat ``r``
+    that each member owns, in order (the ragged batch of
+    :func:`shortgp.gp._lml_and_grad_batch`).  A member's own arithmetic (a
+    power of l, sqrt(3) / l) runs on its value before it is spread, so every
     element is bitwise what the float call for its member gives.
     """
+
+    def at(x):
+        return x if spread is None else np.repeat(x, spread)
+
     d_l = None
     if family == SQUARED_EXPONENTIAL:
-        k = sf2 * np.exp(-0.5 * (r / l) ** 2)
+        k = at(sf2) * np.exp(-0.5 * (r / at(l)) ** 2)
         if d_length_scale:
-            d_l = k * r * r / _power(l, 3)
+            d_l = k * r * r / at(_power(l, 3))
     elif nu == 0.5:
-        k = sf2 * np.exp(-r / l)
+        k = at(sf2) * np.exp(-r / at(l))
         if d_length_scale:
-            d_l = k * r / _power(l, 2)
+            d_l = k * r / at(_power(l, 2))
     elif nu == 1.5:
-        u = (math.sqrt(3.0) / l) * r
+        s = at(sf2)
+        u = at(math.sqrt(3.0) / l) * r
         decay = np.exp(-u)
-        decayed = decay == 0.0
-        k = _zero_where(sf2 * (1.0 + u) * decay, decayed)
+        decayed = None if decay.all() else decay == 0.0
+        k = _zero_where(s * (1.0 + u) * decay, decayed)
         if d_length_scale:
-            d_l = _zero_where(sf2 * 3.0 * r * r / _power(l, 3) * decay, decayed)
+            d_l = _zero_where(s * 3.0 * r * r / at(_power(l, 3)) * decay, decayed)
     elif nu == 2.5:
-        u = (math.sqrt(5.0) / l) * r
+        s = at(sf2)
+        u = at(math.sqrt(5.0) / l) * r
         decay = np.exp(-u)
-        decayed = decay == 0.0
-        k = _zero_where(sf2 * (1.0 + u + u * u / 3.0) * decay, decayed)
+        decayed = None if decay.all() else decay == 0.0
+        k = _zero_where(s * (1.0 + u + u * u / 3.0) * decay, decayed)
         if d_length_scale:
             d_l = _zero_where(
-                sf2 * (5.0 * r * r / (3.0 * _power(l, 3))) * (1.0 + u) * decay, decayed
+                s * (5.0 * r * r / at(3.0 * _power(l, 3))) * (1.0 + u) * decay, decayed
             )
     else:
         # k = c u^nu K_nu(u) with c = sf2 2^(1-nu) / Gamma(nu) and, from
@@ -229,13 +245,16 @@ def _cov_array(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         return _cov_and_dcov_dl(spec, r, d_length_scale=False)[0]
 
 
-def _zero_where(values: np.ndarray, decayed: np.ndarray) -> np.ndarray:
+def _zero_where(values: np.ndarray, decayed: np.ndarray | None) -> np.ndarray:
     """``values`` (K or dK/dl) with 0 where the mask ``decayed`` says the
     Matern decay underflowed: exp(-u) = 0 at orders 3/2 and 5/2, u beyond
     kve's argument range 2^30 - 1/2 at any other order.  There a polynomial
     in u may be inf (inf * 0 is NaN) or kve NaN, while the true value is
-    below the smallest float (K < 1e-400000000 for any order up to 1e6)."""
-    values[decayed] = 0.0
+    below the smallest float (K < 1e-400000000 for any order up to 1e6).
+    ``decayed`` is None where no decay underflowed and no mask was built;
+    ``values`` are then left as they are."""
+    if decayed is not None:
+        values[decayed] = 0.0
     return values
 
 

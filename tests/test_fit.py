@@ -647,8 +647,7 @@ class TestExtraStarts:
 
 def _grid_starts_of(problems, family="se", nu=None, spectra=None):
     """The grid starts of (series, scenario) problems, as one group."""
-    setups = [fitting._Problem(s, family, sc, nu) for s, sc in problems]
-    return fitting._grid_starts(setups, family, nu, spectra)
+    return fitting._grid_starts(list(problems), family, nu, spectra)
 
 
 def _grid_start_of(problem, family="se", nu=None):
@@ -741,8 +740,12 @@ class TestGridStarts:
         ):
             with pytest.raises(ValueError):
                 fitting._lockstep(problems, family, nu)
-        with pytest.raises(ValueError, match="one series length"):
-            fitting._lockstep([(series, scenario), (_sinc_series(n=7), scenario)], "se", None)
+        # one lockstep takes series of any lengths, but one noise mode
+        seven = _sinc_series(n=7)
+        seven = TimeSeries(seven.times, seven.values, np.full(7, 0.05))
+        fixed = make_expression_scenarios(seven, "se")[2]
+        with pytest.raises(ValueError, match="one noise mode"):
+            fitting._lockstep([(series, scenario), (seven, fixed)], "se", None)
 
     def test_length_to_infinity_optimum(self):
         # five random restarts all stopped at l = 2.15 (LML -4.3112); the
@@ -784,22 +787,22 @@ class TestGridStarts:
 
     @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
     def test_one_eigh_per_time_grid_and_box(self, monkeypatch, scenario_set):
-        # the stages of a group share their spectra: a group on two time
-        # grids decomposes one stack of the grid's 64 length-scales per time
-        # grid and one matrix per distinct box edge (here a grid's floor
-        # a_l), and its spectra hold all of them after the four stages
+        # a group on two time grids decomposes each time grid once, in one
+        # stack of the grid's 64 length-scales and its box edges (here the
+        # grid's floor a_l), before the stages; the stages run from the
+        # starts found, without a dict of spectra
         from shortgp.harness import run_batch
 
         eigh, fit_problems = fitting._correlation_eigh, fitting._fit_problems
-        stacks, held = [], []
+        stacks, stages = [], []
 
         def counting(family, nu, distances, length_scales):
             stacks.append(length_scales.tolist())
             return eigh(family, nu, distances, length_scales)
 
-        def capturing(problems, family, nu, spectra=None):
-            held.append(spectra)
-            return fit_problems(problems, family, nu, spectra)
+        def capturing(problems, family, nu, spectra=None, starts=None):
+            stages.append((len(stacks), spectra, starts))
+            return fit_problems(problems, family, nu, spectra, starts)
 
         monkeypatch.setattr(fitting, "_correlation_eigh", counting)
         monkeypatch.setattr(fitting, "_fit_problems", capturing)
@@ -811,26 +814,17 @@ class TestGridStarts:
         ]
         report = run_batch(series, scenario_set)
         assert not any(r.failed for r in report.rows)
-        grids = {s.times.tobytes(): s for s in series}
-        floors = {make_scenarios(s, "se")[1].length_scale_lower for s in grids.values()}
-        full = [ls for ls in stacks if len(ls) == fitting._GRID_SIZE]
-        rows = [ls[0] for ls in stacks if len(ls) == 1]
-        assert len(full) + len(rows) == len(stacks)
-        assert sorted(ls[0] for ls in full) == sorted(
-            s.sampling.delta_t / 20.0 for s in grids.values()
-        )
-        assert len(set(rows)) == len(rows) and set(rows) <= floors
-        assert sum(map(len, stacks)) == fitting._GRID_SIZE * len(grids) + len(rows)
-        # one dict for the group, which holds what was decomposed
-        assert len({id(spectra) for spectra in held}) == 1
-        spectra = held[0]
-        kept = sorted(spectrum.length_scales.tolist() for spectrum in spectra.values())
-        assert kept == sorted(stacks)
-        for s in series:
-            key = ("se", None, s.times.tobytes())
-            assert spectra[key].q[s.values.tobytes()].shape == (
-                fitting._GRID_SIZE, fitting._GRID_SIZE
+        grids = [series[0], series[3]]
+        assert len(stacks) == len(grids)
+        for ls, s in zip(stacks, grids):
+            floor = make_scenarios(s, "se")[1].length_scale_lower
+            assert ls == [*fitting._grid_length_scales(s).tolist(), floor]
+        assert stages and all(
+            decomposed == len(grids) and spectra is None and all(
+                isinstance(start, fitting._GridStart) for start in starts
             )
+            for decomposed, spectra, starts in stages
+        )
 
     def test_logdet_summed_in_eigenvalue_order(self):
         # log|C_l + lambda I| is summed in place, one eigenvalue at a time:
@@ -1027,13 +1021,15 @@ class TestDiagnose:
 @pytest.mark.parametrize("k", [1, 3], ids=["lengthscale_bounded", "both_bounded"])
 def test_an_overflowing_batch_leaves_its_members_to_the_per_call_path(monkeypatch, family, nu, k):
     # the Nyquist floor of a series sampled 1e120 apart overflows a power of
-    # l in the batched call; its members then go one by one, so the near
-    # series fits as it does alone and only the far series fails
+    # l in the ragged batched call; its members then go one by one, so the
+    # near series, of 5 and of 7 points, fit as they do alone and only the
+    # far series fails
     values = [0.1, 0.5, -0.2, 0.3, 0.0]
     near = TimeSeries(np.arange(5.0), values)
+    other = TimeSeries(np.arange(7.0) * 0.8, [*values, 0.4, -0.1])
     far = TimeSeries(np.arange(5.0) * 1e120, values)
-    problems = [(s, make_scenarios(s, family, nu=nu)[k]) for s in (near, far)]
-    [alone] = fitting._lockstep(problems[:1], family, nu)
+    problems = [(s, make_scenarios(s, family, nu=nu)[k]) for s in (near, other, far)]
+    alone = [fitting._lockstep([problem], family, nu)[0] for problem in problems[:2]]
     batch, overflows = gp._lml_and_grad_batch, []
 
     def counting(*args):
@@ -1044,9 +1040,11 @@ def test_an_overflowing_batch_leaves_its_members_to_the_per_call_path(monkeypatc
             raise
 
     monkeypatch.setattr(gp, "_lml_and_grad_batch", counting)
-    near_fit, far_fit = fitting._lockstep(problems, family, nu)
+    *near_fits, far_fit = fitting._lockstep(problems, family, nu)
     assert overflows
-    assert repr(near_fit) == repr(alone)
+    # the batch that overflowed holds both lengths
+    assert sorted(overflows[0][3].layout.n.tolist()) == [5, 5, 7]
+    assert [repr(f) for f in near_fits] == [repr(f) for f in alone]
     assert far_fit is None
 
 

@@ -565,15 +565,18 @@ def _jitter(series, family, nu, sf2, l, sn2):
 
 @st.composite
 def _batches(draw):
-    """1 to 4 series of one length, 2 to 15 points, all with or all without
-    per-point variances; a fitting family; and 1 to 20 members, each with
-    one of those series and its own hyperparameters."""
-    n = draw(st.integers(2, 15))
+    """1 to 4 series of 2 to 15 points each, of one length or of several,
+    all with or all without per-point variances; a fitting family; and 1 to
+    20 members, each with one of those series and its own hyperparameters."""
     b = draw(st.integers(1, 20))
     family, nu = draw(st.sampled_from(_FITTING_FAMILIES))
     fixed = draw(st.booleans())
+    one_length = draw(st.booleans())
+    n = draw(st.integers(2, 15))
     pool = []
     for _ in range(draw(st.integers(1, 4))):
+        if not one_length:
+            n = draw(st.integers(2, 15))
         gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1))
         times = np.concatenate([[0.0], np.cumsum(gaps)])
         values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
@@ -594,36 +597,35 @@ def _batches(draw):
 
 class TestBatchedLikelihood:
     """``gp._lml_and_grad_batch`` gives every member it evaluates the bits
-    of log_marginal_likelihood_and_gradient on the member's own series, and
-    leaves to it exactly the members that need jitter or whose K is not
-    finite."""
+    of log_marginal_likelihood_and_gradient on the member's own series,
+    whatever the lengths of its batch-mates and their order, and leaves to
+    it exactly the members that need jitter or whose K is not finite."""
 
     @staticmethod
-    def _check_members(series, family, nu, sf2, l, sn2):
-        # ``series`` holds each member's series.
+    def _check_members(series, family, nu, sf2, l, sn2, members=None):
+        # ``series`` holds each member's series, ``members`` the members
+        # evaluated (all by default).
         params = np.array([sf2, l] if sn2 is None else [sf2, l, sn2]).T
-        variances = None
-        if sn2 is None:
-            variances = np.array([s.noise_variances for s in series])
+        batch = gp._Batch(
+            [s.distances for s in series],
+            [s.values for s in series],
+            None if sn2 is not None else [s.noise_variances for s in series],
+        )
+        named = list(range(len(series))) if members is None else members
         with np.errstate(over="ignore", invalid="ignore"):
             values, grads, ok = gp._lml_and_grad_batch(
-                family,
-                nu,
-                params,
-                np.array([s.distances for s in series]),
-                np.array([s.values for s in series]),
-                variances,
+                family, nu, params[named], batch, members
             )
-        assert values.shape == (len(sf2),) and len(ok) == len(sf2)
-        assert grads.shape == (len(sf2), 2 if sn2 is None else 3)
-        for i, done in enumerate(ok):
+        assert values.shape == (len(named),) and len(ok) == len(named)
+        assert grads.shape == (len(named), 2 if sn2 is None else 3)
+        for row, (i, done) in enumerate(zip(named, ok)):
             member = (sf2[i], l[i], None if sn2 is None else sn2[i])
             if not done:
                 continue
             value, grad = _per_call(series[i], family, nu, *member)
-            assert values[i] == value
-            assert grads[i].shape == grad.shape
-            assert all(a == b for a, b in zip(grads[i].tolist(), grad.tolist()))
+            assert values[row] == value
+            assert grads[row].shape == grad.shape
+            assert all(a == b for a, b in zip(grads[row].tolist(), grad.tolist()))
         return ok
 
     @settings(max_examples=150, deadline=None)
@@ -636,6 +638,9 @@ class TestBatchedLikelihood:
                 # left to the per-call path only when that path jitters
                 member = (sf2[i], l[i], None if sn2 is None else sn2[i])
                 assert _jitter(series[i], family, nu, *member) > 0.0
+        # and so does every member of a part of the batch, in any order
+        part = list(range(len(series)))[::-2]
+        assert self._check_members(series, family, nu, sf2, l, sn2, part) == [ok[i] for i in part]
 
     @pytest.mark.parametrize("family, nu", _FITTING_FAMILIES)
     def test_jittered_and_non_finite_members_take_the_per_call_path(self, family, nu):
@@ -653,6 +658,38 @@ class TestBatchedLikelihood:
         assert _jitter(series, family, nu, sf2[1], l[1], sn2[1]) > 0.0
         with pytest.raises(ValueError, match="infs or NaNs"):
             _per_call(series, family, nu, sf2[2], l[2], sn2[2])
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["estimated", "fixed"])
+    @pytest.mark.parametrize("family, nu", _FITTING_FAMILIES)
+    def test_ragged_batch_of_mixed_lengths(self, family, nu, fixed):
+        # members of 2 to 15 points, given out of order (several members of
+        # some lengths), among them one whose K needs jitter (two times
+        # closer than any distance resolves, negligible noise) and one whose
+        # K is not finite (signal and noise past the largest float)
+        rng = np.random.default_rng(29)
+        lengths = [9, 2, 15, 5, 12, 2, 7, 15, 3, 11, 4, 6, 8, 10, 13, 14, 5]
+        series, sf2, l, sn2 = [], [], [], []
+        for n in lengths:
+            t = np.cumsum(rng.uniform(0.2, 1.5, n))
+            variances = rng.uniform(0.01, 0.3, n) if fixed else None
+            series.append(TimeSeries(t, np.sin(t) + rng.normal(0.0, 0.3, n), variances))
+            sf2.append(float(np.exp(rng.uniform(-2.0, 2.0))))
+            l.append(float(np.exp(rng.uniform(-1.0, 1.5))))
+            sn2.append(float(np.exp(rng.uniform(-5.0, 0.0))))
+        t = np.array([0.0, 1e-300, 1.0, 2.5, 4.0, 5.0])
+        tiny = np.full(6, 1e-300) if fixed else None
+        series[3:3] = [TimeSeries(t, [0.3, 0.1, -0.2, 0.1, 0.5, 0.2], tiny)]
+        sf2[3:3], l[3:3], sn2[3:3] = [1.3], [2.0], [1e-300]
+        huge = np.full(11, 1e308) if fixed else None
+        t = np.arange(11.0)
+        series[10:10] = [TimeSeries(t, np.cos(t), huge)]
+        sf2[10:10], l[10:10], sn2[10:10] = [1e308], [2.0], [1e308]
+        ok = self._check_members(series, family, nu, sf2, l, None if fixed else sn2)
+        assert [i for i, done in enumerate(ok) if not done] == [3, 10]
+        member = (sf2[3], l[3], None if fixed else sn2[3])
+        assert _jitter(series[3], family, nu, *member) > 0.0
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _per_call(series[10], family, nu, sf2[10], l[10], None if fixed else sn2[10])
 
 
 @st.composite

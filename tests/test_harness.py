@@ -801,6 +801,34 @@ class TestFitsAcrossSeries:
             assert [r.failed for r in far] == [False, True, False, True]
 
 
+class TestSeveralLengthsInOneRun:
+    """A run whose series have several lengths fits them in one group; its
+    records are those of one run per length (``replicate``, the index of a
+    series in its run's input, aside)."""
+
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_records_equal_one_run_per_length(self, scenario_set):
+        series_set = _mixed_lengths()
+        by_length: dict[int, list] = {}
+        for series in series_set:
+            by_length.setdefault(len(series), []).append(series)
+        per_length = {}
+        for same in by_length.values():
+            for record in run_batch(same, scenario_set, restarts=2).rows:
+                per_length.setdefault(record.series_id, []).append(
+                    repr(replace(record, replicate=0))
+                )
+        assert len(per_length) == len(series_set)
+        for parallelism in (1, 2):
+            report = run_batch(series_set, scenario_set, restarts=2, parallelism=parallelism)
+            together = {}
+            for record in report.rows:
+                together.setdefault(record.series_id, []).append(
+                    repr(replace(record, replicate=0))
+                )
+            assert together == per_length, parallelism
+
+
 def _record_stages(monkeypatch):
     """Record each call of ``fitting._fit_problems`` as the (length, label)
     pairs of its problems, and the label of each call of ``fitting.fit``."""
@@ -826,8 +854,10 @@ _APART = [Scenario("short", length_scale_upper=3.0), Scenario("long", length_sca
 
 
 class TestStageRouting:
-    """One ``fitting._fit_problems`` call per non-empty stage; a lone problem
-    goes through ``fitting.fit``, and two or more do not."""
+    """One ``fitting._fit_problems`` call per non-empty stage, whatever the
+    series lengths: scenario k of every series of a group.  A group of one
+    series (a length no other series has) sends each stage's lone problem
+    through ``fitting.fit``; a larger group never calls it."""
 
     @pytest.mark.parametrize("per_length", [1, 2])
     @pytest.mark.parametrize(
@@ -848,16 +878,25 @@ class TestStageRouting:
         stages, fits = _record_stages(monkeypatch)
         report = run_batch(series_set, scenario_set, restarts=2)
         assert _row_fits(report.rows) == expected
-        # every call is one stage: one length and one scenario, and no stage
-        # is split over two calls
-        assert all(len(set(stage)) == 1 for stage in stages)
-        assert len({stage[0] for stage in stages}) == len(stages)
+        # every call is one stage: one scenario, and each problem is fitted
+        # in one stage
+        assert all(len({label for _, label in stage}) == 1 for stage in stages)
         assert sum(len(stage) for stage in stages) == fitted
-        assert fits == [label for stage in stages if len(stage) == 1 for _, label in stage]
         if per_length == 1:
-            assert len(fits) == fitted
+            # three groups of one series: every stage a lone problem, fitted
+            # through fit
+            assert all(len(stage) == 1 for stage in stages)
+            assert fits == [label for stage in stages for _, label in stage]
+        else:
+            # one group of all six series: one stage per scenario, across
+            # the three lengths, and no fit call
+            assert len({stage[0][1] for stage in stages}) == len(stages)
+            assert {n for n, _ in stages[0]} == {5, 7, 9}
+            assert fits == []
         if scenario_set is _APART:
-            assert [len(stage) for stage in stages] == [per_length] * 6
+            assert [len(stage) for stage in stages] == (
+                [1] * 6 if per_length == 1 else [6, 6]
+            )
 
 
 def _blas_threads():
@@ -1041,6 +1080,45 @@ class TestCsv:
         path.write_text("id,time\ng1,0\n")
         with pytest.raises(CsvFormatError, match=r"^line 1: long format .*, missing \['value'\]$"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("id,time,value\ng1,0,0.1,99\ng1,1,0.2\n", "^line 2: expected 3 cells, got 4$"),
+            ("id,time,value\ng1,0,0.1\ng1,1\n", "^line 3: expected 3 cells, got 2$"),
+            ("id,time,value,variance\ng1,0,0.1,0.2,\n", "^line 2: expected 4 cells, got 5$"),
+        ],
+    )
+    def test_long_row_of_another_width(self, tmp_path, text, match):
+        # as in the wide format, a row with more cells than the header is
+        # an error, not a row whose extra cells are dropped
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=match):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, name",
+        [
+            ("id,time,value,time", "time"),
+            ("id,Value,time,value", "value"),
+            ("ID,time,value,id", "id"),
+            ("id,time,value,variance,Variance", "variance"),
+        ],
+    )
+    def test_long_header_repeating_a_column(self, tmp_path, header, name):
+        # a repeated column would be read by its first occurrence only
+        cells = len(header.split(","))
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n" + ",".join(["g1"] + ["0.5"] * (cells - 1)) + "\n")
+        with pytest.raises(CsvFormatError, match=f"^line 1: long format repeats column '{name}'$"):
+            ingest_csv(path)
+
+    def test_long_header_may_repeat_a_column_it_does_not_read(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text("id,time,value,note,note\ng1,0,0.1,a,b\ng1,1,0.2,c,d\n")
+        [series] = ingest_csv(path)
+        assert series.times.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize(
         "text, missing",
