@@ -7,11 +7,15 @@ Subcommands: ``bound`` (length-scale lower bound for a sampling grid),
 preset the synthetic protocol; command-line flags override it.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+A file that cannot be read or written (``OSError``) is a data error; the
+``--out-dir`` of ``synth`` and ``batch`` is made after their input is read
+and before any fit, so an unusable one fails before the fits run.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -216,6 +220,7 @@ def _cmd_synth(args) -> int:
         raise _UsageError("synth needs --out-dir (or out_dir in the config file)")
     parallelism = int(mapping.get("parallelism", 1))
 
+    os.makedirs(out_dir, exist_ok=True)
     report = harness.run_synthetic_experiment(config, n_grid, parallelism=parallelism)
     files = harness.emit_report(report, out_dir)
     for path in files:
@@ -229,6 +234,7 @@ def _cmd_batch(args) -> int:
     series_list = harness.ingest_csv(args.input)
     if not series_list:
         raise harness.CsvFormatError("no series found in input")
+    os.makedirs(args.out_dir, exist_ok=True)
     report = harness.run_batch(
         series_list,
         scenario_set=args.scenario_set,
@@ -260,7 +266,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (

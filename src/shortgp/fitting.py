@@ -25,10 +25,10 @@ variance is d.  L-BFGS-B then polishes the grid's best cell on the exact
 likelihood.  A fit can be given ``extra_starts`` too; each runs as a
 problem of its own (see below).  The eigendecompositions, and each series'
 quadratic forms over the grid, can be kept in a dict (``spectra``) that
-later fits of the same time grid reuse.  The harness instead finds the
-starts of a whole group in one pass, one time grid at a time, and keeps no
-grid's spectra past its turn.  The grid also gives
-:func:`likelihood_surface` its profiled signal variance.
+later fits of the same time grid reuse; a kept spectrum that lacks a box
+edge is built anew at the union of its edges.  The harness finds the starts
+of a whole group in one pass, one time grid at a time, before any fit.  The
+grid also gives :func:`likelihood_surface` its profiled signal variance.
 
 Each run drives L-BFGS-B's reverse-communication routine ``setulb``
 directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
@@ -69,22 +69,23 @@ own call, so each member keeps its bits, which a segmented sum
 (``np.add.reduceat``) does not.  When half of the problems laid out are
 done, the rest are laid out again.  :func:`fit` makes one problem for its
 grid start and one sibling problem (same series and scenario) per extra
-start, in one lockstep, and keeps the best run.  The harness makes one call
-per stage, to :func:`_fit_problems`: one scenario of every series of a
-group, of any lengths, from the starts of the group's start pass.  An
+start, in one lockstep, and keeps the best run.  The harness makes one
+:func:`_lockstep` call per stage: one scenario of every series of a group,
+of any lengths, from the starts of the group's start pass.  An
 evaluation that overflows a float (a power of a huge length-scale) is a
 failed evaluation; a batched call that overflows leaves its members to the
 per-call path, so that only the members that overflow there fail.
 
-Four paths are kept for the benchmark's spans (``bench/spans.py``), which
-wrap ``fit``, ``minimize`` and the per-call likelihood by name: a series
-whose length no other series of its run shares is a group of its own, whose
-lone problems go through :func:`fit` (the benchmark's tiny runs hold one
-series per length, and need its spans); a lone problem of
-:func:`_fit_problems` without starts goes through :func:`fit`; a lone point
-goes through the per-call likelihood (cheaper, too, than a batch of one);
-and :func:`minimize`, which no fit calls, is the lockstep's one-member
-case.  They can go once the benchmark times the engine's stages.
+Three paths are kept for the benchmark's spans (``bench/spans.py``), which
+wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
+point goes through the per-call likelihood (cheaper, too, than a batch of
+one), which feeds the ``gp.lml_grad`` spans; :func:`minimize`, the lockstep's
+one-member case, which the ``fitting.minimize`` spans wrap but no fit
+calls; and the harness fits each stage of a group of
+one series (a series whose length no other series of its run shares)
+through :func:`fit`, from the spectrum its start pass kept, which feeds the
+``fitting.fit`` spans (the benchmark's tiny runs hold one series per
+length).  They can go once the benchmark times the engine's stages.
 """
 
 from __future__ import annotations
@@ -456,25 +457,6 @@ def _failed(size: int) -> tuple[float, np.ndarray]:
     return _FAILED_OBJECTIVE, np.zeros(size)
 
 
-def _fit_problems(
-    problems, family: str, nu: float | None, spectra: dict | None = None, starts=None
-) -> list:
-    """The own fit of every (series, scenario) in ``problems``, None where
-    every run failed, in one :func:`_lockstep`: from ``starts``, one
-    :class:`_GridStart` per problem, or else from grid starts that read and
-    fill ``spectra``.  A lone problem without starts goes through
-    :func:`fit`, with the same bits: the benchmark's spans wrap
-    ``fitting.fit``, and the harness keeps this route for a group of one
-    series (see the module docstring)."""
-    if starts is None and len(problems) == 1:
-        [(series, scenario)] = problems
-        try:
-            return [fit(series, family, scenario, nu=nu, spectra=spectra)]
-        except AllStartsFailedError:
-            return [None]
-    return _lockstep(problems, family, nu, spectra, starts)
-
-
 # The likelihood grid of a fit's start: _GRID_SIZE length-scales of the
 # time grid, log-spaced from a twentieth of its smallest gap to _GRID_SPANS
 # spans, by _GRID_SIZE noise-to-signal ratios lambda = sn2 / sf2.
@@ -523,7 +505,7 @@ class _Spectrum:
 
     q is cached per series because every scenario of the series reads it,
     and a later :func:`_grid_starts` call with the same dict of spectra may
-    read it again.  Computing q per problem, from a reciprocal array kept
+    read it again, as the stage fits of a group of one series do.  Computing q per problem, from a reciprocal array kept
     here or rebuilt per call, gives the same bits but lost about 7 % of
     ``batch`` fits/s (2-core VM)."""
 
@@ -548,16 +530,6 @@ class _Spectrum:
             np.add(e[:, i, None], _GRID_RATIOS, out=term)
             logdet += np.log(term, out=term)
         return cls(length_scales, e, v, logdet)
-
-    def extend(self, family: str, nu: float | None, series: TimeSeries,
-               length_scales: np.ndarray) -> None:
-        """Rows at more box edges, from one more ``eigh``.  The cached q
-        lacks them, so it is dropped, to be filled anew."""
-        more = _Spectrum.build(family, nu, series, length_scales)
-        for name in ("length_scales", "e", "v", "logdet"):
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(more, name)]))
-        self.q.clear()
-        self.boxes.clear()
 
     def rows(self, lo: float, hi: float) -> np.ndarray:
         """The rows of the length-scale box [lo, hi], as l ascends: its
@@ -623,11 +595,13 @@ def _grid_starts(
     noise setting over all of these rows, and each of its boxes takes the
     argmax of its own rows.  Time grids go one at a time; the
     :class:`_Spectrum` of each is kept in ``spectra``, when a dict is given,
-    so that a later call reuses it, and each series' q in it; without one,
-    a grid's spectrum is dropped before the next grid's is built.  A start
-    depends on its own series and scenario alone, not on the other problems
-    or on what ``spectra`` held; ties go to the smaller l, then the smaller
-    lambda.
+    so that a later call reuses it, and each series' q in it; a kept
+    spectrum that lacks an edge of this call's problems is built anew, at
+    the union of its edges and theirs.  Without a dict, a grid's spectrum
+    is dropped before the next grid's is built.  A row's ``eigh`` and q do
+    not depend on the other rows of its stack, so a start depends on its
+    own series and scenario alone, not on the other problems or on what
+    ``spectra`` held; ties go to the smaller l, then the smaller lambda.
     """
     grids: dict[tuple, list[int]] = {}
     for i, (series, _) in enumerate(problems):
@@ -637,14 +611,17 @@ def _grid_starts(
         first = problems[members[0]][0]
         edges = {e for i in members for e in problems[i][1].box[0] if 0.0 < e < math.inf}
         spectrum = None if spectra is None else spectra.get(key)
+        kept = [] if spectrum is None else spectrum.length_scales[_GRID_SIZE:].tolist()
+        if not edges.issubset(kept):
+            # built anew, at the union of its edges and these
+            edges.update(kept)
+            spectrum = None
         if spectrum is None:
             spectrum = _Spectrum.build(
                 family, nu, first, np.concatenate([_grid_length_scales(first), sorted(edges)])
             )
             if spectra is not None:
                 spectra[key] = spectrum
-        elif missing := edges.difference(spectrum.length_scales[_GRID_SIZE:].tolist()):
-            spectrum.extend(family, nu, first, np.array(sorted(missing)))
         by_series: dict[bytes, list[int]] = {}
         for i in members:
             by_series.setdefault(problems[i][0].values.tobytes(), []).append(i)

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -426,6 +427,42 @@ class TestPlotdataCommand:
         assert main(["plotdata", "--input", str(sinc_csv), "--out", str(out)]) == 1
         assert "invalid choice: 'plotdata'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutDir:
+    """An --out-dir that cannot be made is a data error, one line, raised
+    after the input is read and before any fit."""
+
+    @pytest.mark.parametrize("command", ["synth", "batch"])
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file", "not-writable"])
+    def test_unusable_out_dir_is_data_error(
+        self, command, where, variance_csv, tmp_path, monkeypatch, capsys
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out_dir = {
+            "a-file": blocker,
+            "under-a-file": blocker / "report",
+            "not-writable": tmp_path / "locked" / "report",
+        }[where]
+        if where == "not-writable":
+            # what the system raises in a folder that the user cannot write,
+            # which a superuser, who can write anywhere, would not see
+            def denied(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(os, "makedirs", denied)
+        fits = []
+        monkeypatch.setattr(harness, "_fit_all", lambda *args: fits.append(args))
+        argv = {
+            "synth": ["--n-grid", "5", "--replicates", "2"],
+            "batch": ["--input", str(variance_csv)],
+        }[command]
+        assert main([command, *argv, "--out-dir", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and fits == []
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(out_dir) in err
 
 
 class TestExitCodes:

@@ -518,7 +518,7 @@ class TestDriverMatchesScipyMinimize:
         series = [_sinc_series(n=7, rep=rep) for rep in range(4)]
         series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
         problems = [(s, build(s, family, nu=nu)[k]) for s in series]
-        results = fitting._fit_problems(problems, family, nu)
+        results = fitting._lockstep(problems, family, nu)
         assert len(runs) == len(problems)
         self._assert_same(runs)
         for (s, scenario), result in zip(problems, results):
@@ -719,7 +719,7 @@ class TestGridStarts:
         # are the fits alone
         for stage in stages:
             for spectra_in in (None, spectra):
-                results = fitting._fit_problems(stage, "se", None, spectra_in)
+                results = fitting._lockstep(stage, "se", None, spectra_in)
                 for (s, scenario), result in zip(stage, results):
                     assert result == fit(s, "se", scenario)
 
@@ -793,7 +793,7 @@ class TestGridStarts:
         # starts found, without a dict of spectra
         from shortgp.harness import run_batch
 
-        eigh, fit_problems = fitting._correlation_eigh, fitting._fit_problems
+        eigh, lockstep = fitting._correlation_eigh, fitting._lockstep
         stacks, stages = [], []
 
         def counting(family, nu, distances, length_scales):
@@ -802,10 +802,10 @@ class TestGridStarts:
 
         def capturing(problems, family, nu, spectra=None, starts=None):
             stages.append((len(stacks), spectra, starts))
-            return fit_problems(problems, family, nu, spectra, starts)
+            return lockstep(problems, family, nu, spectra, starts)
 
         monkeypatch.setattr(fitting, "_correlation_eigh", counting)
-        monkeypatch.setattr(fitting, "_fit_problems", capturing)
+        monkeypatch.setattr(fitting, "_lockstep", capturing)
         base = [_sinc_series(n=7, rep=rep) for rep in range(3)]
         series = [
             TimeSeries(s.times * scale, s.values, np.full(7, 0.09), id=f"{scale}-{i}")
@@ -825,6 +825,37 @@ class TestGridStarts:
             )
             for decomposed, spectra, starts in stages
         )
+
+    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+    def test_a_kept_spectrum_without_an_edge_is_built_anew(self, monkeypatch, family, nu):
+        # a fit of no_bounds keeps a spectrum without the floor a_l; a fit
+        # of lengthscale_bounded from that dict decomposes the union of the
+        # grid and the floor anew, and is the fit without a dict, bitwise
+        series = _sinc_series(n=7, rep=2)
+        free, floored = make_scenarios(series, family, nu=nu)[:2]
+        grid = fitting._grid_length_scales(series).tolist()
+        spectra = {}
+        fit(series, family, free, nu=nu, spectra=spectra)
+        [kept] = spectra.values()
+        assert kept.length_scales.tolist() == grid
+        eigh, stacks = fitting._correlation_eigh, []
+
+        def counting(family, nu, distances, length_scales):
+            stacks.append(length_scales.tolist())
+            return eigh(family, nu, distances, length_scales)
+
+        monkeypatch.setattr(fitting, "_correlation_eigh", counting)
+        result = fit(series, family, floored, nu=nu, spectra=spectra)
+        assert stacks == [[*grid, floored.length_scale_lower]]
+        [rebuilt] = spectra.values()
+        assert rebuilt.length_scales.tolist() == stacks[0]
+        assert repr(result) == repr(fit(series, family, floored, nu=nu))
+        # the rebuilt spectrum holds every edge, so it serves both again
+        stacks.clear()
+        assert repr(fit(series, family, free, nu=nu, spectra=spectra)) == repr(
+            fit(series, family, free, nu=nu)
+        )
+        assert list(spectra.values()) == [rebuilt] and stacks == [grid]
 
     def test_logdet_summed_in_eigenvalue_order(self):
         # log|C_l + lambda I| is summed in place, one eigenvalue at a time:

@@ -113,14 +113,14 @@ class TestRunSyntheticExperiment:
         ],
     )
     def test_settings_fitting_rejects_raise_before_any_draw(self, monkeypatch, kwargs):
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
         with pytest.raises(ValueError):
             run_synthetic_experiment(SyntheticConfig(replicates=2, **kwargs), [5, 7])
         assert fits == [] and draws == []
 
     def test_repeated_n_raises_before_any_draw(self, monkeypatch):
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
         with pytest.raises(ValueError, match="n_grid"):
             run_synthetic_experiment(SyntheticConfig(replicates=2), [5, 7, 5])
@@ -128,7 +128,7 @@ class TestRunSyntheticExperiment:
 
     def test_n_below_2_raises_before_any_draw(self, monkeypatch):
         # each n's config is built before the first draw
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         draws = _record_calls(monkeypatch, harness, "generate_sinc_series")
         with pytest.raises(ValueError, match="n_points must be >= 2"):
             run_synthetic_experiment(SyntheticConfig(replicates=3), [5, 1])
@@ -433,13 +433,13 @@ class TestRunBatch:
         assert [r.failed for r in report.rows] == [True] * 4
 
     def test_zero_restarts_raise_before_any_fit(self, monkeypatch):
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         with pytest.raises(ValueError, match="restarts"):
             run_batch(_toy_series_set(count=2), "synthetic", restarts=0)
         assert fits == []
 
     def test_empty_scenario_list_raises_before_any_fit(self, monkeypatch):
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         with pytest.raises(ValueError, match="scenario_set"):
             run_batch(_toy_series_set(count=2), scenario_set=[])
         assert fits == []
@@ -447,7 +447,7 @@ class TestRunBatch:
     def test_repeated_scenario_label_raises_before_any_fit(self, monkeypatch):
         # the report's cells and structural flags are keyed by label, so two
         # scenarios of one label would be aggregated together
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         repeated = [Scenario("a"), Scenario("a", length_scale_lower=2.0)]
         with pytest.raises(ValueError, match="repeat a scenario label"):
             run_batch(_toy_series_set(count=2), scenario_set=repeated)
@@ -456,13 +456,13 @@ class TestRunBatch:
     def test_alpha_raises_before_any_fit_for_an_explicit_list(self, monkeypatch):
         # an explicit list builds no bound of its own, so only the run's
         # settings see alpha before the fits
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         with pytest.raises(ValueError, match="alpha"):
             run_batch(_toy_series_set(count=2), scenario_set=[Scenario("free")], alpha=1.5)
         assert fits == []
 
     def test_nu_with_the_se_family_raises_before_any_fit(self, monkeypatch):
-        fits = _record_calls(monkeypatch, fitmod, "fit", "_fit_problems")
+        fits = _record_calls(monkeypatch, fitmod, "fit", "_grid_starts", "_lockstep")
         with pytest.raises(ValueError, match="nu applies only to the Matern family"):
             run_batch(_toy_series_set(count=2), family="se", nu=2.5)
         assert fits == []
@@ -653,18 +653,33 @@ def _row_fits(rows):
     ]
 
 
+def _stage_calls(monkeypatch, on_stage, on_fit=None):
+    """Call ``on_stage(problems)`` on each stage that the harness fits: a
+    ``fitting._lockstep`` call from its starts, or a ``fitting.fit`` call
+    (a group of one series), which ``on_fit(scenario)`` sees too.  The
+    lockstep that ``fit`` runs itself is no stage: its first start is
+    None, the grid start ``fit`` looks up."""
+    lockstep, fit_one = fitmod._lockstep, fitmod.fit
+
+    def on_lockstep(problems, family, nu, spectra=None, starts=None):
+        if starts is not None and starts[0] is not None:
+            on_stage(problems)
+        return lockstep(problems, family, nu, spectra, starts)
+
+    def on_fit_one(series, family, scenario, *args, **kwargs):
+        on_stage([(series, scenario)])
+        if on_fit is not None:
+            on_fit(scenario)
+        return fit_one(series, family, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(fitmod, "_lockstep", on_lockstep)
+    monkeypatch.setattr(fitmod, "fit", on_fit_one)
+
+
 def _count_fits(monkeypatch):
-    """Record the scenario label of every problem fitted.  The harness
-    hands each stage, of one problem or more, to ``fitting._fit_problems``
-    once, and ``fit`` does not call it."""
+    """Record the scenario label of every problem fitted, stage by stage."""
     calls = []
-    original = fitmod._fit_problems
-
-    def counting(problems, *args, **kwargs):
-        calls.extend(scenario.label for _, scenario in problems)
-        return original(problems, *args, **kwargs)
-
-    monkeypatch.setattr(fitmod, "_fit_problems", counting)
+    _stage_calls(monkeypatch, lambda problems: calls.extend(sc.label for _, sc in problems))
     return calls
 
 
@@ -801,6 +816,15 @@ class TestFitsAcrossSeries:
             assert [r.failed for r in far] == [False, True, False, True]
 
 
+def _records_by_series(report):
+    """Each series' records, by id, as ``repr``s with ``replicate`` (the
+    index of a series in its run's input) set to 0."""
+    out: dict[str, list] = {}
+    for record in report.rows:
+        out.setdefault(record.series_id, []).append(repr(replace(record, replicate=0)))
+    return out
+
+
 class TestSeveralLengthsInOneRun:
     """A run whose series have several lengths fits them in one group; its
     records are those of one run per length (``replicate``, the index of a
@@ -814,37 +838,88 @@ class TestSeveralLengthsInOneRun:
             by_length.setdefault(len(series), []).append(series)
         per_length = {}
         for same in by_length.values():
-            for record in run_batch(same, scenario_set, restarts=2).rows:
-                per_length.setdefault(record.series_id, []).append(
-                    repr(replace(record, replicate=0))
-                )
+            per_length.update(_records_by_series(run_batch(same, scenario_set, restarts=2)))
         assert len(per_length) == len(series_set)
         for parallelism in (1, 2):
             report = run_batch(series_set, scenario_set, restarts=2, parallelism=parallelism)
-            together = {}
-            for record in report.rows:
-                together.setdefault(record.series_id, []).append(
-                    repr(replace(record, replicate=0))
-                )
-            assert together == per_length, parallelism
+            assert _records_by_series(report) == per_length, parallelism
+
+
+class TestGroupOfOneSeries:
+    """A series whose length no other series of its run shares is a group of
+    its own: its start pass keeps its one spectrum, and each stage goes
+    through ``fitting.fit`` from it.  Beside a mate of its length, each
+    stage is one ``fitting._lockstep`` from the starts of the pass.  Either
+    way it gets the same records."""
+
+    @staticmethod
+    def _series(seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for n in (5, 7, 9):
+            t = np.cumsum(rng.uniform(0.3, 2.0, n))
+            y = np.sin(t) + rng.normal(0.0, 0.3, n)
+            out.append(TimeSeries(t, y, rng.uniform(0.01, 0.2, n), id=f"s{n}"))
+        return out
+
+    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_records_alone_equal_records_beside_a_mate(
+        self, monkeypatch, scenario_set, family, nu
+    ):
+        rng = np.random.default_rng(7)
+        lone = self._series(3)
+        # each mate shares its series' time grid, and so its spectrum
+        mates = [
+            TimeSeries(s.times, rng.normal(0.0, 1.0, len(s)), s.noise_variances, id=f"{s.id}m")
+            for s in lone
+        ]
+        paired = [s for pair in zip(lone, mates) for s in pair]
+        stages, fits = _record_stages(monkeypatch)
+        alone = _records_by_series(run_batch(lone, scenario_set, family, nu))
+        assert stages and fits == [label for stage in stages for _, label in stage]
+        stages.clear()
+        fits.clear()
+        beside = _records_by_series(run_batch(paired, scenario_set, family, nu))
+        assert stages and fits == []
+        assert all("failed=False" in r for records in alone.values() for r in records)
+        assert alone == {s.id: beside[s.id] for s in lone}
+        for parallelism in (1, 2):
+            report = run_batch(lone, scenario_set, family, nu, parallelism=parallelism)
+            assert _records_by_series(report) == alone, parallelism
+            report = run_batch(paired, scenario_set, family, nu, parallelism=parallelism)
+            assert _records_by_series(report) == beside, parallelism
+
+    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+    @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
+    def test_one_eigh(self, monkeypatch, scenario_set, family, nu):
+        # the pass decomposes the start grid's 64 length-scales and the box
+        # edges of every scenario (here the floor a_l) in one stack, which
+        # every stage's fit reads
+        eigh, stacks = fitmod._correlation_eigh, []
+
+        def counting(family, nu, distances, length_scales):
+            stacks.append(length_scales.tolist())
+            return eigh(family, nu, distances, length_scales)
+
+        monkeypatch.setattr(fitmod, "_correlation_eigh", counting)
+        series = self._series(3)[1]
+        report = run_batch([series], scenario_set, family, nu)
+        assert not any(r.failed for r in report.rows)
+        build = fitmod.SCENARIO_SETS[scenario_set]
+        floor = build(series, family, nu=nu)[1].length_scale_lower
+        assert stacks == [[*fitmod._grid_length_scales(series).tolist(), floor]]
 
 
 def _record_stages(monkeypatch):
-    """Record each call of ``fitting._fit_problems`` as the (length, label)
-    pairs of its problems, and the label of each call of ``fitting.fit``."""
+    """Record each stage as the (length, label) pairs of its problems, and
+    the label of each call of ``fitting.fit``."""
     stages, fits = [], []
-    fit_problems, fit_one = fitmod._fit_problems, fitmod.fit
-
-    def on_stage(problems, *args):
-        stages.append([(len(series), scenario.label) for series, scenario in problems])
-        return fit_problems(problems, *args)
-
-    def on_fit(series, family, scenario, *args, **kwargs):
-        fits.append(scenario.label)
-        return fit_one(series, family, scenario, *args, **kwargs)
-
-    monkeypatch.setattr(fitmod, "_fit_problems", on_stage)
-    monkeypatch.setattr(fitmod, "fit", on_fit)
+    _stage_calls(
+        monkeypatch,
+        lambda problems: stages.append([(len(s), sc.label) for s, sc in problems]),
+        lambda scenario: fits.append(scenario.label),
+    )
     return stages, fits
 
 
@@ -854,10 +929,11 @@ _APART = [Scenario("short", length_scale_upper=3.0), Scenario("long", length_sca
 
 
 class TestStageRouting:
-    """One ``fitting._fit_problems`` call per non-empty stage, whatever the
-    series lengths: scenario k of every series of a group.  A group of one
-    series (a length no other series has) sends each stage's lone problem
-    through ``fitting.fit``; a larger group never calls it."""
+    """One call per non-empty stage, whatever the series lengths: scenario
+    k of every series of a group, in one ``fitting._lockstep``.  A
+    group of one series (a length no other series has) sends each stage's
+    lone problem through ``fitting.fit`` instead; a larger group never
+    calls it."""
 
     @pytest.mark.parametrize("per_length", [1, 2])
     @pytest.mark.parametrize(
