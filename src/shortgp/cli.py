@@ -9,7 +9,8 @@ preset the synthetic protocol; command-line flags override it.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A file that cannot be read or written (``OSError``) is a data error; the
 ``--out-dir`` of ``synth`` and ``batch`` is made after their input is read
-and before any fit, so an unusable one fails before the fits run.
+and before any fit, so an unusable one fails before the fits run; when the
+run then fails, a folder that the command made is removed again.
 """
 
 from __future__ import annotations
@@ -220,12 +221,9 @@ def _cmd_synth(args) -> int:
         raise _UsageError("synth needs --out-dir (or out_dir in the config file)")
     parallelism = int(mapping.get("parallelism", 1))
 
-    os.makedirs(out_dir, exist_ok=True)
-    report = harness.run_synthetic_experiment(config, n_grid, parallelism=parallelism)
-    files = harness.emit_report(report, out_dir)
-    for path in files:
-        print(path)
-    return 0
+    return _report_into(
+        out_dir, lambda: harness.run_synthetic_experiment(config, n_grid, parallelism=parallelism)
+    )
 
 
 def _cmd_batch(args) -> int:
@@ -234,18 +232,34 @@ def _cmd_batch(args) -> int:
     series_list = harness.ingest_csv(args.input)
     if not series_list:
         raise harness.CsvFormatError("no series found in input")
-    os.makedirs(args.out_dir, exist_ok=True)
-    report = harness.run_batch(
-        series_list,
-        scenario_set=args.scenario_set,
-        family=family,
-        nu=nu,
-        parallelism=args.parallelism,
-        alpha=alpha,
-        noise_flag_threshold=args.noise_flag_threshold,
+    return _report_into(
+        args.out_dir,
+        lambda: harness.run_batch(
+            series_list,
+            scenario_set=args.scenario_set,
+            family=family,
+            nu=nu,
+            parallelism=args.parallelism,
+            alpha=alpha,
+            noise_flag_threshold=args.noise_flag_threshold,
+        ),
     )
-    files = harness.emit_report(report, args.out_dir)
-    for path in files:
+
+
+def _report_into(out_dir, run) -> int:
+    """Make ``out_dir``, before any fit, so that an unusable one fails
+    first; then write the report of ``run()`` there and print its files.
+    When the run raises, a folder that this call made, still empty, is
+    removed again."""
+    made = not os.path.exists(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        report = run()
+    except BaseException:
+        if made:
+            os.rmdir(out_dir)
+        raise
+    for path in harness.emit_report(report, out_dir):
         print(path)
     return 0
 

@@ -24,11 +24,10 @@ their mean d for the noise, so sf2 = d / lambda, which is exact when every
 variance is d.  L-BFGS-B then polishes the grid's best cell on the exact
 likelihood.  A fit can be given ``extra_starts`` too; each runs as a
 problem of its own (see below).  The eigendecompositions, and each series'
-quadratic forms over the grid, can be kept in a dict (``spectra``) that
-later fits of the same time grid reuse; a kept spectrum that lacks a box
-edge is built anew at the union of its edges.  The harness finds the starts
-of a whole group in one pass, one time grid at a time, before any fit.  The
-grid also gives :func:`likelihood_surface` its profiled signal variance.
+quadratic forms over the grid, live for one start pass: the harness finds
+the starts of a whole group in one pass, one time grid at a time, before
+any fit, and hands each fit the start found.  The grid also gives
+:func:`likelihood_surface` its profiled signal variance.
 
 Each run drives L-BFGS-B's reverse-communication routine ``setulb``
 directly (:func:`_lbfgsb`) rather than through ``scipy.optimize.minimize``.
@@ -81,11 +80,11 @@ wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
 point goes through the per-call likelihood (cheaper, too, than a batch of
 one), which feeds the ``gp.lml_grad`` spans; :func:`minimize`, the lockstep's
 one-member case, which the ``fitting.minimize`` spans wrap but no fit
-calls; and the harness fits each stage of a group of
-one series (a series whose length no other series of its run shares)
-through :func:`fit`, from the spectrum its start pass kept, which feeds the
-``fitting.fit`` spans (the benchmark's tiny runs hold one series per
-length).  They can go once the benchmark times the engine's stages.
+calls; and the harness fits each stage of a group of one series (a series
+whose length no other series of its run shares) through :func:`fit`, from
+the start its start pass found, which feeds the ``fitting.fit`` spans (the
+benchmark's tiny runs hold one series per length).  They can go once the
+benchmark times the engine's stages.
 """
 
 from __future__ import annotations
@@ -298,7 +297,7 @@ def fit(
     restarts: int = DEFAULT_RESTARTS,
     extra_starts=(),
     *,
-    spectra: dict | None = None,
+    start: _GridStart | None = None,
 ) -> FitResult:
     """Constrained maximum-likelihood fit of (sf2, l[, sn2]) for one series.
 
@@ -306,11 +305,12 @@ def fit(
     clipped into the box: the argmax of the likelihood over a grid of
     length-scale and noise-to-signal ratio (:func:`_grid_starts`), and any
     ``extra_starts``, given as (sf2, l, sn2) triples in natural space (sn2
-    ignored for fixed noise).  Each start is one problem of one
-    :func:`_lockstep`, with one run: the grid start's, and a sibling
-    problem of the same series and scenario per extra start.  ``spectra``,
-    a dict, keeps the grid's eigendecompositions for later fits of the same
-    time grid (see :func:`_grid_starts`); it changes no bit of the fit.
+    ignored for fixed noise).  ``start`` is that grid start when a start
+    pass has already found it for this series and scenario, or None to find
+    it here; it changes no bit of the fit, and anything but a
+    :class:`_GridStart` or None raises TypeError.  Each start is one problem
+    of one :func:`_lockstep`, with one run: the grid start's, and a sibling
+    problem of the same series and scenario per extra start.
     ``restarts`` is accepted only for the benchmark's spans, which read it;
     it changes no fit.  A length-scale or noise variance within a relative
     1e-6 of a bound is returned as exactly that bound.  The best run wins;
@@ -340,8 +340,10 @@ def fit(
     > 0 (such a start could only fail, or be clipped into the box).  Each
     of these is raised before any grid is built or run started.
     """
-    starts = [None, *extra_starts]
-    runs = _lockstep([(series, scenario)] * len(starts), family, nu, spectra, starts)
+    if start is not None and not isinstance(start, _GridStart):
+        raise TypeError(f"start must be a grid start or None, not {type(start).__name__}")
+    starts = [start, *extra_starts]
+    runs = _lockstep([(series, scenario)] * len(starts), family, nu, starts)
     usable = [run for run in runs if run is not None]
     if not usable:
         raise AllStartsFailedError(
@@ -499,28 +501,19 @@ class _Spectrum:
     grid's 64, then one per box edge that its problems read (see
     :func:`_grid_starts`), all from one batched ``eigh``.  It holds the
     length-scales (R,), the eigenvalues e (R, n) and eigenvectors V
-    (R, n, n) of C_l, log|C_l + lambda I| (R, lambda), and each series'
-    q = y^T (C_l + lambda I)^-1 y (R, lambda), keyed by the bytes of its
-    values.
-
-    q is cached per series because every scenario of the series reads it,
-    and a later :func:`_grid_starts` call with the same dict of spectra may
-    read it again, as the stage fits of a group of one series do.  Computing q per problem, from a reciprocal array kept
-    here or rebuilt per call, gives the same bits but lost about 7 % of
-    ``batch`` fits/s (2-core VM)."""
+    (R, n, n) of C_l, and log|C_l + lambda I| (R, lambda).  It lives for
+    one :func:`_grid_starts` call."""
 
     length_scales: np.ndarray
     e: np.ndarray
     v: np.ndarray
     logdet: np.ndarray
-    q: dict = field(default_factory=dict)
     boxes: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, family: str, nu: float | None, series: TimeSeries,
               length_scales: np.ndarray) -> "_Spectrum":
-        """The spectrum of ``series``' time grid at ``length_scales``; q is
-        filled later."""
+        """The spectrum of ``series``' time grid at ``length_scales``."""
         e, v = _correlation_eigh(family, nu, series.distances, length_scales)
         # log|C_l + lambda I| one eigenvalue at a time, so that the grid's
         # one (l, i, lambda) array is 1 / (e_i + lambda)
@@ -545,31 +538,27 @@ class _Spectrum:
             ])
         return self.boxes[lo, hi]
 
-    def fill(self, series_set) -> None:
-        """q of every series of ``series_set`` that has none yet.  The
-        (l, i, lambda) array of 1 / (e_i + lambda) is built only here, 8
-        rows at a time, and not kept; each product of a series' row with
-        it is its own, so q has the bits of one whole array and of one
-        series alone, and values near the largest float overflow q, where
-        such cells lose."""
-        missing = {
-            key: s.values for s in series_set if (key := s.values.tobytes()) not in self.q
-        }
-        if not missing:
-            return
-        q = np.empty((len(missing), len(self.e), _GRID_SIZE))
+    def quadratic_forms(self, values) -> np.ndarray:
+        """q = y^T (C_l + lambda I)^-1 y (S, R, lambda) of each of the S
+        series ``values``, computed once for all the scenarios that read
+        it.  The (l, i, lambda) array of 1 / (e_i + lambda) is built only
+        here, 8 rows at a time; each product of a series' row with it is
+        its own, so q has the bits of one whole array and of one series
+        alone, and values near the largest float overflow q, where such
+        cells lose.  Computing q per problem, from a reciprocal array kept
+        here or rebuilt per call, gives the same bits but lost about 7 % of
+        ``batch`` fits/s (2-core VM)."""
+        q = np.empty((len(values), len(self.e), _GRID_SIZE))
         with np.errstate(over="ignore", invalid="ignore"):
-            p2 = (np.array(list(missing.values()))[:, None, None, :] @ self.v) ** 2
+            p2 = (np.array(values)[:, None, None, :] @ self.v) ** 2
             for lo in range(0, len(self.e), 8):
                 inverse = self.e[lo : lo + 8, :, None] + _GRID_RATIOS
                 np.reciprocal(inverse, out=inverse)
                 q[:, lo : lo + 8] = (p2[:, lo : lo + 8] @ inverse)[:, :, 0]
-        self.q.update(zip(missing, q))
+        return q
 
 
-def _grid_starts(
-    problems, family: str, nu: float | None, spectra: dict | None = None
-) -> list[_GridStart]:
+def _grid_starts(problems, family: str, nu: float | None) -> list[_GridStart]:
     """The start of each (series, scenario) of ``problems``: the argmax of
     the log marginal likelihood over the length-scales of its box by
     ``_GRID_RATIOS``.
@@ -593,40 +582,27 @@ def _grid_starts(
     edges of a time grid's problems are rows of its grid's ``eigh``
     (:class:`_Spectrum`).  A series' likelihood table is computed once per
     noise setting over all of these rows, and each of its boxes takes the
-    argmax of its own rows.  Time grids go one at a time; the
-    :class:`_Spectrum` of each is kept in ``spectra``, when a dict is given,
-    so that a later call reuses it, and each series' q in it; a kept
-    spectrum that lacks an edge of this call's problems is built anew, at
-    the union of its edges and theirs.  Without a dict, a grid's spectrum
-    is dropped before the next grid's is built.  A row's ``eigh`` and q do
-    not depend on the other rows of its stack, so a start depends on its
-    own series and scenario alone, not on the other problems or on what
-    ``spectra`` held; ties go to the smaller l, then the smaller lambda.
+    argmax of its own rows.  Time grids go one at a time, and a grid's
+    spectrum is dropped before the next grid's is built; none outlives the
+    call.  A row's ``eigh`` and q do not depend on the other rows of its
+    stack, so a start depends on its own series and scenario alone, not on
+    the other problems; ties go to the smaller l, then the smaller lambda.
     """
-    grids: dict[tuple, list[int]] = {}
+    grids: dict[bytes, list[int]] = {}
     for i, (series, _) in enumerate(problems):
-        grids.setdefault((family, nu, series.times.tobytes()), []).append(i)
+        grids.setdefault(series.times.tobytes(), []).append(i)
     starts = [None] * len(problems)
-    for key, members in grids.items():
+    for members in grids.values():
         first = problems[members[0]][0]
         edges = {e for i in members for e in problems[i][1].box[0] if 0.0 < e < math.inf}
-        spectrum = None if spectra is None else spectra.get(key)
-        kept = [] if spectrum is None else spectrum.length_scales[_GRID_SIZE:].tolist()
-        if not edges.issubset(kept):
-            # built anew, at the union of its edges and these
-            edges.update(kept)
-            spectrum = None
-        if spectrum is None:
-            spectrum = _Spectrum.build(
-                family, nu, first, np.concatenate([_grid_length_scales(first), sorted(edges)])
-            )
-            if spectra is not None:
-                spectra[key] = spectrum
+        spectrum = _Spectrum.build(
+            family, nu, first, np.concatenate([_grid_length_scales(first), sorted(edges)])
+        )
         by_series: dict[bytes, list[int]] = {}
         for i in members:
             by_series.setdefault(problems[i][0].values.tobytes(), []).append(i)
-        spectrum.fill(problems[own[0]][0] for own in by_series.values())
-        for y, own in by_series.items():
+        qs = spectrum.quadratic_forms([problems[own[0]][0].values for own in by_series.values()])
+        for q, own in zip(qs, by_series.values()):
             tables = {}
             for i in own:
                 series, scenario = problems[i]
@@ -637,7 +613,7 @@ def _grid_starts(
                 )
                 if noise not in tables:
                     tables[noise] = _likelihood_table(
-                        spectrum.q[y], spectrum.logdet, len(series), scenario, noise[0]
+                        q, spectrum.logdet, len(series), scenario, noise[0]
                     )
                 sf2, lml = tables[noise]
                 rows = spectrum.rows(*scenario.box[0])
@@ -673,9 +649,7 @@ def _likelihood_table(
     return sf2, lml
 
 
-def _lockstep(
-    problems, family: str, nu: float | None, spectra: dict | None = None, starts=None
-) -> list[FitResult | None]:
+def _lockstep(problems, family: str, nu: float | None, starts=None) -> list[FitResult | None]:
     """The fit of every (series, scenario) in ``problems``, one L-BFGS-B run
     each, all in one lockstep; None where the run ended on no usable point.
     Raises ValueError where :func:`fit` does, before any grid is built or
@@ -684,7 +658,7 @@ def _lockstep(
     ``starts`` holds one start per problem: an (sf2, l, sn2) triple in
     natural space (sn2 ignored for fixed noise), which must be finite and
     > 0; a :class:`_GridStart`, taken as it is; or None for the problem's
-    grid start (:func:`_grid_starts`, which reads and fills ``spectra``).
+    grid start, found here in one :func:`_grid_starts` pass.
     Without ``starts`` every problem starts from its grid.  The problems'
     series may have any lengths, and their scenarios have one noise mode
     (fixed or estimated); else ValueError.  A problem's start depends on its
@@ -707,7 +681,7 @@ def _lockstep(
     if len({setup.estimate_noise for setup in setups}) > 1:
         raise ValueError("problems of one lockstep need one noise mode")
     gridded = [setup for setup in setups if setup.start is None]
-    found = _grid_starts([(setup.series, setup.scenario) for setup in gridded], family, nu, spectra)
+    found = _grid_starts([(setup.series, setup.scenario) for setup in gridded], family, nu)
     for setup, start in zip(gridded, found):
         setup.start = start[:3]
     # The series data of the batched likelihood, one entry per problem.

@@ -14,10 +14,10 @@ group, scenario k of every series that needs its own fit goes to one stage,
 once the series' earlier scenarios have been fitted, because the nested-skip
 rule reads them.  A stage is one call of ``fitting._lockstep`` (of
 ``fitting.fit`` for a group of one series), from grid starts found for the
-whole group, one time grid at a time, before the stages.  The
-sharing of optima, the scoring and the winners stay per series, and records
-come out in input order.  No fit depends on its group-mates, so the records
-are those of fitting each series alone.
+whole group, one time grid at a time, before the stages; nothing of that
+pass outlives it.  The sharing of optima, the scoring and the winners stay
+per series, and records come out in input order.  No fit depends on its
+group-mates, so the records are those of fitting each series alone.
 
 Every fitting path, serial or pooled, runs BLAS on one thread: at n <= 15 a
 second thread speeds up no BLAS call, while OpenBLAS keeps an idle helper
@@ -286,15 +286,13 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
     every problem that can be fitted (``fitting._grid_starts``): each time
     grid's eigendecompositions (at the start grid's length-scales and at
     every box edge of its problems, in one ``eigh``) and its series'
-    quadratic forms are built once.  Each series' scenarios are then fitted
-    in list order, scenario k of every series together, in one stage.  A
-    group of several tasks keeps no spectra past their grid's turn in the
-    pass, so at most one grid's are alive at a time; each stage is one
-    ``fitting._lockstep`` from the starts found.  A group of one task keeps
-    its one spectrum in a dict, and each stage's lone problem goes through
-    ``fitting.fit``, which reads its start from that spectrum (the
-    benchmark's spans time that route; see the ``fitting`` module
-    docstring).  Either route gives each problem the bits of its fit alone.
+    quadratic forms are built once, and dropped before the next grid's.
+    Each series' scenarios are then fitted in list order, scenario k of
+    every series together, in one stage, from the starts found: one
+    ``fitting._lockstep``, or for a group of one task one ``fitting.fit``
+    given its start (the benchmark's spans time that route; see the
+    ``fitting`` module docstring).  Either route gives each problem the
+    bits of its fit alone.
     A scenario has no fit of its own when its one run fails, when the
     series cannot be fitted under it (``fitting._no_fit_reason``; its
     record is then failed), or when it is skipped (the rule is on
@@ -310,11 +308,8 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
     ]
     count = len(tasks[0][1])  # every task of a run has as many scenarios
     own: list[list[fitmod.FitResult | None]] = [[None] * count for _ in tasks]
-    spectra = {} if len(tasks) == 1 else None
     keys = [(i, k) for i, flags in enumerate(unfittable) for k in range(count) if not flags[k]]
-    found = fitmod._grid_starts(
-        [(tasks[i][0], tasks[i][1][k]) for i, k in keys], family, nu, spectra
-    )
+    found = fitmod._grid_starts([(tasks[i][0], tasks[i][1][k]) for i, k in keys], family, nu)
     starts = dict(zip(keys, found))
     for k in range(count):
         stage = [
@@ -325,12 +320,12 @@ def _fit_group(settings: _RunSettings, tasks: list) -> list[list[ReplicateRecord
         if not stage:
             continue
         problems = [(tasks[i][0], tasks[i][1][k]) for i in stage]
-        if spectra is None:
+        if len(tasks) > 1:
             results = fitmod._lockstep(problems, family, nu, starts=[starts[i, k] for i in stage])
         else:
             [(series, scenario)] = problems
             try:
-                results = [fitmod.fit(series, family, scenario, nu=nu, spectra=spectra)]
+                results = [fitmod.fit(series, family, scenario, nu=nu, start=starts[0, k])]
             except fitmod.AllStartsFailedError:
                 results = [None]
         for i, result in zip(stage, results):
@@ -500,13 +495,13 @@ def _fit_all(settings: _RunSettings, tasks: list, parallelism: int) -> list[Repl
     ordered by length, of at most ``_GROUP_SERIES`` tasks and of at most a
     worker's share of them, so that every worker gets a group.  A task
     whose series length no other task of the run shares is a group of its
-    own, whose stages go through ``fitting.fit``.  A worker takes whole
-    groups.  A fit does not depend on its group-mates, so neither do the
-    records.  Each worker sets BLAS to one thread once; a serial run sets
-    it here, so that no idle OpenBLAS thread spins beside the fits, and
-    restores the caller's counts after.  Workers are forked where the
-    platform can, so that a script without a ``__main__`` guard still
-    runs."""
+    own, whose stages go through ``fitting.fit`` from the starts of its
+    start pass.  A worker takes whole groups.  A fit does not depend on its
+    group-mates, so neither do the records.  Each worker sets BLAS to one
+    thread once; a serial run sets it here, so that no idle OpenBLAS thread
+    spins beside the fits, and restores the caller's counts after.  Workers
+    are forked where the platform can, so that a script without a
+    ``__main__`` guard still runs."""
     lengths = Counter(len(task[0]) for task in tasks)
     shared = sorted(
         (i for i, task in enumerate(tasks) if lengths[len(task[0])] > 1),

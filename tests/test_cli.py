@@ -464,6 +464,35 @@ class TestOutDir:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(out_dir) in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--n-grid", "5,5"],
+            ["synth", "--family", "matern", "--nu", "3.7"],
+            ["synth", "--alpha", "1.5"],
+            ["batch", "--alpha", "2"],
+            ["batch", "--family", "matern", "--nu", "3.7"],
+        ],
+        ids=["repeated-n", "synth-nu", "synth-alpha", "batch-alpha", "batch-nu"],
+    )
+    def test_rejected_run_leaves_no_out_dir(self, argv, variance_csv, tmp_path, capsys):
+        # the folder is made before the run checks its settings; a run that
+        # raises removes the folder it made, and leaves one that was there
+        if argv[0] == "synth":
+            argv = [*argv, "--replicates", "1"]
+        else:
+            argv = [*argv, "--input", str(variance_csv)]
+        made = tmp_path / "made" / "report"
+        made.parent.mkdir()
+        assert main([*argv, "--out-dir", str(made)]) == 2
+        assert not made.exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main([*argv, "--out-dir", str(kept)]) == 2
+        assert kept.is_dir() and list(kept.iterdir()) == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("data error: ") == 2
+
 
 class TestExitCodes:
     def test_numerical_failure_exit_code(self, capsys):

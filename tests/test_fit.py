@@ -634,6 +634,10 @@ class TestExtraStarts:
         series = TimeSeries(t, np.sin(t))
         with pytest.raises(ValueError, match="must be finite and > 0"):
             fit(series, "se", make_scenarios(series, "se")[0], extra_starts=[start])
+        # ``start`` takes only a grid start: a triple there is no way to
+        # fit without the grid
+        with pytest.raises(TypeError, match="grid start"):
+            fit(series, "se", make_scenarios(series, "se")[0], start=(1.0, 1.0, 0.1))
         assert eighs == []
 
     def test_fixed_noise_ignores_sn2(self):
@@ -645,9 +649,9 @@ class TestExtraStarts:
         assert result.restarts_used == 3
 
 
-def _grid_starts_of(problems, family="se", nu=None, spectra=None):
+def _grid_starts_of(problems, family="se", nu=None):
     """The grid starts of (series, scenario) problems, as one group."""
-    return fitting._grid_starts(list(problems), family, nu, spectra)
+    return fitting._grid_starts(list(problems), family, nu)
 
 
 def _grid_start_of(problem, family="se", nu=None):
@@ -684,8 +688,8 @@ class TestGridStarts:
 
     def test_start_alone_in_a_group_and_in_a_pool(self):
         # the same bits alone, among series of the same and of other time
-        # grids, in any order, after other stages filled the spectra, and in
-        # a 2-worker pool with BLAS on one thread, for every noise mode
+        # grids, in any order, and in a 2-worker pool with BLAS on one
+        # thread, for every noise mode
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -704,9 +708,6 @@ class TestGridStarts:
         alone = [_grid_start_of(problem) for problem in problems]
         assert _grid_starts_of(problems) == alone
         assert _grid_starts_of(problems[::-1]) == alone[::-1]
-        spectra = {}
-        shared = [start for stage in stages for start in _grid_starts_of(stage, spectra=spectra)]
-        assert shared == alone
         context = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -715,13 +716,13 @@ class TestGridStarts:
         with ProcessPoolExecutor(2, mp_context=context, initializer=_blas_on_one_thread) as pool:
             pooled = list(pool.map(_grid_start_of, problems))
         assert pooled == alone
-        # and the fits of each stage, with or without the filled spectra,
-        # are the fits alone
+        # and the fits of each stage are the fits alone, with or without
+        # the start found given
         for stage in stages:
-            for spectra_in in (None, spectra):
-                results = fitting._lockstep(stage, "se", None, spectra_in)
-                for (s, scenario), result in zip(stage, results):
-                    assert result == fit(s, "se", scenario)
+            results = fitting._lockstep(stage, "se", None)
+            for (s, scenario), result in zip(stage, results):
+                start = _grid_start_of((s, scenario))
+                assert result == fit(s, "se", scenario) == fit(s, "se", scenario, start=start)
 
     def test_input_checks_raise_before_the_grid(self, monkeypatch):
         def no_grid(*args):
@@ -790,7 +791,7 @@ class TestGridStarts:
         # a group on two time grids decomposes each time grid once, in one
         # stack of the grid's 64 length-scales and its box edges (here the
         # grid's floor a_l), before the stages; the stages run from the
-        # starts found, without a dict of spectra
+        # starts found
         from shortgp.harness import run_batch
 
         eigh, lockstep = fitting._correlation_eigh, fitting._lockstep
@@ -800,9 +801,9 @@ class TestGridStarts:
             stacks.append(length_scales.tolist())
             return eigh(family, nu, distances, length_scales)
 
-        def capturing(problems, family, nu, spectra=None, starts=None):
-            stages.append((len(stacks), spectra, starts))
-            return lockstep(problems, family, nu, spectra, starts)
+        def capturing(problems, family, nu, starts=None):
+            stages.append((len(stacks), starts))
+            return lockstep(problems, family, nu, starts)
 
         monkeypatch.setattr(fitting, "_correlation_eigh", counting)
         monkeypatch.setattr(fitting, "_lockstep", capturing)
@@ -820,42 +821,11 @@ class TestGridStarts:
             floor = make_scenarios(s, "se")[1].length_scale_lower
             assert ls == [*fitting._grid_length_scales(s).tolist(), floor]
         assert stages and all(
-            decomposed == len(grids) and spectra is None and all(
+            decomposed == len(grids) and all(
                 isinstance(start, fitting._GridStart) for start in starts
             )
-            for decomposed, spectra, starts in stages
+            for decomposed, starts in stages
         )
-
-    @pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
-    def test_a_kept_spectrum_without_an_edge_is_built_anew(self, monkeypatch, family, nu):
-        # a fit of no_bounds keeps a spectrum without the floor a_l; a fit
-        # of lengthscale_bounded from that dict decomposes the union of the
-        # grid and the floor anew, and is the fit without a dict, bitwise
-        series = _sinc_series(n=7, rep=2)
-        free, floored = make_scenarios(series, family, nu=nu)[:2]
-        grid = fitting._grid_length_scales(series).tolist()
-        spectra = {}
-        fit(series, family, free, nu=nu, spectra=spectra)
-        [kept] = spectra.values()
-        assert kept.length_scales.tolist() == grid
-        eigh, stacks = fitting._correlation_eigh, []
-
-        def counting(family, nu, distances, length_scales):
-            stacks.append(length_scales.tolist())
-            return eigh(family, nu, distances, length_scales)
-
-        monkeypatch.setattr(fitting, "_correlation_eigh", counting)
-        result = fit(series, family, floored, nu=nu, spectra=spectra)
-        assert stacks == [[*grid, floored.length_scale_lower]]
-        [rebuilt] = spectra.values()
-        assert rebuilt.length_scales.tolist() == stacks[0]
-        assert repr(result) == repr(fit(series, family, floored, nu=nu))
-        # the rebuilt spectrum holds every edge, so it serves both again
-        stacks.clear()
-        assert repr(fit(series, family, free, nu=nu, spectra=spectra)) == repr(
-            fit(series, family, free, nu=nu)
-        )
-        assert list(spectra.values()) == [rebuilt] and stacks == [grid]
 
     def test_logdet_summed_in_eigenvalue_order(self):
         # log|C_l + lambda I| is summed in place, one eigenvalue at a time:

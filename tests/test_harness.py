@@ -657,20 +657,24 @@ def _stage_calls(monkeypatch, on_stage, on_fit=None):
     """Call ``on_stage(problems)`` on each stage that the harness fits: a
     ``fitting._lockstep`` call from its starts, or a ``fitting.fit`` call
     (a group of one series), which ``on_fit(scenario)`` sees too.  The
-    lockstep that ``fit`` runs itself is no stage: its first start is
-    None, the grid start ``fit`` looks up."""
+    lockstep that ``fit`` runs itself is no stage."""
     lockstep, fit_one = fitmod._lockstep, fitmod.fit
+    in_fit = []
 
-    def on_lockstep(problems, family, nu, spectra=None, starts=None):
-        if starts is not None and starts[0] is not None:
+    def on_lockstep(problems, family, nu, starts=None):
+        if not in_fit:
             on_stage(problems)
-        return lockstep(problems, family, nu, spectra, starts)
+        return lockstep(problems, family, nu, starts)
 
     def on_fit_one(series, family, scenario, *args, **kwargs):
         on_stage([(series, scenario)])
         if on_fit is not None:
             on_fit(scenario)
-        return fit_one(series, family, scenario, *args, **kwargs)
+        in_fit.append(scenario)
+        try:
+            return fit_one(series, family, scenario, *args, **kwargs)
+        finally:
+            in_fit.pop()
 
     monkeypatch.setattr(fitmod, "_lockstep", on_lockstep)
     monkeypatch.setattr(fitmod, "fit", on_fit_one)
@@ -847,10 +851,10 @@ class TestSeveralLengthsInOneRun:
 
 class TestGroupOfOneSeries:
     """A series whose length no other series of its run shares is a group of
-    its own: its start pass keeps its one spectrum, and each stage goes
-    through ``fitting.fit`` from it.  Beside a mate of its length, each
-    stage is one ``fitting._lockstep`` from the starts of the pass.  Either
-    way it gets the same records."""
+    its own: it takes the same start pass as any group, and each stage goes
+    through ``fitting.fit`` from the start that pass found.  Beside a mate
+    of its length, each stage is one ``fitting._lockstep`` from the starts
+    of the pass.  Either way it gets the same records."""
 
     @staticmethod
     def _series(seed):
@@ -894,21 +898,35 @@ class TestGroupOfOneSeries:
     @pytest.mark.parametrize("scenario_set", ["synthetic", "expression"])
     def test_one_eigh(self, monkeypatch, scenario_set, family, nu):
         # the pass decomposes the start grid's 64 length-scales and the box
-        # edges of every scenario (here the floor a_l) in one stack, which
-        # every stage's fit reads
-        eigh, stacks = fitmod._correlation_eigh, []
+        # edges of every scenario (here the floor a_l) in one stack, and
+        # builds one likelihood table per noise setting (two in either
+        # scenario set); every stage's fit starts from the start it found
+        eigh, table, fit_one = fitmod._correlation_eigh, fitmod._likelihood_table, fitmod.fit
+        stacks, tables, starts = [], [], []
 
         def counting(family, nu, distances, length_scales):
             stacks.append(length_scales.tolist())
             return eigh(family, nu, distances, length_scales)
 
+        def counting_tables(*args):
+            tables.append(args)
+            return table(*args)
+
+        def recording(*args, start=None, **kwargs):
+            starts.append(start)
+            return fit_one(*args, start=start, **kwargs)
+
         monkeypatch.setattr(fitmod, "_correlation_eigh", counting)
+        monkeypatch.setattr(fitmod, "_likelihood_table", counting_tables)
+        monkeypatch.setattr(fitmod, "fit", recording)
         series = self._series(3)[1]
         report = run_batch([series], scenario_set, family, nu)
         assert not any(r.failed for r in report.rows)
         build = fitmod.SCENARIO_SETS[scenario_set]
         floor = build(series, family, nu=nu)[1].length_scale_lower
         assert stacks == [[*fitmod._grid_length_scales(series).tolist(), floor]]
+        assert len(tables) == 2
+        assert starts and all(isinstance(start, fitmod._GridStart) for start in starts)
 
 
 def _record_stages(monkeypatch):
