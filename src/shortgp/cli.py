@@ -249,15 +249,18 @@ def _cmd_batch(args) -> int:
 def _report_into(out_dir, run) -> int:
     """Make ``out_dir``, before any fit, so that an unusable one fails
     first; then write the report of ``run()`` there and print its files.
-    When the run raises, a folder that this call made, still empty, is
-    removed again."""
-    made = not os.path.exists(out_dir)
+    When the run raises, every folder that this call made, parents
+    included, still empty, is removed again."""
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(out_dir, exist_ok=True)
     try:
         report = run()
     except BaseException:
-        if made:
-            os.rmdir(out_dir)
+        for path in made:
+            os.rmdir(path)
         raise
     for path in harness.emit_report(report, out_dir):
         print(path)

@@ -57,23 +57,26 @@ errors.
 The lockstep runs over problems: :func:`_lockstep` fits any number of
 (series, scenario) problems of one noise mode (fixed or estimated) at
 once, one start and one L-BFGS-B run per problem, whatever the series
-lengths.  A problem starts from its grid argmax, from a start the caller
-gives, or from a :class:`_GridStart` found earlier.  The problems are laid
-out once as a ragged batch (:class:`shortgp.gp._Batch`): ordered by n,
-their n x n blocks end to end in one flat array, so that the kernel, the
-noise diagonal and the elementwise products of a round run once over all
-of them, whatever their lengths.  The reductions run once per run of equal
-n, as row sums of a (b_n, n^2) view: that is the row sum of one member's
-own call, so each member keeps its bits, which a segmented sum
-(``np.add.reduceat``) does not.  When half of the problems laid out are
-done, the rest are laid out again.  :func:`fit` makes one problem for its
-grid start and one sibling problem (same series and scenario) per extra
-start, in one lockstep, and keeps the best run.  The harness makes one
-:func:`_lockstep` call per stage: one scenario of every series of a group,
-of any lengths, from the starts of the group's start pass.  An
-evaluation that overflows a float (a power of a huge length-scale) is a
-failed evaluation; a batched call that overflows leaves its members to the
-per-call path, so that only the members that overflow there fail.
+lengths.  Its problems are ready: its callers have checked them and found
+their starts, and it takes each start as given.  The points a round asks
+for are laid out as a ragged batch (:class:`shortgp.gp._Batch`) of
+exactly those points: ordered by n, their n x n blocks end to end in one
+flat array, so that the kernel, the noise diagonal and the elementwise
+products of a round run once over all of them, whatever their lengths.
+The reductions run once per run of equal n, as row sums of a (b_n, n^2)
+view: that is the row sum of one member's own call, so each member keeps
+its bits, which a segmented sum (``np.add.reduceat``) does not.  The
+layout is kept while the same problems ask, and made anew when they
+change, so a problem whose run is done takes no more work.  :func:`fit`
+checks its problem, finds its grid start unless it is given one, and
+makes one problem for that start and one sibling problem (same series and
+scenario) per extra start, in one lockstep, and keeps the best run.  The
+harness makes one :func:`_lockstep` call per stage: one scenario of every
+series of a group, of any lengths, from the starts of the group's start
+pass.  An evaluation that overflows a float (a power of a huge
+length-scale) is a failed evaluation; a batched call that overflows leaves
+its members to the per-call path, so that only the members that overflow
+there fail.
 
 Three paths are kept for the benchmark's spans (``bench/spans.py``), which
 wrap ``fit``, ``minimize`` and the per-call likelihood by name: a lone
@@ -305,12 +308,13 @@ def fit(
     clipped into the box: the argmax of the likelihood over a grid of
     length-scale and noise-to-signal ratio (:func:`_grid_starts`), and any
     ``extra_starts``, given as (sf2, l, sn2) triples in natural space (sn2
-    ignored for fixed noise).  ``start`` is that grid start when a start
-    pass has already found it for this series and scenario, or None to find
-    it here; it changes no bit of the fit, and anything but a
-    :class:`_GridStart` or None raises TypeError.  Each start is one problem
-    of one :func:`_lockstep`, with one run: the grid start's, and a sibling
-    problem of the same series and scenario per extra start.
+    ignored for fixed noise, and 1e-2 where it is None).  ``start`` is that
+    grid start when a start pass has already found it for this series and
+    scenario, or None to find it here; it changes no bit of the fit, and
+    anything but a :class:`_GridStart` or None raises TypeError.  Each
+    start is one problem of one :func:`_lockstep`, with one run: the grid
+    start's, and a sibling problem of the same series and scenario per
+    extra start.
     ``restarts`` is accepted only for the benchmark's spans, which read it;
     it changes no fit.  A length-scale or noise variance within a relative
     1e-6 of a bound is returned as exactly that bound.  The best run wins;
@@ -338,11 +342,26 @@ def fit(
     series, whose likelihood has no maximum; and for an extra start whose
     sf2 or l, or whose sn2 where the noise is estimated, is not finite and
     > 0 (such a start could only fail, or be clipped into the box).  Each
-    of these is raised before any grid is built or run started.
+    of these is raised here, in that order, before any grid is built or run
+    started.
     """
     if start is not None and not isinstance(start, _GridStart):
         raise TypeError(f"start must be a grid start or None, not {type(start).__name__}")
-    starts = [start, *extra_starts]
+    reason = _no_fit_reason(series, scenario)
+    if reason is not None:
+        raise ValueError(reason)
+    _check_family(family, nu)
+    estimate_noise = scenario.noise_mode != NOISE_FIXED
+    starts = [start]
+    for sf2, l, sn2 in extra_starts:
+        given = [sf2, l] + ([sn2] if estimate_noise and sn2 is not None else [])
+        if not all(0.0 < float(v) < math.inf for v in given):
+            raise ValueError(
+                f"start {(sf2, l, sn2)!r}: sf2, l and an estimated sn2 must be finite and > 0"
+            )
+        starts.append((float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2))
+    if start is None:
+        [starts[0]] = _grid_starts([(series, scenario)], family, nu)
     runs = _lockstep([(series, scenario)] * len(starts), family, nu, starts)
     usable = [run for run in runs if run is not None]
     if not usable:
@@ -368,15 +387,11 @@ def _beats(a: FitResult, b: FitResult) -> bool:
 
 
 class _Problem:
-    """The set-up of one (series, scenario) of :func:`_lockstep`: the box
-    in natural units and its log, the one start, and the map of a point z
-    back into the box."""
+    """The set-up of one ready (series, scenario) of :func:`_lockstep`:
+    the box in natural units and its log, the one start, taken as given,
+    and the map of a point z back into the box."""
 
-    def __init__(self, series, family, scenario, nu, start=None):
-        reason = _no_fit_reason(series, scenario)
-        if reason is not None:
-            raise ValueError(reason)
-        _check_family(family, nu)
+    def __init__(self, series, scenario, start):
         self.series = series
         self.scenario = scenario
         # The box of each optimized parameter in natural units, and its log.
@@ -389,18 +404,7 @@ class _Problem:
             (math.log(lo) if lo > 0.0 else None, math.log(hi) if hi < math.inf else None)
             for lo, hi in self.boxes
         ]
-        # (sf2, l, sn2) in natural units, or None until _lockstep puts the
-        # grid start here.  A grid start (_grid_starts) is taken as it is.
-        if isinstance(start, _GridStart):
-            start = start[:3]
-        elif start is not None:
-            sf2, l, sn2 = start
-            given = [sf2, l] + ([sn2] if self.estimate_noise and sn2 is not None else [])
-            if not all(0.0 < float(v) < math.inf for v in given):
-                raise ValueError(
-                    f"start {tuple(start)!r}: sf2, l and an estimated sn2 must be finite and > 0"
-                )
-            start = (float(sf2), float(l), float(sn2) if sn2 is not None else 1e-2)
+        # (sf2, l, sn2, ...) in natural units: one entry per box is read
         self.start = start
 
     def z0(self) -> np.ndarray:
@@ -486,8 +490,7 @@ def _correlation_eigh(family: str, nu: float | None, distances, length_scales):
 
 class _GridStart(NamedTuple):
     """A start (sf2, l, sn2) from the likelihood grid, with the grid's log
-    marginal likelihood there.  :func:`_lockstep` takes it as it is, where
-    a start given by a caller must be finite and > 0."""
+    marginal likelihood there, which :func:`_lockstep` does not read."""
 
     signal_variance: float
     length_scale: float
@@ -649,62 +652,52 @@ def _likelihood_table(
     return sf2, lml
 
 
-def _lockstep(problems, family: str, nu: float | None, starts=None) -> list[FitResult | None]:
+def _lockstep(problems, family: str, nu: float | None, starts) -> list[FitResult | None]:
     """The fit of every (series, scenario) in ``problems``, one L-BFGS-B run
     each, all in one lockstep; None where the run ended on no usable point.
-    Raises ValueError where :func:`fit` does, before any grid is built or
-    run started.
 
-    ``starts`` holds one start per problem: an (sf2, l, sn2) triple in
-    natural space (sn2 ignored for fixed noise), which must be finite and
-    > 0; a :class:`_GridStart`, taken as it is; or None for the problem's
-    grid start, found here in one :func:`_grid_starts` pass.
-    Without ``starts`` every problem starts from its grid.  The problems'
-    series may have any lengths, and their scenarios have one noise mode
-    (fixed or estimated); else ValueError.  A problem's start depends on its
-    own series and scenario alone.  The problems are laid out once as a
-    ragged batch (:class:`shortgp.gp._Batch`), and again, without those
-    done, when half of them are done.  Each round, the points asked for are
-    mapped to natural units once and go to the batched likelihood as one
-    call, whatever problem they come from; a member gets the bits of its
-    own evaluation, so each result is that of the problem's run alone.  A lone
-    point, and a member that the batch leaves (K not finite, or jitter
-    needed), go to :func:`shortgp.gp.log_marginal_likelihood_and_gradient`,
-    which owns the jitter ladder and the errors.  A batched call that
-    overflows a float leaves every member to it, so that only the members
-    that overflow there fail.
+    The problems are ready: each can be fitted (:func:`fit` checks that,
+    and so does the harness), and ``starts`` holds one start per problem,
+    taken as given: an (sf2, l, sn2) in natural space, such as a
+    :class:`_GridStart`, of which a fixed-noise problem reads only sf2 and
+    l.  The problems' series may have any lengths, and their scenarios have
+    one noise mode (fixed or estimated); else ValueError.  Each round, the
+    points asked for are mapped to natural units once, and two or more of
+    them go to the batched likelihood as one call, laid out as a ragged
+    batch (:class:`shortgp.gp._Batch`) of exactly those points: the layout
+    is kept while the same problems ask, and made anew when they change.
+    A member gets the bits of its own evaluation, so each result is that of
+    the problem's run alone.  A lone point, and a member that the batch
+    leaves (K not finite, or jitter needed), go to
+    :func:`shortgp.gp.log_marginal_likelihood_and_gradient`, which owns the
+    jitter ladder and the errors.  A batched call that overflows a float
+    leaves every member to it, so that only the members that overflow there
+    fail.
     """
     setups = [
-        _Problem(series, family, scenario, nu, start)
-        for (series, scenario), start in zip(problems, starts or [None] * len(problems))
+        _Problem(series, scenario, start) for (series, scenario), start in zip(problems, starts)
     ]
     if len({setup.estimate_noise for setup in setups}) > 1:
         raise ValueError("problems of one lockstep need one noise mode")
-    gridded = [setup for setup in setups if setup.start is None]
-    found = _grid_starts([(setup.series, setup.scenario) for setup in gridded], family, nu)
-    for setup, start in zip(gridded, found):
-        setup.start = start[:3]
     # The series data of the batched likelihood, one entry per problem.
     distances = [setup.series.distances for setup in setups]
     ys = [setup.series.values for setup in setups]
     variances = (
         None if setups[0].estimate_noise else [setup.series.noise_variances for setup in setups]
     )
-    # The problems laid out as one ragged batch, and the position of each
-    # in it: laid out again, without those done, when half of them are
-    # done (or when one left out asks again, after a NaN point).
-    batch, slots = None, {}
+    # The problems whose points the batch was last laid out for, in order.
+    batch, laid = None, None
 
     def objective(members: list[int], zs: list[np.ndarray]) -> list:
         # (-log p, -gradient) at each member's z, each z mapped once.
-        nonlocal batch, slots
+        nonlocal batch, laid
         params = [setups[m].natural(z) for m, z in zip(members, zs)]
         batched = [i for i, p in enumerate(params) if p is not None]
         out = [None] * len(zs)
         if len(batched) > 1:
             rows = [members[i] for i in batched]
-            if 2 * len(rows) <= len(slots) or not all(m in slots for m in rows):
-                slots = {m: j for j, m in enumerate(rows)}
+            if rows != laid:
+                laid = rows
                 batch = gp._Batch(
                     [distances[m] for m in rows],
                     [ys[m] for m in rows],
@@ -712,11 +705,7 @@ def _lockstep(problems, family: str, nu: float | None, starts=None) -> list[FitR
                 )
             try:
                 values, grads, ok = gp._lml_and_grad_batch(
-                    family,
-                    nu,
-                    np.array([params[i] for i in batched]),
-                    batch,
-                    [slots[m] for m in rows],
+                    family, nu, np.array([params[i] for i in batched]), batch
                 )
             except OverflowError:
                 pass

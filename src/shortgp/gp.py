@@ -33,8 +33,9 @@ A fit runs its starts in lockstep (:mod:`~shortgp.fitting`), and so do
 the fits of one scenario of many series, of any lengths.
 :func:`_lml_and_grad_batch` evaluates the points they ask for together,
 from one (B, 2 or 3) array of raw hyperparameters and a ragged batch
-(:class:`_Batch`) that holds the members' series data (distances, values
-and fixed variances, each member's own), laid out once per lockstep: no
+(:class:`_Batch`) of exactly those B members, which holds their series
+data (distances, values and fixed variances, each member's own) and which
+the lockstep lays out anew only when the points asked for change: no
 :class:`~shortgp.kernels.KernelSpec` or :class:`NoiseModel` is built per
 point.  The members are ordered by n, and their n x n blocks lie end to
 end in one flat array (:class:`_Ragged`), so the kernel, the noise
@@ -48,18 +49,18 @@ batched counterparts do not give the per-call bits, so no member's bits
 depend on its batch-mates.  Each member solves for alpha and K^-1 in one
 ``dpotrs`` call on [y | I], whose columns each have the bits of their own
 solve.  A member whose K is not finite, or whose first factorization
-fails, is left to :func:`log_marginal_likelihood_and_gradient`, which owns
-the jitter ladder and the errors, so each of them exists once.  Both
-functions end in :func:`_value_and_gradient`, the per-call one as a batch
-of one, and :func:`log_marginal_likelihood` takes its value from the same
-solve (:func:`_solve`) and reduction (:func:`_value`), so the formula of
-the value and the gradient exists once too.
+fails, keeps neutral blocks in the batch and is left to
+:func:`log_marginal_likelihood_and_gradient`, which owns the jitter ladder
+and the errors, so each of them exists once.  Both functions end in
+:func:`_value_and_gradient`, the per-call one as a batch of one, and
+:func:`log_marginal_likelihood` takes its value from the same solve
+(:func:`_solve`) and reduction (:func:`_value`), so the formula of the
+value and the gradient exists once too.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,7 +134,7 @@ def log_marginal_likelihood(
     """log p(y) = -1/2 y^T K^-1 y - 1/2 log|K| - n/2 log(2 pi)."""
     layout, chol = _ragged((len(series),)), _flat(_factorize(series, kernel, noise)[2])
     y_alpha = _solve(layout, series.values, chol)[1]
-    log_diagonal = layout.sums(np.log(chol[layout.diagonal])[None], layout.runs, vectors=True)
+    log_diagonal = layout.sums(np.log(chol[layout.diagonal])[None], vectors=True)
     return float(_value(layout, y_alpha, log_diagonal[0])[0])
 
 
@@ -220,13 +221,12 @@ class _Ragged:
             for first, end in zip(firsts, [*firsts[1:], b])
         ]
 
-    def sums(self, flat: np.ndarray, runs: list, vectors: bool = False) -> np.ndarray:
+    def sums(self, flat: np.ndarray, vectors: bool = False) -> np.ndarray:
         """The row sums (m, B) of ``flat`` (m, total), whose rows hold one
-        block per member, or one vector with ``vectors``, over the members
-        of ``runs`` (0 elsewhere): per run of equal n, the sum of a
-        (m, b_n, width) view over its last axis."""
-        out = np.zeros((flat.shape[0], len(self.n)))
-        for first, end, n, lo, hi, vector_lo, vector_hi in runs:
+        block per member, or one vector with ``vectors``: per run of equal
+        n, the sum of a (m, b_n, width) view over its last axis."""
+        out = np.empty((flat.shape[0], len(self.n)))
+        for first, end, n, lo, hi, vector_lo, vector_hi in self.runs:
             if vectors:
                 lo, hi, width = vector_lo, vector_hi, n
             else:
@@ -247,60 +247,53 @@ class _Batch:
     """The series of B members of a ragged batch, laid out once
     (:class:`_Ragged`, in the order of n): their distance matrices, values
     and fixed variances, flat.  A lockstep lays out the problems whose
-    points it evaluates together, and hands :func:`_lml_and_grad_batch`
-    any of them each round."""
+    points one call of :func:`_lml_and_grad_batch` evaluates."""
 
     def __init__(self, distances, ys, variances=None):
         sizes = [len(y) for y in ys]
-        order = sorted(range(len(ys)), key=sizes.__getitem__)
-        # the layout position of each member, in the order given
-        self.slot = np.argsort(order).tolist()
-        self.layout = _Ragged(tuple(sizes[i] for i in order))
-        self.distances = np.concatenate([np.ravel(distances[i]) for i in order])
-        self.ys = np.concatenate([ys[i] for i in order])
+        # the member given at each layout position, and the layout
+        # position of each member given
+        self.order = sorted(range(len(ys)), key=sizes.__getitem__)
+        self.slot = np.argsort(self.order).tolist()
+        self.layout = _Ragged(tuple(sizes[i] for i in self.order))
+        self.distances = np.concatenate([np.ravel(distances[i]) for i in self.order])
+        self.ys = np.concatenate([ys[i] for i in self.order])
         self.variances = (
-            None if variances is None else np.concatenate([variances[i] for i in order])
+            None if variances is None else np.concatenate([variances[i] for i in self.order])
         )
 
 
 def _lml_and_grad_batch(
-    family: str,
-    nu: float | None,
-    params: np.ndarray,
-    batch: _Batch,
-    members: list[int] | None = None,
+    family: str, nu: float | None, params: np.ndarray, batch: _Batch
 ) -> tuple[np.ndarray, np.ndarray, list[bool]]:
-    """:func:`log_marginal_likelihood_and_gradient` of B members at once.
+    """:func:`log_marginal_likelihood_and_gradient` of the B members of
+    ``batch`` at once.
 
-    ``members`` names B members of ``batch`` (all of them by default, in
-    the order it was built from), which may have any lengths; each has its
-    own series, which may be another member's.  ``params`` is a
-    (B, 2 or 3) array of positive (sf2, l[, sn2]), one row per member, the
-    hyperparameters of an SE or half-integer Matern kernel; two columns
-    mean fixed noise, the batch's variances.  Returns the values (B,), the
-    gradients (B, 2 or 3) and, as a list, a mask of the members evaluated
-    here.  A member outside the mask has a K that is not finite, or one
-    that needs jitter; its row holds no result, and the caller evaluates it
-    through :func:`log_marginal_likelihood_and_gradient`.  Every row inside
-    the mask is bitwise that function's result on the member's series.
-    Raises OverflowError, as that function does, when a member's l^3 or
-    l^2 overflows a float.
+    The members may have any lengths; each has its own series, which may
+    be another member's.  ``params`` is a (B, 2 or 3) array of positive
+    (sf2, l[, sn2]), one row per member in the order the batch was built
+    from, the hyperparameters of an SE or half-integer Matern kernel; two
+    columns mean fixed noise, the batch's variances.  Returns the values
+    (B,), the gradients (B, 2 or 3) and, as a list, a mask of the members
+    evaluated here.  A member outside the mask has a K that is not finite,
+    or one that needs jitter; its row holds no result, and the caller
+    evaluates it through :func:`log_marginal_likelihood_and_gradient`.
+    Every row inside the mask is bitwise that function's result on the
+    member's series.  Raises OverflowError, as that function does, when a
+    member's l^3 or l^2 overflows a float.
 
     The kernel, the noise diagonal, the finiteness check, alpha alpha^T -
     K^-1 and the products run once over the whole batch, the reductions
     once per run of equal n (:class:`_Ragged`); ``dpotrf``, ``dpotrs`` and
-    ``y @ alpha`` run per member named, because their batched counterparts
-    do not give the per-call bits.  The batch's other members take sf2 = l
-    (= sn2) = 1 in the arithmetic that runs over all of them, and no
-    factorization or solve.
+    ``y @ alpha`` run per member, because their batched counterparts do not
+    give the per-call bits.  A member outside the mask keeps neutral blocks
+    (K = I, zero derivatives), so that the arithmetic after its
+    factorization warns nothing.
     """
     layout = batch.layout
-    sizes = layout.n.tolist()
-    slots = batch.slot if members is None else [batch.slot[m] for m in members]
-    full = np.ones((len(sizes), params.shape[1]))
-    full[slots] = params
-    sf2, ls = full[:, 0], full[:, 1]
-    sn2 = full[:, 2] if params.shape[1] == 3 else None
+    ordered = params[batch.order]
+    sf2, ls = ordered[:, 0], ordered[:, 1]
+    sn2 = ordered[:, 2] if params.shape[1] == 3 else None
     gram, d_l = _evaluate(family, nu, sf2, ls, batch.distances, spread=layout.squares)
     k = gram.copy()
     k[layout.diagonal] += batch.variances if sn2 is None else np.repeat(sn2, layout.n)
@@ -313,32 +306,27 @@ def _lml_and_grad_batch(
 
     # K is exactly symmetric, so each member's block, in C order, is its
     # own K in Fortran order, which dpotrf factors in place.
-    ok = [False] * len(sizes)
-    for j in sorted(slots):
-        n, lo, _, _ = layout.offsets[j]
+    ok = []
+    for j, (n, lo, _, _) in enumerate(layout.offsets):
         block = slice(lo, lo + n * n)
-        if finite is None or finite[j]:
-            ok[j] = not dpotrf(k[block].reshape(n, n).T, lower=1, clean=1, overwrite_a=1)[1]
-        if not ok[j]:
-            # Neutral blocks, so that the arithmetic below warns nothing.
+        done = (finite is None or finite[j]) and not dpotrf(
+            k[block].reshape(n, n).T, lower=1, clean=1, overwrite_a=1
+        )[1]
+        if not done:
             k[block] = _identity(n).ravel()
             gram[block] = 0.0
             d_l[block] = 0.0
+        ok.append(done)
     values, grads = _value_and_gradient(
-        layout, batch.ys, k, gram, np.repeat(ls, layout.squares) * d_l, sn2,
-        [j for j, done in enumerate(ok) if done],
+        layout, batch.ys, k, gram, np.repeat(ls, layout.squares) * d_l, sn2
     )
-    return values[slots], grads[slots], [ok[j] for j in slots]
+    return values[batch.slot], grads[batch.slot], [ok[j] for j in batch.slot]
 
 
-def _solve(
-    layout: _Ragged, ys: np.ndarray, chols: np.ndarray, solve=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve(layout: _Ragged, ys: np.ndarray, chols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """[y | I] solved for each of B members (flat, in ``layout``'s solve
     blocks), and -1/2 y^T alpha (B,), from their values and the lower
-    Cholesky factors of their K, flat in ``layout``.  Only the members
-    ``solve`` (ascending; all by default) are solved; the others keep
-    [y | I] and 0.
+    Cholesky factors of their K, flat in ``layout``.
 
     ``dpotrs`` and ``y @ alpha`` run per member, because their batched
     counterparts do not give the bits of one member's call.  Each member
@@ -351,9 +339,8 @@ def _solve(
     solved[layout.alpha] = ys
     solved[layout.eye] = 1.0
     half_ys = -0.5 * ys
-    y_alpha = np.zeros(len(layout.n))
-    for j in range(len(layout.n)) if solve is None else solve:
-        n, lo, v, s = layout.offsets[j]
+    y_alpha = np.empty(len(layout.n))
+    for j, (n, lo, v, s) in enumerate(layout.offsets):
         block = solved[s : s + (n + 1) * n]
         dpotrs(chols[lo : lo + n * n].reshape(n, n).T, block.reshape(n + 1, n).T,
                lower=1, overwrite_b=1)
@@ -369,19 +356,15 @@ def _value(layout: _Ragged, y_alpha: np.ndarray, log_diagonal: np.ndarray) -> np
 
 def _value_and_gradient(
     layout: _Ragged, ys: np.ndarray, chols: np.ndarray, d_sf2: np.ndarray,
-    d_l: np.ndarray, sn2, solve=None
+    d_l: np.ndarray, sn2
 ) -> tuple[np.ndarray, np.ndarray]:
     """log p(y) (B,) and its gradient in log coordinates (B, 2 or 3) for B
     members, from their values, the lower Cholesky factors of their K,
     dK/dlog sf2 and dK/dlog l, all flat in ``layout``; ``sn2`` is the B
     estimated noise variances, or None for fixed noise.  The solves are
-    :func:`_solve`'s, of the members ``solve``; the reductions run over the
-    runs of equal n that hold one of them.
+    :func:`_solve`'s, and the reductions run once per run of equal n.
     """
-    solved, y_alpha = _solve(layout, ys, chols, solve)
-    runs = layout.runs
-    if solve is not None:
-        runs = [run for run in runs if bisect_left(solve, run[1]) > bisect_left(solve, run[0])]
+    solved, y_alpha = _solve(layout, ys, chols)
     alphas = solved[layout.alpha]
     # d log p / d theta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta)
     inner = np.repeat(alphas, layout.vector_n) * alphas[layout.cols] - solved[layout.k_inv]
@@ -392,9 +375,9 @@ def _value_and_gradient(
     np.log(chols[layout.diagonal], out=diagonals[0])
     if sn2 is not None:
         diagonals[1] = inner[layout.diagonal]
-    diagonal_sums = layout.sums(diagonals, runs, vectors=True)
+    diagonal_sums = layout.sums(diagonals, vectors=True)
     grads = np.empty((len(layout.n), 2 if sn2 is None else 3))
-    grads[:, :2] = (0.5 * layout.sums(products, runs)).T
+    grads[:, :2] = (0.5 * layout.sums(products)).T
     if sn2 is not None:
         grads[:, 2] = 0.5 * np.asarray(sn2) * diagonal_sums[1]
     return _value(layout, y_alpha, diagonal_sums[0]), grads

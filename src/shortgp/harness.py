@@ -79,7 +79,8 @@ class SyntheticConfig:
     """Protocol parameters for the synthetic sinc benchmark.
 
     ``restarts`` is accepted only for the benchmark's callers and changes no
-    fit."""
+    fit.  Neither it nor ``n_points``, which a run takes from each n of its
+    grid, is a config-file key (:func:`load_config`)."""
 
     n_points: int = 7
     interval: tuple[float, float] = (-5.0, 6.0)
@@ -1024,9 +1025,17 @@ _SPLIT_KEYS = {
 }
 
 
+# Fields that no config file sets: synth takes each cell's n_points from
+# n_grid, and restarts changes no fit.
+_UNSET_FIELDS = {"n_points", "restarts"}
+
+
 def _config_fields():
-    """(field name, its config keys, their defaults) per SyntheticConfig field."""
+    """(field name, its config keys, their defaults) per SyntheticConfig
+    field that a config file sets."""
     for f in fields(SyntheticConfig):
+        if f.name in _UNSET_FIELDS:
+            continue
         if f.name in _SPLIT_KEYS:
             yield f.name, _SPLIT_KEYS[f.name], f.default
         else:

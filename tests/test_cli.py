@@ -193,7 +193,7 @@ class TestSynthCommand:
         cfg = tmp_path / "run.cfg"
         out_dir = tmp_path / "report"
         cfg.write_text(
-            "replicates = 2\nrestarts = 2\nn_grid = 5\nout_dir = %s\n" % out_dir
+            "replicates = 2\nn_grid = 5\nout_dir = %s\n" % out_dir
         )
         rc = main(["synth", "--config", str(cfg), "--replicates", "3"])
         assert rc == 0
@@ -485,13 +485,17 @@ class TestOutDir:
         made = tmp_path / "made" / "report"
         made.parent.mkdir()
         assert main([*argv, "--out-dir", str(made)]) == 2
-        assert not made.exists()
+        assert not made.exists() and made.parent.is_dir()
+        # every folder it made goes, parents included, up to one that was there
+        nested = tmp_path / "parent" / "middle" / "leaf"
+        assert main([*argv, "--out-dir", str(nested)]) == 2
+        assert not (tmp_path / "parent").exists()
         kept = tmp_path / "kept"
         kept.mkdir()
         assert main([*argv, "--out-dir", str(kept)]) == 2
         assert kept.is_dir() and list(kept.iterdir()) == []
         out, err = capsys.readouterr()
-        assert out == "" and err.count("data error: ") == 2
+        assert out == "" and err.count("data error: ") == 3
 
 
 class TestExitCodes:

@@ -518,7 +518,8 @@ class TestDriverMatchesScipyMinimize:
         series = [_sinc_series(n=7, rep=rep) for rep in range(4)]
         series = [TimeSeries(s.times, s.values, np.full(7, 0.09)) for s in series]
         problems = [(s, build(s, family, nu=nu)[k]) for s in series]
-        results = fitting._lockstep(problems, family, nu)
+        starts = fitting._grid_starts(problems, family, nu)
+        results = fitting._lockstep(problems, family, nu, starts)
         assert len(runs) == len(problems)
         self._assert_same(runs)
         for (s, scenario), result in zip(problems, results):
@@ -601,7 +602,8 @@ class TestExtraStarts:
         problem = [(series, scenarios[k])]
         own = fit(series, family, scenarios[k], nu=nu)
         start = (own.kernel.signal_variance, own.kernel.length_scale, own.noise_variance)
-        [grid_alone] = fitting._lockstep(problem, family, nu)
+        grid_start = fitting._grid_starts(problem, family, nu)
+        [grid_alone] = fitting._lockstep(problem, family, nu, grid_start)
         [extra_alone] = fitting._lockstep(problem, family, nu, starts=[start])
         both = fit(series, family, scenarios[k], nu=nu, extra_starts=[start])
         assert grid_alone == own
@@ -719,34 +721,38 @@ class TestGridStarts:
         # and the fits of each stage are the fits alone, with or without
         # the start found given
         for stage in stages:
-            results = fitting._lockstep(stage, "se", None)
+            starts = fitting._grid_starts(stage, "se", None)
+            results = fitting._lockstep(stage, "se", None, starts)
             for (s, scenario), result in zip(stage, results):
                 start = _grid_start_of((s, scenario))
                 assert result == fit(s, "se", scenario) == fit(s, "se", scenario, start=start)
 
     def test_input_checks_raise_before_the_grid(self, monkeypatch):
-        def no_grid(*args):
-            raise AssertionError("grid built")
-
-        monkeypatch.setattr(fitting, "_grid_starts", no_grid)
+        # fit checks its problem before any eigendecomposition; _lockstep
+        # takes ready problems, and checks only their noise modes
+        eighs = []
+        monkeypatch.setattr(fitting, "_correlation_eigh", lambda *args: eighs.append(args))
         series = _sinc_series(n=5)
         scenario = make_scenarios(series, "se")[0]
         flat = TimeSeries(series.times, np.full(5, 0.3))
-        for problems, family, nu in (
-            ([(series, scenario), (TimeSeries([0.0], [1.0]), scenario)], "se", None),
-            ([(series, scenario), (flat, scenario)], "se", None),
-            ([(series, scenario)], "matern", 3.7),
-            ([(series, scenario)], "cubic", None),
-            ([(series, scenario)], "se", 1.5),
+        for problem, family, nu, message in (
+            ((TimeSeries([0.0], [1.0]), scenario), "se", None, "at least two"),
+            ((flat, scenario), "se", None, "constant series"),
+            ((series, scenario), "matern", 3.7, "supports nu"),
+            ((series, scenario), "cubic", None, "unknown kernel family"),
+            ((series, scenario), "se", 1.5, "only to the Matern"),
         ):
-            with pytest.raises(ValueError):
-                fitting._lockstep(problems, family, nu)
+            with pytest.raises(ValueError, match=message):
+                fit(problem[0], family, problem[1], nu=nu)
         # one lockstep takes series of any lengths, but one noise mode
         seven = _sinc_series(n=7)
         seven = TimeSeries(seven.times, seven.values, np.full(7, 0.05))
         fixed = make_expression_scenarios(seven, "se")[2]
         with pytest.raises(ValueError, match="one noise mode"):
-            fitting._lockstep([(series, scenario), (seven, fixed)], "se", None)
+            fitting._lockstep(
+                [(series, scenario), (seven, fixed)], "se", None, [(1.0, 1.0, 0.1)] * 2
+            )
+        assert eighs == []
 
     def test_length_to_infinity_optimum(self):
         # five random restarts all stopped at l = 2.15 (LML -4.3112); the
@@ -1030,7 +1036,9 @@ def test_an_overflowing_batch_leaves_its_members_to_the_per_call_path(monkeypatc
     other = TimeSeries(np.arange(7.0) * 0.8, [*values, 0.4, -0.1])
     far = TimeSeries(np.arange(5.0) * 1e120, values)
     problems = [(s, make_scenarios(s, family, nu=nu)[k]) for s in (near, other, far)]
-    alone = [fitting._lockstep([problem], family, nu)[0] for problem in problems[:2]]
+    starts = fitting._grid_starts(problems, family, nu)
+    alone = [fitting._lockstep([problem], family, nu, [start])[0]
+             for problem, start in zip(problems[:2], starts)]
     batch, overflows = gp._lml_and_grad_batch, []
 
     def counting(*args):
@@ -1041,12 +1049,47 @@ def test_an_overflowing_batch_leaves_its_members_to_the_per_call_path(monkeypatc
             raise
 
     monkeypatch.setattr(gp, "_lml_and_grad_batch", counting)
-    *near_fits, far_fit = fitting._lockstep(problems, family, nu)
+    *near_fits, far_fit = fitting._lockstep(problems, family, nu, starts)
     assert overflows
     # the batch that overflowed holds both lengths
     assert sorted(overflows[0][3].layout.n.tolist()) == [5, 5, 7]
     assert [repr(f) for f in near_fits] == [repr(f) for f in alone]
     assert far_fit is None
+
+
+@pytest.mark.parametrize("family, nu", [("se", None), ("matern", 1.5)])
+@pytest.mark.parametrize("build, k", [(make_scenarios, 2), (make_expression_scenarios, 3)])
+def test_every_batched_call_lays_out_exactly_the_points_it_evaluates(
+    monkeypatch, family, nu, build, k
+):
+    # a stage of series of 5 to 11 points, whose runs end in different
+    # rounds: each batched call's batch holds one member per point asked,
+    # no member whose run is done, and the fits are those alone
+    rng = np.random.default_rng(1)
+    series = []
+    for n in (9, 5, 11, 7, 5, 9):
+        t = np.cumsum(rng.uniform(0.3, 1.2, n))
+        series.append(TimeSeries(t, np.sin(t) + rng.normal(0.0, 0.3, n), np.full(n, 0.05)))
+    problems = [(s, build(s, family, nu=nu)[k]) for s in series]
+    starts = fitting._grid_starts(problems, family, nu)
+    alone = [fitting._lockstep([p], family, nu, [s])[0] for p, s in zip(problems, starts)]
+    batch_call, minimize, calls, runs = gp._lml_and_grad_batch, fitting._minimize_lockstep, [], []
+
+    def recording(*args):
+        calls.append((len(args[2]), len(args[3].layout.n)))
+        return batch_call(*args)
+
+    def recording_runs(*args):
+        runs.extend(minimize(*args))
+        return runs
+
+    monkeypatch.setattr(gp, "_lml_and_grad_batch", recording)
+    monkeypatch.setattr(fitting, "_minimize_lockstep", recording_runs)
+    fits = fitting._lockstep(problems, family, nu, starts)
+    assert len({run.nfev for run in runs}) > 1
+    assert calls and {rows for rows, _ in calls} > {len(problems)}
+    assert all(rows == members for rows, members in calls)
+    assert [repr(f) for f in fits] == [repr(f) for f in alone]
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])

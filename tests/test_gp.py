@@ -603,19 +603,17 @@ class TestBatchedLikelihood:
 
     @staticmethod
     def _check_members(series, family, nu, sf2, l, sn2, members=None):
-        # ``series`` holds each member's series, ``members`` the members
-        # evaluated (all by default).
+        # ``series`` holds each member's series; the batch is built of the
+        # members ``members`` (all by default), in that order.
         params = np.array([sf2, l] if sn2 is None else [sf2, l, sn2]).T
-        batch = gp._Batch(
-            [s.distances for s in series],
-            [s.values for s in series],
-            None if sn2 is not None else [s.noise_variances for s in series],
-        )
         named = list(range(len(series))) if members is None else members
+        batch = gp._Batch(
+            [series[i].distances for i in named],
+            [series[i].values for i in named],
+            None if sn2 is not None else [series[i].noise_variances for i in named],
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            values, grads, ok = gp._lml_and_grad_batch(
-                family, nu, params[named], batch, members
-            )
+            values, grads, ok = gp._lml_and_grad_batch(family, nu, params[named], batch)
         assert values.shape == (len(named),) and len(ok) == len(named)
         assert grads.shape == (len(named), 2 if sn2 is None else 3)
         for row, (i, done) in enumerate(zip(named, ok)):
@@ -638,7 +636,7 @@ class TestBatchedLikelihood:
                 # left to the per-call path only when that path jitters
                 member = (sf2[i], l[i], None if sn2 is None else sn2[i])
                 assert _jitter(series[i], family, nu, *member) > 0.0
-        # and so does every member of a part of the batch, in any order
+        # and so does every member of a batch of a part of them, in any order
         part = list(range(len(series)))[::-2]
         assert self._check_members(series, family, nu, sf2, l, sn2, part) == [ok[i] for i in part]
 

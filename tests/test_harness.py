@@ -1433,7 +1433,6 @@ class TestConfigFile:
             "test_hi = 3\n"
             "test_count = 8\n"
             "n_grid = 5,7\n"
-            "restarts = 2\n"
         )
         mapping = load_config(path)
         config = config_from_mapping(mapping)
@@ -1441,7 +1440,6 @@ class TestConfigFile:
         assert config.seed == 9
         assert config.interval == (-4.0, 4.0)
         assert config.test_grid == (-5.0, 3.0, 8)
-        assert config.restarts == 2
         assert mapping["n_grid"] == "5,7"
 
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
@@ -1454,7 +1452,6 @@ class TestConfigFile:
 
         path = tmp_path / "run.cfg"
         path.write_text(
-            "n_points = 9\n"
             "interval_lo = -4\n"
             "interval_hi = 4.5\n"
             "noise_variance = 0.04\n"
@@ -1468,14 +1465,12 @@ class TestConfigFile:
             "alpha = 0.95\n"
             "noise_bound_lo = 0.02\n"
             "noise_bound_hi = 0.2\n"
-            "restarts = 2\n"
             "loglik_threshold = -10\n"
             "mse_threshold = 0.2\n"
             "noise_flag_threshold = 0.001\n"
         )
         config = config_from_mapping(load_config(path))
         expected = SyntheticConfig(
-            n_points=9,
             interval=(-4.0, 4.5),
             noise_variance=0.04,
             replicates=12,
@@ -1485,7 +1480,6 @@ class TestConfigFile:
             nu=1.5,
             alpha=0.95,
             noise_bounds=(0.02, 0.2),
-            restarts=2,
             loglik_threshold=-10.0,
             mse_threshold=0.2,
             noise_flag_threshold=0.001,
@@ -1493,7 +1487,8 @@ class TestConfigFile:
         assert config == expected
         default = SyntheticConfig()
         for f in fields(SyntheticConfig):
-            assert getattr(config, f.name) != getattr(default, f.name), f.name
+            if f.name not in ("n_points", "restarts"):
+                assert getattr(config, f.name) != getattr(default, f.name), f.name
         assert isinstance(config.test_grid[2], int)
 
     def test_partial_tuple_keys_keep_defaults(self):
@@ -1505,6 +1500,15 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("replicas = 12\n")
         with pytest.raises(CsvFormatError, match="unknown config key"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["n_points", "restarts"])
+    def test_fields_a_run_ignores_are_no_keys(self, tmp_path, key):
+        # a run takes each n of its grid as n_points, and restarts changes
+        # no fit, so a config file that sets either is rejected
+        path = tmp_path / "run.cfg"
+        path.write_text(f"replicates = 2\n{key} = 9\n")
+        with pytest.raises(CsvFormatError, match=f"line 2: unknown config key '{key}'"):
             load_config(path)
 
     def test_line_without_equals_rejected(self, tmp_path):
